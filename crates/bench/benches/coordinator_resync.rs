@@ -12,7 +12,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use teeve_net::{ClusterConfig, Coordinator, RpNode, RpNodeHandle};
+use teeve_net::{ClusterConfig, Coordinator, Reactor, RpNodeHandle};
 use teeve_overlay::{OverlayManager, ProblemInstance};
 use teeve_pubsub::{DisseminationPlan, StreamProfile};
 use teeve_types::{CostMatrix, CostMs, Degree, SiteId, StreamId};
@@ -50,15 +50,12 @@ fn ring_plan(sites: usize) -> DisseminationPlan {
     )
 }
 
-/// Binds and spawns one RP per site.
-fn launch_nodes(sites: usize) -> (Vec<RpNodeHandle>, Vec<SocketAddr>) {
-    let mut nodes = Vec::with_capacity(sites);
-    let mut addrs = Vec::with_capacity(sites);
-    for site in SiteId::all(sites) {
-        let node = RpNode::bind(site, Duration::from_millis(200)).expect("bind RP");
-        addrs.push(node.local_addr());
-        nodes.push(node.spawn());
-    }
+/// Binds one RP per site on the shared reactor.
+fn launch_nodes(reactor: &Reactor, sites: usize) -> (Vec<RpNodeHandle>, Vec<SocketAddr>) {
+    let nodes: Vec<RpNodeHandle> = SiteId::all(sites)
+        .map(|site| reactor.bind_node(site).expect("bind RP"))
+        .collect();
+    let addrs = nodes.iter().map(RpNodeHandle::addr).collect();
     (nodes, addrs)
 }
 
@@ -70,12 +67,13 @@ fn bench_coordinator_resync(c: &mut Criterion) {
         timeout: Duration::from_secs(20),
     };
 
+    let reactor = Reactor::new(1).expect("reactor starts");
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut group = c.benchmark_group("coordinator_resync");
     group.sample_size(10);
     for &sites in &FLEETS {
         let plan = ring_plan(sites);
-        let (nodes, addrs) = launch_nodes(sites);
+        let (nodes, addrs) = launch_nodes(&reactor, sites);
         // Install the plan and immediately lose the coordinator: from
         // here on the fleet runs headless between reconnects.
         Coordinator::connect(&plan, &addrs, &config)

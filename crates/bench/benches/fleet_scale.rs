@@ -1,15 +1,12 @@
 //! Fleet hosting economics: how many RPs fit in one process?
 //!
-//! The thread-per-connection host spends at least two OS threads per RP
-//! (an acceptor plus one reader per live connection), so a process tops
-//! out at a few hundred RPs long before the protocol does. The reactor
-//! hosts the same RPs on a fixed pool of event-loop threads. This bench
-//! stands up **32 sessions x 16 sites = 512 RPs** on a 4-thread reactor
-//! in this process, measures launch throughput (sessions/sec), the
-//! socket-free reconfigure latency distribution under that load (p50 and
-//! p99 over every session), and the threads-per-RP ratio of both hosting
-//! modes — asserting the reactor stays under 0.1 threads per RP where
-//! the legacy host needs at least 2.
+//! The reactor hosts every RP on a fixed pool of event-loop threads, so
+//! a process's RP count is bounded by the protocol, not by OS threads.
+//! This bench stands up **32 sessions x 16 sites = 512 RPs** on a
+//! 4-thread reactor in this process, measures launch throughput
+//! (sessions/sec), the socket-free reconfigure latency distribution
+//! under that load (p50 and p99 over every session), and the
+//! threads-per-RP ratio — asserting it stays under 0.1.
 
 use std::time::{Duration, Instant};
 
@@ -27,9 +24,6 @@ const SITES_PER_SESSION: usize = 16;
 const LOOP_THREADS: usize = 4;
 /// Socket-free reconfigure toggles timed per session.
 const TOGGLES_PER_SESSION: usize = 3;
-/// Legacy thread-per-connection sessions for the baseline ratio (kept
-/// small: at >= 2 threads per RP the full 512 would be ~1k threads).
-const LEGACY_SESSIONS: usize = 2;
 
 /// Live OS threads of this process, from `/proc/self/status`.
 fn os_thread_count() -> f64 {
@@ -109,7 +103,7 @@ fn bench_fleet_scale(c: &mut Criterion) {
         timeout: Duration::from_secs(30),
     };
 
-    // --- Reactor fleet: 512 RPs on LOOP_THREADS event loops. ---
+    // 512 RPs on LOOP_THREADS event loops.
     let threads_baseline = os_thread_count();
     let reactor = Reactor::new(LOOP_THREADS).expect("reactor starts");
     let launching = Instant::now();
@@ -176,26 +170,10 @@ fn bench_fleet_scale(c: &mut Criterion) {
     }
     reactor.shutdown();
 
-    // --- Legacy baseline: thread-per-connection hosting ratio. ---
-    let threads_before_legacy = os_thread_count();
-    let legacy: Vec<LiveCluster> = (0..LEGACY_SESSIONS)
-        .map(|_| LiveCluster::launch(&base, &config).expect("threaded launch"))
-        .collect();
-    let legacy_rps = (LEGACY_SESSIONS * SITES_PER_SESSION) as f64;
-    let legacy_threads_per_rp = (os_thread_count() - threads_before_legacy) / legacy_rps;
-    for cluster in legacy {
-        cluster.shutdown();
-    }
-    assert!(
-        legacy_threads_per_rp >= 2.0,
-        "thread-per-connection hosting spends >= 2 threads per RP, got {legacy_threads_per_rp}"
-    );
-
     println!(
         "fleet_scale: {rp_count} RPs / {SESSIONS} sessions on {LOOP_THREADS} loop threads; \
          {sessions_per_sec:.1} sessions/sec; reconfigure p50 {reconfigure_p50:.0} us, \
-         p99 {reconfigure_p99:.0} us; threads/RP reactor {reactor_threads_per_rp:.4} \
-         vs legacy {legacy_threads_per_rp:.2}"
+         p99 {reconfigure_p99:.0} us; {reactor_threads_per_rp:.4} threads/RP"
     );
     teeve_bench::write_bench_json(
         "fleet_scale",
@@ -207,7 +185,6 @@ fn bench_fleet_scale(c: &mut Criterion) {
             ("reconfigure_p50_micros", reconfigure_p50),
             ("reconfigure_p99_micros", reconfigure_p99),
             ("reactor_threads_per_rp", reactor_threads_per_rp),
-            ("legacy_threads_per_rp", legacy_threads_per_rp),
         ],
     );
 }

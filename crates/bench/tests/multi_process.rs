@@ -60,11 +60,13 @@ fn plan_at(
     plan
 }
 
-/// Spawns one `rp_node` process and reads its advertised address.
+/// Spawns one `rp_node` process — bound to the wildcard address and
+/// advertising loopback, the separate-machines shape — and reads its
+/// advertised address.
 fn spawn_rp(site_index: u32) -> (Child, SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_rp_node"))
         .arg(site_index.to_string())
-        .arg("30000")
+        .args(["0.0.0.0:0", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn rp_node");

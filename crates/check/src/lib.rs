@@ -40,7 +40,8 @@
 //! | `reconnect-regression`| the dictation watermark never falls across a reconnect |
 //!
 //! The bridge back to the real code is [`model::swap_table`] — the exact
-//! table-application rule `node.rs` implements — which the
+//! table-application rule the RP's `Reconfigure` dispatch arm (`crates/net`
+//! `reactor.rs`) implements — which the
 //! model-conformance proptest (`tests/conformance.rs`) runs against real
 //! `DisseminationPlan`-derived `SitePlan`s evolved by random deltas.
 

@@ -12,7 +12,9 @@
 //!   or the line directly above it;
 //! * allowlist — add a line to `crates/check/teeve-check.allow`
 //!   (`<rule> <path-substring> <line-snippet>`), the reviewable home for
-//!   grandfathered sites and sanctioned modules.
+//!   grandfathered sites and sanctioned modules. An entry that silences
+//!   nothing is itself a finding ([`RULE_ALLOW_UNUSED`]), so the list
+//!   cannot outlive the code it excuses.
 
 mod locks;
 mod rules;
@@ -32,10 +34,17 @@ pub use rules::{
 };
 pub use source::{collect_sources, strip_comments_and_strings, SourceFile};
 
+/// The finding reported against an allowlist entry that silenced nothing.
+pub const RULE_ALLOW_UNUSED: &str = "allow-unused";
+
+/// Workspace-relative path of the checked-in allowlist.
+const ALLOWLIST_PATH: &str = "crates/check/teeve-check.allow";
+
 /// One lint hit: a rule, a place, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule that fired (one of [`ALL_RULES`]).
+    /// The rule that fired (one of [`ALL_RULES`] or [`LOCK_RULES`], or
+    /// [`RULE_ALLOW_UNUSED`]).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -75,6 +84,8 @@ pub struct AllowEntry {
     pub path: String,
     /// Substring the flagged raw source line must contain.
     pub snippet: String,
+    /// 1-based line of the entry in the allowlist file.
+    pub line: usize,
 }
 
 /// Parses the allowlist format: one entry per line,
@@ -89,7 +100,7 @@ pub struct AllowEntry {
 /// ```
 pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
     let mut entries = Vec::new();
-    for line in text.lines() {
+    for (idx, line) in text.lines().enumerate() {
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -103,6 +114,7 @@ pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
             rule: rule.to_owned(),
             path: path.to_owned(),
             snippet: snippet.trim().to_owned(),
+            line: idx + 1,
         });
     }
     entries
@@ -124,9 +136,9 @@ fn suppressed_inline(file: &SourceFile, finding: &Finding) -> bool {
     same || above
 }
 
-/// True when the checked-in allowlist covers the finding.
-fn allowlisted(entries: &[AllowEntry], file: &SourceFile, finding: &Finding) -> bool {
-    entries.iter().any(|e| {
+/// The first allowlist entry covering the finding, by position.
+fn allowlisted(entries: &[AllowEntry], file: &SourceFile, finding: &Finding) -> Option<usize> {
+    entries.iter().position(|e| {
         e.rule == finding.rule
             && finding.path.contains(&e.path)
             && file
@@ -150,19 +162,34 @@ pub struct LintReport {
 }
 
 /// Filters raw findings through in-line suppressions and the allowlist,
-/// producing the report both lint passes share.
+/// producing the report both lint passes share. Every entry of `entries`
+/// must earn its place: one that covered no finding becomes a finding.
 fn filter_report(files: &[SourceFile], entries: &[AllowEntry], raw: Vec<Finding>) -> LintReport {
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
+    let mut used = vec![false; entries.len()];
     for finding in raw {
         let file = files.iter().find(|f| f.rel == finding.path);
-        let silenced = file
-            .is_some_and(|f| suppressed_inline(f, &finding) || allowlisted(entries, f, &finding));
-        if silenced {
+        let entry = file.and_then(|f| allowlisted(entries, f, &finding));
+        if let Some(slot) = entry.and_then(|idx| used.get_mut(idx)) {
+            *slot = true;
+        }
+        if entry.is_some() || file.is_some_and(|f| suppressed_inline(f, &finding)) {
             suppressed += 1;
         } else {
             findings.push(finding);
         }
+    }
+    for (entry, _) in entries.iter().zip(&used).filter(|(_, &hit)| !hit) {
+        findings.push(Finding::new(
+            RULE_ALLOW_UNUSED,
+            ALLOWLIST_PATH,
+            entry.line,
+            format!(
+                "allowlist entry `{} {} {}` silenced nothing; delete it",
+                entry.rule, entry.path, entry.snippet
+            ),
+        ));
     }
     LintReport {
         findings,
@@ -171,10 +198,14 @@ fn filter_report(files: &[SourceFile], entries: &[AllowEntry], raw: Vec<Finding>
     }
 }
 
-fn load_allowlist(root: &Path) -> Vec<AllowEntry> {
-    let allow_text =
-        fs::read_to_string(root.join("crates/check/teeve-check.allow")).unwrap_or_default();
-    parse_allowlist(&allow_text)
+/// Loads the entries one pass answers for: the lock rules' entries for
+/// the locks pass, every other entry (unknown rule names included, so a
+/// typo is reported rather than ignored) for the lint pass.
+fn load_allowlist(root: &Path, locks_pass: bool) -> Vec<AllowEntry> {
+    let allow_text = fs::read_to_string(root.join(ALLOWLIST_PATH)).unwrap_or_default();
+    let mut entries = parse_allowlist(&allow_text);
+    entries.retain(|e| LOCK_RULES.contains(&e.rule.as_str()) == locks_pass);
+    entries
 }
 
 /// Runs the full lint pass over the workspace at `root`, loading the
@@ -185,7 +216,7 @@ fn load_allowlist(root: &Path) -> Vec<AllowEntry> {
 /// Propagates I/O errors from walking or reading sources.
 pub fn run_lint(root: &Path) -> io::Result<LintReport> {
     let files = collect_sources(root)?;
-    let entries = load_allowlist(root);
+    let entries = load_allowlist(root, false);
     let raw = run_all(&files);
     Ok(filter_report(&files, &entries, raw))
 }
@@ -199,7 +230,7 @@ pub fn run_lint(root: &Path) -> io::Result<LintReport> {
 /// Propagates I/O errors from walking or reading sources.
 pub fn run_locks(root: &Path) -> io::Result<LintReport> {
     let files = collect_sources(root)?;
-    let entries = load_allowlist(root);
+    let entries = load_allowlist(root, true);
     let raw = run_locks_rules(&files);
     Ok(filter_report(&files, &entries, raw))
 }
@@ -240,9 +271,27 @@ mod tests {
         let hit = parse_allowlist("net-no-panic crates/net/src/f.rs x.unwrap()");
         let wrong_rule = parse_allowlist("clock crates/net/src/f.rs x.unwrap()");
         let wrong_snip = parse_allowlist("net-no-panic crates/net/src/f.rs y.unwrap()");
-        assert!(allowlisted(&hit, &file, finding));
-        assert!(!allowlisted(&wrong_rule, &file, finding));
-        assert!(!allowlisted(&wrong_snip, &file, finding));
+        assert_eq!(allowlisted(&hit, &file, finding), Some(0));
+        assert_eq!(allowlisted(&wrong_rule, &file, finding), None);
+        assert_eq!(allowlisted(&wrong_snip, &file, finding), None);
+    }
+
+    #[test]
+    fn allowlist_entry_that_silences_nothing_is_a_finding() {
+        let file = fake("crates/net/src/f.rs", "x.unwrap();");
+        let raw = run_all(std::slice::from_ref(&file));
+        let entries = parse_allowlist(
+            "net-no-panic crates/net/src/f.rs x.unwrap()\n\
+             # the file this one excused is gone\n\
+             net-no-panic crates/net/src/gone.rs y.unwrap()\n",
+        );
+        let report = filter_report(std::slice::from_ref(&file), &entries, raw);
+        assert_eq!(report.suppressed, 1);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        let stale = &report.findings[0];
+        assert_eq!(stale.rule, RULE_ALLOW_UNUSED);
+        assert_eq!((stale.path.as_str(), stale.line), (ALLOWLIST_PATH, 3));
+        assert!(stale.message.contains("gone.rs"));
     }
 
     #[test]

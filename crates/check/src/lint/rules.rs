@@ -457,14 +457,14 @@ mod tests {
     fn parity_fixture() -> (String, String) {
         let wire = "pub struct StreamDelivery {\n    pub delivered: u64,\n    \
                     pub latency: LogHistogram,\n}\n\
-                    pub enum Message {\n    Hello { site: u32 },\n    Bye,\n}\n\
+                    pub enum Message {\n    Hello { site: u32 },\n    Attach,\n}\n\
                     pub fn encode(m: &Message) { match m { Message::Hello{..} => (), \
-                    Message::Bye => () }\n    \
+                    Message::Attach => () }\n    \
                     let _ = (entry.delivered, entry.latency.nonzero_buckets()); }\n\
                     pub fn decode() { let _ = Message::Hello { site: 0 };\n    \
-                    let _ = Message::Bye;\n    if nonzero > BUCKETS { }\n    \
+                    let _ = Message::Attach;\n    if nonzero > BUCKETS { }\n    \
                     StreamDelivery { delivered, latency: LogHistogram::from_parts(&p, s, lo, hi) } }\n";
-        let strategy = "fn arb() { (Message::Hello { site: 1 }, Message::Bye); \
+        let strategy = "fn arb() { (Message::Hello { site: 1 }, Message::Attach); \
                         StreamDelivery { delivered: 1, latency: LogHistogram::new() } }";
         (wire.to_owned(), strategy.to_owned())
     }
@@ -482,14 +482,14 @@ mod tests {
     #[test]
     fn wire_parity_catches_a_variant_missing_from_decode() {
         let (wire, strategy) = parity_fixture();
-        let wire = wire.replace("let _ = Message::Bye;\n", "");
+        let wire = wire.replace("let _ = Message::Attach;\n", "");
         let files = vec![
             fake_file("crates/net/src/wire.rs", &wire),
             fake_file("crates/net/tests/proptest_wire.rs", &strategy),
         ];
         let findings = wire_parity(&files);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("Message::Bye"));
+        assert!(findings[0].message.contains("Message::Attach"));
         assert!(findings[0].message.contains("fn decode"));
     }
 

@@ -7,10 +7,10 @@
 //! semantics agree on every site under arbitrary delivery orders,
 //! including duplicated and stale redeliveries.
 //!
-//! If `node.rs` ever diverges from the swap rule (say, merging tables
-//! instead of replacing them), the model keeps passing but this bridge
-//! breaks — which is the point: the model's soundness reduces to this
-//! conformance plus the mirrored rule.
+//! If the RP's `Reconfigure` dispatch arm ever diverges from the swap
+//! rule (say, merging tables instead of replacing them), the model keeps
+//! passing but this bridge breaks — which is the point: the model's
+//! soundness reduces to this conformance plus the mirrored rule.
 
 use proptest::prelude::*;
 use teeve_check::model::swap_table;

@@ -1,13 +1,12 @@
 //! The in-process convenience wrapper around the process-separable RP
-//! node API: one [`LiveCluster`] = N spawned [`RpNode`] threads + one
+//! node API: one [`LiveCluster`] = N RPs hosted on a [`Reactor`] + one
 //! [`Coordinator`], all on 127.0.0.1.
 //!
 //! The coordinator holds **no shared memory** into the RPs it drives —
 //! every interaction is a [`wire`](crate::wire) message, exactly as it
 //! would be across processes or hosts; this wrapper only saves callers
-//! the bind/spawn/connect choreography (and joins the node threads at
-//! shutdown). [`run_cluster`] is the one-shot form: launch, publish,
-//! shut down.
+//! the bind/connect choreography (and joins the nodes at shutdown).
+//! [`run_cluster`] is the one-shot form: launch, publish, shut down.
 
 use teeve_pubsub::{DisseminationPlan, PlanDelta};
 use teeve_types::SiteId;
@@ -15,18 +14,18 @@ use teeve_types::SiteId;
 use crate::coordinator::{
     ClusterConfig, ClusterError, ClusterReport, Coordinator, ReconfigureReport,
 };
-use crate::node::{RpNode, RpNodeHandle};
-use crate::reactor::{Reactor, ReactorNodeHandle};
+use crate::reactor::{Reactor, RpNodeHandle};
 
 /// A long-lived cluster of rendezvous points on 127.0.0.1 whose plan can
 /// be changed while it runs.
 ///
 /// Lifecycle:
 ///
-/// 1. [`launch`](Self::launch) binds and spawns one [`RpNode`] per site
-///    of the plan, then connects a [`Coordinator`] to their addresses —
-///    installing forwarding tables and ordering the initial links open,
-///    all over TCP;
+/// 1. [`launch`](Self::launch) /
+///    [`launch_reactor`](Self::launch_reactor) binds one RP per site of
+///    the plan on a reactor, then connects a [`Coordinator`] to their
+///    addresses — installing forwarding tables and ordering the initial
+///    links open, all over TCP;
 /// 2. [`publish`](Self::publish) / [`apply_delta`](Self::apply_delta) /
 ///    [`shutdown`](Self::shutdown) delegate to the coordinator, so the
 ///    wrapper's behavior is *identical* to driving a fleet of external
@@ -38,41 +37,19 @@ use crate::reactor::{Reactor, ReactorNodeHandle};
 /// instead of operating on an unknown plan state; shut the cluster down.
 pub struct LiveCluster {
     // Field order is drop order: dropping the coordinator first orders
-    // every RP down over the wire, then the fleet stops its node threads
-    // locally (belt and braces for nodes whose control channel died).
+    // every RP down over the wire, then the fleet stops its nodes
+    // locally (belt and braces for nodes whose control channel died),
+    // and only then does a cluster-owned reactor quit its loop.
     coordinator: Coordinator,
     fleet: NodeFleet,
+    /// The one-thread reactor [`launch`](LiveCluster::launch) started;
+    /// `None` when the caller's reactor hosts the fleet.
+    reactor: Option<Reactor>,
 }
 
-/// One RP of a [`LiveCluster`]'s fleet, in either hosting mode. Both
-/// variants speak the identical wire protocol; the cluster only needs
-/// stop/join from them.
-enum FleetMember {
-    /// Thread-per-connection node ([`LiveCluster::launch`]).
-    Thread(RpNodeHandle),
-    /// Reactor-hosted node ([`LiveCluster::launch_reactor`]).
-    Reactor(ReactorNodeHandle),
-}
-
-impl FleetMember {
-    fn stop(&self) {
-        match self {
-            FleetMember::Thread(node) => node.stop(),
-            FleetMember::Reactor(node) => node.stop(),
-        }
-    }
-
-    fn join(self) {
-        match self {
-            FleetMember::Thread(node) => node.join(),
-            FleetMember::Reactor(node) => node.join(),
-        }
-    }
-}
-
-/// The spawned RP nodes of a [`LiveCluster`], stopped on drop.
+/// The RP nodes of a [`LiveCluster`], stopped on drop.
 struct NodeFleet {
-    nodes: Vec<FleetMember>,
+    nodes: Vec<RpNodeHandle>,
 }
 
 impl NodeFleet {
@@ -98,8 +75,9 @@ impl Drop for NodeFleet {
 }
 
 impl LiveCluster {
-    /// Launches one RP per site of `plan` on 127.0.0.1 and connects the
-    /// initial overlay links.
+    /// Launches one RP per site of `plan` on 127.0.0.1, hosted on a
+    /// one-thread reactor the cluster owns, and connects the initial
+    /// overlay links.
     ///
     /// # Errors
     ///
@@ -110,29 +88,16 @@ impl LiveCluster {
         plan: &DisseminationPlan,
         config: &ClusterConfig,
     ) -> Result<LiveCluster, ClusterError> {
-        let mut nodes = Vec::with_capacity(plan.site_count());
-        let mut addrs = Vec::with_capacity(plan.site_count());
-        for site in SiteId::all(plan.site_count()) {
-            let node = RpNode::bind(site, config.timeout)?;
-            addrs.push(node.local_addr());
-            nodes.push(FleetMember::Thread(node.spawn()));
-        }
-        let fleet = NodeFleet { nodes };
-        match Coordinator::connect(plan, &addrs, config) {
-            Ok(coordinator) => Ok(LiveCluster { coordinator, fleet }),
-            Err(e) => {
-                fleet.stop_and_join();
-                Err(e)
-            }
-        }
+        let reactor = Reactor::new(1)?;
+        let mut cluster = Self::launch_reactor(plan, config, &reactor)?;
+        cluster.reactor = Some(reactor);
+        Ok(cluster)
     }
 
-    /// Like [`launch`](Self::launch), but hosts every RP on `reactor`'s
-    /// event loops instead of spawning threads per node: the fleet's
-    /// thread cost is the reactor's fixed pool, regardless of how many
-    /// sites (or how many concurrent clusters sharing the reactor) there
-    /// are. The coordinator, the wire protocol, and the delivery
-    /// accounting are identical to the threaded path.
+    /// Like [`launch`](Self::launch), but hosts every RP on the caller's
+    /// `reactor`: the fleet's thread cost is the reactor's fixed pool,
+    /// regardless of how many sites (or how many concurrent clusters
+    /// sharing the reactor) there are.
     ///
     /// The reactor must outlive the returned cluster; dropping it first
     /// abandons the hosted nodes mid-protocol.
@@ -152,11 +117,15 @@ impl LiveCluster {
         for site in SiteId::all(plan.site_count()) {
             let node = reactor.bind_node(site)?;
             addrs.push(node.addr());
-            nodes.push(FleetMember::Reactor(node));
+            nodes.push(node);
         }
         let fleet = NodeFleet { nodes };
         match Coordinator::connect(plan, &addrs, config) {
-            Ok(coordinator) => Ok(LiveCluster { coordinator, fleet }),
+            Ok(coordinator) => Ok(LiveCluster {
+                coordinator,
+                fleet,
+                reactor: None,
+            }),
             Err(e) => {
                 fleet.stop_and_join();
                 Err(e)
@@ -246,15 +215,20 @@ impl LiveCluster {
 
     /// Gracefully terminates the cluster: the coordinator harvests every
     /// RP's final stats report, orders the fleet down (per-stream `End`
-    /// markers cascade from every origin), every node thread joins, and
-    /// the delivery report comes back.
+    /// markers cascade from every origin), every node joins, and the
+    /// delivery report comes back.
     ///
     /// Call after the last [`publish`](Self::publish) batch has completed;
     /// frames still in flight at shutdown are dropped with their links.
     pub fn shutdown(self) -> ClusterReport {
-        let LiveCluster { coordinator, fleet } = self;
+        let LiveCluster {
+            coordinator,
+            fleet,
+            reactor,
+        } = self;
         let report = coordinator.shutdown();
         fleet.stop_and_join();
+        drop(reactor);
         report
     }
 }
@@ -271,13 +245,13 @@ impl teeve_pubsub::DeltaSink for LiveCluster {
 /// `config.frames_per_stream` synthetic frames per overlay-transiting
 /// stream, shut down, report.
 ///
-/// Every RP is a set of real threads: one reader per inbound link
-/// (decoding the wire protocol and forwarding frames per its forwarding
-/// table) plus the node's accept loop. Termination cascades **per
-/// stream**: when a stream's last frame has been published, its `End`
-/// marker flows down the stream's (acyclic) multicast tree, and
-/// connections are write-shut afterwards — there is no per-connection
-/// `Bye` handshake, which would deadlock on cyclic site graphs.
+/// Every RP speaks real TCP: it decodes the wire protocol off each
+/// inbound link and forwards frames per its forwarding table.
+/// Termination cascades **per stream**: when a stream's last frame has
+/// been published, its `End` marker flows down the stream's (acyclic)
+/// multicast tree, and connections are write-shut afterwards — a
+/// per-connection goodbye handshake would deadlock on cyclic site
+/// graphs.
 ///
 /// # Errors
 ///
@@ -304,8 +278,6 @@ mod tests {
     };
     use teeve_pubsub::StreamProfile;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
-
-    use crate::node::RpNode;
 
     fn site(i: u32) -> SiteId {
         SiteId::new(i)
@@ -462,9 +434,8 @@ mod tests {
     #[test]
     fn socket_paced_streams_of_one_origin_pace_concurrently() {
         // Site 0 originates two paced streams. Their Publish orders are
-        // executed on independent publisher threads, so the batch's wall
-        // time stays ≈ frames × interval — not doubled back-to-back per
-        // stream (the pre-redesign semantics of a shared capture cadence).
+        // independent timer entries, so the batch's wall time stays
+        // ≈ frames × interval — not doubled back-to-back per stream.
         let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(2));
         let problem = ProblemInstance::builder(costs, CostMs::new(50))
             .symmetric_capacities(Degree::new(6))
@@ -505,25 +476,23 @@ mod tests {
         // OpenLink dial of its data link both use the advertised address
         // — exact delivery proves both paths reached it.
         let plan = relay_plan();
+        let reactor = Reactor::new(1).expect("reactor starts");
         let mut nodes = Vec::new();
-        let mut addrs = Vec::new();
         for s in SiteId::all(3) {
-            let node = if s == site(1) {
-                RpNode::bind_advertised(
-                    s,
-                    "0.0.0.0:0".parse().unwrap(),
-                    Some("127.0.0.1:0".parse().unwrap()),
-                    Duration::from_secs(20),
-                )
-                .expect("bind wildcard")
+            nodes.push(if s == site(1) {
+                reactor
+                    .bind_node_at(
+                        s,
+                        "0.0.0.0:0".parse().unwrap(),
+                        Some("127.0.0.1:0".parse().unwrap()),
+                    )
+                    .expect("bind wildcard")
             } else {
-                RpNode::bind(s, Duration::from_secs(20)).expect("bind")
-            };
-            addrs.push(node.local_addr());
-            nodes.push(node.spawn());
+                reactor.bind_node(s).expect("bind")
+            });
         }
+        let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
         assert_eq!(addrs[1].ip().to_string(), "127.0.0.1");
-        assert_eq!(addrs[1], nodes[1].addr());
 
         let mut coordinator =
             Coordinator::connect(&plan, &addrs, &quick_config()).expect("connect via advertised");
@@ -539,8 +508,9 @@ mod tests {
 
     #[test]
     fn socket_reactor_cluster_delivers_every_frame() {
-        // The same relay chain as the threaded test, hosted on two event
-        // loops: delivery accounting must come out identical.
+        // The relay chain of `socket_relay_chain_delivers_every_frame`
+        // on a caller-owned reactor with two event loops: delivery
+        // accounting must come out identical.
         let reactor = Reactor::new(2).expect("reactor starts");
         let plan = relay_plan();
         let mut cluster =
@@ -614,15 +584,12 @@ mod tests {
             StreamProfile::default(),
         );
 
-        // Hand-rolled fleet (short node read timeout so the victim's
-        // reader notices the local stop quickly).
-        let mut nodes = Vec::new();
-        let mut addrs = Vec::new();
-        for s in SiteId::all(3) {
-            let node = RpNode::bind(s, Duration::from_millis(200)).expect("bind");
-            addrs.push(node.local_addr());
-            nodes.push(node.spawn());
-        }
+        // Hand-rolled fleet, so one RP can be killed on its own.
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let mut nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
         let config = ClusterConfig {
             timeout: Duration::from_secs(5),
             ..quick_config()

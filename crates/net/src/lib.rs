@@ -3,24 +3,24 @@
 //! The paper's deployment vision — RPs at every site forwarding 3D video
 //! streams along the constructed overlay, reconfigured by the membership
 //! server as displays change FOV and sites churn — realized as real
-//! sockets: each RP runs reader threads per inbound overlay link and
-//! forwards frames to its planned children over a length-prefixed binary
-//! protocol ([`wire`]).
+//! sockets: each RP decodes every inbound overlay link and forwards
+//! frames to its planned children over a length-prefixed binary protocol
+//! ([`wire`]).
 //!
-//! The substrate is **process-separable**: an [`RpNode`] is one site's
-//! autonomous RP runtime — it owns its listener, forwarding table, link
-//! set, and delivery counters, and is addressed only by socket — while a
-//! [`Coordinator`] holds nothing but control connections and site
-//! addresses. Every coordinator action is a [`wire`] message (table
+//! The substrate is **process-separable**: a node bound on a [`Reactor`]
+//! is one site's autonomous RP runtime — it owns its listener, forwarding
+//! table, link set, and delivery counters, and is addressed only by
+//! socket — while a [`Coordinator`] holds nothing but control connections
+//! and site addresses. Every coordinator action is a [`wire`] message (table
 //! installs via `Reconfigure`/`Ack`, link lifecycle via
 //! `OpenLink`/`CloseLink` orders confirmed by `LinkUp`/`LinkDown`
 //! notifications, frame injection via `Publish`/`BatchDone`, delivery
 //! accounting via `StatsRequest`/`StatsReport`), so the same coordinator
-//! drives RPs spawned as threads, as separate OS processes, or on other
-//! hosts.
+//! drives RPs hosted in its own process, in separate OS processes, or on
+//! other hosts.
 //!
-//! [`LiveCluster`] is the in-process convenience wrapper (N spawned
-//! nodes + one coordinator) that keeps the RPs up across plan revisions:
+//! [`LiveCluster`] is the in-process convenience wrapper (N nodes + one
+//! coordinator) that keeps the RPs up across plan revisions:
 //! each [`PlanDelta`](teeve_pubsub::PlanDelta) is pushed at the running
 //! cluster over the control plane, opening only the connections
 //! [`link_changes`] reports as established and closing only the ones
@@ -28,26 +28,22 @@
 //! [`run_cluster`] is the one-shot wrapper: launch, publish, shut down,
 //! report per-site delivery counts and latencies.
 //!
-//! # Hosting modes: threads vs the reactor
+//! # Hosting: the reactor
 //!
-//! An RP can be hosted two ways, speaking the identical wire protocol:
+//! There is one RP implementation, and a [`Reactor`] hosts it: a fixed
+//! pool of non-blocking event loops. Each loop owns its nodes' complete
+//! state (no locks), decodes incrementally from per-connection read
+//! buffers, coalesces writes per wakeup into pending buffers that shed
+//! past a cap (a reader that stops reading loses frames, never stalls
+//! the node), and paces `Publish` batches with timers — thousands of RPs
+//! at a thread budget that does not grow with fleet size.
 //!
-//! - **Thread-per-connection** ([`RpNode::spawn`]): an accept thread plus
-//!   one reader thread per inbound link. Simple and robust, but a fleet
-//!   of N sites costs well over 2N threads — fine for a handful of
-//!   sites, prohibitive for hundreds of sessions in one process.
-//! - **Event-driven** ([`Reactor::bind_node`]): a fixed pool of
-//!   non-blocking event loops hosts every RP. Each loop owns its nodes'
-//!   complete state (no locks), decodes incrementally from
-//!   per-connection read buffers, coalesces writes per wakeup with
-//!   backpressure-aware pending buffers, and paces `Publish` batches
-//!   with timers instead of sleeping threads — thousands of RPs at a
-//!   thread budget that does not grow with fleet size.
-//!
-//! [`LiveCluster::launch`] uses the threaded path;
-//! [`LiveCluster::launch_reactor`] hosts the same fleet on a reactor.
-//! Both forward through one shared frame encoder, so delivery accounting
-//! is bit-identical across hosting modes.
+//! [`Reactor::bind_node`] / [`Reactor::bind_node_at`] put one RP on a
+//! reactor (the standalone `rp_node` process is exactly that plus
+//! [`RpNodeHandle::join`]); [`LiveCluster::launch_reactor`] hosts a whole
+//! fleet on a reactor the caller shares between sessions, and
+//! [`LiveCluster::launch`] is the same with a one-thread reactor the
+//! cluster owns.
 //!
 //! # Examples
 //!
@@ -87,6 +83,5 @@ pub mod wire;
 
 pub use cluster::{run_cluster, LiveCluster};
 pub use coordinator::{ClusterConfig, ClusterError, ClusterReport, Coordinator, ReconfigureReport};
-pub use node::{RpNode, RpNodeHandle};
-pub use reactor::{Reactor, ReactorNodeHandle};
+pub use reactor::{Reactor, RpNodeHandle};
 pub use replan::{link_changes, link_changes_between, LinkChanges};

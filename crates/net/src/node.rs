@@ -1,39 +1,22 @@
-//! A standalone rendezvous-point runtime, addressed only by socket.
+//! One rendezvous point's protocol state: what an RP *is*, apart from
+//! the event loop that hosts it.
 //!
-//! [`RpNode`] is one site's RP as an autonomous unit: it owns its TCP
-//! listener, its revision-tagged forwarding table, its outbound link set,
-//! and its delivery counters. Everything a coordinator does to it —
-//! installing tables, opening and closing links, injecting frames,
-//! harvesting statistics, shutting it down — arrives as a
-//! [`wire`](crate::wire) message, so the node runs equally well as a
-//! thread inside the coordinator's process ([`LiveCluster`] spawns it
-//! that way), as its own OS process, or (in principle) on another host.
-//!
-//! The node is purely reactive: it binds, accepts, and answers. The
-//! coordinator's first connection sends [`Message::Attach`] to mark
-//! itself as the control channel; the node then routes all of its
-//! notifications ([`Message::LinkUp`]/[`Message::LinkDown`]) and replies
-//! ([`Message::Ack`], [`Message::BatchDone`], [`Message::StatsReport`])
-//! through that channel, serialized by one writer lock so concurrent
-//! reader threads can never interleave message bytes.
-//!
-//! [`LiveCluster`]: crate::LiveCluster
+//! An RP is a revision-tagged [`ForwardingTable`] swapped wholesale by
+//! `Reconfigure`, per-stream delivery accounting ([`NodeStats`]) reported
+//! over the wire, and one rule for sizing the copies of a frame it
+//! forwards ([`encode_frame_copies`]). The [`reactor`](crate::reactor)
+//! owns one of each per hosted node, lock-free on the node's loop, and
+//! drives them from socket readiness; everything a coordinator does to a
+//! node arrives as a [`wire`](crate::wire) message.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use parking_lot::Mutex;
 use teeve_pubsub::{ChildLink, SitePlan};
-use teeve_telemetry::{FlightEventKind, FlightRecorder, LogHistogram};
+use teeve_telemetry::LogHistogram;
 use teeve_types::{Quality, SiteId, StreamId};
 
-use crate::wire::{decode, encode, Message, StreamDelivery};
+use crate::wire::{encode, Message, StreamDelivery};
 
 /// Microseconds since the Unix epoch: the capture/delivery timestamp base.
 /// A wall clock (not a process-local [`std::time::Instant`]) so frames
@@ -43,9 +26,6 @@ pub(crate) use teeve_types::clock::unix_micros;
 
 /// The node's forwarding state, tagged with the plan revision it belongs
 /// to (matching `PlanDelta::from_revision`/`PlanDelta::to_revision`).
-///
-/// Shared with the reactor path: a reactor-hosted RP holds exactly this
-/// state, just not behind a lock (one event-loop thread owns it).
 #[derive(Debug)]
 pub(crate) struct ForwardingTable {
     pub(crate) revision: u64,
@@ -78,10 +58,10 @@ pub(crate) fn plan_entry(plan: &SitePlan, stream: StreamId) -> (Vec<ChildLink>, 
 /// child's planned rung — one shared encoding per distinct outgoing rung
 /// (siblings at the same rung reference the same bytes).
 ///
-/// Both socket paths — the thread-per-connection `reader_loop` and the
-/// reactor — forward through this one function, so the bytes an RP puts
-/// on every hop are identical regardless of how it is hosted; the
-/// reactor-vs-threads delivery-parity test leans on that.
+/// The payload is sized down one halving per extra rung and re-tagged,
+/// so quality only ever degrades along a path and the hop *into* a
+/// degraded receiver carries exactly the degraded bytes — this is where
+/// the admission path's per-site budget relief lands on the wire.
 pub(crate) fn encode_frame_copies(
     stream: StreamId,
     seq: u64,
@@ -130,37 +110,30 @@ struct StreamStats {
 }
 
 /// The node's local delivery counters, reported over the wire via
-/// [`Message::StatsReport`] — no memory is shared with the coordinator.
-///
-/// Shared with the reactor path; the interior lock is uncontended there
-/// (one event-loop thread per node) but keeps the type identical across
-/// both hosting modes.
+/// [`Message::StatsReport`] — no memory is shared with the coordinator,
+/// and none with other threads: the node's event loop owns them.
 #[derive(Debug, Default)]
 pub(crate) struct NodeStats {
     /// Per-stream delivery accounting at this site.
-    delivered: Mutex<BTreeMap<StreamId, StreamStats>>,
-    total: AtomicU64,
-    max_latency_micros: AtomicU64,
+    delivered: BTreeMap<StreamId, StreamStats>,
+    total: u64,
+    max_latency_micros: u64,
 }
 
 impl NodeStats {
-    pub(crate) fn record(&self, stream: StreamId, latency_micros: u64, degraded: bool) {
-        let mut delivered = self.delivered.lock();
-        let entry = delivered.entry(stream).or_default();
+    pub(crate) fn record(&mut self, stream: StreamId, latency_micros: u64, degraded: bool) {
+        let entry = self.delivered.entry(stream).or_default();
         entry.delivered += 1;
         entry.degraded += u64::from(degraded);
         entry.latency_sum_micros += latency_micros;
         entry.latency.record(latency_micros);
-        drop(delivered);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.max_latency_micros
-            .fetch_max(latency_micros, Ordering::Relaxed);
+        self.total += 1;
+        self.max_latency_micros = self.max_latency_micros.max(latency_micros);
     }
 
     pub(crate) fn report(&self, probe: u64) -> Message {
         let streams = self
             .delivered
-            .lock()
             .iter()
             .map(|(&stream, stats)| StreamDelivery {
                 stream,
@@ -172,811 +145,78 @@ impl NodeStats {
             .collect();
         Message::StatsReport {
             probe,
-            total: self.total.load(Ordering::Relaxed),
-            max_latency_micros: self.max_latency_micros.load(Ordering::Relaxed),
+            total: self.total,
+            max_latency_micros: self.max_latency_micros,
             streams,
         }
     }
 }
 
-/// State shared by the node's accept loop and per-connection readers.
-struct NodeShared {
-    site: SiteId,
-    /// The address this node *advertises*: what the coordinator dials
-    /// and hands to parents in `OpenLink` orders. Defaults to the bound
-    /// listener address; multi-host deployments advertise a reachable
-    /// address distinct from the (possibly wildcard) bind address.
-    advertise: SocketAddr,
-    /// The bound listener address as locally reachable, used to
-    /// self-connect and wake the accept loop at shutdown (a wildcard
-    /// bind maps to loopback).
-    wake: SocketAddr,
-    /// The live forwarding table; swapped atomically by `Reconfigure`.
-    table: Mutex<ForwardingTable>,
-    /// Outbound (this RP → child) data connections, opened by `OpenLink`
-    /// orders — the node dials its own upstream targets.
-    outbound: Mutex<BTreeMap<SiteId, TcpStream>>,
-    /// The coordinator control channel (write half) with the attach
-    /// generation that installed it, designated by `Attach`. One lock
-    /// serializes every control-bound write so reader threads cannot
-    /// interleave message bytes. A later `Attach` atomically replaces the
-    /// channel (latest wins); the generation lets the reader serving a
-    /// *replaced* channel exit without clobbering its successor.
-    control: Mutex<Option<(u64, TcpStream)>>,
-    /// Monotonic counter of `Attach` orders ever honored, numbering the
-    /// control-channel generations.
-    control_generation: AtomicU64,
-    /// Upstream sites with live inbound data connections (`Hello`
-    /// attribution counts, so an overlapping close/reopen never drops
-    /// the peer from the set early). Reported by `ResyncReply`.
-    inbound: Mutex<BTreeMap<SiteId, u32>>,
-    stats: NodeStats,
-    /// Ring of recent structured events (reconfigures, link churn) for
-    /// post-mortem inspection; never crosses the wire.
-    recorder: FlightRecorder,
-    stop: AtomicBool,
-    /// Socket deadline for dials and writes; also the idle wake-up period
-    /// of every reader (a blocked read re-checks `stop` this often).
-    timeout: Duration,
-}
-
-impl NodeShared {
-    /// Child links and planned quality of `stream` under the current
-    /// table.
-    fn entry_of(&self, stream: StreamId) -> (Vec<ChildLink>, Quality) {
-        plan_entry(&self.table.lock().plan, stream)
-    }
-
-    /// Children of `stream` under the current table.
-    fn children_of(&self, stream: StreamId) -> Vec<SiteId> {
-        self.entry_of(stream)
-            .0
-            .into_iter()
-            .map(|c| c.site)
-            .collect()
-    }
-
-    /// Forwards one frame — arriving at `tagged` quality — to this RP's
-    /// planned children for `stream`. Each outgoing copy is degraded to
-    /// the coarsest of the tag, this RP's own planned rung, and the
-    /// *child's* rung from the plan's [`ChildLink`]: the payload is
-    /// sized down one halving per extra rung and re-tagged, so quality
-    /// only ever degrades along a path and the hop *into* a degraded
-    /// receiver carries exactly the degraded bytes — this is where the
-    /// admission path's per-site budget relief actually lands on the
-    /// wire. Returns the effective rung this RP itself delivers at (tag
-    /// vs own plan), which its stats record.
-    fn forward(
-        &self,
-        stream: StreamId,
-        seq: u64,
-        captured_micros: u64,
-        payload: &Bytes,
-        tagged: Quality,
-    ) -> Quality {
-        let (children, planned) = self.entry_of(stream);
-        let effective = tagged.max(planned);
-        if children.is_empty() {
-            return effective;
-        }
-        let copies = encode_frame_copies(
-            stream,
-            seq,
-            captured_micros,
-            payload,
-            tagged,
-            effective,
-            &children,
-        );
-        let mut outbound = self.outbound.lock();
-        for (site, buf) in copies {
-            if let Some(conn) = outbound.get_mut(&site) {
-                // A failed forward drops that downstream subtree; the run
-                // then surfaces it as missing deliveries.
-                let _ = conn.write_all(&buf);
-            }
-        }
-        effective
-    }
-
-    /// Cascades `stream`'s `End` marker to its children: the graceful
-    /// per-stream termination signal. Connections themselves outlive the
-    /// stream (they may carry others, or pick new ones up at the next
-    /// reconfiguration).
-    fn end_stream(&self, stream: StreamId) {
-        let children = self.children_of(stream);
-        if children.is_empty() {
-            return;
-        }
-        let mut buf = BytesMut::new();
-        encode(&Message::End { stream }, &mut buf);
-        let mut outbound = self.outbound.lock();
-        for child in children {
-            if let Some(conn) = outbound.get_mut(&child) {
-                let _ = conn.write_all(&buf);
-            }
-        }
-    }
-
-    /// Sends one message up the attached control channel (best effort: a
-    /// detached or dead coordinator drops the notification — this is the
-    /// ack-suppression the resync contract relies on).
-    fn notify(&self, message: &Message) {
-        let mut buf = BytesMut::new();
-        encode(message, &mut buf);
-        let mut control = self.control.lock();
-        if let Some((_, conn)) = control.as_mut() {
-            let _ = conn.write_all(&buf);
-        }
-    }
-
-    /// Executes an `OpenLink` order: dial the child, open with the
-    /// `Hello` preamble, register the outbound link. Failure is silent on
-    /// this side — the coordinator observes it as a missing `LinkUp`.
-    fn open_link(&self, child: SiteId, addr: SocketAddr) -> io::Result<()> {
-        let mut conn = TcpStream::connect(addr)?;
-        conn.set_nodelay(true).ok();
-        conn.set_write_timeout(Some(self.timeout)).ok();
-        let mut buf = BytesMut::new();
-        encode(&Message::Hello { site: self.site }, &mut buf);
-        conn.write_all(&buf)?;
-        self.outbound.lock().insert(child, conn);
-        Ok(())
-    }
-
-    /// Executes a `CloseLink` order: write-shut and drop the link so the
-    /// child observes EOF (and reports `LinkDown`).
-    fn close_link(&self, child: SiteId) {
-        // Detach under the lock, shut down after releasing it: shutdown
-        // can block on the peer's TCP stack and must not stall forwards.
-        let conn = self.outbound.lock().remove(&child);
-        if let Some(conn) = conn {
-            let _ = conn.shutdown(Shutdown::Write);
-        }
-    }
-
-    /// Executes a `Publish` order: inject a batch of synthetic frames of
-    /// a locally originated stream into the overlay.
-    fn publish_batch(
-        &self,
-        stream: StreamId,
-        base_seq: u64,
-        frames: u64,
-        payload_bytes: u32,
-        interval_micros: u64,
-    ) {
-        let payload = Bytes::from(vec![0x3D; payload_bytes as usize]);
-        for seq in base_seq..base_seq.saturating_add(frames) {
-            // The origin publishes at full quality; `forward` degrades
-            // (sizes and tags) to the origin entry's planned rung.
-            self.forward(stream, seq, unix_micros(), &payload, Quality::FULL);
-            if interval_micros > 0 {
-                thread::sleep(Duration::from_micros(interval_micros));
-            }
-        }
-    }
-
-    /// Idempotent teardown: cascade `End` markers for locally originated
-    /// streams, write-shut every outbound link, and wake the accept loop
-    /// so the node exits.
-    fn begin_shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let origins: Vec<StreamId> = {
-            let table = self.table.lock();
-            table
-                .plan
-                .entries
-                .iter()
-                .filter(|e| e.is_origin() && !e.children.is_empty())
-                .map(|e| e.stream)
-                .collect()
-        };
-        for stream in origins {
-            self.end_stream(stream);
-        }
-        // Take the whole map under a scoped lock, then shut the links
-        // down and dial the wake socket with no guard held.
-        let links: Vec<TcpStream> = std::mem::take(&mut *self.outbound.lock())
-            .into_values()
-            .collect();
-        for conn in links {
-            let _ = conn.shutdown(Shutdown::Write);
-        }
-        // Wake the accept loop; it re-checks the stop flag.
-        let _ = TcpStream::connect(self.wake);
-    }
-}
-
-/// A bound-but-not-yet-running rendezvous point.
-///
-/// `bind` reserves the listener (so the address can be published before
-/// any traffic exists), then either [`spawn`](Self::spawn) runs the
-/// accept loop on a background thread (in-process fleets) or
-/// [`run`](Self::run) blocks the calling thread until shutdown (the
-/// standalone-process entry point).
-pub struct RpNode {
-    shared: Arc<NodeShared>,
-    listener: TcpListener,
-}
-
-impl RpNode {
-    /// Binds a new RP for `site` on an OS-assigned 127.0.0.1 port.
-    ///
-    /// `read_timeout` is every connection's periodic wake-up to re-check
-    /// the stop flag — an idle link survives arbitrarily many timeouts —
-    /// and the node's deadline for dials and writes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener cannot be bound.
-    pub fn bind(site: SiteId, read_timeout: Duration) -> io::Result<RpNode> {
-        Self::bind_to(
-            site,
-            SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
-            read_timeout,
-        )
-    }
-
-    /// Binds a new RP for `site` on an explicit address (`bind` with port
-    /// 0 picks a free localhost port); the node advertises the address it
-    /// actually bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener cannot be bound.
-    pub fn bind_to(site: SiteId, addr: SocketAddr, read_timeout: Duration) -> io::Result<RpNode> {
-        Self::bind_advertised(site, addr, None, read_timeout)
-    }
-
-    /// Binds a new RP for `site` on `bind` while *advertising* a
-    /// (possibly different) address — the multi-host shape, where a node
-    /// binds a wildcard or private address but must be dialed by the
-    /// coordinator (and by parent RPs executing `OpenLink` orders) at a
-    /// routable one. An advertised port of 0 is substituted with the
-    /// port actually bound, so `0.0.0.0:0` + `advertise 10.0.0.7:0`
-    /// works without pre-allocating ports. `advertise: None` falls back
-    /// to the bound address, which is how the loopback defaults of
-    /// [`bind`](Self::bind)/[`bind_to`](Self::bind_to) stay unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener cannot be bound.
-    pub fn bind_advertised(
-        site: SiteId,
-        bind: SocketAddr,
-        advertise: Option<SocketAddr>,
-        read_timeout: Duration,
-    ) -> io::Result<RpNode> {
-        let listener = TcpListener::bind(bind)?;
-        let bound = listener.local_addr()?;
-        let advertise = match advertise {
-            Some(mut addr) => {
-                if addr.port() == 0 {
-                    addr.set_port(bound.port());
-                }
-                addr
-            }
-            None => bound,
-        };
-        // The shutdown self-connect must reach the listener from this
-        // process; a wildcard bind is reachable via loopback.
-        let mut wake = bound;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        Ok(RpNode {
-            shared: Arc::new(NodeShared {
-                site,
-                advertise,
-                wake,
-                table: Mutex::new(ForwardingTable::empty(site)),
-                outbound: Mutex::new(BTreeMap::new()),
-                control: Mutex::new(None),
-                control_generation: AtomicU64::new(0),
-                inbound: Mutex::new(BTreeMap::new()),
-                stats: NodeStats::default(),
-                recorder: FlightRecorder::new(),
-                stop: AtomicBool::new(false),
-                timeout: read_timeout,
-            }),
-            listener,
-        })
-    }
-
-    /// Returns the node's advertised address — the only thing a
-    /// coordinator needs to drive it. Equal to the bound listener address
-    /// unless [`bind_advertised`](Self::bind_advertised) overrode it.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.advertise
-    }
-
-    /// Returns the site this node serves.
-    pub fn site(&self) -> SiteId {
-        self.shared.site
-    }
-
-    /// Starts the accept loop on a background thread and returns the
-    /// handle controlling it.
-    pub fn spawn(self) -> RpNodeHandle {
-        let shared = Arc::clone(&self.shared);
-        let listener = self.listener;
-        let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || accept_loop(listener, &accept_shared));
-        RpNodeHandle { shared, accept }
-    }
-
-    /// Runs the node on the calling thread until it is shut down (by a
-    /// coordinator [`Message::Shutdown`] or a local signal) — the entry
-    /// point for a standalone RP process.
-    pub fn run(self) {
-        self.spawn().join();
-    }
-}
-
-/// A running [`RpNode`]'s control handle.
-pub struct RpNodeHandle {
-    shared: Arc<NodeShared>,
-    accept: thread::JoinHandle<()>,
-}
-
-impl RpNodeHandle {
-    /// Returns the node's advertised address.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.advertise
-    }
-
-    /// Returns the site this node serves.
-    pub fn site(&self) -> SiteId {
-        self.shared.site
-    }
-
-    /// The node's flight recorder: recent reconfigures and link churn as
-    /// structured events, for postmortems. Clones share the ring.
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.shared.recorder
-    }
-
-    /// Begins local teardown, as if a [`Message::Shutdown`] order had
-    /// arrived: end-markers cascade, outbound links write-shut, the
-    /// accept loop wakes and exits. Idempotent; does not block.
-    pub fn stop(&self) {
-        self.shared.begin_shutdown();
-    }
-
-    /// Waits for the node to exit (its accept loop broken and every
-    /// reader thread joined). Readers blocked on an idle connection exit
-    /// within one read timeout of the stop flag being set.
-    pub fn join(self) {
-        let _ = self.accept.join();
-    }
-}
-
-/// Accepts connections until the stop flag is set, spawning a reader per
-/// connection.
-///
-/// The stop flag is checked **before** a reader is spawned, and a
-/// connection that raced past it is dropped on the floor: without this
-/// order, a connection accepted after teardown began would get a reader
-/// spawned for it just before the loop breaks, leaving a thread serving a
-/// link the cluster has already abandoned.
-fn accept_loop(listener: TcpListener, shared: &Arc<NodeShared>) {
-    let mut readers = Vec::new();
-    loop {
-        let Ok((conn, _)) = listener.accept() else {
-            break;
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            // Accepted after the stop flag: never spawn a reader; the
-            // peer observes the dropped socket as EOF.
-            drop(conn);
-            break;
-        }
-        conn.set_read_timeout(Some(shared.timeout)).ok();
-        conn.set_write_timeout(Some(shared.timeout)).ok();
-        conn.set_nodelay(true).ok();
-        let rp = Arc::clone(shared);
-        readers.push(thread::spawn(move || reader_loop(conn, &rp)));
-    }
-    for reader in readers {
-        let _ = reader.join();
-    }
-}
-
-/// Serves one inbound connection until EOF/`Bye`/shutdown: records and
-/// forwards frames, cascades per-stream `End` markers, executes
-/// coordinator orders, and reports link attribution changes up the
-/// control channel.
-///
-/// Orders arriving on one connection are executed strictly in arrival
-/// order — a `Reconfigure` queued behind an `OpenLink` on the control
-/// channel only runs once the new link is fully registered, which is what
-/// lets the coordinator sequence reconfigurations without shared memory.
-fn reader_loop(mut conn: TcpStream, rp: &Arc<NodeShared>) {
-    let mut buf = BytesMut::with_capacity(64 * 1024);
-    let mut chunk = [0u8; 64 * 1024];
-    let mut peer: Option<SiteId> = None;
-    // The control-channel generation this connection last attached as,
-    // if it ever did. Lets the exit path clear `control` only when this
-    // reader's channel is still the attached one — a re-`Attach` by a
-    // reconnected coordinator must never be clobbered by the old
-    // channel's reader dying late.
-    let mut attached: Option<u64> = None;
-    loop {
-        match decode(&mut buf) {
-            Ok(Some(Message::Frame {
-                stream,
-                quality,
-                seq,
-                captured_micros,
-                payload,
-            })) => {
-                // Deliver at the effective rung (the coarser of the wire
-                // tag and this RP's planned quality) and pass the frame
-                // on, further degraded if the plan says so.
-                let effective = rp.forward(stream, seq, captured_micros, &payload, quality);
-                rp.stats.record(
-                    stream,
-                    unix_micros().saturating_sub(captured_micros),
-                    !effective.is_full(),
-                );
-                continue;
-            }
-            Ok(Some(Message::End { stream })) => {
-                rp.end_stream(stream);
-                continue;
-            }
-            Ok(Some(Message::Hello { site })) => {
-                // Attribute the link and tell the coordinator the data
-                // path is up — this replaces its old shared-memory poll.
-                peer = Some(site);
-                *rp.inbound.lock().entry(site).or_insert(0) += 1;
-                rp.recorder.record(FlightEventKind::LinkUp {
-                    parent: site.index() as u32,
-                    child: rp.site.index() as u32,
-                });
-                rp.notify(&Message::LinkUp { peer: site });
-                continue;
-            }
-            Ok(Some(Message::Reconfigure {
-                revision,
-                site_plan,
-            })) => {
-                {
-                    // A replayed order for an older revision must not roll
-                    // the table back; it is still acknowledged so a
-                    // coordinator retry converges.
-                    let mut table = rp.table.lock();
-                    if revision >= table.revision {
-                        table.revision = revision;
-                        table.plan = site_plan;
-                    }
-                }
-                // Epoch boundary: everything sent after this Ack is routed
-                // by the new table.
-                rp.recorder
-                    .record(FlightEventKind::Reconfigure { revision, sites: 1 });
-                rp.notify(&Message::Ack { revision });
-                continue;
-            }
-            Ok(Some(Message::Attach)) => {
-                match conn.try_clone() {
-                    Ok(clone) => {
-                        // Latest attach wins: a reconnected coordinator's
-                        // fresh channel atomically replaces a dead one.
-                        let generation = rp.control_generation.fetch_add(1, Ordering::Relaxed) + 1;
-                        *rp.control.lock() = Some((generation, clone));
-                        attached = Some(generation);
-                    }
-                    Err(_) => break,
-                }
-                continue;
-            }
-            Ok(Some(Message::ResyncQuery { probe })) => {
-                // Describe this RP as it stands *now*: the last-applied
-                // table revision and the attributed inbound peers. The
-                // reply is a snapshot — the coordinator must still close
-                // the round with a re-dictation barrier.
-                let revision = rp.table.lock().revision;
-                let inbound: Vec<SiteId> = rp
-                    .inbound
-                    .lock()
-                    .iter()
-                    .filter(|(_, &count)| count > 0)
-                    .map(|(&site, _)| site)
-                    .collect();
-                rp.recorder.record(FlightEventKind::ResyncStart);
-                rp.notify(&Message::ResyncReply {
-                    probe,
-                    revision,
-                    inbound,
-                });
-                continue;
-            }
-            Ok(Some(Message::OpenLink { child, addr })) => {
-                // Failure is observed by the coordinator as a missing
-                // LinkUp from the child.
-                let _ = rp.open_link(child, addr);
-                continue;
-            }
-            Ok(Some(Message::CloseLink { child })) => {
-                rp.close_link(child);
-                continue;
-            }
-            Ok(Some(Message::Publish {
-                stream,
-                base_seq,
-                frames,
-                payload_bytes,
-                interval_micros,
-            })) => {
-                // Each batch paces on its own thread: two origin streams
-                // at one site interleave at the shared cadence instead of
-                // doubling the batch's wall time back-to-back, and a
-                // paced batch never stalls the control channel. The
-                // thread is untracked — the coordinator's publish() waits
-                // for its BatchDone, so it never outlives a graceful run.
-                let publisher = Arc::clone(rp);
-                thread::spawn(move || {
-                    publisher.publish_batch(
-                        stream,
-                        base_seq,
-                        frames,
-                        payload_bytes,
-                        interval_micros,
-                    );
-                    publisher.notify(&Message::BatchDone {
-                        stream,
-                        next_seq: base_seq.saturating_add(frames),
-                    });
-                });
-                continue;
-            }
-            Ok(Some(Message::StatsRequest { probe })) => {
-                rp.notify(&rp.stats.report(probe));
-                continue;
-            }
-            Ok(Some(Message::Shutdown)) => {
-                rp.begin_shutdown();
-                break;
-            }
-            // RP-bound traffic never includes coordinator-bound replies;
-            // drop the link on protocol violations and undecodable bytes.
-            Ok(Some(
-                Message::Bye
-                | Message::Ack { .. }
-                | Message::LinkUp { .. }
-                | Message::LinkDown { .. }
-                | Message::BatchDone { .. }
-                | Message::StatsReport { .. }
-                | Message::ResyncReply { .. },
-            ))
-            | Err(_) => break,
-            Ok(None) => {}
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(read) => buf.extend_from_slice(&chunk[..read]),
-            // The read timeout (WouldBlock on Unix, TimedOut on Windows)
-            // just means the link is idle: keep serving it unless the
-            // node is tearing down. Real errors end the link.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if rp.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    // De-attribute the link: the coordinator observes a `closed` pair die
-    // through this notification.
-    if let Some(site) = peer {
-        {
-            let mut inbound = rp.inbound.lock();
-            if let Some(count) = inbound.get_mut(&site) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    inbound.remove(&site);
-                }
-            }
-        }
-        rp.recorder.record(FlightEventKind::LinkDown {
-            parent: site.index() as u32,
-            child: rp.site.index() as u32,
-        });
-        rp.notify(&Message::LinkDown { peer: site });
-    }
-    // If this reader served the *currently attached* control channel, the
-    // coordinator is gone: detach so acks stop flowing into a dead socket
-    // (notify becomes a no-op) until a re-`Attach` arrives. A channel
-    // already replaced by a newer generation is left alone.
-    if let Some(generation) = attached {
-        let detached = {
-            let mut control = rp.control.lock();
-            let mine = control.as_ref().is_some_and(|(g, _)| *g == generation);
-            if mine {
-                *control = None;
-            }
-            mine
-        };
-        if detached {
-            rp.recorder.record(FlightEventKind::CoordinatorLost);
-        }
-    }
-}
-
+// A node's lifecycle and addressing, seen the only way a caller can:
+// through the handle of a node bound on a reactor.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    use crate::reactor::Reactor;
 
     #[test]
     fn socket_connection_accepted_after_stop_is_dropped_not_served() {
-        let node = RpNode::bind(SiteId::new(0), Duration::from_millis(200)).expect("bind");
-        let addr = node.local_addr();
-        let shared = Arc::clone(&node.shared);
-        let handle = node.spawn();
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let node = reactor.bind_node(SiteId::new(0)).expect("bind");
+        let addr = node.addr();
+        node.stop();
+        node.join();
 
-        // Set the stop flag directly, without the shutdown wake-up: the
-        // next accepted connection is the one racing past teardown.
-        shared.stop.store(true, Ordering::SeqCst);
-        let mut racer = TcpStream::connect(addr).expect("connect");
-        racer
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-
-        // The racing connection must be dropped (EOF / reset), never
-        // handed to a reader that would serve it indefinitely…
-        let mut scratch = [0u8; 8];
-        match racer.read(&mut scratch) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("dropped connection delivered {n} bytes"),
-        }
-        // …and the accept loop must have broken out, so the node joins.
-        handle.join();
-    }
-
-    #[test]
-    fn socket_stop_is_idempotent_and_unblocks_join() {
-        let node = RpNode::bind(SiteId::new(3), Duration::from_millis(200)).expect("bind");
-        assert_eq!(node.site(), SiteId::new(3));
-        let handle = node.spawn();
-        handle.stop();
-        handle.stop();
-        handle.join();
-    }
-
-    #[test]
-    fn socket_parent_sizes_frames_by_the_childs_rung() {
-        use teeve_pubsub::ForwardingEntry;
-
-        // A bare listener stands in for the degraded child so the bytes
-        // the parent actually puts on that hop can be inspected.
-        let child_listener = TcpListener::bind("127.0.0.1:0").expect("child bind");
-        let child_addr = child_listener.local_addr().unwrap();
-        let stream_id = StreamId::new(SiteId::new(0), 0);
-
-        let node = RpNode::bind(SiteId::new(0), Duration::from_millis(200)).expect("bind");
-        let addr = node.local_addr();
-        let handle = node.spawn();
-
-        // One control connection carries, in order: Attach, a table where
-        // this origin's child takes the stream at rung 1, the OpenLink
-        // order, and a single 1024-byte publish. Orders on one connection
-        // execute in arrival order, so the link exists before the frame.
-        let mut control = TcpStream::connect(addr).expect("control connect");
-        let mut orders = BytesMut::new();
-        encode(&Message::Attach, &mut orders);
-        encode(
-            &Message::Reconfigure {
-                revision: 1,
-                site_plan: SitePlan {
-                    site: SiteId::new(0),
-                    entries: vec![ForwardingEntry {
-                        stream: stream_id,
-                        parent: None,
-                        children: vec![ChildLink {
-                            site: SiteId::new(1),
-                            quality: Quality::new(1),
-                        }],
-                        quality: Quality::FULL,
-                    }],
-                },
-            },
-            &mut orders,
-        );
-        encode(
-            &Message::OpenLink {
-                child: SiteId::new(1),
-                addr: child_addr,
-            },
-            &mut orders,
-        );
-        encode(
-            &Message::Publish {
-                stream: stream_id,
-                base_seq: 0,
-                frames: 1,
-                payload_bytes: 1024,
-                interval_micros: 0,
-            },
-            &mut orders,
-        );
-        control.write_all(&orders).expect("orders sent");
-
-        // Accept the node's dial and decode what it sends: the Hello
-        // preamble, then the frame — which must arrive tagged at the
-        // child's rung with its payload halved (1024 >> 1). This is the
-        // hop *into* the degraded receiver, so the inbound budget the
-        // admission path degraded for is genuinely relieved.
-        let (mut conn, _) = child_listener.accept().expect("node dials child");
-        conn.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        let mut buf = BytesMut::new();
-        let mut chunk = [0u8; 4096];
-        let frame = loop {
-            match decode(&mut buf).expect("valid wire traffic") {
-                Some(Message::Hello { site }) => assert_eq!(site, SiteId::new(0)),
-                Some(frame @ Message::Frame { .. }) => break frame,
-                Some(other) => panic!("unexpected message {other:?}"),
-                None => {
-                    let read = conn.read(&mut chunk).expect("child read");
-                    assert!(read > 0, "connection closed before the frame");
-                    buf.extend_from_slice(&chunk[..read]);
-                }
+        // The node is gone, and its listener with it: a dial now is
+        // refused, or — had it raced into the accept backlog — reset.
+        // Either way nobody serves it.
+        if let Ok(mut racer) = TcpStream::connect(addr) {
+            racer.set_read_timeout(Some(Duration::from_secs(5))).ok();
+            let mut scratch = [0u8; 8];
+            match racer.read(&mut scratch) {
+                Ok(0) | Err(_) => {}
+                Ok(n) => panic!("dropped connection delivered {n} bytes"),
             }
-        };
-        let Message::Frame {
-            quality, payload, ..
-        } = frame
-        else {
-            unreachable!()
-        };
-        assert_eq!(quality, Quality::new(1), "frame tagged at the child's rung");
-        assert_eq!(payload.len(), 512, "payload halved for rung 1");
-
-        handle.stop();
-        handle.join();
+        }
     }
 
     #[test]
     fn advertised_address_overrides_the_bound_one() {
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let loopback = "127.0.0.1:0".parse().expect("addr");
         // Bind loopback, advertise a different loopback IP with port 0:
         // the advertised IP is reported verbatim and the port is
         // substituted with the one actually bound. (No connection is
         // made; this only exercises address bookkeeping.)
-        let node = RpNode::bind_advertised(
-            SiteId::new(1),
-            "127.0.0.1:0".parse().unwrap(),
-            Some("127.0.0.2:0".parse().unwrap()),
-            Duration::from_millis(200),
-        )
-        .expect("bind");
-        let advertised = node.local_addr();
-        assert_eq!(advertised.ip().to_string(), "127.0.0.2");
-        assert_ne!(advertised.port(), 0, "port 0 must be substituted");
+        let node = reactor
+            .bind_node_at(
+                SiteId::new(1),
+                loopback,
+                Some("127.0.0.2:0".parse().expect("addr")),
+            )
+            .expect("bind");
+        assert_eq!(node.addr().ip().to_string(), "127.0.0.2");
+        assert_ne!(node.addr().port(), 0, "port 0 must be substituted");
 
         // An explicit advertised port is kept as-is.
-        let node = RpNode::bind_advertised(
-            SiteId::new(2),
-            "127.0.0.1:0".parse().unwrap(),
-            Some("10.1.2.3:4567".parse().unwrap()),
-            Duration::from_millis(200),
-        )
-        .expect("bind");
-        assert_eq!(node.local_addr().to_string(), "10.1.2.3:4567");
+        let node = reactor
+            .bind_node_at(
+                SiteId::new(2),
+                loopback,
+                Some("10.1.2.3:4567".parse().expect("addr")),
+            )
+            .expect("bind");
+        assert_eq!(node.addr().to_string(), "10.1.2.3:4567");
 
-        // No advertise override: the bound address is reported, exactly
-        // the pre-existing `bind`/`bind_to` behavior.
-        let node = RpNode::bind(SiteId::new(3), Duration::from_millis(200)).expect("bind");
-        assert_eq!(node.local_addr().ip().to_string(), "127.0.0.1");
+        // No advertise override: the bound address is reported, which
+        // is all `bind_node` is.
+        let node = reactor.bind_node(SiteId::new(3)).expect("bind");
+        assert_eq!(node.addr().ip().to_string(), "127.0.0.1");
+        assert_ne!(node.addr().port(), 0);
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Event-driven RP hosting: one readiness loop drives many RPs.
+//! The rendezvous-point host: one readiness loop drives many RPs.
 //!
-//! The thread-per-connection [`RpNode`](crate::RpNode) spends ~2 + L
-//! threads per RP (accept loop, control reader, one reader per inbound
-//! link), which caps an in-process fleet at a few dozen sites. The
-//! [`Reactor`] hosts the *same* protocol state machine — the full
-//! `reader_loop` dispatch table, byte-identical forwarding via the shared
-//! [`encode_frame_copies`](crate::node::encode_frame_copies) encoder —
-//! on a small pool of non-blocking event loops, so thousands of RPs fit
-//! in one process at a fixed thread budget.
+//! A [`Reactor`] is a small fixed pool of non-blocking event loops, and
+//! every RP in this crate runs on one — a single standalone `rp_node`
+//! process, a [`LiveCluster`](crate::LiveCluster)'s fleet, or thousands
+//! of RPs across many sessions sharing one pool. An RP is purely
+//! reactive: it binds, accepts, and answers. The coordinator's first
+//! connection sends [`Message::Attach`] to mark itself as the control
+//! channel; the node then routes all of its notifications
+//! ([`Message::LinkUp`]/[`Message::LinkDown`]) and replies
+//! ([`Message::Ack`], [`Message::BatchDone`], [`Message::StatsReport`])
+//! through that channel. Orders arriving on one connection execute
+//! strictly in arrival order — a `Reconfigure` queued behind an
+//! `OpenLink` only runs once the new link is registered — which is what
+//! lets the coordinator sequence reconfigurations without shared memory.
 //!
 //! Per event-loop iteration:
 //!
@@ -16,18 +21,20 @@
 //!    a command (register a node, stop one, quit).
 //! 2. **Read** — drain every readable connection to `WouldBlock`,
 //!    decoding frames and orders incrementally out of a per-connection
-//!    read buffer and dispatching them exactly as the threaded
-//!    `reader_loop` would.
+//!    read buffer and dispatching them (`LoopState::dispatch` is the
+//!    RP's whole message table).
 //! 3. **Write** — outgoing bytes accumulate in a per-connection pending
 //!    buffer; all connections dirtied during the iteration flush once at
 //!    the end (writes coalesce per wakeup), and a connection whose
 //!    kernel buffer is full keeps `WRITABLE` interest until it drains.
-//!    A connection whose backlog exceeds the cap sheds new frames — the
-//!    non-blocking analog of a failed blocking write dropping a subtree.
+//!    A connection whose backlog exceeds the cap sheds new frames: a
+//!    reader that stops reading loses its subtree's frames, never the
+//!    node's other links or its control channel.
 //! 4. **Timers** — paced `Publish` batches are due-time entries in a
-//!    timer map (no sleeping publisher threads); each firing forwards
-//!    one frame and re-arms, and the final firing reports `BatchDone`
-//!    one interval after the last frame, matching the threaded pacing.
+//!    timer map, so two paced origin streams at one site interleave at
+//!    their shared cadence; each firing forwards one frame and re-arms,
+//!    and the final firing reports `BatchDone` one interval after the
+//!    last frame.
 //!
 //! Ownership is strictly per-loop: a node and all its connections live
 //! on exactly one event loop, so node state needs no locks at all. The
@@ -38,8 +45,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -66,7 +73,7 @@ const WAKE: Token = Token(usize::MAX);
 /// maximum frame.
 const MAX_PENDING_WRITE: usize = 8 * 1024 * 1024;
 
-/// Read-syscall chunk size, matching the threaded reader's.
+/// Read-syscall chunk size.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// How many readiness records one poll can return.
@@ -90,14 +97,12 @@ struct NodeSeed {
     key: u64,
     site: SiteId,
     listener: std::net::TcpListener,
-    stats: Arc<NodeStats>,
     recorder: FlightRecorder,
-    done: Arc<AtomicBool>,
+    /// Becomes the node's `NodeState::_done`.
+    done: mpsc::Sender<()>,
 }
 
-/// One RP hosted on an event loop: the same protocol state the threaded
-/// [`NodeShared`](crate::node) keeps behind locks, owned lock-free by
-/// its loop.
+/// One RP hosted on an event loop, owned lock-free by that loop.
 struct NodeState {
     key: u64,
     site: SiteId,
@@ -106,17 +111,23 @@ struct NodeState {
     table: ForwardingTable,
     /// Outbound (this RP → child) links by child site, as slab tokens.
     outbound: BTreeMap<SiteId, usize>,
-    /// `Hello`-attributed inbound peers (refcounted, as in the threaded
-    /// node, so an overlapping close/reopen never drops a peer early).
+    /// `Hello`-attributed inbound peers (refcounted, so an overlapping
+    /// close/reopen never drops a peer early). Reported by `ResyncReply`.
     inbound: BTreeMap<SiteId, u32>,
     /// Every live connection token belonging to this node.
     conns: BTreeSet<usize>,
-    /// The attached control channel: (generation, conn token).
+    /// The attached control channel: (generation, conn token). A later
+    /// `Attach` replaces it (latest wins); the generation lets a
+    /// *replaced* channel die late without detaching its successor.
     control: Option<(u64, usize)>,
     control_generation: u64,
-    stats: Arc<NodeStats>,
+    stats: NodeStats,
+    /// Ring of recent structured events (reconfigures, link churn) for
+    /// post-mortem inspection; never crosses the wire.
     recorder: FlightRecorder,
-    done: Arc<AtomicBool>,
+    /// Never sent on: dropping it — when the node is removed, or its
+    /// seed never adopted — is what unblocks [`RpNodeHandle::join`].
+    _done: mpsc::Sender<()>,
     /// Set by `Shutdown`/`StopNode`: no new conns are accepted and the
     /// node is removed once its last connection dies.
     stopping: bool,
@@ -156,7 +167,7 @@ enum Entry {
 
 /// A paced `Publish` batch parked in the timer map. `next_seq ==
 /// end_seq` marks the trailing firing that reports `BatchDone` one
-/// interval after the last frame — the threaded publisher's timing.
+/// interval after the last frame.
 struct PacedBatch {
     node_key: u64,
     stream: StreamId,
@@ -290,7 +301,6 @@ impl LoopState {
             key,
             site,
             listener,
-            stats,
             recorder,
             done,
         } = seed;
@@ -310,7 +320,6 @@ impl LoopState {
         {
             self.free.push(token);
             self.node_free.push(node_idx);
-            done.store(true, Ordering::SeqCst);
             return;
         }
         self.set_entry(
@@ -331,9 +340,9 @@ impl LoopState {
                 conns: BTreeSet::new(),
                 control: None,
                 control_generation: 0,
-                stats,
+                stats: NodeStats::default(),
                 recorder,
-                done,
+                _done: done,
                 stopping: false,
             });
         }
@@ -342,10 +351,11 @@ impl LoopState {
         self.metrics.refresh_ratio();
     }
 
-    /// Graceful teardown, mirroring the threaded `begin_shutdown`:
-    /// cascade `End` for locally originated streams, flush-then-shut
-    /// every outbound link, stop accepting. The node is removed once
-    /// its last connection dies (inbound links die by peer EOF).
+    /// Graceful teardown: cascade `End` for locally originated streams,
+    /// flush-then-shut every outbound link, close the listener (a dial
+    /// from here on is refused, never served). Idempotent. The node is
+    /// removed once its last connection dies (inbound links die by peer
+    /// EOF).
     fn shutdown_node(&mut self, node_idx: usize) {
         let origins: Vec<StreamId> = {
             let Some(node) = self.node_mut(node_idx) else {
@@ -411,7 +421,7 @@ impl LoopState {
 
     /// Forced removal: every remaining connection is dropped without
     /// notifications (the node itself is going away), timers cancelled,
-    /// the join flag raised.
+    /// and joiners released as the node's state drops.
     fn remove_node(&mut self, node_idx: usize) {
         let Some(slot) = self.nodes.get_mut(node_idx) else {
             return;
@@ -442,13 +452,11 @@ impl LoopState {
         self.timers.retain(|_, batch| batch.node_key != node.key);
         self.metrics.nodes_registered.sub(1);
         self.metrics.refresh_ratio();
-        node.done.store(true, Ordering::SeqCst);
         self.node_free.push(node_idx);
     }
 
     /// `StopNode` command: graceful teardown, a best-effort flush of
-    /// the `End` cascade, then immediate removal (the forced analog of
-    /// the threaded `stop()` + reader timeouts).
+    /// the `End` cascade, then immediate removal.
     fn stop_node(&mut self, key: u64) {
         let Some(&node_idx) = self.node_keys.get(&key) else {
             return;
@@ -496,14 +504,6 @@ impl LoopState {
             };
             match accepted {
                 Ok((stream, _)) => {
-                    // Same race rule as the threaded accept loop: a
-                    // connection arriving after teardown began is
-                    // dropped on the floor (the peer sees EOF).
-                    let stopping = self.node_ref(node_idx).map(|n| n.stopping).unwrap_or(true);
-                    if stopping {
-                        drop(stream);
-                        continue;
-                    }
                     stream.set_nodelay(true).ok();
                     self.add_conn(stream, node_idx, true, None);
                 }
@@ -573,9 +573,8 @@ impl LoopState {
                         conn.connected = true;
                         false
                     }
-                    // A failed dial stays silent, exactly like the
-                    // threaded `open_link`: the coordinator observes it
-                    // as a missing LinkUp.
+                    // A failed dial stays silent on this side: the
+                    // coordinator observes it as a missing LinkUp.
                     _ => true,
                 }
             }
@@ -612,8 +611,7 @@ impl LoopState {
                         conn.outbound_child.is_some()
                     };
                     // Nothing legitimate ever flows back on an outbound
-                    // data link (the threaded node never reads them);
-                    // discard so only EOF/errors matter.
+                    // data link; discard so only EOF/errors matter.
                     if !outbound && !self.drain_messages(token) {
                         return;
                     }
@@ -653,7 +651,9 @@ impl LoopState {
         }
     }
 
-    /// The threaded `reader_loop` dispatch table, verbatim in effect.
+    /// The RP's message table: records and forwards frames, cascades
+    /// per-stream `End` markers, executes coordinator orders, and
+    /// reports link attribution changes up the control channel.
     /// Returns false when the connection was closed by the message.
     fn dispatch(&mut self, token: usize, message: Message) -> bool {
         let Some(node_idx) = self.conn_node(token) else {
@@ -667,9 +667,12 @@ impl LoopState {
                 captured_micros,
                 payload,
             } => {
+                // Deliver at the effective rung (the coarser of the wire
+                // tag and this RP's planned quality) and pass the frame
+                // on, further degraded if the plan says so.
                 let effective =
                     self.forward_frame(node_idx, stream, seq, captured_micros, &payload, quality);
-                if let Some(node) = self.node_ref(node_idx) {
+                if let Some(node) = self.node_mut(node_idx) {
                     node.stats.record(
                         stream,
                         unix_micros().saturating_sub(captured_micros),
@@ -701,8 +704,9 @@ impl LoopState {
                 site_plan,
             } => {
                 if let Some(node) = self.node_mut(node_idx) {
-                    // Replayed older revisions must not roll back, but
-                    // are still acknowledged so retries converge.
+                    // A replayed order for an older revision must not
+                    // roll the table back; it is still acknowledged so a
+                    // coordinator retry converges.
                     if revision >= node.table.revision {
                         node.table.revision = revision;
                         node.table.plan = site_plan;
@@ -710,10 +714,14 @@ impl LoopState {
                     node.recorder
                         .record(FlightEventKind::Reconfigure { revision, sites: 1 });
                 }
+                // Epoch boundary: everything sent after this Ack is
+                // routed by the new table.
                 self.notify(node_idx, &Message::Ack { revision });
                 true
             }
             Message::Attach => {
+                // Latest attach wins: a reconnected coordinator's fresh
+                // channel atomically replaces a dead one.
                 let generation = {
                     let Some(node) = self.node_mut(node_idx) else {
                         return false;
@@ -728,6 +736,10 @@ impl LoopState {
                 true
             }
             Message::ResyncQuery { probe } => {
+                // Describe this RP as it stands *now*: the last-applied
+                // table revision and the attributed inbound peers. The
+                // reply is a snapshot — the coordinator must still close
+                // the round with a re-dictation barrier.
                 let reply = {
                     let Some(node) = self.node_ref(node_idx) else {
                         return false;
@@ -788,8 +800,7 @@ impl LoopState {
             }
             // RP-bound traffic never includes coordinator-bound
             // replies; drop the link on protocol violations.
-            Message::Bye
-            | Message::Ack { .. }
+            Message::Ack { .. }
             | Message::LinkUp { .. }
             | Message::LinkDown { .. }
             | Message::BatchDone { .. }
@@ -803,8 +814,10 @@ impl LoopState {
 
     // ---- protocol actions -------------------------------------------
 
-    /// Forwards one frame through the shared per-rung encoder — the
-    /// same bytes the threaded `forward` puts on the wire.
+    /// Forwards one frame — arriving at `tagged` quality — to this RP's
+    /// planned children for `stream`, each copy sized by
+    /// [`encode_frame_copies`]. Returns the effective rung this RP
+    /// itself delivers at (tag vs own plan), which its stats record.
     fn forward_frame(
         &mut self,
         node_idx: usize,
@@ -842,6 +855,10 @@ impl LoopState {
         effective
     }
 
+    /// Cascades `stream`'s `End` marker to its children: the graceful
+    /// per-stream termination signal. Connections themselves outlive the
+    /// stream (they may carry others, or pick new ones up at the next
+    /// reconfiguration).
     fn end_stream(&mut self, node_idx: usize, stream: StreamId) {
         let children: Vec<SiteId> = match self.node_ref(node_idx) {
             Some(node) => plan_entry(&node.table.plan, stream)
@@ -880,13 +897,14 @@ impl LoopState {
         }
     }
 
+    /// Executes an `OpenLink` order: dial the child, open with the
+    /// `Hello` preamble, register the outbound link. Failure is silent
+    /// on this side — the coordinator observes it as a missing `LinkUp`.
     fn open_link(&mut self, node_idx: usize, child: SiteId, addr: SocketAddr) {
         let site = match self.node_ref(node_idx) {
             Some(node) => node.site,
             None => return,
         };
-        // Dial failure is silent on this side, as in the threaded node:
-        // the coordinator observes it as a missing LinkUp.
         let Ok(stream) = TcpStream::connect(addr) else {
             return;
         };
@@ -907,6 +925,8 @@ impl LoopState {
         }
     }
 
+    /// Executes a `CloseLink` order: flush, write-shut and drop the link
+    /// so the child observes EOF (and reports `LinkDown`).
     fn close_link(&mut self, node_idx: usize, child: SiteId) {
         let removed = self
             .node_mut(node_idx)
@@ -916,6 +936,10 @@ impl LoopState {
         }
     }
 
+    /// Executes a `Publish` order: inject a batch of synthetic frames of
+    /// a locally originated stream into the overlay. The origin
+    /// publishes at full quality; `forward_frame` degrades (sizes and
+    /// tags) to the origin entry's planned rung.
     fn publish(
         &mut self,
         node_idx: usize,
@@ -928,8 +952,7 @@ impl LoopState {
         let payload = Bytes::from(vec![0x3D; payload_bytes as usize]);
         let end_seq = base_seq.saturating_add(frames);
         if interval_micros == 0 {
-            // Unpaced: inject the whole batch inline, exactly as the
-            // threaded publisher's zero-interval loop does.
+            // Unpaced: inject the whole batch inline.
             for seq in base_seq..end_seq {
                 self.forward_frame(
                     node_idx,
@@ -997,8 +1020,7 @@ impl LoopState {
             };
             if batch.next_seq >= batch.end_seq {
                 // Trailing firing: BatchDone one interval after the
-                // last frame, matching the threaded publisher (which
-                // sleeps once more after its final frame).
+                // last frame.
                 self.notify(
                     node_idx,
                     &Message::BatchDone {
@@ -1177,10 +1199,11 @@ impl LoopState {
         }
     }
 
-    /// Tears one connection down with the threaded reader's exact exit
-    /// semantics: de-attribute the peer (LinkDown recorded and
-    /// notified), detach the control channel if this was still its
-    /// generation (CoordinatorLost), then finish the node if it was
+    /// Tears one connection down: de-attribute the peer (LinkDown
+    /// recorded and notified — how the coordinator observes a `closed`
+    /// pair die), detach the control channel if this was still its
+    /// generation (CoordinatorLost: acks stop flowing into a dead socket
+    /// until a re-`Attach` arrives), then finish the node if it was
     /// stopping and this was its last connection.
     fn close_conn(&mut self, token: usize) {
         let is_conn = matches!(
@@ -1274,13 +1297,13 @@ fn run_loop(mut state: LoopState, commands: Arc<Mutex<Vec<Command>>>) {
 
 /// A pool of non-blocking event loops hosting many RPs per thread.
 ///
-/// Nodes bound via [`bind_node`](Self::bind_node) are spread round-robin
-/// over the loops; each speaks the exact [`wire`](crate::wire) protocol
-/// of a threaded [`RpNode`](crate::RpNode), so the same
-/// [`Coordinator`](crate::Coordinator) drives either, and
-/// [`LiveCluster::launch_reactor`](crate::LiveCluster::launch_reactor)
-/// swaps fleets between hosting modes without touching the control
-/// plane.
+/// Nodes bound via [`bind_node`](Self::bind_node) /
+/// [`bind_node_at`](Self::bind_node_at) are spread round-robin over the
+/// loops. Each is one site's autonomous RP — it owns its listener, its
+/// revision-tagged forwarding table, its outbound link set and its
+/// delivery counters, and is addressed only by socket — so the same
+/// [`Coordinator`](crate::Coordinator) drives it whether the reactor
+/// lives in its own process, in another, or on another host.
 ///
 /// Dropping the reactor quits every loop, abandoning nodes still hosted
 /// (their `join` unblocks); stop nodes first for a graceful end.
@@ -1366,20 +1389,54 @@ impl Reactor {
         &self.recorder
     }
 
-    /// Binds a new RP for `site` on an OS-assigned 127.0.0.1 port and
-    /// hosts it on the next event loop (round-robin). The returned
-    /// handle's address is dialable immediately — connections queue in
-    /// the accept backlog until the loop adopts the listener.
+    /// Binds a new RP for `site` on an OS-assigned 127.0.0.1 port: the
+    /// loopback shorthand for [`bind_node_at`](Self::bind_node_at).
     ///
     /// # Errors
     ///
     /// Returns an error if the listener cannot be bound.
-    pub fn bind_node(&self, site: SiteId) -> io::Result<ReactorNodeHandle> {
-        let listener =
-            std::net::TcpListener::bind(SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0))?;
-        let addr = listener.local_addr()?;
+    pub fn bind_node(&self, site: SiteId) -> io::Result<RpNodeHandle> {
+        self.bind_node_at(
+            site,
+            SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
+            None,
+        )
+    }
+
+    /// Binds a new RP for `site` on `bind` (port 0 picks a free port) and
+    /// hosts it on the next event loop (round-robin). The returned
+    /// handle's address is dialable immediately — connections queue in
+    /// the accept backlog until the loop adopts the listener.
+    ///
+    /// `advertise` is the multi-host shape: a node binds a wildcard or
+    /// private address but must be dialed by the coordinator (and by
+    /// parent RPs executing `OpenLink` orders) at a routable one. An
+    /// advertised port of 0 is substituted with the port actually bound,
+    /// so `0.0.0.0:0` + `advertise 10.0.0.7:0` works without
+    /// pre-allocating ports; `None` advertises the bound address.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the listener cannot be bound.
+    pub fn bind_node_at(
+        &self,
+        site: SiteId,
+        bind: SocketAddr,
+        advertise: Option<SocketAddr>,
+    ) -> io::Result<RpNodeHandle> {
+        let listener = std::net::TcpListener::bind(bind)?;
+        let bound = listener.local_addr()?;
+        let addr = match advertise {
+            Some(mut addr) => {
+                if addr.port() == 0 {
+                    addr.set_port(bound.port());
+                }
+                addr
+            }
+            None => bound,
+        };
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
-        let done = Arc::new(AtomicBool::new(false));
+        let (done_tx, done) = mpsc::channel();
         let recorder = FlightRecorder::new();
         let slot = self.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len();
         let Some(host) = self.loops.get(slot) else {
@@ -1391,12 +1448,11 @@ impl Reactor {
                 key,
                 site,
                 listener,
-                stats: Arc::new(NodeStats::default()),
                 recorder: recorder.clone(),
-                done: Arc::clone(&done),
+                done: done_tx,
             })));
         let _ = host.waker.wake();
-        Ok(ReactorNodeHandle {
+        Ok(RpNodeHandle {
             site,
             addr,
             key,
@@ -1429,20 +1485,21 @@ impl Drop for Reactor {
     }
 }
 
-/// Control handle of a reactor-hosted RP — the event-driven counterpart
-/// of [`RpNodeHandle`](crate::RpNodeHandle).
-pub struct ReactorNodeHandle {
+/// A running RP's control handle.
+pub struct RpNodeHandle {
     site: SiteId,
     addr: SocketAddr,
     key: u64,
     recorder: FlightRecorder,
-    done: Arc<AtomicBool>,
+    /// Disconnects when the loop drops the node's state.
+    done: mpsc::Receiver<()>,
     commands: Arc<Mutex<Vec<Command>>>,
     waker: Arc<Waker>,
 }
 
-impl ReactorNodeHandle {
-    /// The node's advertised (bound) address.
+impl RpNodeHandle {
+    /// The node's advertised address — the only thing a coordinator
+    /// needs to drive it.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
@@ -1466,13 +1523,13 @@ impl ReactorNodeHandle {
         let _ = self.waker.wake();
     }
 
-    /// Waits until the node has been removed from its event loop (by
+    /// Blocks until the node has been removed from its event loop (by
     /// [`stop`](Self::stop), a coordinator `Shutdown`, or reactor
-    /// teardown).
+    /// teardown) — the main thread of a standalone RP process.
     pub fn join(self) {
-        while !self.done.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_micros(200));
-        }
+        // Nothing is ever sent: `recv` returns when the loop drops the
+        // node's sender.
+        let _ = self.done.recv();
     }
 }
 
@@ -1496,6 +1553,37 @@ mod tests {
         }
     }
 
+    fn send(conn: &mut std::net::TcpStream, messages: &[Message]) {
+        let mut orders = BytesMut::new();
+        for message in messages {
+            encode(message, &mut orders);
+        }
+        conn.write_all(&orders).expect("orders sent");
+    }
+
+    /// A revision-1 table making site 0 the origin of `stream` with one
+    /// child link per `(site, rung)`.
+    fn origin_table(stream: StreamId, children: &[(u32, u8)]) -> Message {
+        Message::Reconfigure {
+            revision: 1,
+            site_plan: SitePlan {
+                site: SiteId::new(0),
+                entries: vec![ForwardingEntry {
+                    stream,
+                    parent: None,
+                    children: children
+                        .iter()
+                        .map(|&(site, rung)| ChildLink {
+                            site: SiteId::new(site),
+                            quality: Quality::new(rung),
+                        })
+                        .collect(),
+                    quality: Quality::FULL,
+                }],
+            },
+        }
+    }
+
     #[test]
     fn socket_reactor_node_executes_orders_end_to_end() {
         let reactor = Reactor::new(1).expect("reactor starts");
@@ -1508,48 +1596,29 @@ mod tests {
 
         // One control connection carries, in order: Attach, a table
         // where the origin's child takes the stream at rung 1, the
-        // OpenLink order, and a single 1024-byte publish — the same
-        // script the threaded node test uses.
+        // OpenLink order, and a single 1024-byte publish. Orders on one
+        // connection execute in arrival order, so the link exists before
+        // the frame.
         let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
         control.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        let mut orders = BytesMut::new();
-        encode(&Message::Attach, &mut orders);
-        encode(
-            &Message::Reconfigure {
-                revision: 1,
-                site_plan: SitePlan {
-                    site: SiteId::new(0),
-                    entries: vec![ForwardingEntry {
-                        stream: stream_id,
-                        parent: None,
-                        children: vec![ChildLink {
-                            site: SiteId::new(1),
-                            quality: Quality::new(1),
-                        }],
-                        quality: Quality::FULL,
-                    }],
+        send(
+            &mut control,
+            &[
+                Message::Attach,
+                origin_table(stream_id, &[(1, 1)]),
+                Message::OpenLink {
+                    child: SiteId::new(1),
+                    addr: child_addr,
                 },
-            },
-            &mut orders,
+                Message::Publish {
+                    stream: stream_id,
+                    base_seq: 0,
+                    frames: 1,
+                    payload_bytes: 1024,
+                    interval_micros: 0,
+                },
+            ],
         );
-        encode(
-            &Message::OpenLink {
-                child: SiteId::new(1),
-                addr: child_addr,
-            },
-            &mut orders,
-        );
-        encode(
-            &Message::Publish {
-                stream: stream_id,
-                base_seq: 0,
-                frames: 1,
-                payload_bytes: 1024,
-                interval_micros: 0,
-            },
-            &mut orders,
-        );
-        control.write_all(&orders).expect("orders sent");
 
         // The control channel answers with the Ack for revision 1.
         let mut control_buf = BytesMut::new();
@@ -1558,8 +1627,9 @@ mod tests {
         assert_eq!(ack, Message::Ack { revision: 1 });
 
         // The child observes the Hello preamble then the frame, tagged
-        // at its rung with the payload halved — identical to the
-        // threaded node's bytes.
+        // at its rung with the payload halved (1024 >> 1): this is the
+        // hop *into* the degraded receiver, so the inbound budget the
+        // admission path degraded for is genuinely relieved.
         let (mut child_conn, _) = child_listener.accept().expect("node dials child");
         child_conn
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1605,6 +1675,104 @@ mod tests {
         }
         let registered = reactor.telemetry().gauge("reactor.nodes.registered").get();
         assert_eq!(registered, 0, "stopped node must deregister");
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_reader_that_never_reads_is_shed_without_stalling_the_node() {
+        const BATCH_FRAMES: u64 = 32;
+        const PAYLOAD_BYTES: u32 = 64 * 1024;
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let origin = reactor.bind_node(SiteId::new(0)).expect("bind origin");
+        let healthy = reactor
+            .bind_node(SiteId::new(2))
+            .expect("bind healthy child");
+        let stream_id = StreamId::new(SiteId::new(0), 0);
+        let timeout = Some(Duration::from_secs(20));
+
+        // Site 1 accepts its parent's dial and then never reads a byte;
+        // site 2 is a real RP taking the same stream.
+        let stuck_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("stuck bind");
+        let mut control = std::net::TcpStream::connect(origin.addr()).expect("control connect");
+        control.set_read_timeout(timeout).ok();
+        send(
+            &mut control,
+            &[
+                Message::Attach,
+                origin_table(stream_id, &[(1, 0), (2, 0)]),
+                Message::OpenLink {
+                    child: SiteId::new(1),
+                    addr: stuck_listener.local_addr().expect("stuck addr"),
+                },
+                Message::OpenLink {
+                    child: SiteId::new(2),
+                    addr: healthy.addr(),
+                },
+            ],
+        );
+        let (_stuck, _) = stuck_listener
+            .accept()
+            .expect("origin dials the stuck child");
+        let mut child_control =
+            std::net::TcpStream::connect(healthy.addr()).expect("child control connect");
+        child_control.set_read_timeout(timeout).ok();
+        send(&mut child_control, &[Message::Attach]);
+
+        // Unpaced 2 MiB batches, each fully drained by the healthy child
+        // before the next, so only the stuck link ever backs up: first
+        // the kernel's socket buffers fill, then the pending buffer up to
+        // its cap, then frames shed.
+        let dropped = reactor.telemetry().counter("reactor.writes.dropped");
+        let (mut buf, mut child_buf) = (BytesMut::new(), BytesMut::new());
+        let mut chunk = [0u8; 4096];
+        let mut sent = 0u64;
+        while dropped.get() == 0 {
+            assert!(sent < 4096, "256 MiB queued behind a stuck reader, no shed");
+            send(
+                &mut control,
+                &[Message::Publish {
+                    stream: stream_id,
+                    base_seq: sent,
+                    frames: BATCH_FRAMES,
+                    payload_bytes: PAYLOAD_BYTES,
+                    interval_micros: 0,
+                }],
+            );
+            sent += BATCH_FRAMES;
+            while !matches!(
+                read_next(&mut control, &mut buf, &mut chunk),
+                Message::BatchDone { next_seq, .. } if next_seq == sent
+            ) {}
+            // The healthy sibling receives every frame of every batch.
+            loop {
+                send(&mut child_control, &[Message::StatsRequest { probe: sent }]);
+                let total = loop {
+                    if let Message::StatsReport { total, .. } =
+                        read_next(&mut child_control, &mut child_buf, &mut chunk)
+                    {
+                        break total;
+                    }
+                };
+                assert!(total <= sent, "more deliveries than frames published");
+                if total == sent {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        // With a link shedding, the origin's control channel still
+        // answers.
+        send(&mut control, &[Message::StatsRequest { probe: 7 }]);
+        while !matches!(
+            read_next(&mut control, &mut buf, &mut chunk),
+            Message::StatsReport { probe: 7, .. }
+        ) {}
+
+        origin.stop();
+        healthy.stop();
+        origin.join();
+        healthy.join();
         reactor.shutdown();
     }
 

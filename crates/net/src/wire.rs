@@ -35,7 +35,8 @@ pub const MAX_MESSAGE_BYTES: usize = 8 * 1024 * 1024;
 
 const TAG_HELLO: u8 = 1;
 const TAG_FRAME: u8 = 2;
-const TAG_BYE: u8 = 3;
+// Tag 3 (the retired per-connection `Bye`) stays unassigned: old peers
+// sending it are dropped as unknown-tag violations, never misread.
 const TAG_END: u8 = 4;
 const TAG_RECONFIGURE: u8 = 5;
 const TAG_ACK: u8 = 6;
@@ -97,14 +98,6 @@ pub enum Message {
         /// Frame payload (synthetic 3D data).
         payload: Bytes,
     },
-    /// Immediate end of the whole connection from this peer.
-    ///
-    /// **Legacy / abort path only.** Graceful termination is per-stream
-    /// [`End`](Self::End) cascading followed by a write-shutdown: a
-    /// per-connection `Bye` handshake deadlocks on cyclic site graphs.
-    /// `Bye` survives for unilateral teardown — a coordinator aborting a
-    /// control channel, or a peer dropping a link without draining it.
-    Bye,
     /// End of one stream: the sender will never transmit another frame of
     /// `stream` on this connection. Cascades along the stream's multicast
     /// tree, which is acyclic — unlike the site-level connection graph, so
@@ -300,10 +293,6 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u64_le(*captured_micros);
             dst.put_u32_le(payload.len() as u32);
             dst.put_slice(payload);
-        }
-        Message::Bye => {
-            dst.put_u32_le(1);
-            dst.put_u8(TAG_BYE);
         }
         Message::End { stream } => {
             dst.put_u32_le(1 + 4 + 4);
@@ -588,7 +577,6 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
                 payload,
             }))
         }
-        TAG_BYE => Ok(Some(Message::Bye)),
         TAG_RECONFIGURE => {
             if body.len() < 8 {
                 return Err(WireError::Truncated);
@@ -797,11 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn bye_roundtrip() {
-        roundtrip(Message::Bye);
-    }
-
-    #[test]
     fn end_roundtrip() {
         roundtrip(Message::End {
             stream: StreamId::new(SiteId::new(3), 11),
@@ -950,14 +933,14 @@ mod tests {
             },
             &mut buf,
         );
-        encode(&Message::Bye, &mut buf);
+        encode(&Message::Attach, &mut buf);
         assert_eq!(
             decode(&mut buf).unwrap(),
             Some(Message::Hello {
                 site: SiteId::new(1)
             })
         );
-        assert_eq!(decode(&mut buf).unwrap(), Some(Message::Bye));
+        assert_eq!(decode(&mut buf).unwrap(), Some(Message::Attach));
         assert_eq!(decode(&mut buf).unwrap(), None);
     }
 
@@ -965,16 +948,19 @@ mod tests {
     fn oversized_length_is_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u32_le((MAX_MESSAGE_BYTES + 1) as u32);
-        buf.put_u8(TAG_BYE);
+        buf.put_u8(TAG_HELLO);
         assert!(matches!(decode(&mut buf), Err(WireError::Oversized { .. })));
     }
 
     #[test]
     fn unknown_tag_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1);
-        buf.put_u8(99);
-        assert_eq!(decode(&mut buf), Err(WireError::UnknownTag { tag: 99 }));
+        // 3 is the retired `Bye` tag: unassigned for good.
+        for tag in [0, 3, 99] {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(1);
+            buf.put_u8(tag);
+            assert_eq!(decode(&mut buf), Err(WireError::UnknownTag { tag }));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use teeve_net::wire::{decode, encode, Message};
-use teeve_net::{ClusterConfig, ClusterError, Coordinator, RpNode, RpNodeHandle};
+use teeve_net::{ClusterConfig, ClusterError, Coordinator, Reactor, RpNodeHandle};
 use teeve_pubsub::{subscription_universe, Session};
 use teeve_runtime::{RuntimeConfig, RuntimeEvent, SessionRuntime};
 use teeve_telemetry::FlightEventKind;
@@ -119,13 +119,11 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     assert!(setup.report.accepted >= SITES, "ring demand must admit");
     let base = runtime.plan().clone();
 
-    let mut nodes = Vec::new();
-    let mut addrs = Vec::new();
-    for s in SiteId::all(SITES) {
-        let node = RpNode::bind(s, Duration::from_millis(200)).expect("bind");
-        addrs.push(node.local_addr());
-        nodes.push(node.spawn());
-    }
+    let reactor = Reactor::new(1).expect("reactor starts");
+    let nodes: Vec<RpNodeHandle> = SiteId::all(SITES)
+        .map(|s| reactor.bind_node(s).expect("bind"))
+        .collect();
+    let addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
     let config = ClusterConfig {
         frames_per_stream: 3,
         payload_bytes: 512,

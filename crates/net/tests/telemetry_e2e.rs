@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve_net::{ClusterConfig, Coordinator, LiveCluster, Reactor, RpNode};
+use teeve_net::{ClusterConfig, Coordinator, LiveCluster, Reactor, RpNodeHandle};
 use teeve_overlay::{OverlayManager, ProblemInstance};
 use teeve_pubsub::{subscription_universe, DisseminationPlan, PlanDelta, Session, StreamProfile};
 use teeve_runtime::{RuntimeConfig, SessionRuntime, TraceConfig};
@@ -222,13 +222,11 @@ fn socket_poisoned_fleet_dumps_a_flight_recording_naming_the_reconfigure() {
         StreamProfile::default(),
     );
 
-    let mut nodes = Vec::new();
-    let mut addrs = Vec::new();
-    for s in SiteId::all(3) {
-        let node = RpNode::bind(s, Duration::from_millis(200)).expect("bind");
-        addrs.push(node.local_addr());
-        nodes.push(node.spawn());
-    }
+    let reactor = Reactor::new(1).expect("reactor starts");
+    let mut nodes: Vec<RpNodeHandle> = SiteId::all(3)
+        .map(|s| reactor.bind_node(s).expect("bind"))
+        .collect();
+    let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
     let config = ClusterConfig {
         frames_per_stream: 2,
         payload_bytes: 256,

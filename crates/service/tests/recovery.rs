@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve_net::{ClusterConfig, Coordinator, RpNode, RpNodeHandle};
+use teeve_net::{ClusterConfig, Coordinator, Reactor, RpNodeHandle};
 use teeve_runtime::{RuntimeEvent, TraceConfig};
 use teeve_service::{MembershipService, SessionSpec};
 use teeve_store::SessionStore;
@@ -166,13 +166,11 @@ fn socket_recovered_service_readopts_a_live_fleet() {
         frame_interval: None,
         timeout: Duration::from_secs(20),
     };
-    let mut nodes: Vec<RpNodeHandle> = Vec::new();
-    let mut addrs = Vec::new();
-    for site in SiteId::all(SITES) {
-        let node = RpNode::bind(site, Duration::from_millis(200)).expect("bind RP");
-        addrs.push(node.local_addr());
-        nodes.push(node.spawn());
-    }
+    let reactor = Reactor::new(1).expect("reactor starts");
+    let nodes: Vec<RpNodeHandle> = SiteId::all(SITES)
+        .map(|site| reactor.bind_node(site).expect("bind RP"))
+        .collect();
+    let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
     let plan = handle.plan().unwrap();
     let mut coordinator = Coordinator::connect(&plan, &addrs, &config).expect("connect");
     coordinator.publish(2).expect("seeded batch");

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve_net::{ClusterConfig, Coordinator, RpNode, RpNodeHandle};
+use teeve_net::{ClusterConfig, Coordinator, Reactor, RpNodeHandle};
 use teeve_pubsub::{DeltaRouter, DeltaSink, DisseminationPlan, Session};
 use teeve_runtime::TraceConfig;
 use teeve_service::{MembershipService, SessionSpec};
@@ -35,16 +35,17 @@ struct Fleet {
     nodes: Vec<RpNodeHandle>,
 }
 
-/// Binds and spawns one RP node per site and connects a coordinator to
-/// their addresses.
-fn launch_fleet(plan: &DisseminationPlan, config: &ClusterConfig) -> (Fleet, Coordinator) {
-    let mut nodes = Vec::with_capacity(plan.site_count());
-    let mut addrs = Vec::with_capacity(plan.site_count());
-    for site in SiteId::all(plan.site_count()) {
-        let node = RpNode::bind(site, config.timeout).expect("bind RP");
-        addrs.push(node.local_addr());
-        nodes.push(node.spawn());
-    }
+/// Binds one RP node per site on the shared reactor and connects a
+/// coordinator to their addresses.
+fn launch_fleet(
+    reactor: &Reactor,
+    plan: &DisseminationPlan,
+    config: &ClusterConfig,
+) -> (Fleet, Coordinator) {
+    let nodes: Vec<RpNodeHandle> = SiteId::all(plan.site_count())
+        .map(|site| reactor.bind_node(site).expect("bind RP"))
+        .collect();
+    let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
     let coordinator = Coordinator::connect(plan, &addrs, config).expect("connect fleet");
     (Fleet { nodes }, coordinator)
 }
@@ -69,6 +70,7 @@ fn expect_batch(
 fn socket_tcp_multi_session_fleets_behind_one_service() {
     let service = MembershipService::with_shards(4);
     let config = fleet_config();
+    let reactor = Reactor::new(1).expect("reactor starts");
 
     // Admit the sessions, each seeded with a ring of gazes so the launch
     // plan already disseminates, and give each its own RP fleet.
@@ -96,7 +98,7 @@ fn socket_tcp_multi_session_fleets_behind_one_service() {
             .expect("admit");
         let plan = handle.plan().expect("scoped plan");
         assert_eq!(plan.scope(), Some(handle.id()));
-        let (fleet, coordinator) = launch_fleet(&plan, &config);
+        let (fleet, coordinator) = launch_fleet(&reactor, &plan, &config);
         fleets.insert(handle.id(), fleet);
         expected.insert(handle.id(), BTreeMap::new());
         router.register(handle.id(), coordinator);
@@ -198,6 +200,7 @@ fn socket_router_isolates_fleet_deltas_by_session() {
     let config = fleet_config();
     let mut router: DeltaRouter<Coordinator> = DeltaRouter::new();
 
+    let reactor = Reactor::new(1).expect("reactor starts");
     let mut handles = Vec::new();
     let mut fleets = Vec::new();
     for index in 0..2 {
@@ -213,7 +216,7 @@ fn socket_router_isolates_fleet_deltas_by_session() {
             .create_session(SessionSpec::new(session))
             .expect("admit");
         let plan = handle.plan().expect("plan");
-        let (fleet, coordinator) = launch_fleet(&plan, &config);
+        let (fleet, coordinator) = launch_fleet(&reactor, &plan, &config);
         router.register(handle.id(), coordinator);
         fleets.push(fleet);
         handles.push(handle);

@@ -1,17 +1,18 @@
 //! Many concurrent sessions, each executing on its own live TCP fleet.
 //!
 //! One `MembershipService` hosts several independent 3DTI sessions. Each
-//! session gets a fleet of autonomous [`RpNode`]s — standalone RP
-//! runtimes owning their own listeners, forwarding tables, and delivery
-//! counters — driven by a [`Coordinator`] that holds nothing but control
-//! connections and addresses. Every epoch, `drive_all_with` advances all
+//! session gets a fleet of autonomous RP nodes — standalone runtimes
+//! owning their own listeners, forwarding tables, and delivery counters,
+//! all hosted on one shared [`Reactor`] thread — driven by a
+//! [`Coordinator`] that holds nothing but control connections and
+//! addresses. Every epoch, `drive_all_with` advances all
 //! sessions one epoch and routes each emitted `PlanDelta` through a
 //! `DeltaRouter<Coordinator>` onto that session's fleet, purely over the
 //! wire; frames then flow and per-session delivery is accounted exactly.
 //!
 //! Run with: `cargo run --example tcp_multi_session`
 //!
-//! [`RpNode`]: teeve::net::RpNode
+//! [`Reactor`]: teeve::net::Reactor
 //! [`Coordinator`]: teeve::net::Coordinator
 
 use std::collections::BTreeMap;
@@ -19,7 +20,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve::net::{ClusterConfig, Coordinator, RpNode, RpNodeHandle};
+use teeve::net::{ClusterConfig, Coordinator, Reactor, RpNodeHandle};
 use teeve::prelude::*;
 use teeve::pubsub::DeltaRouter;
 use teeve::runtime::TraceConfig;
@@ -42,6 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Admit the sessions and launch one RP fleet per session: bind
     //    the nodes, then hand the coordinator nothing but addresses.
+    let reactor = Reactor::new(1)?;
     let mut handles = Vec::new();
     let mut fleets: BTreeMap<SessionId, Vec<RpNodeHandle>> = BTreeMap::new();
     let mut router: DeltaRouter<Coordinator> = DeltaRouter::new();
@@ -61,13 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let handle = service.create_session(SessionSpec::new(session))?;
         let plan = handle.plan()?;
 
-        let mut nodes = Vec::new();
-        let mut addrs = Vec::new();
-        for site in SiteId::all(SITES) {
-            let node = RpNode::bind(site, config.timeout)?;
-            addrs.push(node.local_addr());
-            nodes.push(node.spawn());
-        }
+        let nodes = SiteId::all(SITES)
+            .map(|site| reactor.bind_node(site))
+            .collect::<Result<Vec<_>, _>>()?;
+        let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
         let coordinator = Coordinator::connect(&plan, &addrs, &config)?;
         println!(
             "{}: fleet of {} RPs up, initial plan rev {} ({} links)",

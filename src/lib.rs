@@ -25,8 +25,9 @@
 //! * [`sim`] — discrete-event dissemination simulator, including
 //!   delta-aware mid-run replanning;
 //! * [`net`] — live TCP rendezvous points as process-separable nodes
-//!   (`RpNode` fleets driven by a wire-only `Coordinator`, with the
-//!   in-process `LiveCluster` wrapper) and link-level delta analysis;
+//!   (`Reactor`-hosted RP fleets driven by a wire-only `Coordinator`,
+//!   with the in-process `LiveCluster` wrapper) and link-level delta
+//!   analysis;
 //! * [`media`] — synthetic 3D capture and the reduction pipeline
 //!   (background subtraction, resolution reduction, compression);
 //! * [`adapt`] — multi-stream bandwidth adaptation.

@@ -221,9 +221,10 @@ fn socket_live_reconfiguration_applies_deltas_mid_flight() {
 }
 
 /// A long-lived cluster must survive idling past its configured timeout:
-/// the read deadline is a shutdown wake-up, not a link lifetime. Both the
-/// data links and the RP-side control channels have to outlive the idle
-/// gap — publishing and reconfiguring afterwards still works.
+/// the coordinator's read deadline bounds one wait for a reply, not a
+/// link's lifetime. Both the data links and the control channels have to
+/// outlive the idle gap — publishing and reconfiguring afterwards still
+/// works.
 #[test]
 fn socket_idle_cluster_survives_past_the_read_timeout() {
     let p = reconfigure_universe();
