@@ -8,10 +8,9 @@
 use std::process::ExitCode;
 
 /// The benches whose trajectories CI archives.
-const EXPECTED: [&str; 5] = [
+const EXPECTED: [&str; 4] = [
     "runtime_repair",
     "quality_delta",
-    "multi_session",
     "coordinator_resync",
     "fleet_scale",
 ];

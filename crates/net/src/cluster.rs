@@ -6,7 +6,6 @@
 //! every interaction is a [`wire`](crate::wire) message, exactly as it
 //! would be across processes or hosts; this wrapper only saves callers
 //! the bind/connect choreography (and joins the nodes at shutdown).
-//! [`run_cluster`] is the one-shot form: launch, publish, shut down.
 
 use teeve_pubsub::{DisseminationPlan, PlanDelta};
 use teeve_types::SiteId;
@@ -241,31 +240,6 @@ impl teeve_pubsub::DeltaSink for LiveCluster {
     }
 }
 
-/// Runs `plan` once on a [`LiveCluster`]: launch, publish
-/// `config.frames_per_stream` synthetic frames per overlay-transiting
-/// stream, shut down, report.
-///
-/// Every RP speaks real TCP: it decodes the wire protocol off each
-/// inbound link and forwards frames per its forwarding table.
-/// Termination cascades **per stream**: when a stream's last frame has
-/// been published, its `End` marker flows down the stream's (acyclic)
-/// multicast tree, and connections are write-shut afterwards — a
-/// per-connection goodbye handshake would deadlock on cyclic site
-/// graphs.
-///
-/// # Errors
-///
-/// Returns an error on socket failures or if deliveries do not complete
-/// within `config.timeout`.
-pub fn run_cluster(
-    plan: &DisseminationPlan,
-    config: &ClusterConfig,
-) -> Result<ClusterReport, ClusterError> {
-    let mut cluster = LiveCluster::launch(plan, config)?;
-    cluster.publish(config.frames_per_stream)?;
-    Ok(cluster.shutdown())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,7 +293,9 @@ mod tests {
     #[test]
     fn socket_relay_chain_delivers_every_frame() {
         let plan = relay_plan();
-        let report = run_cluster(&plan, &quick_config()).expect("cluster completes");
+        let mut cluster = LiveCluster::launch(&plan, &quick_config()).expect("cluster launches");
+        cluster.publish(5).expect("cluster completes");
+        let report = cluster.shutdown();
         assert_eq!(report.delivered[&(site(1), stream(0, 0))], 5);
         assert_eq!(report.delivered[&(site(2), stream(0, 0))], 5);
         assert_eq!(report.total_delivered(), 10);
@@ -354,7 +330,11 @@ mod tests {
             DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default());
 
         let config = quick_config();
-        let report = run_cluster(&plan, &config).expect("cluster completes");
+        let mut cluster = LiveCluster::launch(&plan, &config).expect("cluster launches");
+        cluster
+            .publish(config.frames_per_stream)
+            .expect("cluster completes");
+        let report = cluster.shutdown();
         // 4 sites x 6 remote streams x 5 frames.
         assert_eq!(report.total_delivered(), 4 * 6 * 5);
         for sub in 0..4u32 {
@@ -385,7 +365,9 @@ mod tests {
         let outcome = RandomJoin.construct(&problem, &mut rng);
         let plan =
             DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default());
-        let report = run_cluster(&plan, &quick_config()).expect("nothing to deliver");
+        let mut cluster = LiveCluster::launch(&plan, &quick_config()).expect("cluster launches");
+        cluster.publish(5).expect("nothing to deliver");
+        let report = cluster.shutdown();
         assert_eq!(report.total_delivered(), 0);
     }
 
@@ -398,7 +380,11 @@ mod tests {
             frame_interval: Some(Duration::from_millis(5)),
             timeout: Duration::from_secs(20),
         };
-        let report = run_cluster(&plan, &config).expect("cluster completes");
+        let mut cluster = LiveCluster::launch(&plan, &config).expect("cluster launches");
+        cluster
+            .publish(config.frames_per_stream)
+            .expect("cluster completes");
+        let report = cluster.shutdown();
         assert_eq!(report.total_delivered(), 6);
         // Localhost latency is nonzero but far below a second.
         assert!(report.max_latency_micros > 0);
@@ -456,7 +442,11 @@ mod tests {
             frame_interval: Some(Duration::from_millis(40)),
             timeout: Duration::from_secs(20),
         };
-        let report = run_cluster(&plan, &config).expect("cluster completes");
+        let mut cluster = LiveCluster::launch(&plan, &config).expect("cluster launches");
+        cluster
+            .publish(config.frames_per_stream)
+            .expect("cluster completes");
+        let report = cluster.shutdown();
         assert_eq!(report.total_delivered(), 10);
         // One paced batch spans ≥ its own gaps…
         assert!(report.elapsed >= Duration::from_millis(180));

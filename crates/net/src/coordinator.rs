@@ -40,9 +40,9 @@ use crate::wire::{decode, encode, Message, StreamDelivery};
 /// Configuration of a live cluster run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// Frames each origin publishes per stream (used by
-    /// [`run_cluster`](crate::run_cluster);
-    /// [`Coordinator::publish`] takes its batch size per call).
+    /// Frames each origin publishes per stream — a batch size for
+    /// callers to pass to [`Coordinator::publish`], which takes it per
+    /// call and never reads this field.
     pub frames_per_stream: u64,
     /// Synthetic payload size per frame in bytes (kept small in tests; a
     /// real compressed 3DTI frame is ≈66 kB).

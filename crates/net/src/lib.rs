@@ -24,9 +24,9 @@
 //! each [`PlanDelta`](teeve_pubsub::PlanDelta) is pushed at the running
 //! cluster over the control plane, opening only the connections
 //! [`link_changes`] reports as established and closing only the ones
-//! whose last stream left — socket-free reroutes touch nothing.
-//! [`run_cluster`] is the one-shot wrapper: launch, publish, shut down,
-//! report per-site delivery counts and latencies.
+//! whose last stream left — socket-free reroutes touch nothing. A
+//! one-shot run is `launch` → `publish` → `shutdown`, which reports
+//! per-site delivery counts and latencies.
 //!
 //! # Hosting: the reactor
 //!
@@ -49,7 +49,7 @@
 //!
 //! ```no_run
 //! use rand::SeedableRng;
-//! use teeve_net::{run_cluster, ClusterConfig};
+//! use teeve_net::{ClusterConfig, LiveCluster};
 //! use teeve_overlay::{ConstructionAlgorithm, ProblemInstance, RandomJoin};
 //! use teeve_pubsub::{DisseminationPlan, StreamProfile};
 //! use teeve_types::{CostMatrix, CostMs, Degree, SiteId, StreamId};
@@ -65,7 +65,10 @@
 //! let outcome = RandomJoin::default().construct(&problem, &mut rng);
 //! let plan = DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default());
 //!
-//! let report = run_cluster(&plan, &ClusterConfig::default())?;
+//! let config = ClusterConfig::default();
+//! let mut cluster = LiveCluster::launch(&plan, &config)?;
+//! cluster.publish(config.frames_per_stream)?;
+//! let report = cluster.shutdown();
 //! println!("delivered {} frames", report.total_delivered());
 //! # Ok(())
 //! # }
@@ -81,7 +84,7 @@ mod reactor;
 mod replan;
 pub mod wire;
 
-pub use cluster::{run_cluster, LiveCluster};
+pub use cluster::LiveCluster;
 pub use coordinator::{ClusterConfig, ClusterError, ClusterReport, Coordinator, ReconfigureReport};
 pub use reactor::{Reactor, RpNodeHandle};
 pub use replan::{link_changes, link_changes_between, LinkChanges};

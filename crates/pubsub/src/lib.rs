@@ -6,12 +6,16 @@
 //! across sites an overlay dictated by a centralized **membership server**.
 //!
 //! * [`RendezvousPoint`] — per-site aggregation of display subscriptions;
-//! * [`MembershipServer`] — collects all RPs' request sets, runs an overlay
-//!   construction algorithm (`teeve-overlay`), and emits the plan;
+//! * [`Session`] — the user-facing entry point wiring cyber-space geometry
+//!   (FOV subscriptions via `teeve-geometry`) to the RPs, and the
+//!   membership server's one-shot form: [`Session::problem`] aggregates
+//!   all RPs' request sets, [`Session::build_plan`] runs an overlay
+//!   construction algorithm (`teeve-overlay`) over them and emits the plan.
+//!   The *live* membership server — the same aggregation kept repaired
+//!   epoch by epoch over the [`subscription_universe`] — is
+//!   `teeve-runtime`'s `SessionRuntime`, hosted by `teeve-service`;
 //! * [`DisseminationPlan`] / [`SitePlan`] / [`ForwardingEntry`] — the
 //!   forwarding state each RP executes;
-//! * [`Session`] — the user-facing entry point wiring cyber-space geometry
-//!   (FOV subscriptions via `teeve-geometry`) to the above;
 //! * [`StreamProfile`] — media parameters (bit rate, frame rate) shared by
 //!   the dissemination simulator and the live network substrate.
 //!
@@ -39,13 +43,12 @@
 //! let (outcome, plan) = session.build_plan(&RandomJoin::default(), &mut rng)?;
 //! assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
 //! assert_eq!(plan.site_count(), 3);
-//! # Ok::<(), teeve_pubsub::MembershipError>(())
+//! # Ok::<(), teeve_overlay::ProblemError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod churn;
 mod delta;
 mod membership;
 mod plan;
@@ -53,9 +56,8 @@ mod profile;
 mod rp;
 mod session;
 
-pub use churn::{run_churn, subscription_universe, ChurnError, ChurnEvent, ChurnReport};
 pub use delta::{DeltaError, DeltaRouter, DeltaSink, EntryChange, PlanDelta, RouteError};
-pub use membership::{MembershipError, MembershipServer};
+pub use membership::subscription_universe;
 pub use plan::{ChildLink, DisseminationPlan, ForwardingEntry, SitePlan};
 pub use profile::StreamProfile;
 pub use rp::RendezvousPoint;

@@ -6,237 +6,49 @@
 //! organize into an application-level overlay network for data
 //! dissemination." The centralized design is deliberate: 3DTI sessions are
 //! small to medium sized.
-
-use std::collections::BTreeSet;
-use std::fmt;
+//!
+//! There is one server per session, and this module is its one-shot form:
+//! what it computes from a [`Session`]'s current state. Its live form —
+//! the same aggregation kept repaired epoch by epoch over the
+//! [`subscription_universe`] — is `teeve-runtime`'s `SessionRuntime`.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use teeve_overlay::{
-    ConstructionAlgorithm, ConstructionOutcome, NodeCapacity, ProblemError, ProblemInstance,
+    ConstructionAlgorithm, ConstructionOutcome, ProblemBuilder, ProblemError, ProblemInstance,
 };
-use teeve_types::{CostMatrix, CostMs, SiteId, StreamId};
+use teeve_types::{SiteId, StreamId};
 
-use crate::{DisseminationPlan, StreamProfile};
+use crate::{DisseminationPlan, Session};
 
-/// Error produced by the membership server.
-#[derive(Debug)]
-pub enum MembershipError {
-    /// The per-site capacity or stream tables do not cover the same sites
-    /// as the cost matrix.
-    ShapeMismatch {
-        /// Sites covered by the cost matrix.
-        sites: usize,
-        /// Entries in the capacity table.
-        capacities: usize,
-        /// Entries in the published-stream-count table.
-        streams: usize,
-    },
-    /// A site registered or submitted with an index outside the session.
-    UnknownSite {
-        /// The offending site.
-        site: SiteId,
-        /// Session size.
-        sites: usize,
-    },
-    /// Overlay construction was requested before every site submitted its
-    /// request set.
-    MissingSubmissions {
-        /// Sites that have not submitted yet.
-        missing: Vec<SiteId>,
-    },
-    /// The aggregated workload did not form a valid problem instance.
-    Problem(ProblemError),
+/// A problem builder over the session's sites, capacities and published
+/// streams, with no subscriptions yet.
+fn problem_builder(session: &Session) -> ProblemBuilder {
+    let streams: Vec<u32> = SiteId::all(session.site_count())
+        .map(|site| session.rp(site).camera_count())
+        .collect();
+    ProblemInstance::builder(session.costs().clone(), session.cost_bound())
+        .capacities(session.capacities().to_vec())
+        .streams_per_site(&streams)
 }
 
-impl fmt::Display for MembershipError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MembershipError::ShapeMismatch {
-                sites,
-                capacities,
-                streams,
-            } => write!(
-                f,
-                "tables must cover all {sites} sites \
-                 (got {capacities} capacities, {streams} stream counts)"
-            ),
-            MembershipError::UnknownSite { site, sites } => {
-                write!(f, "site {site} outside session of {sites} sites")
-            }
-            MembershipError::MissingSubmissions { missing } => {
-                write!(f, "awaiting request sets from {} sites", missing.len())
-            }
-            MembershipError::Problem(e) => write!(f, "invalid aggregated workload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for MembershipError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MembershipError::Problem(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ProblemError> for MembershipError {
-    fn from(e: ProblemError) -> Self {
-        MembershipError::Problem(e)
-    }
-}
-
-/// The centralized membership server: aggregates per-site request sets and
-/// turns them into a dissemination plan by running a construction
-/// algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use teeve_overlay::{NodeCapacity, RandomJoin};
-/// use teeve_pubsub::{MembershipServer, StreamProfile};
-/// use teeve_types::{CostMatrix, CostMs, Degree, SiteId, StreamId};
-///
-/// let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(5));
-/// let mut server = MembershipServer::new(
-///     costs,
-///     CostMs::new(50),
-///     vec![NodeCapacity::symmetric(Degree::new(4)); 3],
-///     vec![1, 1, 1],
-///     StreamProfile::default(),
-/// )?;
-/// for site in SiteId::all(3) {
-///     let wanted = if site == SiteId::new(0) {
-///         vec![StreamId::new(SiteId::new(1), 0)]
-///     } else {
-///         vec![StreamId::new(SiteId::new(0), 0)]
-///     };
-///     server.submit_requests(site, wanted.into_iter().collect())?;
-/// }
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-/// let (outcome, plan) = server.build_overlay(&RandomJoin::default(), &mut rng)?;
-/// assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
-/// assert_eq!(plan.site_count(), 3);
-/// # Ok::<(), teeve_pubsub::MembershipError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MembershipServer {
-    costs: CostMatrix,
-    cost_bound: CostMs,
-    capacities: Vec<NodeCapacity>,
-    streams_per_site: Vec<u32>,
-    profile: StreamProfile,
-    submissions: Vec<Option<BTreeSet<StreamId>>>,
-}
-
-impl MembershipServer {
-    /// Creates a server for the session described by the cost matrix,
-    /// latency bound, per-site capacities, and per-site published stream
-    /// counts.
+impl Session {
+    /// Aggregates every RP's current request set into the global
+    /// subscription workload the membership server constructs over.
     ///
     /// # Errors
     ///
-    /// Returns [`MembershipError::ShapeMismatch`] if the capacity or
-    /// stream tables do not cover the same sites as the cost matrix.
-    pub fn new(
-        costs: CostMatrix,
-        cost_bound: CostMs,
-        capacities: Vec<NodeCapacity>,
-        streams_per_site: Vec<u32>,
-        profile: StreamProfile,
-    ) -> Result<Self, MembershipError> {
-        let n = costs.len();
-        if capacities.len() != n || streams_per_site.len() != n {
-            return Err(MembershipError::ShapeMismatch {
-                sites: n,
-                capacities: capacities.len(),
-                streams: streams_per_site.len(),
-            });
-        }
-        Ok(MembershipServer {
-            costs,
-            cost_bound,
-            capacities,
-            streams_per_site,
-            profile,
-            submissions: vec![None; n],
-        })
-    }
-
-    /// Returns the number of sites in the session.
-    pub fn site_count(&self) -> usize {
-        self.submissions.len()
-    }
-
-    /// Submits (replacing) the aggregated request set of one RP.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `site` is outside the session.
-    pub fn submit_requests(
-        &mut self,
-        site: SiteId,
-        requests: BTreeSet<StreamId>,
-    ) -> Result<(), MembershipError> {
-        let n = self.site_count();
-        if site.index() >= n {
-            return Err(MembershipError::UnknownSite { site, sites: n });
-        }
-        self.submissions[site.index()] = Some(requests);
-        Ok(())
-    }
-
-    /// Withdraws a departed site's submission, so its stale request set no
-    /// longer shapes the aggregated workload. The site drops back into
-    /// [`pending_sites`](Self::pending_sites) until it submits again —
-    /// exactly what session-lifecycle churn needs when an RP leaves and
-    /// may later rejoin.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `site` is outside the session.
-    pub fn withdraw(&mut self, site: SiteId) -> Result<(), MembershipError> {
-        let n = self.site_count();
-        if site.index() >= n {
-            return Err(MembershipError::UnknownSite { site, sites: n });
-        }
-        self.submissions[site.index()] = None;
-        Ok(())
-    }
-
-    /// Returns the sites that have not yet submitted a request set.
-    pub fn pending_sites(&self) -> Vec<SiteId> {
-        self.submissions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| SiteId::new(i as u32))
-            .collect()
-    }
-
-    /// Assembles the global subscription workload into a problem instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any site has not submitted or the aggregated
-    /// workload is invalid.
-    pub fn problem(&self) -> Result<ProblemInstance, MembershipError> {
-        let missing = self.pending_sites();
-        if !missing.is_empty() {
-            return Err(MembershipError::MissingSubmissions { missing });
-        }
-        let mut builder = ProblemInstance::builder(self.costs.clone(), self.cost_bound)
-            .capacities(self.capacities.clone())
-            .streams_per_site(&self.streams_per_site);
-        for (i, submission) in self.submissions.iter().enumerate() {
-            let site = SiteId::new(i as u32);
-            for &stream in submission.as_ref().expect("checked above") {
+    /// Returns an error if the aggregated workload is invalid: fewer than
+    /// three sites, or a display explicitly subscribed (via
+    /// [`subscribe_streams`](Self::subscribe_streams)) to a stream no
+    /// site of the session publishes.
+    pub fn problem(&self) -> Result<ProblemInstance, ProblemError> {
+        let mut builder = problem_builder(self);
+        for site in SiteId::all(self.site_count()) {
+            for stream in self.rp(site).aggregated_requests() {
                 builder = builder.subscribe(site, stream);
             }
         }
-        Ok(builder.build()?)
+        builder.build()
     }
 
     /// Runs `algorithm` on the aggregated workload and derives the
@@ -244,17 +56,41 @@ impl MembershipServer {
     ///
     /// # Errors
     ///
-    /// Returns an error if submissions are missing or invalid.
-    pub fn build_overlay(
+    /// Returns an error if the aggregated workload is invalid; see
+    /// [`problem`](Self::problem).
+    pub fn build_plan(
         &self,
         algorithm: &dyn ConstructionAlgorithm,
         rng: &mut dyn RngCore,
-    ) -> Result<(ConstructionOutcome, DisseminationPlan), MembershipError> {
+    ) -> Result<(ConstructionOutcome, DisseminationPlan), ProblemError> {
         let problem = self.problem()?;
         let outcome = algorithm.construct(&problem, rng);
-        let plan = DisseminationPlan::from_forest(&problem, outcome.forest(), self.profile);
+        let plan = DisseminationPlan::from_forest(&problem, outcome.forest(), self.profile());
         Ok((outcome, plan))
     }
+}
+
+/// Builds the session's **subscription universe**: a problem instance in
+/// which every site is a declared subscriber of every foreign stream, so
+/// an incremental [`OverlayManager`](teeve_overlay::OverlayManager) can
+/// admit any FOV a live session may ever select. This is the instance the
+/// session runtime (`teeve-runtime`) operates over.
+///
+/// # Errors
+///
+/// Returns an error if the session cannot form a valid problem instance
+/// (fewer than three sites).
+pub fn subscription_universe(session: &Session) -> Result<ProblemInstance, ProblemError> {
+    let n = session.site_count();
+    let mut builder = problem_builder(session);
+    for sub in SiteId::all(n) {
+        for origin in SiteId::all(n).filter(|&origin| origin != sub) {
+            for q in 0..session.rp(origin).camera_count() {
+                builder = builder.subscribe(sub, StreamId::new(origin, q));
+            }
+        }
+    }
+    builder.build()
 }
 
 #[cfg(test)]
@@ -263,127 +99,34 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use teeve_overlay::RandomJoin;
-    use teeve_types::Degree;
+    use teeve_types::{CostMatrix, CostMs, Degree, DisplayId};
 
-    fn server() -> MembershipServer {
-        MembershipServer::new(
-            CostMatrix::from_fn(3, |_, _| CostMs::new(4)),
-            CostMs::new(40),
-            vec![NodeCapacity::symmetric(Degree::new(5)); 3],
-            vec![2, 2, 2],
-            StreamProfile::default(),
-        )
-        .expect("tables cover every site")
+    /// Three sites publishing two streams each, one display per site.
+    fn session() -> Session {
+        Session::builder(CostMatrix::from_fn(3, |_, _| CostMs::new(4)))
+            .cameras_per_site(2)
+            .displays_per_site(1)
+            .cost_bound(CostMs::new(40))
+            .symmetric_capacity(Degree::new(5))
+            .build()
     }
 
     fn stream(origin: u32, q: u32) -> StreamId {
         StreamId::new(SiteId::new(origin), q)
     }
 
-    #[test]
-    fn requires_all_submissions_before_building() {
-        let mut s = server();
-        s.submit_requests(SiteId::new(0), BTreeSet::new()).unwrap();
-        let err = s.problem().unwrap_err();
-        match err {
-            MembershipError::MissingSubmissions { missing } => {
-                assert_eq!(missing, vec![SiteId::new(1), SiteId::new(2)]);
-            }
-            other => panic!("unexpected error {other}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_tables_are_rejected_at_construction() {
-        let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(4));
-        let err = MembershipServer::new(
-            costs.clone(),
-            CostMs::new(40),
-            vec![NodeCapacity::symmetric(Degree::new(5)); 2],
-            vec![2, 2, 2],
-            StreamProfile::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            MembershipError::ShapeMismatch {
-                sites: 3,
-                capacities: 2,
-                streams: 3,
-            }
-        ));
-        let err = MembershipServer::new(
-            costs,
-            CostMs::new(40),
-            vec![NodeCapacity::symmetric(Degree::new(5)); 3],
-            vec![2, 2],
-            StreamProfile::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            MembershipError::ShapeMismatch { streams: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn withdraw_clears_a_departed_sites_submission() {
-        let mut s = server();
-        s.submit_requests(SiteId::new(0), [stream(1, 0)].into())
-            .unwrap();
-        s.submit_requests(SiteId::new(1), BTreeSet::new()).unwrap();
-        s.submit_requests(SiteId::new(2), BTreeSet::new()).unwrap();
-        assert!(s.pending_sites().is_empty());
-
-        // Site 0 departs: its stale request set must not linger.
-        s.withdraw(SiteId::new(0)).unwrap();
-        assert_eq!(s.pending_sites(), vec![SiteId::new(0)]);
-        match s.problem().unwrap_err() {
-            MembershipError::MissingSubmissions { missing } => {
-                assert_eq!(missing, vec![SiteId::new(0)]);
-            }
-            other => panic!("unexpected error {other}"),
-        }
-
-        // A rejoin submits fresh requests and the workload reflects only
-        // those, not the withdrawn ones.
-        s.submit_requests(SiteId::new(0), [stream(2, 1)].into())
-            .unwrap();
-        let problem = s.problem().unwrap();
-        let all: Vec<_> = problem.requests().collect();
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].stream, stream(2, 1));
-    }
-
-    #[test]
-    fn withdraw_of_unknown_sites_is_an_error() {
-        let mut s = server();
-        assert!(matches!(
-            s.withdraw(SiteId::new(7)).unwrap_err(),
-            MembershipError::UnknownSite { .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_unknown_sites() {
-        let mut s = server();
-        let err = s
-            .submit_requests(SiteId::new(9), BTreeSet::new())
-            .unwrap_err();
-        assert!(matches!(err, MembershipError::UnknownSite { .. }));
+    fn submit(s: &mut Session, site: u32, streams: &[StreamId]) {
+        s.subscribe_streams(DisplayId::new(SiteId::new(site), 0), streams.to_vec());
     }
 
     #[test]
     fn builds_plan_from_submissions() {
-        let mut s = server();
-        s.submit_requests(SiteId::new(0), [stream(1, 0)].into())
-            .unwrap();
-        s.submit_requests(SiteId::new(1), [stream(0, 0), stream(2, 1)].into())
-            .unwrap();
-        s.submit_requests(SiteId::new(2), [stream(0, 0)].into())
-            .unwrap();
+        let mut s = session();
+        submit(&mut s, 0, &[stream(1, 0)]);
+        submit(&mut s, 1, &[stream(0, 0), stream(2, 1)]);
+        submit(&mut s, 2, &[stream(0, 0)]);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (outcome, plan) = s.build_overlay(&RandomJoin, &mut rng).unwrap();
+        let (outcome, plan) = s.build_plan(&RandomJoin, &mut rng).unwrap();
         assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
         assert_eq!(plan.deliveries_to(SiteId::new(0)), vec![stream(1, 0)]);
         assert_eq!(
@@ -394,13 +137,9 @@ mod tests {
 
     #[test]
     fn resubmission_replaces_requests() {
-        let mut s = server();
-        s.submit_requests(SiteId::new(0), [stream(1, 0)].into())
-            .unwrap();
-        s.submit_requests(SiteId::new(0), [stream(1, 1)].into())
-            .unwrap();
-        s.submit_requests(SiteId::new(1), BTreeSet::new()).unwrap();
-        s.submit_requests(SiteId::new(2), BTreeSet::new()).unwrap();
+        let mut s = session();
+        submit(&mut s, 0, &[stream(1, 0)]);
+        submit(&mut s, 0, &[stream(1, 1)]);
         let problem = s.problem().unwrap();
         let all: Vec<_> = problem.requests().collect();
         assert_eq!(all.len(), 1);
@@ -408,16 +147,38 @@ mod tests {
     }
 
     #[test]
-    fn invalid_aggregate_workload_is_reported() {
-        let mut s = server();
-        // Self-subscription is invalid.
-        s.submit_requests(SiteId::new(0), [stream(0, 0)].into())
-            .unwrap();
-        s.submit_requests(SiteId::new(1), BTreeSet::new()).unwrap();
-        s.submit_requests(SiteId::new(2), BTreeSet::new()).unwrap();
+    fn rejects_unknown_sites() {
+        let mut s = session();
+        submit(&mut s, 0, &[stream(9, 0)]);
         assert!(matches!(
             s.problem().unwrap_err(),
-            MembershipError::Problem(ProblemError::SelfSubscription { .. })
+            ProblemError::UnknownSite { sites: 3, .. }
         ));
+    }
+
+    #[test]
+    fn invalid_aggregate_workload_is_reported() {
+        let mut s = session();
+        // Sites publish two streams; index 2 does not exist.
+        submit(&mut s, 0, &[stream(1, 2)]);
+        assert!(matches!(
+            s.problem().unwrap_err(),
+            ProblemError::UnknownStream { available: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn two_site_universe_is_rejected() {
+        let costs = CostMatrix::from_fn(2, |_, _| CostMs::new(4));
+        let s = Session::builder(costs)
+            .cameras_per_site(2)
+            .displays_per_site(1)
+            .symmetric_capacity(Degree::new(4))
+            .build();
+        assert_eq!(
+            subscription_universe(&s).unwrap_err(),
+            ProblemError::TooFewSites { sites: 2 }
+        );
+        assert_eq!(s.problem(), subscription_universe(&s));
     }
 }

@@ -107,8 +107,9 @@ impl SitePlan {
 /// constructed overlay — forwarding tables, link latencies, and stream
 /// media profiles.
 ///
-/// Produced by [`MembershipServer`](crate::MembershipServer) from a
-/// constructed forest; consumed by the discrete-event simulator
+/// Produced from a constructed forest — one-shot by
+/// [`Session::build_plan`](crate::Session::build_plan), every epoch by the
+/// session runtime (`teeve-runtime`); consumed by the discrete-event simulator
 /// (`teeve-sim`) and the live TCP cluster (`teeve-net`).
 ///
 /// # Examples

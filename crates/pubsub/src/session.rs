@@ -3,13 +3,12 @@
 
 use std::collections::BTreeSet;
 
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use teeve_geometry::{CyberSpace, FieldOfView, ScoredStream, ViewSelector};
-use teeve_overlay::{ConstructionAlgorithm, ConstructionOutcome, NodeCapacity};
+use teeve_overlay::NodeCapacity;
 use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId, StreamId};
 
-use crate::{DisseminationPlan, MembershipError, MembershipServer, RendezvousPoint, StreamProfile};
+use crate::{DisseminationPlan, RendezvousPoint, StreamProfile};
 
 /// A complete multi-site 3DTI session.
 ///
@@ -22,7 +21,8 @@ use crate::{DisseminationPlan, MembershipError, MembershipServer, RendezvousPoin
 /// * the **view selector** converting display FOVs into concrete stream
 ///   subscriptions (the subscription framework of Section 3.2);
 /// * the **membership server** parameters (capacities, latency bound) used
-///   to construct the overlay.
+///   to construct the overlay — see [`problem`](Self::problem) and
+///   [`build_plan`](Self::build_plan).
 ///
 /// # Examples
 ///
@@ -48,7 +48,7 @@ use crate::{DisseminationPlan, MembershipError, MembershipServer, RendezvousPoin
 /// let (outcome, plan) = session.build_plan(&RandomJoin::default(), &mut rng)?;
 /// assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
 /// assert!(!plan.deliveries_to(SiteId::new(0)).is_empty());
-/// # Ok::<(), teeve_pubsub::MembershipError>(())
+/// # Ok::<(), teeve_overlay::ProblemError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Session {
@@ -152,39 +152,6 @@ impl Session {
     /// Panics if the display's site or index is out of range.
     pub fn subscribe_streams(&mut self, display: DisplayId, streams: Vec<StreamId>) {
         self.rps[display.site().index()].set_subscription(display, streams);
-    }
-
-    /// Assembles the membership server for the current subscription state.
-    pub fn membership_server(&self) -> MembershipServer {
-        let mut server = MembershipServer::new(
-            self.costs.clone(),
-            self.cost_bound,
-            self.capacities.clone(),
-            self.rps.iter().map(RendezvousPoint::camera_count).collect(),
-            self.profile,
-        )
-        .expect("session tables cover every site by construction");
-        for rp in &self.rps {
-            server
-                .submit_requests(rp.site(), rp.aggregated_requests())
-                .expect("session RPs are in range");
-        }
-        server
-    }
-
-    /// Builds the overlay for the current subscriptions and derives the
-    /// dissemination plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the aggregated workload is invalid (e.g. fewer
-    /// than three sites).
-    pub fn build_plan(
-        &self,
-        algorithm: &dyn ConstructionAlgorithm,
-        rng: &mut dyn RngCore,
-    ) -> Result<(ConstructionOutcome, DisseminationPlan), MembershipError> {
-        self.membership_server().build_overlay(algorithm, rng)
     }
 
     /// Returns the streams `display` will actually render under `plan`:
@@ -414,7 +381,7 @@ mod tests {
         for other in [SiteId::new(1), SiteId::new(2)] {
             s.subscribe_streams(DisplayId::new(other, 0), vec![]);
         }
-        let problem = s.membership_server().problem().unwrap();
+        let problem = s.problem().unwrap();
         // Duplicates collapse at the RP: site 0 requests 2 distinct streams.
         assert_eq!(problem.total_requests(), 2);
     }

@@ -5,8 +5,11 @@
 //! Every layer of the reproduction exists below this crate — geometry FOV
 //! selection (`teeve-geometry`), pubsub membership (`teeve-pubsub`),
 //! incremental overlay maintenance (`teeve-overlay`), bandwidth
-//! adaptation (`teeve-adapt`) — but nothing drives them as *one running
-//! system*. [`SessionRuntime`] does:
+//! estimation (`teeve-adapt`) — but nothing drives them as *one running
+//! system*. [`SessionRuntime`] does, and it is the paper's one
+//! centralized membership server (§3.2) in its live form — the one-shot
+//! form is `Session::build_plan`, and `teeve-service` hosts many of these
+//! behind one registry:
 //!
 //! * it consumes [`RuntimeEvent`]s — display FOV changes, site
 //!   join/leave, bandwidth samples;
@@ -17,10 +20,12 @@
 //!   discrete-event simulator (`teeve_sim::simulate_with_replans`) and
 //!   the live TCP cluster (`teeve_net::link_changes`) apply without
 //!   tearing down unaffected links;
-//! * records per-epoch [`EpochReport`] metrics: reconvergence time,
-//!   delta size vs full plan size, dropped subscriptions;
-//! * fits delivered streams into each site's estimated bandwidth
-//!   (per-site [`AdaptationPlan`](teeve_adapt::AdaptationPlan)s).
+//! * fits each site's granted streams into its estimated bandwidth and
+//!   stamps the resulting quality rungs onto the plan — the one quality
+//!   answer per epoch (`DisseminationPlan::quality_of`);
+//! * records per-epoch [`EpochReport`] metrics (reconvergence time,
+//!   delta size vs full plan size, dropped subscriptions) and keeps their
+//!   running [`RuntimeReport`] totals.
 //!
 //! [`TraceConfig`] generates seeded churn traces for tests and benches.
 //!

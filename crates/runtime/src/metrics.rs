@@ -113,7 +113,7 @@ impl EpochReport {
     }
 }
 
-/// Aggregate statistics over a runtime's whole history.
+/// Aggregate statistics over every epoch a runtime has run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeReport {
     /// Epochs processed.
@@ -141,25 +141,19 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Folds a history of epoch reports into totals.
-    pub fn from_history(history: &[EpochReport]) -> Self {
-        let mut report = RuntimeReport {
-            epochs: history.len(),
-            ..RuntimeReport::default()
-        };
-        for epoch in history {
-            report.rebuilds += usize::from(epoch.rebuilt);
-            report.subscribes += epoch.subscribes;
-            report.accepted += epoch.accepted;
-            report.dropped_subscriptions += epoch.dropped_subscriptions;
-            report.served_full += epoch.served_full;
-            report.served_degraded += epoch.served_degraded;
-            report.total_reconverge += epoch.reconverge;
-            report.phase_totals.accumulate(&epoch.phases);
-            report.delta_entries += epoch.delta_entries;
-            report.plan_entries += epoch.plan_entries;
-        }
-        report
+    /// Folds one finished epoch into the totals.
+    pub(crate) fn absorb(&mut self, epoch: &EpochReport) {
+        self.epochs += 1;
+        self.rebuilds += usize::from(epoch.rebuilt);
+        self.subscribes += epoch.subscribes;
+        self.accepted += epoch.accepted;
+        self.dropped_subscriptions += epoch.dropped_subscriptions;
+        self.served_full += epoch.served_full;
+        self.served_degraded += epoch.served_degraded;
+        self.total_reconverge += epoch.reconverge;
+        self.phase_totals.accumulate(&epoch.phases);
+        self.delta_entries += epoch.delta_entries;
+        self.plan_entries += epoch.plan_entries;
     }
 
     /// Mean reconvergence time per epoch.
@@ -194,7 +188,7 @@ mod tests {
 
     #[test]
     fn history_folds_into_totals() {
-        let history = vec![
+        let epochs = [
             EpochReport {
                 epoch: 0,
                 subscribes: 4,
@@ -216,7 +210,10 @@ mod tests {
                 ..EpochReport::default()
             },
         ];
-        let r = RuntimeReport::from_history(&history);
+        let mut r = RuntimeReport::default();
+        for epoch in &epochs {
+            r.absorb(epoch);
+        }
         assert_eq!(r.epochs, 2);
         assert_eq!(r.rebuilds, 1);
         assert_eq!(r.subscribes, 10);

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use teeve_adapt::{AdaptStream, AdaptationController, AdaptationPlan, BandwidthEstimator};
+use teeve_adapt::BandwidthEstimator;
 use teeve_overlay::{
     fit_qualities, validate_forest, Forest, InvariantViolation, OverlayManager, ProblemInstance,
     SubscribeResult,
@@ -62,8 +62,9 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Everything one epoch produced: the plan diff to disseminate, the
-/// epoch's metrics, and per-site quality adaptation decisions.
+/// Everything one epoch produced: the plan diff to disseminate (quality
+/// decisions included — see [`DisseminationPlan::quality_of`]), the
+/// epoch's metrics, and its durable record.
 #[derive(Debug, Clone)]
 pub struct EpochOutcome {
     /// Forwarding-state changes turning the previous plan into the new
@@ -71,9 +72,6 @@ pub struct EpochOutcome {
     pub delta: PlanDelta,
     /// The epoch's runtime metrics.
     pub report: EpochReport,
-    /// Quality decisions for every site with a warm bandwidth estimate:
-    /// which delivered streams to take at which ladder level.
-    pub adaptation: BTreeMap<SiteId, AdaptationPlan>,
     /// The epoch's durable record — the consumed event batch plus the
     /// derived state a store persists (and a recovery cross-checks).
     pub commit: EpochCommit,
@@ -95,12 +93,12 @@ pub struct EpochOutcome {
 ///    from scratch instead — at most once per distinct demand, since
 ///    reconstruction is deterministic and rebuilding again for unchanged
 ///    demand would reproduce the same forest at full cost;
-/// 4. a new [`DisseminationPlan`] is derived and emitted as a
-///    [`PlanDelta`] against the previous epoch's plan, so executors (the
-///    simulator's [`simulate_with_replans`], the TCP cluster) only touch
-///    what changed;
-/// 5. per-site [`AdaptationPlan`]s fit the delivered streams into each
-///    site's estimated bandwidth.
+/// 4. every site's granted streams are re-fitted into its estimated
+///    bandwidth (degrading under pressure, promoting when it clears);
+/// 5. a new [`DisseminationPlan`] carrying those quality rungs is derived
+///    and emitted as a [`PlanDelta`] against the previous epoch's plan, so
+///    executors (the simulator's [`simulate_with_replans`], the TCP
+///    cluster) only touch what changed.
 ///
 /// [`simulate_with_replans`]: https://docs.rs/teeve-sim
 ///
@@ -141,7 +139,8 @@ pub struct SessionRuntime {
     /// streams are suspended everywhere.
     active: Vec<bool>,
     estimators: Vec<BandwidthEstimator>,
-    /// Last FOV contribution score per (display, stream), for adaptation.
+    /// Last FOV contribution score per (display, stream): the priority
+    /// admission and quality refitting degrade by.
     /// Entries live exactly as long as the display's current FOV demands
     /// the stream: each FOV event replaces the display's scores wholesale.
     scores: BTreeMap<(DisplayId, StreamId), f64>,
@@ -154,8 +153,7 @@ pub struct SessionRuntime {
     /// reconstruction is deterministic, and thrashing on persistently
     /// infeasible demand is exactly what this gate prevents.
     rebuilt_for: Option<Vec<BTreeMap<StreamId, Quality>>>,
-    /// The quality ladder shared by admission, refitting, and the
-    /// per-epoch adaptation reports.
+    /// The quality ladder shared by admission and refitting.
     ladder: QualityLadder,
     /// The hosted session this runtime serves when owned by a
     /// multi-session service; every derived plan and emitted delta is
@@ -163,7 +161,9 @@ pub struct SessionRuntime {
     scope: Option<SessionId>,
     config: RuntimeConfig,
     epoch: u64,
-    history: Vec<EpochReport>,
+    /// Running totals over every epoch so far — constant-size, so a
+    /// long-lived session's memory does not grow with its age.
+    totals: RuntimeReport,
     /// Attached observability sinks; `None` keeps the hot path free of
     /// registry lookups.
     telemetry: Option<RuntimeTelemetry>,
@@ -216,7 +216,7 @@ impl SessionRuntime {
             session,
             config,
             epoch: 0,
-            history: Vec::new(),
+            totals: RuntimeReport::default(),
             telemetry: None,
         };
         // Seed the overlay from the session's pre-existing subscriptions;
@@ -287,14 +287,9 @@ impl SessionRuntime {
         self.epoch
     }
 
-    /// Returns every epoch's metrics, oldest first.
-    pub fn history(&self) -> &[EpochReport] {
-        &self.history
-    }
-
     /// Returns the aggregate statistics over all epochs.
     pub fn report(&self) -> RuntimeReport {
-        RuntimeReport::from_history(&self.history)
+        self.totals.clone()
     }
 
     /// Returns whether `site` is currently part of the session.
@@ -322,7 +317,7 @@ impl SessionRuntime {
     }
 
     /// Consumes one epoch's worth of events, reconciles the overlay, and
-    /// returns the resulting plan delta, metrics, and adaptation plans.
+    /// returns the resulting plan delta, metrics, and durable commit.
     pub fn apply_epoch(&mut self, events: &[RuntimeEvent]) -> EpochOutcome {
         let started = Instant::now();
         let mut report = EpochReport {
@@ -446,7 +441,6 @@ impl SessionRuntime {
             telemetry.reconverge.record_duration(report.reconverge);
         }
 
-        let adaptation = self.adaptation_plans();
         let commit = EpochCommit {
             epoch: report.epoch,
             revision: self.plan.revision(),
@@ -466,11 +460,10 @@ impl SessionRuntime {
             ladder: self.ladder.clone(),
         };
         self.epoch += 1;
-        self.history.push(report.clone());
+        self.totals.absorb(&report);
         EpochOutcome {
             delta,
             report,
-            adaptation,
             commit,
         }
     }
@@ -763,34 +756,6 @@ impl SessionRuntime {
         }
         plan
     }
-
-    /// Fits each warm site's delivered streams into its estimated
-    /// bandwidth, prioritized by FOV contribution.
-    pub(crate) fn adaptation_plans(&self) -> BTreeMap<SiteId, AdaptationPlan> {
-        let mut plans = BTreeMap::new();
-        for site in SiteId::all(self.session.site_count()) {
-            let estimator = &self.estimators[site.index()];
-            if !self.active[site.index()] || !estimator.is_warm() {
-                continue;
-            }
-            let streams: Vec<AdaptStream> = self
-                .plan
-                .deliveries_to(site)
-                .into_iter()
-                .map(|stream| AdaptStream {
-                    stream,
-                    score: self.fov_score(site, stream),
-                    ladder: self.ladder.clone(),
-                })
-                .collect();
-            if streams.is_empty() {
-                continue;
-            }
-            let budget = estimator.estimate_bps().max(0.0) as u64;
-            plans.insert(site, AdaptationController::new().plan(budget, &streams));
-        }
-        plans
-    }
 }
 
 #[cfg(test)]
@@ -858,6 +823,18 @@ mod tests {
             .deliveries_to(site(0))
             .iter()
             .all(|st| st.origin() == site(2)));
+        rt.validate().unwrap();
+
+        // The same display retargets: the old streams leave, the new
+        // target's arrive.
+        let swing = rt.apply_epoch(&[viewpoint(0, 0, 3)]);
+        assert!(swing.report.unsubscribes > 0);
+        assert!(!rt.plan().deliveries_to(site(0)).is_empty());
+        assert!(rt
+            .plan()
+            .deliveries_to(site(0))
+            .iter()
+            .all(|st| st.origin() == site(3)));
         rt.validate().unwrap();
     }
 
@@ -1049,27 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_samples_produce_adaptation_plans() {
-        let s = session(4, 10);
-        let u = subscription_universe(&s).unwrap();
-        let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
-        let outcome = rt.apply_epoch(&[
-            viewpoint(0, 0, 1),
-            viewpoint(0, 1, 2),
-            // 12 Mbps cannot carry several 8 Mbps streams at full rate.
-            RuntimeEvent::BandwidthSample {
-                site: site(0),
-                bits_per_sec: 12_000_000.0,
-            },
-        ]);
-        let plan = outcome.adaptation.get(&site(0)).expect("warm estimator");
-        assert!(plan.total_bitrate_bps() <= 12_000_000);
-        assert!(plan.decisions().len() >= 2);
-        // Sites without samples have no plan.
-        assert!(!outcome.adaptation.contains_key(&site(3)));
-    }
-
-    #[test]
     fn bandwidth_pressure_emits_quality_only_deltas_and_degrades() {
         let s = session(4, 10);
         let u = subscription_universe(&s).unwrap();
@@ -1144,8 +1100,6 @@ mod tests {
             .quality_of(site(0), st)
             .unwrap()
             .is_full()));
-        // The adaptation *report* still exists for observability.
-        assert!(quiet.adaptation.contains_key(&site(0)));
     }
 
     #[test]
@@ -1299,6 +1253,127 @@ mod tests {
         }
         let totals = rt.report();
         assert_eq!(totals.phase_totals.total(), totals.total_reconverge);
+    }
+
+    #[test]
+    fn report_equals_the_per_epoch_fold() {
+        // The runtime keeps only running totals: after N epochs
+        // `report()` must equal the fold of the N reports the epochs
+        // themselves returned.
+        let s = session(5, 6);
+        let u = subscription_universe(&s).unwrap();
+        let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
+        let trace = [
+            vec![viewpoint(0, 0, 1), viewpoint(1, 0, 2), viewpoint(2, 1, 4)],
+            vec![RuntimeEvent::SiteLeave { site: site(1) }],
+            vec![],
+            vec![
+                RuntimeEvent::SiteJoin { site: site(1) },
+                RuntimeEvent::BandwidthSample {
+                    site: site(0),
+                    bits_per_sec: 12_000_000.0,
+                },
+            ],
+            vec![viewpoint(3, 0, 0), viewpoint(4, 1, 2)],
+        ];
+        let epochs: Vec<EpochReport> = trace.iter().map(|e| rt.apply_epoch(e).report).collect();
+        let sum = |field: fn(&EpochReport) -> usize| epochs.iter().map(field).sum::<usize>();
+
+        let totals = rt.report();
+        assert_eq!(totals.epochs, trace.len());
+        assert_eq!(totals.rebuilds, sum(|e| usize::from(e.rebuilt)));
+        assert_eq!(totals.subscribes, sum(|e| e.subscribes));
+        assert_eq!(totals.accepted, sum(|e| e.accepted));
+        assert_eq!(
+            totals.dropped_subscriptions,
+            sum(|e| e.dropped_subscriptions)
+        );
+        assert_eq!(totals.served_full, sum(|e| e.served_full));
+        assert_eq!(totals.served_degraded, sum(|e| e.served_degraded));
+        assert_eq!(totals.delta_entries, sum(|e| e.delta_entries));
+        assert_eq!(totals.plan_entries, sum(|e| e.plan_entries));
+        assert_eq!(
+            totals.total_reconverge,
+            epochs.iter().map(|e| e.reconverge).sum()
+        );
+        assert_eq!(totals.phase_totals.total(), totals.total_reconverge);
+        assert!(totals.subscribes > 0 && totals.served_full > 0);
+    }
+
+    #[test]
+    fn clear_releases_capacity() {
+        // The session arrives with a ring of gazes already subscribed:
+        // with no events at all, `new` seeds the overlay from them.
+        let mut s = session(4, 12);
+        for i in 0..4 {
+            s.subscribe_viewpoint(DisplayId::new(site(i), 0), site((i + 1) % 4));
+        }
+        let u = subscription_universe(&s).unwrap();
+        let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
+        let seeded: usize = SiteId::all(4).map(|s| rt.granted(s).len()).sum();
+        assert_eq!(seeded, 16, "four streams per gaze, none rejected");
+        assert!(SiteId::all(4).all(|s| rt.plan().deliveries_to(s).len() == 4));
+        assert_eq!(rt.epoch(), 0);
+
+        let clears: Vec<RuntimeEvent> = (0..4)
+            .map(|i| RuntimeEvent::FovClear {
+                display: DisplayId::new(site(i), 0),
+            })
+            .collect();
+        let cleared = rt.apply_epoch(&clears);
+        // Every grant is released, nothing is re-requested…
+        assert_eq!(cleared.report.unsubscribes, seeded);
+        assert_eq!(cleared.report.subscribes, 0);
+        // …and all the capacity is back: the forest is bare sources.
+        for tree in rt.forest_snapshot().trees() {
+            assert_eq!(tree.member_count(), 1, "stream {}", tree.stream());
+        }
+        assert!(SiteId::all(4).all(|s| rt.plan().deliveries_to(s).is_empty()));
+        rt.validate().unwrap();
+    }
+
+    #[test]
+    fn correlation_awareness_never_lowers_acceptance() {
+        // Both displays of every site gaze at different neighbours: 8
+        // wanted streams against an inbound capacity of 4, so joins
+        // saturate and CO-RJ swapping actually occurs. No rebuild
+        // fallback, so the two runs differ only in the swap.
+        for shift in 1..4u32 {
+            let run = |correlation_aware: bool| {
+                let s = session(4, 4);
+                let u = subscription_universe(&s).unwrap();
+                let mut rt = SessionRuntime::new(
+                    u,
+                    s,
+                    RuntimeConfig {
+                        correlation_aware,
+                        fallback: FallbackPolicy::never(),
+                        ..RuntimeConfig::default()
+                    },
+                )
+                .unwrap();
+                let ring: Vec<RuntimeEvent> = (0..4)
+                    .flat_map(|i| [viewpoint(i, 0, (i + 1) % 4), viewpoint(i, 1, (i + 2) % 4)])
+                    .collect();
+                rt.apply_epoch(&ring);
+                for i in 0..6u32 {
+                    rt.apply_epoch(&[viewpoint(i % 4, 0, (i + shift) % 4)]);
+                }
+                rt.validate().unwrap();
+                rt.report()
+            };
+            let (plain, aware) = (run(false), run(true));
+            assert!(
+                plain.accepted < plain.subscribes,
+                "the scenario must saturate"
+            );
+            assert!(
+                aware.accepted >= plain.accepted,
+                "swapping should not hurt: {} vs {} accepted",
+                aware.accepted,
+                plain.accepted
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use teeve_overlay::InvariantViolation;
-use teeve_pubsub::ChurnError;
+use teeve_overlay::{InvariantViolation, ProblemError};
 use teeve_runtime::{RuntimeError, RuntimeEvent};
 use teeve_store::StoreError;
 use teeve_types::SessionId;
@@ -15,7 +14,7 @@ pub enum ServiceError {
     UnknownSession(SessionId),
     /// The spec's session cannot form a subscription universe (e.g. fewer
     /// than three sites).
-    InvalidUniverse(ChurnError),
+    InvalidUniverse(ProblemError),
     /// The session runtime could not be assembled.
     Runtime(RuntimeError),
     /// A submitted event references a site or display outside its
@@ -62,8 +61,8 @@ impl std::error::Error for ServiceError {
     }
 }
 
-impl From<ChurnError> for ServiceError {
-    fn from(e: ChurnError) -> Self {
+impl From<ProblemError> for ServiceError {
+    fn from(e: ProblemError) -> Self {
         ServiceError::InvalidUniverse(e)
     }
 }

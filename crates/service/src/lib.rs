@@ -1,14 +1,17 @@
 //! The multi-session membership service: many concurrent 3DTI sessions
-//! behind one sharded registry.
+//! behind one registry.
 //!
 //! The paper justifies a *centralized* membership server by 3DTI sessions
 //! being small to medium sized — one server, one session. A production
 //! deployment hosts many such sessions at once, and that is this crate:
 //! a [`MembershipService`] owns a registry of running
-//! [`SessionRuntime`](teeve_runtime::SessionRuntime)s, sharded by
-//! [`SessionId`](teeve_types::SessionId) hash with each shard behind a
-//! `parking_lot::RwLock`, so session lookup, creation, and teardown on
-//! different shards never contend.
+//! [`SessionRuntime`](teeve_runtime::SessionRuntime)s — each one *is* its
+//! session's membership server — in a single map behind one
+//! `parking_lot::RwLock`. The lock is held only to look a session up,
+//! insert it, or remove it; every epoch runs under that session's own
+//! mutex, so sessions never wait on each other's overlay repair. One
+//! lock is a measured choice, not a default: see PAPER.md, "From one
+//! membership server to a multi-session service".
 //!
 //! The lifecycle API:
 //!
@@ -19,10 +22,10 @@
 //!   epoch;
 //! * [`SessionHandle::drive_epoch`] reconciles one epoch immediately and
 //!   returns its [`EpochOutcome`](teeve_runtime::EpochOutcome) — the
-//!   session-scoped plan delta, metrics, and adaptation plans;
+//!   session-scoped plan delta, metrics, and durable commit;
 //! * [`MembershipService::drive_all`] advances *every* hosted session one
-//!   epoch, consuming queued events, with shards processed in parallel
-//!   worker threads, and folds the results into a [`ServiceReport`]
+//!   epoch, consuming queued events, with worker threads stealing one
+//!   session at a time, and folds the results into a [`ServiceReport`]
 //!   ([`drive_all_with`](MembershipService::drive_all_with) additionally
 //!   pushes each session's delta into a
 //!   [`DeltaSink`](teeve_pubsub::DeltaSink), typically a `DeltaRouter`
@@ -45,7 +48,7 @@
 //! use teeve_service::{MembershipService, SessionSpec};
 //! use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId};
 //!
-//! let service = MembershipService::with_shards(4);
+//! let service = MembershipService::new();
 //! let costs = CostMatrix::from_fn(4, |_, _| CostMs::new(6));
 //! let session = Session::builder(costs)
 //!     .cameras_per_site(6)

@@ -39,11 +39,11 @@ pub struct ServiceReport {
     /// Forwarding entries across all full plans (what delta shipping
     /// avoided re-sending).
     pub plan_entries: usize,
-    /// Sum of every session's reconvergence time. Shards reconverge in
+    /// Sum of every session's reconvergence time. Sessions reconverge in
     /// parallel, so wall-clock time is lower; this is the total CPU work.
     pub total_reconverge: Duration,
     /// The cross-session reconvergence *distribution* (microseconds):
-    /// summed totals hide shard skew, the p50/p99 spread does not.
+    /// summed totals hide tenant skew, the p50/p99 spread does not.
     pub reconverge: LogHistogram,
     /// Epoch commits the attached session store failed to append during
     /// this pass: those epochs drove but are not durable, *named*
@@ -106,7 +106,7 @@ impl ServiceReport {
     }
 
     /// Median per-session reconvergence time in microseconds — compare
-    /// with [`reconverge_p99`](Self::reconverge_p99) to see shard skew.
+    /// with [`reconverge_p99`](Self::reconverge_p99) to see tenant skew.
     pub fn reconverge_p50(&self) -> u64 {
         self.reconverge.p50()
     }

@@ -1,4 +1,4 @@
-//! The sharded session registry and its lifecycle API.
+//! The session registry and its lifecycle API.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -16,9 +16,6 @@ use crate::error::ServiceError;
 use crate::report::ServiceReport;
 use crate::spec::SessionSpec;
 
-/// Default number of registry shards.
-const DEFAULT_SHARDS: usize = 8;
-
 /// One hosted session: its runtime plus the events queued for its next
 /// epoch.
 #[derive(Debug)]
@@ -27,24 +24,19 @@ struct Slot {
     pending: Vec<RuntimeEvent>,
 }
 
-/// One registry shard. The map is read-locked for lookups (cloning out
-/// the slot's `Arc`) and write-locked only for create/close, so sessions
-/// on one shard drive concurrently and sessions on different shards never
-/// contend at all.
-///
-/// Lock order: a slot mutex may be taken while holding (or after
-/// re-taking) this shard's `sessions` read lock, never the reverse — no
-/// code path holds a `Slot` guard while touching `sessions`. Keeping the
-/// edge one-directional is what makes the close/create write lock safe,
-/// and `teeve-check locks` flags any cycle introduced against it.
-#[derive(Debug, Default)]
-struct Shard {
-    sessions: RwLock<BTreeMap<SessionId, Arc<Mutex<Slot>>>>,
-}
-
 #[derive(Debug)]
 struct Inner {
-    shards: Vec<Shard>,
+    /// The registry. Read-locked for lookups (cloning out the slot's
+    /// `Arc`) and write-locked only for create/close, so every epoch runs
+    /// under its own slot mutex and sessions drive concurrently.
+    ///
+    /// Lock order: a slot mutex may be taken while holding (or after
+    /// re-taking) the `sessions` read lock, never the reverse — no code
+    /// path holds a `Slot` guard while touching `sessions`. Keeping the
+    /// edge one-directional is what makes the close/create write lock
+    /// safe, and `teeve-check locks` flags any cycle introduced against
+    /// it.
+    sessions: RwLock<BTreeMap<SessionId, Arc<Mutex<Slot>>>>,
     next_id: AtomicU64,
     /// Service-wide metrics: every hosted runtime's epoch phases plus
     /// the bulk-drive session/fold spans land in this one registry.
@@ -61,9 +53,10 @@ struct Inner {
 ///
 /// Where the paper's membership server owns *one* session's subscription
 /// workload, this service owns a registry of running
-/// [`SessionRuntime`]s, sharded by session-id hash. The service is
-/// cheaply cloneable (it is an `Arc` handle) and every method takes
-/// `&self`, so it can be shared across worker threads freely.
+/// [`SessionRuntime`]s — one membership server each — behind a single
+/// lock. The service is cheaply cloneable (it is an `Arc` handle) and
+/// every method takes `&self`, so it can be shared across worker threads
+/// freely.
 ///
 /// See the [crate docs](crate) for the lifecycle walkthrough.
 #[derive(Debug, Clone)]
@@ -78,22 +71,9 @@ impl Default for MembershipService {
 }
 
 impl MembershipService {
-    /// A service with the default shard count.
+    /// An empty, non-persistent service.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A service with an explicit shard count. More shards mean less
-    /// registry contention on create/close/lookup; bulk drives steal work
-    /// per **session**, so [`drive_all`](Self::drive_all) parallelism is
-    /// independent of the shard count. The `multi_session` bench sweeps
-    /// this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_count` is zero.
-    pub fn with_shards(shard_count: usize) -> Self {
-        Self::assemble(shard_count, None)
+        Self::assemble(None)
     }
 
     /// A persistent service: every admission, epoch commit, and close is
@@ -114,35 +94,11 @@ impl MembershipService {
     /// admits a universe or its replay diverges from the persisted
     /// commits.
     pub fn recover(store: SessionStore) -> Result<Self, ServiceError> {
-        Self::recover_with_shards(store, DEFAULT_SHARDS)
-    }
-
-    /// [`recover`](Self::recover) with an explicit shard count.
-    ///
-    /// # Errors
-    ///
-    /// See [`recover`](Self::recover).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_count` is zero.
-    pub fn recover_with_shards(
-        store: SessionStore,
-        shard_count: usize,
-    ) -> Result<Self, ServiceError> {
-        let sessions = store.open_sessions();
         let next_id = store.max_session_id().map_or(0, |id| id.raw() + 1);
-        let service = Self::assemble(shard_count, Some(store));
-        for id in sessions {
-            // The store is owned by the service we just assembled; the
-            // borrow is re-taken per session so shard inserts interleave.
-            let restored = service
-                .inner
-                .store
-                .as_ref()
-                .map(|s| s.restore(id))
-                .transpose()?
-                .ok_or(ServiceError::UnknownSession(id))?;
+        let service = Self::assemble(Some(store));
+        let store = service.inner.store.as_ref().expect("assembled with it");
+        for id in store.open_sessions() {
+            let restored = store.restore(id)?;
             let mut runtime = restored.fresh_runtime()?;
             runtime.attach_telemetry(&service.inner.telemetry, service.inner.recorder.clone());
             restored.replay_into(&mut runtime)?;
@@ -150,7 +106,7 @@ impl MembershipService {
                 runtime,
                 pending: Vec::new(),
             }));
-            service.shard(id).sessions.write().insert(id, slot);
+            service.inner.sessions.write().insert(id, slot);
         }
         service.inner.next_id.store(next_id, Ordering::Relaxed);
         service
@@ -161,13 +117,12 @@ impl MembershipService {
         Ok(service)
     }
 
-    /// The shared constructor behind [`with_shards`](Self::with_shards)
-    /// and [`recover_with_shards`](Self::recover_with_shards).
-    fn assemble(shard_count: usize, store: Option<SessionStore>) -> Self {
-        assert!(shard_count > 0, "a service needs at least one shard");
+    /// The shared constructor behind [`new`](Self::new) and
+    /// [`recover`](Self::recover).
+    fn assemble(store: Option<SessionStore>) -> Self {
         MembershipService {
             inner: Arc::new(Inner {
-                shards: (0..shard_count).map(|_| Shard::default()).collect(),
+                sessions: RwLock::default(),
                 next_id: AtomicU64::new(0),
                 telemetry: MetricsRegistry::new(),
                 recorder: FlightRecorder::new(),
@@ -179,11 +134,6 @@ impl MembershipService {
     /// The attached session store, if this service is persistent.
     pub fn store(&self) -> Option<&SessionStore> {
         self.inner.store.as_ref()
-    }
-
-    /// Returns the number of registry shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// The service-wide metrics registry. Every hosted runtime records
@@ -198,14 +148,6 @@ impl MembershipService {
     /// structural events from every hosted runtime).
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.inner.recorder
-    }
-
-    /// Returns the shard `session` maps to. The assignment is a pure
-    /// function of the id and the shard count (Fibonacci hashing of the
-    /// raw counter), so it is stable across calls and across service
-    /// instances with the same shard count.
-    pub fn shard_index(&self, session: SessionId) -> usize {
-        shard_of(session, self.shard_count())
     }
 
     /// Admits a new session: derives its subscription universe, assembles
@@ -230,7 +172,7 @@ impl MembershipService {
             runtime,
             pending: Vec::new(),
         }));
-        self.shard(id).sessions.write().insert(id, slot);
+        self.inner.sessions.write().insert(id, slot);
         self.inner
             .telemetry
             .gauge("service.sessions.open")
@@ -258,28 +200,17 @@ impl MembershipService {
 
     /// Returns whether `session` is currently hosted.
     pub fn contains(&self, session: SessionId) -> bool {
-        self.shard(session).sessions.read().contains_key(&session)
+        self.inner.sessions.read().contains_key(&session)
     }
 
     /// Returns the number of hosted sessions.
     pub fn session_count(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.sessions.read().len())
-            .sum()
+        self.inner.sessions.read().len()
     }
 
     /// Returns every hosted session id, ascending.
     pub fn session_ids(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self
-            .inner
-            .shards
-            .iter()
-            .flat_map(|s| s.sessions.read().keys().copied().collect::<Vec<_>>())
-            .collect();
-        ids.sort_unstable();
-        ids
+        self.inner.sessions.read().keys().copied().collect()
     }
 
     /// Queues events for `session`'s next epoch (whether driven
@@ -348,14 +279,12 @@ impl MembershipService {
     ///
     /// Sessions are handed to parallel worker threads **one at a time**
     /// from a shared work queue: a worker that drew a cheap session comes
-    /// back for the next one immediately, so one expensive session (or a
-    /// shard holding most of the tenants) never idles the rest of the
-    /// pool the way the old shard-granular split did. Worker count is
-    /// bounded by the machine's parallelism and the session count — not
-    /// the shard count. An epoch with no queued events is still driven —
-    /// a quiet epoch is a control-plane revision, keeping every session's
-    /// executors in lock-step, exactly as
-    /// [`SessionRuntime::apply_epoch`] does for a single session.
+    /// back for the next one immediately, so one expensive session never
+    /// idles the rest of the pool. Worker count is bounded by the
+    /// machine's parallelism and the session count. An epoch with no
+    /// queued events is still driven — a quiet epoch is a control-plane
+    /// revision, keeping every session's executors in lock-step, exactly
+    /// as [`SessionRuntime::apply_epoch`] does for a single session.
     pub fn drive_all(&self) -> ServiceReport {
         self.drive_all_outcomes().0
     }
@@ -395,18 +324,16 @@ impl MembershipService {
     /// work queue, returning the folded report and every session's
     /// emitted delta.
     fn drive_all_outcomes(&self) -> (ServiceReport, Vec<(SessionId, PlanDelta)>) {
-        // Snapshot every shard's slots into one flat work list. Each
-        // shard's read lock is held only for the copy, so creates and
-        // closes are never blocked behind overlay repair.
-        let mut work: Vec<(usize, SessionId, Arc<Mutex<Slot>>)> = Vec::new();
-        for (index, shard) in self.inner.shards.iter().enumerate() {
-            let sessions = shard.sessions.read();
-            work.extend(
-                sessions
-                    .iter()
-                    .map(|(id, slot)| (index, *id, Arc::clone(slot))),
-            );
-        }
+        // Snapshot the registry into a work list. The read lock is held
+        // only for the copy, so creates and closes are never blocked
+        // behind overlay repair.
+        let work: Vec<(SessionId, Arc<Mutex<Slot>>)> = self
+            .inner
+            .sessions
+            .read()
+            .iter()
+            .map(|(id, slot)| (*id, Arc::clone(slot)))
+            .collect();
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -445,12 +372,11 @@ impl MembershipService {
     /// undriven session off the shared `work` list (via `cursor`
     /// fetch-add) until the list is exhausted, and returns the partial
     /// report and emitted deltas. Stealing is per **session**, so a
-    /// skewed tenant mix — one session with a huge event backlog, or one
-    /// shard hosting most of the registry — costs the pass only that
-    /// session's own reconcile time, not a whole shard-sized stripe.
+    /// skewed tenant mix — one session with a huge event backlog — costs
+    /// the pass only that session's own reconcile time.
     fn steal_sessions(
         &self,
-        work: &[(usize, SessionId, Arc<Mutex<Slot>>)],
+        work: &[(SessionId, Arc<Mutex<Slot>>)],
         cursor: &AtomicUsize,
     ) -> (ServiceReport, Vec<(SessionId, PlanDelta)>) {
         let mut report = ServiceReport::default();
@@ -461,10 +387,7 @@ impl MembershipService {
             .histogram("service.drive.session_micros");
         loop {
             let next = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some((shard_index, id, slot)) = work.get(next) else {
-                break;
-            };
-            let Some(shard) = self.inner.shards.get(*shard_index) else {
+            let Some((id, slot)) = work.get(next) else {
                 break;
             };
             let driving = Instant::now();
@@ -472,8 +395,8 @@ impl MembershipService {
             // The snapshot's Arc keeps a slot alive past its removal; a
             // session closed between the snapshot and this lock must not
             // be driven after its final report was read. (Slot guard →
-            // shard read lock is the documented lock order.)
-            if !shard.sessions.read().contains_key(id) {
+            // registry read lock is the documented lock order.)
+            if !self.inner.sessions.read().contains_key(id) {
                 continue;
             }
             let epoch = std::mem::take(&mut slot.pending);
@@ -505,7 +428,7 @@ impl MembershipService {
     /// the log and a later [`recover`](Self::recover) will re-adopt it.
     pub fn close_session(&self, session: SessionId) -> Result<RuntimeReport, ServiceError> {
         let slot = self
-            .shard(session)
+            .inner
             .sessions
             .write()
             .remove(&session)
@@ -519,10 +442,6 @@ impl MembershipService {
             store.record_closed(session)?;
         }
         Ok(report)
-    }
-
-    fn shard(&self, session: SessionId) -> &Shard {
-        &self.inner.shards[self.shard_index(session)]
     }
 
     /// Appends one epoch commit to the attached store, if any. Callers
@@ -540,8 +459,8 @@ impl MembershipService {
         session: SessionId,
         f: impl FnOnce(&mut Slot) -> R,
     ) -> Result<R, ServiceError> {
-        let shard = self.shard(session);
-        let slot = shard
+        let slot = self
+            .inner
             .sessions
             .read()
             .get(&session)
@@ -552,7 +471,7 @@ impl MembershipService {
         // honor the close by re-checking membership under the slot lock,
         // so no operation succeeds on a session whose final report was
         // already handed out.
-        if !shard.sessions.read().contains_key(&session) {
+        if !self.inner.sessions.read().contains_key(&session) {
             return Err(ServiceError::UnknownSession(session));
         }
         Ok(f(&mut guard))
@@ -589,14 +508,6 @@ fn validate_events(
         }
     }
     Ok(())
-}
-
-/// The stable shard assignment: Fibonacci hashing of the raw id, folded
-/// onto the shard range. Distinct ids spread evenly even though they are
-/// allocated sequentially.
-fn shard_of(session: SessionId, shard_count: usize) -> usize {
-    let hashed = session.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((hashed >> 32) as usize) % shard_count
 }
 
 /// A caller's handle on one hosted session.
@@ -723,7 +634,7 @@ mod tests {
 
     #[test]
     fn create_drive_close_lifecycle() {
-        let service = MembershipService::with_shards(4);
+        let service = MembershipService::new();
         let handle = service.create_session(spec(4)).unwrap();
         assert_eq!(service.session_count(), 1);
         assert!(service.contains(handle.id()));
@@ -748,7 +659,7 @@ mod tests {
 
     #[test]
     fn session_ids_are_unique_and_ascending() {
-        let service = MembershipService::with_shards(3);
+        let service = MembershipService::new();
         let ids: Vec<SessionId> = (0..10)
             .map(|_| service.create_session(spec(4)).unwrap().id())
             .collect();
@@ -776,7 +687,7 @@ mod tests {
 
     #[test]
     fn drive_all_advances_every_session_once() {
-        let service = MembershipService::with_shards(4);
+        let service = MembershipService::new();
         let handles: Vec<SessionHandle> = (0..6)
             .map(|_| service.create_session(spec(4)).unwrap())
             .collect();
@@ -804,13 +715,12 @@ mod tests {
 
     #[test]
     fn skewed_registry_is_stolen_per_session_not_per_shard() {
-        // Worst case for the old shard-granular split: ONE shard hosts
-        // all 32 sessions, and the work is skewed — one session carries
-        // a deep event backlog while most sit idle. Per-session stealing
-        // must (a) bound workers by the session count, not the shard
-        // count of 1, (b) still drive every session exactly one epoch,
-        // and (c) account one drive span per session.
-        let service = MembershipService::with_shards(1);
+        // 32 sessions behind the one registry lock, and the work is
+        // skewed — one session carries a deep event backlog while most
+        // sit idle. Per-session stealing must (a) bound workers by the
+        // session count, (b) still drive every session exactly one
+        // epoch, and (c) account one drive span per session.
+        let service = MembershipService::new();
         let handles: Vec<SessionHandle> = (0..32)
             .map(|_| service.create_session(spec(4)).unwrap())
             .collect();
@@ -835,10 +745,9 @@ mod tests {
             assert_eq!(handle.epoch().unwrap(), 1, "every session advanced once");
             handle.validate().unwrap();
         }
-        // Session-granular accounting: one drive span per tenant even
-        // though they all live on the single shard. On a multi-core host
-        // the pool genuinely fans out past the shard count; on one core
-        // the same queue degrades to the inline path — either way the
+        // Session-granular accounting: one drive span per tenant. On a
+        // multi-core host the pool genuinely fans out; on one core the
+        // same queue degrades to the inline path — either way the
         // outcome above is identical.
         let snapshot = service.telemetry().snapshot();
         assert_eq!(
@@ -857,7 +766,7 @@ mod tests {
     fn drive_all_with_routes_every_delta_to_its_executor() {
         use teeve_pubsub::DeltaRouter;
 
-        let service = MembershipService::with_shards(4);
+        let service = MembershipService::new();
         let handles: Vec<SessionHandle> = (0..5)
             .map(|_| service.create_session(spec(4)).unwrap())
             .collect();
@@ -971,14 +880,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_are_rejected() {
-        let _ = MembershipService::with_shards(0);
-    }
-
-    #[test]
     fn bulk_drives_record_service_telemetry() {
-        let service = MembershipService::with_shards(4);
+        let service = MembershipService::new();
         let handles: Vec<SessionHandle> = (0..6)
             .map(|_| service.create_session(spec(4)).unwrap())
             .collect();

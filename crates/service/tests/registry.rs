@@ -1,7 +1,7 @@
-//! Registry-level guarantees of the sharded multi-session service:
-//! stable collision-free shard assignment, and per-session isolation
-//! under concurrent churn at the acceptance scale (≥32 sessions of 16
-//! sites).
+//! Registry-level guarantees of the multi-session service: collision-free
+//! session allocation, per-session isolation under concurrent churn at
+//! the acceptance scale (≥32 sessions of 16 sites), and create/close
+//! racing a bulk drive on the one registry lock.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -9,7 +9,7 @@ use rand_chacha::ChaCha8Rng;
 use teeve_pubsub::{subscription_universe, Session};
 use teeve_runtime::{EpochReport, RuntimeConfig, RuntimeEvent, SessionRuntime, TraceConfig};
 use teeve_service::{MembershipService, SessionSpec};
-use teeve_types::{CostMatrix, CostMs, Degree, SessionId};
+use teeve_types::{CostMatrix, CostMs, Degree};
 
 /// A session whose cost structure depends on `index`, so different
 /// sessions build genuinely different overlays and any cross-session
@@ -56,33 +56,11 @@ fn comparable(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Shard assignment is a pure function of (id, shard count): calling
-    /// it twice agrees, two service instances agree, and the result is
-    /// always a valid shard index — across the whole `SessionId` space,
-    /// not just the dense ids a service allocates.
+    /// Allocated sessions never collide: every id is distinct and stays
+    /// reachable through the registry while hosted.
     #[test]
-    fn shard_assignment_is_stable_and_in_range(
-        raw in proptest::prelude::any::<u64>(),
-        shards in 1usize..64,
-    ) {
-        let id = SessionId::new(raw);
-        let a = MembershipService::with_shards(shards);
-        let b = MembershipService::with_shards(shards);
-        let index = a.shard_index(id);
-        prop_assert!(index < shards);
-        prop_assert_eq!(index, a.shard_index(id));
-        prop_assert_eq!(index, b.shard_index(id));
-    }
-
-    /// Allocated sessions never collide: every id is distinct, maps to
-    /// exactly one shard, and stays reachable through the registry while
-    /// hosted.
-    #[test]
-    fn allocated_sessions_are_collision_free(
-        count in 1usize..24,
-        shards in 1usize..9,
-    ) {
-        let service = MembershipService::with_shards(shards);
+    fn allocated_sessions_are_collision_free(count in 1usize..24) {
+        let service = MembershipService::new();
         let mut ids = Vec::new();
         for _ in 0..count {
             ids.push(service.create_session(SessionSpec::new(session(0, 4))).unwrap().id());
@@ -116,7 +94,7 @@ fn concurrent_sessions_stay_isolated() {
     const EPOCHS: usize = 10;
     const THREADS: usize = 8;
 
-    let service = MembershipService::with_shards(8);
+    let service = MembershipService::new();
     let handles: Vec<_> = (0..SESSIONS)
         .map(|i| {
             service
@@ -208,4 +186,105 @@ fn concurrent_sessions_stay_isolated() {
         assert_eq!(handle.plan().unwrap(), *golden.plan());
         handle.validate().unwrap();
     }
+}
+
+/// Create and close race a bulk pass on the one registry lock: churner
+/// threads admit sessions and close them while another thread loops
+/// `drive_all`. Only the bulk driver ever drives an epoch here, so a
+/// closed session's final report counts exactly the passes that drove
+/// it — one epoch more on the driver's side would be a session driven
+/// after its close handed that report out.
+#[test]
+fn create_and_close_race_a_bulk_drive() {
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
+    use teeve_types::SessionId;
+
+    const STABLE: usize = 4;
+    const CHURNERS: usize = 3;
+    const ROUNDS: usize = 25;
+
+    let service = MembershipService::new();
+    let stable: Vec<_> = (0..STABLE)
+        .map(|i| {
+            service
+                .create_session(SessionSpec::new(session(i, 4)))
+                .unwrap()
+        })
+        .collect();
+    let start = Barrier::new(CHURNERS + 1);
+    let started = AtomicU64::new(0);
+    let churning = AtomicBool::new(true);
+
+    let (driven, passes, closed) = std::thread::scope(|scope| {
+        let driver = scope.spawn(|| {
+            let mut driven: BTreeMap<SessionId, usize> = BTreeMap::new();
+            let mut passes = 0;
+            start.wait();
+            while churning.load(Ordering::SeqCst) {
+                started.fetch_add(1, Ordering::SeqCst);
+                let report = service.drive_all();
+                assert_eq!(report.sessions, report.per_session.len());
+                assert!(report.sessions >= STABLE, "stable sessions never skip");
+                for id in report.per_session.keys() {
+                    *driven.entry(*id).or_default() += 1;
+                }
+                passes += 1;
+            }
+            (driven, passes)
+        });
+        let churners: Vec<_> = (0..CHURNERS)
+            .map(|c| {
+                let (service, start, started) = (&service, &start, &started);
+                scope.spawn(move || {
+                    let mut closed = Vec::new();
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let handle = service
+                            .create_session(SessionSpec::new(session(c * ROUNDS + round, 4)))
+                            .unwrap();
+                        let id = handle.id();
+                        handle
+                            .submit_requests(churn_trace(round, 4, 1).remove(0))
+                            .unwrap();
+                        // Close as the next pass starts, so the removal
+                        // lands between that pass's snapshot and its
+                        // turn at this session's slot.
+                        let seen = started.load(Ordering::SeqCst);
+                        while started.load(Ordering::SeqCst) == seen {
+                            std::thread::yield_now();
+                        }
+                        let report = handle.close().unwrap();
+                        assert!(!service.contains(id));
+                        closed.push((id, report.epochs));
+                    }
+                    closed
+                })
+            })
+            .collect();
+        let closed: Vec<_> = churners
+            .into_iter()
+            .flat_map(|c| c.join().expect("churner finished"))
+            .collect();
+        churning.store(false, Ordering::SeqCst);
+        let (driven, passes) = driver.join().expect("driver finished");
+        (driven, passes, closed)
+    });
+
+    assert_eq!(closed.len(), CHURNERS * ROUNDS);
+    for (id, epochs) in closed {
+        assert_eq!(
+            driven.get(&id).copied().unwrap_or(0),
+            epochs,
+            "{id} was driven after its close reported {epochs} epochs"
+        );
+    }
+    // The stable sessions were in every pass, exactly once each.
+    for handle in &stable {
+        assert_eq!(handle.epoch().unwrap(), passes);
+        handle.validate().unwrap();
+    }
+    assert_eq!(service.session_count(), STABLE);
+    assert_eq!(service.drive_all().sessions, STABLE);
 }

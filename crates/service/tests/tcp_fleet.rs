@@ -68,7 +68,7 @@ fn expect_batch(
 /// DeltaRouter<Coordinator>)`, per-session delivered-frame counts exact.
 #[test]
 fn socket_tcp_multi_session_fleets_behind_one_service() {
-    let service = MembershipService::with_shards(4);
+    let service = MembershipService::new();
     let config = fleet_config();
     let reactor = Reactor::new(1).expect("reactor starts");
 
@@ -196,7 +196,7 @@ fn socket_tcp_multi_session_fleets_behind_one_service() {
 /// would reject a mismatched delta anyway.
 #[test]
 fn socket_router_isolates_fleet_deltas_by_session() {
-    let service = MembershipService::with_shards(2);
+    let service = MembershipService::new();
     let config = fleet_config();
     let mut router: DeltaRouter<Coordinator> = DeltaRouter::new();
 

@@ -82,16 +82,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if r.rebuilt { "rebuild" } else { "repair" },
         );
         for event in &epoch_events {
-            if let RuntimeEvent::BandwidthSample { site, .. } = event {
-                if let Some(plan) = outcome.adaptation.get(site) {
-                    println!(
-                        "      adapt {site}: {} streams in {:.1} Mbps ({} degraded, {} dropped)",
-                        plan.decisions().len(),
-                        plan.budget_bps() as f64 / 1e6,
-                        plan.degraded_count(),
-                        plan.dropped_count(),
-                    );
-                }
+            if let RuntimeEvent::BandwidthSample { site, bits_per_sec } = event {
+                let plan = runtime.plan();
+                let streams = plan.deliveries_to(*site);
+                let degraded = streams
+                    .iter()
+                    .filter(|&&s| plan.quality_of(*site, s).is_some_and(|q| !q.is_full()))
+                    .count();
+                println!(
+                    "      sample {site}: {:.1} Mbps -> {} streams planned, {degraded} degraded \
+                     ({} degraded session-wide)",
+                    bits_per_sec / 1e6,
+                    streams.len(),
+                    r.served_degraded,
+                );
             }
         }
     }

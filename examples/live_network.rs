@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve::net::{run_cluster, ClusterConfig};
+use teeve::net::{ClusterConfig, LiveCluster};
 use teeve::prelude::*;
 use teeve::types::{Degree, DisplayId};
 
@@ -54,7 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.site_count(),
         config.frames_per_stream
     );
-    let report = run_cluster(&plan, &config)?;
+    let mut cluster = LiveCluster::launch(&plan, &config)?;
+    cluster.publish(config.frames_per_stream)?;
+    let report = cluster.shutdown();
 
     println!(
         "Delivered {} frames in {:?} (worst socket latency {:.2} ms)",

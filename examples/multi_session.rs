@@ -1,11 +1,11 @@
-//! Many concurrent 3DTI sessions behind one sharded `MembershipService`.
+//! Many concurrent 3DTI sessions behind one `MembershipService`.
 //!
 //! The paper's membership server dictates *one* session. Here a service
 //! hosts a handful of independent sessions at once: each gets its own
-//! scoped runtime in the sharded registry, churn events are queued per
-//! session, and `drive_all` advances every session one epoch with shards
-//! reconciled in parallel worker threads. Per-session and service-wide
-//! reports come out at the end.
+//! scoped runtime in the registry, churn events are queued per session,
+//! and `drive_all` advances every session one epoch, worker threads
+//! stealing one session at a time. Per-session and service-wide reports
+//! come out at the end.
 //!
 //! Run with: `cargo run --example multi_session`
 
@@ -21,8 +21,8 @@ const SITES: usize = 8;
 const EPOCHS: usize = 8;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. One service, four registry shards.
-    let service = MembershipService::with_shards(4);
+    // 1. One service, one registry.
+    let service = MembershipService::new();
 
     // 2. Admit six sessions with different cost structures; each starts
     //    with a ring of gazes so the first epoch already builds trees.
@@ -42,11 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .subscribe_viewpoint(DisplayId::new(site, 0), SiteId::new((i + 1) % SITES as u32));
         }
         let handle = service.create_session(SessionSpec::new(session))?;
-        println!(
-            "admitted {} -> shard {}",
-            handle.id(),
-            service.shard_index(handle.id())
-        );
+        println!("admitted {}", handle.id());
         handles.push(handle);
     }
 

@@ -33,7 +33,7 @@ const EPOCHS: usize = 4;
 const FRAMES_PER_EPOCH: u64 = 3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let service = MembershipService::with_shards(2);
+    let service = MembershipService::new();
     let config = ClusterConfig {
         frames_per_stream: FRAMES_PER_EPOCH,
         payload_bytes: 1024,

@@ -12,16 +12,19 @@
 //! * [`workload`] — Zipf/random subscription workload generation;
 //! * [`overlay`] — the paper's core contribution: multicast-forest
 //!   construction heuristics (LTF, STF, MCTF, RJ, Gran-LTF, CO-RJ);
-//! * [`pubsub`] — publishers, subscribers, rendezvous points, membership
-//!   server, dissemination plans and plan deltas;
-//! * [`runtime`] — the epoch-driven session orchestrator: consumes live
+//! * [`pubsub`] — publishers, subscribers, rendezvous points, the
+//!   one-shot membership server (`Session::build_plan`), dissemination
+//!   plans and plan deltas;
+//! * [`runtime`] — the live membership server, one per session: an
+//!   epoch-driven orchestrator that consumes live
 //!   FOV / membership / bandwidth events, repairs the overlay
 //!   incrementally (with full-reconstruction fall-back), and emits
 //!   [`PlanDelta`](teeve_pubsub::PlanDelta)s executors apply without
 //!   tearing down unaffected links;
-//! * [`service`] — the multi-session membership service: a sharded
-//!   registry of owned session runtimes with a full lifecycle API
-//!   (create / submit / drive / close) and a parallel bulk driver;
+//! * [`service`] — the multi-session membership service: one registry
+//!   of owned session runtimes with a full lifecycle API (create /
+//!   submit / drive / close) and a parallel, per-session work-stealing
+//!   bulk driver;
 //! * [`sim`] — discrete-event dissemination simulator, including
 //!   delta-aware mid-run replanning;
 //! * [`net`] — live TCP rendezvous points as process-separable nodes
@@ -80,8 +83,7 @@ pub mod prelude {
         MinimumCapacityTreeFirst, OptimalSolver, RandomJoin, SmallestTreeFirst, UnicastBaseline,
     };
     pub use teeve_pubsub::{
-        subscription_universe, DisseminationPlan, MembershipServer, PlanDelta, Session,
-        StreamProfile,
+        subscription_universe, DisseminationPlan, PlanDelta, Session, StreamProfile,
     };
     pub use teeve_runtime::{RuntimeConfig, SessionRuntime};
     pub use teeve_service::{MembershipService, SessionSpec};

@@ -103,7 +103,7 @@ fn session_fov_subscriptions_round_trip_through_the_plan() {
     }
 
     let (outcome, plan) = session.build_plan(&RandomJoin, &mut rng).expect("plan");
-    let problem = session.membership_server().problem().expect("problem");
+    let problem = session.problem().expect("problem");
     // Plan deliveries == accepted requests, per site.
     for site in SiteId::all(5) {
         let planned = plan.deliveries_to(site).len();
@@ -161,7 +161,7 @@ fn resubscription_and_rebuild_stay_valid() {
     // The user at site 0 turns around to watch site 3 instead.
     session.subscribe_viewpoint(DisplayId::new(SiteId::new(0), 0), SiteId::new(3));
     let (second, plan) = session.build_plan(&RandomJoin, &mut rng).expect("replan");
-    let problem = session.membership_server().problem().expect("problem");
+    let problem = session.problem().expect("problem");
     validate_forest(&problem, second.forest()).expect("rebuilt forest valid");
     assert_ne!(
         first.forest(),

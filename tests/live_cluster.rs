@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve::net::{run_cluster, ClusterConfig, LiveCluster};
+use teeve::net::{ClusterConfig, LiveCluster};
 use teeve::overlay::{OverlayManager, ProblemInstance};
 use teeve::prelude::*;
 use teeve::runtime::{RuntimeConfig, SessionRuntime, TraceConfig};
@@ -50,7 +50,11 @@ fn socket_session_plan_runs_end_to_end() {
     let (_, plan) = session.build_plan(&RandomJoin, &mut rng).expect("plan");
 
     let config = quick_config(8);
-    let report = run_cluster(&plan, &config).expect("cluster completes");
+    let mut cluster = LiveCluster::launch(&plan, &config).expect("cluster launches");
+    cluster
+        .publish(config.frames_per_stream)
+        .expect("cluster completes");
+    let report = cluster.shutdown();
     for sp in plan.site_plans() {
         for stream in sp.received_streams() {
             assert_eq!(
@@ -82,7 +86,9 @@ fn socket_simulator_and_cluster_agree_on_deliveries() {
     );
 
     let sim_report = teeve::sim::simulate(&plan, &teeve::sim::SimConfig::short());
-    let net_report = run_cluster(&plan, &quick_config(2)).expect("cluster");
+    let mut cluster = LiveCluster::launch(&plan, &quick_config(2)).expect("cluster");
+    cluster.publish(2).expect("cluster completes");
+    let net_report = cluster.shutdown();
 
     // Identical delivery relations: a (site, stream) pair received frames
     // in the simulator iff it received frames on real sockets.
