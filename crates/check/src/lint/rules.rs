@@ -27,6 +27,9 @@ pub const RULE_STD_SYNC: &str = "std-sync";
 /// No direct `SystemTime::now` outside the sanctioned clock module
 /// (`teeve_types::clock`); see the roadmap's clock-skew item.
 pub const RULE_CLOCK: &str = "clock";
+/// No byte copy on the relay path: a relayed payload is one shared
+/// allocation from the read buffer to every child's write queue.
+pub const RULE_RELAY_COPY: &str = "relay-copy";
 
 /// All rules, in the order they run and report.
 pub const ALL_RULES: &[&str] = &[
@@ -35,6 +38,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_DECODE_BOUNDS,
     RULE_STD_SYNC,
     RULE_CLOCK,
+    RULE_RELAY_COPY,
 ];
 
 /// True when `hay` contains `needle` delimited by non-identifier chars.
@@ -172,9 +176,9 @@ fn struct_fields(file: &SourceFile, name: &str) -> Vec<(String, usize)> {
     fields
 }
 
-/// Returns the clean text of the body of the first `fn <name>` in `file`
-/// (brace-matched), or `None` when absent.
-fn fn_body(file: &SourceFile, name: &str) -> Option<String> {
+/// The 0-based line range of the first `fn <name>` in `file`, from its
+/// signature to its brace-matched close, or `None` when absent.
+fn fn_lines(file: &SourceFile, name: &str) -> Option<std::ops::Range<usize>> {
     let marker = format!("fn {name}");
     let start = file.clean_lines.iter().position(|l| {
         l.find(&marker).is_some_and(|at| {
@@ -186,10 +190,7 @@ fn fn_body(file: &SourceFile, name: &str) -> Option<String> {
     })?;
     let mut depth = 0i64;
     let mut opened = false;
-    let mut body = String::new();
-    for line in &file.clean_lines[start..] {
-        body.push_str(line);
-        body.push('\n');
+    for (idx, line) in file.clean_lines.iter().enumerate().skip(start) {
         for ch in line.chars() {
             match ch {
                 '{' => {
@@ -201,10 +202,17 @@ fn fn_body(file: &SourceFile, name: &str) -> Option<String> {
             }
         }
         if opened && depth <= 0 {
-            break;
+            return Some(start..idx + 1);
         }
     }
-    Some(body)
+    Some(start..file.clean_lines.len())
+}
+
+/// Returns the clean text of the body of the first `fn <name>` in `file`
+/// (brace-matched), or `None` when absent.
+fn fn_body(file: &SourceFile, name: &str) -> Option<String> {
+    let lines = fn_lines(file, name)?;
+    Some(file.clean_lines[lines].join("\n") + "\n")
 }
 
 /// `wire-parity`: every `Message` variant appears in `fn encode`, in
@@ -404,6 +412,70 @@ pub fn clock(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
+/// The relay path, by file: the functions a relayed frame's payload
+/// passes through between the read buffer and each child's socket.
+const RELAY_PATH: &[(&str, &[&str])] = &[
+    (
+        "crates/net/src/reactor.rs",
+        &[
+            "forward_frame",
+            "queue_write",
+            "flush_conn",
+            "push_frame",
+            "write_to",
+        ],
+    ),
+    ("crates/net/src/node.rs", &["copy_for"]),
+];
+
+/// Tokens that copy bytes or re-home a `Vec<u8>` as `Bytes`.
+const COPY_TOKENS: &[&str] = &[
+    "to_vec(",
+    "extend_from_slice(",
+    "copy_from_slice(",
+    "put_slice(",
+    "Bytes::from(",
+];
+
+/// `relay-copy`: no byte copy inside the relay path's functions, so a
+/// payload copy cannot creep back onto the per-frame path. A function of
+/// the path that is no longer found is a finding too — the rule must not
+/// go quiet because its target was renamed.
+pub fn relay_copy(files: &[SourceFile]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for &(path, functions) in RELAY_PATH {
+        let Some(file) = files.iter().find(|f| f.rel == path) else {
+            continue;
+        };
+        for &name in functions {
+            let Some(lines) = fn_lines(file, name) else {
+                findings.push(Finding::new(
+                    RULE_RELAY_COPY,
+                    &file.rel,
+                    1,
+                    format!("relay-path function `fn {name}` not found; update RELAY_PATH"),
+                ));
+                continue;
+            };
+            for idx in lines {
+                let line = &file.clean_lines[idx];
+                if let Some(token) = COPY_TOKENS.iter().find(|t| line.contains(*t)) {
+                    findings.push(Finding::new(
+                        RULE_RELAY_COPY,
+                        &file.rel,
+                        idx + 1,
+                        format!(
+                            "`{token}` on the relay path (`fn {name}`): queue a view of the \
+                             payload instead of copying it"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    findings
+}
+
 /// Runs every rule over the prepared sources.
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -412,6 +484,7 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     findings.extend(decode_bounds(files));
     findings.extend(std_sync(files));
     findings.extend(clock(files));
+    findings.extend(relay_copy(files));
     findings
 }
 
@@ -553,6 +626,58 @@ mod tests {
             "fn now() { let _ = std::time::SystemTime::now(); }",
         )];
         assert_eq!(clock(&files).len(), 1);
+    }
+
+    /// A reactor/node pair holding every relay-path function, with a
+    /// copy-free body each.
+    fn relay_fixture() -> (String, String) {
+        let reactor = "fn forward_frame(p: &Bytes) {\n    queue(p.slice(..n));\n}\n\
+                       fn queue_write() {}\nfn flush_conn() {}\n\
+                       fn push_frame() {}\nfn write_to() {}\n\
+                       fn notify() {\n    let v = b.to_vec();\n}\n";
+        let node = "fn copy_for() -> [u8; 34] {\n    header\n}\n";
+        (reactor.to_owned(), node.to_owned())
+    }
+
+    fn relay_files(reactor: &str, node: &str) -> Vec<SourceFile> {
+        vec![
+            fake_file("crates/net/src/reactor.rs", reactor),
+            fake_file("crates/net/src/node.rs", node),
+        ]
+    }
+
+    #[test]
+    fn relay_copy_passes_the_copy_free_fixture() {
+        // The `to_vec` in `notify` is off the relay path.
+        let (reactor, node) = relay_fixture();
+        assert_eq!(relay_copy(&relay_files(&reactor, &node)), vec![]);
+    }
+
+    #[test]
+    fn relay_copy_flags_copies_inside_the_relay_path() {
+        let (reactor, node) = relay_fixture();
+        let reactor = reactor.replace("queue(p.slice(..n));", "queue(Bytes::from(p.to_vec()));");
+        let node = node.replace("header\n", "h.copy_from_slice(&b);\n");
+        let findings = relay_copy(&relay_files(&reactor, &node));
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert_eq!(
+            (findings[0].path.as_str(), findings[0].line),
+            ("crates/net/src/reactor.rs", 2)
+        );
+        assert!(findings[0].message.contains("fn forward_frame"));
+        assert_eq!(
+            (findings[1].path.as_str(), findings[1].line),
+            ("crates/net/src/node.rs", 2)
+        );
+    }
+
+    #[test]
+    fn relay_copy_reports_a_vanished_relay_function() {
+        let (reactor, node) = relay_fixture();
+        let reactor = reactor.replace("fn write_to() {}", "fn write_all() {}");
+        let findings = relay_copy(&relay_files(&reactor, &node));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`fn write_to` not found"));
     }
 
     #[test]

@@ -4,19 +4,18 @@
 //! An RP is a revision-tagged [`ForwardingTable`] swapped wholesale by
 //! `Reconfigure`, per-stream delivery accounting ([`NodeStats`]) reported
 //! over the wire, and one rule for sizing the copies of a frame it
-//! forwards ([`encode_frame_copies`]). The [`reactor`](crate::reactor)
+//! forwards ([`Relayed::copy_for`]). The [`reactor`](crate::reactor)
 //! owns one of each per hosted node, lock-free on the node's loop, and
 //! drives them from socket readiness; everything a coordinator does to a
 //! node arrives as a [`wire`](crate::wire) message.
 
 use std::collections::BTreeMap;
 
-use bytes::{Bytes, BytesMut};
 use teeve_pubsub::{ChildLink, SitePlan};
 use teeve_telemetry::LogHistogram;
 use teeve_types::{Quality, SiteId, StreamId};
 
-use crate::wire::{encode, Message, StreamDelivery};
+use crate::wire::{frame_header, Message, StreamDelivery, FRAME_HEADER_LEN};
 
 /// Microseconds since the Unix epoch: the capture/delivery timestamp base.
 /// A wall clock (not a process-local [`std::time::Instant`]) so frames
@@ -45,54 +44,48 @@ impl ForwardingTable {
     }
 }
 
-/// Child links and planned quality of `stream` under `plan` (the
-/// absent-entry default is leaf-at-full, matching the admission path).
-pub(crate) fn plan_entry(plan: &SitePlan, stream: StreamId) -> (Vec<ChildLink>, Quality) {
+/// Child links and planned quality of `stream` under `plan`, borrowed
+/// from the table (the absent-entry default is leaf-at-full, matching
+/// the admission path).
+pub(crate) fn plan_entry(plan: &SitePlan, stream: StreamId) -> (&[ChildLink], Quality) {
     plan.entry(stream)
-        .map(|e| (e.children.clone(), e.quality))
-        .unwrap_or((Vec::new(), Quality::FULL))
+        .map_or((&[][..], Quality::FULL), |e| (&e.children[..], e.quality))
 }
 
-/// Encodes the outgoing copies of one frame, one per child, degraded to
-/// the coarsest of the arriving tag, this RP's effective rung, and each
-/// child's planned rung — one shared encoding per distinct outgoing rung
-/// (siblings at the same rung reference the same bytes).
+/// One frame on its way through this RP: everything needed to address a
+/// copy of it to each child except the payload bytes themselves.
 ///
-/// The payload is sized down one halving per extra rung and re-tagged,
-/// so quality only ever degrades along a path and the hop *into* a
-/// degraded receiver carries exactly the degraded bytes — this is where
-/// the admission path's per-site budget relief lands on the wire.
-pub(crate) fn encode_frame_copies(
-    stream: StreamId,
-    seq: u64,
-    captured_micros: u64,
-    payload: &Bytes,
-    tagged: Quality,
-    effective: Quality,
-    children: &[ChildLink],
-) -> Vec<(SiteId, Bytes)> {
-    let mut encoded: BTreeMap<Quality, Bytes> = BTreeMap::new();
-    let mut copies = Vec::with_capacity(children.len());
-    for child in children {
-        let rung = effective.max(child.quality);
-        let buf = encoded.entry(rung).or_insert_with(|| {
-            let extra = Quality::new((rung.rung() - tagged.rung()) as u8);
-            let mut buf = BytesMut::new();
-            encode(
-                &Message::Frame {
-                    stream,
-                    quality: rung,
-                    seq,
-                    captured_micros,
-                    payload: payload.slice(0..extra.scaled_len(payload.len())),
-                },
-                &mut buf,
-            );
-            buf.freeze()
-        });
-        copies.push((child.site, buf.clone()));
+/// A child's copy is degraded to the coarsest of the arriving tag, this
+/// RP's effective rung, and the child's planned rung. Its payload is a
+/// *prefix* of the arriving one, one halving per rung beyond the tag, so
+/// every copy — at any rung — is `[its own header, payload[..n]]` over
+/// the one payload allocation that arrived, and quality only ever
+/// degrades along a path. The hop *into* a degraded receiver carries
+/// exactly the degraded bytes: this is where the admission path's
+/// per-site budget relief lands on the wire.
+pub(crate) struct Relayed {
+    pub(crate) stream: StreamId,
+    pub(crate) seq: u64,
+    pub(crate) captured_micros: u64,
+    /// Length of the payload as it arrived.
+    pub(crate) payload_len: usize,
+    /// The rung the frame arrived tagged at.
+    pub(crate) tagged: Quality,
+    /// The coarser of `tagged` and this RP's planned rung.
+    pub(crate) effective: Quality,
+}
+
+impl Relayed {
+    /// `child`'s copy: its frame header, and how many leading payload
+    /// bytes follow the header on the wire. Builds the header on the
+    /// stack; allocates and copies nothing.
+    pub(crate) fn copy_for(&self, child: &ChildLink) -> ([u8; FRAME_HEADER_LEN], usize) {
+        let rung = self.effective.max(child.quality);
+        let extra = Quality::new((rung.rung() - self.tagged.rung()) as u8);
+        let len = extra.scaled_len(self.payload_len);
+        let header = frame_header(self.stream, rung, self.seq, self.captured_micros, len);
+        (header, len)
     }
-    copies
 }
 
 /// One stream's local delivery accounting at this RP.

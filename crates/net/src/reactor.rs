@@ -23,13 +23,17 @@
 //!    decoding frames and orders incrementally out of a per-connection
 //!    read buffer and dispatching them (`LoopState::dispatch` is the
 //!    RP's whole message table).
-//! 3. **Write** — outgoing bytes accumulate in a per-connection pending
-//!    buffer; all connections dirtied during the iteration flush once at
-//!    the end (writes coalesce per wakeup), and a connection whose
-//!    kernel buffer is full keeps `WRITABLE` interest until it drains.
-//!    A connection whose backlog exceeds the cap sheds new frames: a
-//!    reader that stops reading loses its subtree's frames, never the
-//!    node's other links or its control channel.
+//! 3. **Write** — outgoing messages accumulate in a per-connection
+//!    write queue: small ones are copied into one coalescing buffer,
+//!    large payloads are queued as views of the allocation they arrived
+//!    in, so a relayed frame's payload is shared by every child's queue
+//!    and never copied on egress. All connections dirtied during the
+//!    iteration flush once at the end with one `writev` per burst
+//!    (writes coalesce per wakeup), and a connection whose kernel buffer
+//!    is full keeps `WRITABLE` interest until it drains. A connection
+//!    whose backlog exceeds the cap sheds new frames: a reader that stops
+//!    reading loses its subtree's frames, never the node's other links or
+//!    its control channel.
 //! 4. **Timers** — paced `Publish` batches are due-time entries in a
 //!    timer map, so two paced origin streams at one site interleave at
 //!    their shared cadence; each firing forwards one frame and re-arms,
@@ -42,8 +46,8 @@
 //! [`mio::Waker`]; handles push a command, wake the loop, and the loop
 //! applies it between iterations.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Read, Write};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,7 +64,7 @@ use teeve_telemetry::{
 };
 use teeve_types::{Quality, SiteId, StreamId};
 
-use crate::node::{encode_frame_copies, plan_entry, unix_micros, ForwardingTable, NodeStats};
+use crate::node::{plan_entry, unix_micros, ForwardingTable, NodeStats, Relayed};
 use crate::wire::{decode, encode, Message};
 
 /// The waker's token — far outside any slab index.
@@ -70,8 +74,18 @@ const WAKE: Token = Token(usize::MAX);
 /// A connection already holding this much backlog sheds further
 /// messages instead of growing without bound; one message over the
 /// threshold is always admitted, so the true bound is the cap plus one
-/// maximum frame.
+/// maximum frame. A payload shared with other connections' queues
+/// counts in full against each of them: the cap bounds what one reader
+/// can hold back, not the bytes actually resident.
 const MAX_PENDING_WRITE: usize = 8 * 1024 * 1024;
+
+/// Payloads shorter than this are copied into a connection's coalescing
+/// buffer (one copy, one contiguous write for many small frames);
+/// longer ones are queued by reference.
+const COALESCE_BELOW: usize = 4 * 1024;
+
+/// Most slices one vectored write gathers.
+const MAX_IOV: usize = 64;
 
 /// Read-syscall chunk size.
 const READ_CHUNK: usize = 64 * 1024;
@@ -138,11 +152,13 @@ struct Conn {
     stream: TcpStream,
     /// Owning node's slab index.
     node: usize,
-    /// Incremental decode buffer for inbound bytes.
+    /// Incremental decode buffer for inbound bytes. Decoded payloads are
+    /// views of it, so it copies its undecoded tail to a fresh
+    /// allocation when it grows while they are still queued elsewhere.
     read_buf: BytesMut,
-    /// Pending outgoing bytes (written bytes are consumed off the
-    /// front; the buffer compacts itself as its cursor advances).
-    out: BytesMut,
+    /// Pending outgoing messages; its length, shared payloads counted in
+    /// full, is what [`MAX_PENDING_WRITE`] caps.
+    out: WriteQueue,
     /// Whether `WRITABLE` interest is currently registered.
     wants_write: bool,
     /// False while an outbound dial's handshake is still in flight.
@@ -157,6 +173,153 @@ struct Conn {
     attached: Option<u64>,
     /// The child site this connection was dialed for (outbound links).
     outbound_child: Option<SiteId>,
+}
+
+/// One run of a [`WriteQueue`], in write order.
+enum Piece {
+    /// This many bytes of the queue's coalescing buffer.
+    Inline(usize),
+    /// A payload view shared with the buffer it arrived in and with
+    /// every other connection relaying it.
+    Shared(Bytes),
+}
+
+/// A connection's pending outgoing bytes: runs of coalesced small
+/// messages and frame headers, interleaved with large payloads queued by
+/// reference, drained front to back by vectored writes.
+#[derive(Default)]
+struct WriteQueue {
+    /// Every coalesced byte not yet written, in queue order (consumed off
+    /// the front; it compacts itself as its cursor advances).
+    inline: BytesMut,
+    pieces: VecDeque<Piece>,
+    /// Unwritten bytes across all pieces.
+    len: usize,
+}
+
+impl WriteQueue {
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether one more message may be queued: see [`MAX_PENDING_WRITE`].
+    fn admits(&self) -> bool {
+        self.len < MAX_PENDING_WRITE
+    }
+
+    /// Queues a control or notification message (always small): encoded
+    /// straight into the coalescing buffer.
+    fn encode(&mut self, message: &Message) {
+        let before = self.inline.len();
+        encode(message, &mut self.inline);
+        self.inlined(self.inline.len() - before);
+    }
+
+    /// Queues one frame: `header`, then the first `len` bytes of
+    /// `payload` — copied when short, otherwise a view of `payload`.
+    fn push_frame(&mut self, header: &[u8], payload: &Bytes, len: usize) {
+        // The coalescing copy: a frame header, or a payload too short
+        // to be worth a queue entry of its own.
+        // teeve-check: allow(relay-copy)
+        self.inline.extend_from_slice(header);
+        if len < COALESCE_BELOW {
+            // teeve-check: allow(relay-copy)
+            self.inline.extend_from_slice(&payload[..len]);
+            self.inlined(header.len() + len);
+        } else {
+            self.inlined(header.len());
+            self.len += len;
+            self.pieces.push_back(Piece::Shared(payload.slice(..len)));
+        }
+    }
+
+    /// Accounts `n` bytes just appended to the coalescing buffer, growing
+    /// the trailing inline run or starting one.
+    fn inlined(&mut self, n: usize) {
+        self.len += n;
+        match self.pieces.back_mut() {
+            Some(Piece::Inline(run)) => *run += n,
+            _ => self.pieces.push_back(Piece::Inline(n)),
+        }
+    }
+
+    /// One vectored write of up to [`MAX_IOV`] leading pieces; the bytes
+    /// written are consumed off the front. Returns how many were.
+    fn write_to(&mut self, out: &mut impl Write) -> io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); MAX_IOV];
+        let mut at = 0;
+        let mut count = 0;
+        for (slot, piece) in slices.iter_mut().zip(&self.pieces) {
+            *slot = IoSlice::new(match piece {
+                Piece::Inline(run) => {
+                    at += run;
+                    &self.inline[at - run..at]
+                }
+                Piece::Shared(bytes) => bytes,
+            });
+            count += 1;
+        }
+        let written = out.write_vectored(&slices[..count])?;
+        self.consume(written);
+        Ok(written)
+    }
+
+    /// Drops the first `n` queued bytes, which may end mid-piece.
+    fn consume(&mut self, mut n: usize) {
+        self.len -= n;
+        while n > 0 {
+            let Some(front) = self.pieces.front_mut() else {
+                return;
+            };
+            let left = match front {
+                Piece::Inline(run) => {
+                    let take = n.min(*run);
+                    self.inline.advance(take);
+                    *run -= take;
+                    n -= take;
+                    *run
+                }
+                Piece::Shared(bytes) => {
+                    let take = n.min(bytes.len());
+                    bytes.advance(take);
+                    n -= take;
+                    bytes.len()
+                }
+            };
+            if left == 0 {
+                self.pieces.pop_front();
+            }
+        }
+    }
+}
+
+/// Queues one message on connection `token` — `write` puts it on the
+/// connection's queue — and marks the connection for the end-of-iteration
+/// flush. A connection at its backlog cap sheds the message (see
+/// [`MAX_PENDING_WRITE`]). Takes the loop's fields apart so fan-out can
+/// queue while it borrows the node's table.
+fn queue_write(
+    entries: &mut [Option<Entry>],
+    dirty: &mut Vec<usize>,
+    dropped: &Counter,
+    token: usize,
+    write: impl FnOnce(&mut WriteQueue),
+) {
+    let Some(Some(Entry::Conn(conn))) = entries.get_mut(token) else {
+        return;
+    };
+    if conn.closing {
+        return;
+    }
+    if !conn.out.admits() {
+        dropped.incr();
+        return;
+    }
+    write(&mut conn.out);
+    if !conn.dirty {
+        conn.dirty = true;
+        dirty.push(token);
+    }
 }
 
 /// A slab slot: a node's listener or one of its connections.
@@ -543,7 +706,7 @@ impl LoopState {
                 stream,
                 node: node_idx,
                 read_buf: BytesMut::with_capacity(READ_CHUNK),
-                out: BytesMut::new(),
+                out: WriteQueue::default(),
                 wants_write: !connected,
                 connected,
                 closing: false,
@@ -815,9 +978,11 @@ impl LoopState {
     // ---- protocol actions -------------------------------------------
 
     /// Forwards one frame — arriving at `tagged` quality — to this RP's
-    /// planned children for `stream`, each copy sized by
-    /// [`encode_frame_copies`]. Returns the effective rung this RP
-    /// itself delivers at (tag vs own plan), which its stats record.
+    /// planned children for `stream`, each copy addressed by
+    /// [`Relayed::copy_for`]: every child's queue gets its own header and
+    /// a view of `payload`, never a copy of it. Returns the effective
+    /// rung this RP itself delivers at (tag vs own plan), which its stats
+    /// record.
     fn forward_frame(
         &mut self,
         node_idx: usize,
@@ -827,32 +992,34 @@ impl LoopState {
         payload: &Bytes,
         tagged: Quality,
     ) -> Quality {
-        let (children, planned) = match self.node_ref(node_idx) {
-            Some(node) => plan_entry(&node.table.plan, stream),
-            None => return tagged,
+        let LoopState {
+            nodes,
+            entries,
+            dirty,
+            metrics,
+            ..
+        } = self;
+        let Some(node) = nodes.get(node_idx).and_then(Option::as_ref) else {
+            return tagged;
         };
-        let effective = tagged.max(planned);
-        if children.is_empty() {
-            return effective;
-        }
-        let copies = encode_frame_copies(
+        let (children, planned) = plan_entry(&node.table.plan, stream);
+        let frame = Relayed {
             stream,
             seq,
             captured_micros,
-            payload,
+            payload_len: payload.len(),
             tagged,
-            effective,
-            &children,
-        );
-        for (site, bytes) in copies {
-            let target = self
-                .node_ref(node_idx)
-                .and_then(|n| n.outbound.get(&site).copied());
-            if let Some(conn_token) = target {
-                self.queue_write(conn_token, bytes);
+            effective: tagged.max(planned),
+        };
+        for child in children {
+            if let Some(&token) = node.outbound.get(&child.site) {
+                let (header, len) = frame.copy_for(child);
+                queue_write(entries, dirty, &metrics.dropped_writes, token, |out| {
+                    out.push_frame(&header, payload, len);
+                });
             }
         }
-        effective
+        frame.effective
     }
 
     /// Cascades `stream`'s `End` marker to its children: the graceful
@@ -860,28 +1027,35 @@ impl LoopState {
     /// stream (they may carry others, or pick new ones up at the next
     /// reconfiguration).
     fn end_stream(&mut self, node_idx: usize, stream: StreamId) {
-        let children: Vec<SiteId> = match self.node_ref(node_idx) {
-            Some(node) => plan_entry(&node.table.plan, stream)
-                .0
-                .into_iter()
-                .map(|c| c.site)
-                .collect(),
-            None => return,
-        };
-        if children.is_empty() {
+        let LoopState {
+            nodes,
+            entries,
+            dirty,
+            metrics,
+            ..
+        } = self;
+        let Some(node) = nodes.get(node_idx).and_then(Option::as_ref) else {
             return;
-        }
-        let mut buf = BytesMut::new();
-        encode(&Message::End { stream }, &mut buf);
-        let bytes = buf.freeze();
-        for child in children {
-            let target = self
-                .node_ref(node_idx)
-                .and_then(|n| n.outbound.get(&child).copied());
-            if let Some(conn_token) = target {
-                self.queue_write(conn_token, bytes.clone());
+        };
+        let end = Message::End { stream };
+        for child in plan_entry(&node.table.plan, stream).0 {
+            if let Some(&token) = node.outbound.get(&child.site) {
+                queue_write(entries, dirty, &metrics.dropped_writes, token, |out| {
+                    out.encode(&end);
+                });
             }
         }
+    }
+
+    /// Queues `message` on connection `token` (see [`queue_write`]).
+    fn send(&mut self, token: usize, message: &Message) {
+        queue_write(
+            &mut self.entries,
+            &mut self.dirty,
+            &self.metrics.dropped_writes,
+            token,
+            |out| out.encode(message),
+        );
     }
 
     /// Best-effort control-channel send (a detached coordinator drops
@@ -891,9 +1065,7 @@ impl LoopState {
             .node_ref(node_idx)
             .and_then(|n| n.control.map(|(_, conn_token)| conn_token));
         if let Some(conn_token) = target {
-            let mut buf = BytesMut::new();
-            encode(message, &mut buf);
-            self.queue_write(conn_token, buf.freeze());
+            self.send(conn_token, message);
         }
     }
 
@@ -912,9 +1084,7 @@ impl LoopState {
         let Some(token) = self.add_conn(stream, node_idx, false, Some(child)) else {
             return;
         };
-        let mut buf = BytesMut::new();
-        encode(&Message::Hello { site }, &mut buf);
-        self.queue_write(token, buf.freeze());
+        self.send(token, &Message::Hello { site });
         let replaced = self
             .node_mut(node_idx)
             .and_then(|n| n.outbound.insert(child, token));
@@ -1049,30 +1219,6 @@ impl LoopState {
 
     // ---- write path --------------------------------------------------
 
-    /// Appends bytes to a connection's pending buffer and marks it for
-    /// the end-of-iteration flush. A connection at its backlog cap
-    /// sheds the message (see [`MAX_PENDING_WRITE`]).
-    fn queue_write(&mut self, token: usize, bytes: Bytes) {
-        let mut newly_dirty = false;
-        if let Some(Entry::Conn(conn)) = self.entries.get_mut(token).and_then(Option::as_mut) {
-            if conn.closing {
-                return;
-            }
-            if conn.out.len() >= MAX_PENDING_WRITE {
-                self.metrics.dropped_writes.incr();
-                return;
-            }
-            conn.out.extend_from_slice(&bytes);
-            if !conn.dirty {
-                conn.dirty = true;
-                newly_dirty = true;
-            }
-        }
-        if newly_dirty {
-            self.dirty.push(token);
-        }
-    }
-
     /// Flushes every connection dirtied this iteration — one write
     /// burst per wakeup per connection.
     fn flush_dirty(&mut self) {
@@ -1137,12 +1283,12 @@ impl LoopState {
             }
             let mut dead = false;
             while !conn.out.is_empty() {
-                match conn.stream.write(&conn.out[..]) {
+                match conn.out.write_to(&mut conn.stream) {
                     Ok(0) => {
                         dead = true;
                         break;
                     }
-                    Ok(n) => conn.out.advance(n),
+                    Ok(_) => {}
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
@@ -1540,6 +1686,8 @@ mod tests {
 
     use teeve_pubsub::{ChildLink, ForwardingEntry, SitePlan};
 
+    use crate::wire::{frame_header, FRAME_HEADER_LEN};
+
     fn read_next(conn: &mut std::net::TcpStream, buf: &mut BytesMut, chunk: &mut [u8]) -> Message {
         loop {
             match decode(buf).expect("valid wire traffic") {
@@ -1774,6 +1922,269 @@ mod tests {
         origin.join();
         healthy.join();
         reactor.shutdown();
+    }
+
+    /// A loop hosting one relay RP (site 0) for `stream`, fed by site 9,
+    /// with an outbound link per `(site, rung)` child. The links' far
+    /// ends are returned so they stay open.
+    fn relay_loop(
+        stream: StreamId,
+        children: &[(u32, u8)],
+    ) -> (LoopState, Vec<std::net::TcpStream>) {
+        let poll = Poll::new().expect("poll");
+        let mut state = LoopState::new(poll, LoopMetrics::new(&MetricsRegistry::new(), 1));
+        let (done, _) = mpsc::channel();
+        state.register_node(NodeSeed {
+            key: 0,
+            site: SiteId::new(0),
+            listener: std::net::TcpListener::bind("127.0.0.1:0").expect("bind"),
+            recorder: FlightRecorder::new(),
+            done,
+        });
+        let mut far_ends = Vec::new();
+        for &(site, _) in children {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
+            let near = std::net::TcpStream::connect(listener.local_addr().expect("addr"))
+                .expect("dial child");
+            far_ends.push(listener.accept().expect("accept").0);
+            let token = state
+                .add_conn(TcpStream::from_std(near), 0, true, Some(SiteId::new(site)))
+                .expect("register link");
+            let node = state.node_mut(0).expect("node");
+            node.outbound.insert(SiteId::new(site), token);
+        }
+        let Message::Reconfigure { site_plan, .. } = origin_table(stream, children) else {
+            unreachable!("origin_table builds a Reconfigure");
+        };
+        let node = state.node_mut(0).expect("node");
+        node.table.plan = site_plan;
+        node.table.plan.entries[0].parent = Some(SiteId::new(9));
+        (state, far_ends)
+    }
+
+    /// Drains a write queue without a socket.
+    fn drained(queue: &mut WriteQueue) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        while !queue.is_empty() {
+            queue.write_to(&mut bytes).expect("Vec never fails");
+        }
+        bytes
+    }
+
+    #[test]
+    fn socket_relay_queues_views_of_the_ingested_frame() {
+        let stream_id = StreamId::new(SiteId::new(9), 0);
+        let (mut state, _far_ends) = relay_loop(stream_id, &[(1, 0), (2, 0), (3, 1)]);
+
+        // Ingest a 64 KiB frame the way a socket read does: decoded out
+        // of a read buffer.
+        let full = vec![0x5A; 64 * 1024];
+        let mut read_buf = BytesMut::new();
+        encode(
+            &Message::Frame {
+                stream: stream_id,
+                quality: Quality::FULL,
+                seq: 3,
+                captured_micros: 11,
+                payload: Bytes::from(full.clone()),
+            },
+            &mut read_buf,
+        );
+        let ingested = read_buf.as_ptr_range();
+        let Ok(Some(Message::Frame { payload, .. })) = decode(&mut read_buf) else {
+            panic!("frame decodes");
+        };
+        state.forward_frame(0, stream_id, 3, 11, &payload, Quality::FULL);
+
+        for (site, rung, len) in [(1, 0, 64 * 1024), (2, 0, 64 * 1024), (3, 1, 32 * 1024)] {
+            let token = state.node_ref(0).expect("node").outbound[&SiteId::new(site)];
+            let conn = state.conn_mut(token).expect("link");
+            let shared: Vec<&Bytes> = conn
+                .out
+                .pieces
+                .iter()
+                .filter_map(|piece| match piece {
+                    Piece::Shared(bytes) => Some(bytes),
+                    Piece::Inline(_) => None,
+                })
+                .collect();
+            assert_eq!(shared.len(), 1, "child {site}: one payload view");
+            assert_eq!(shared[0].len(), len);
+            assert!(
+                ingested.contains(&shared[0].as_ptr()),
+                "child {site}: payload copied out of the ingested frame"
+            );
+            assert_eq!(shared[0].as_ptr(), payload.as_ptr(), "a prefix view");
+
+            let mut wire = BytesMut::from(&drained(&mut conn.out)[..]);
+            let Ok(Some(Message::Frame {
+                quality, payload, ..
+            })) = decode(&mut wire)
+            else {
+                panic!("child {site}: queued bytes decode to a frame");
+            };
+            assert_eq!(quality, Quality::new(rung));
+            assert_eq!(&payload[..], &full[..len]);
+        }
+    }
+
+    /// Accepts at most the next scripted byte count per call, across
+    /// however many slices it is handed.
+    struct Trickle {
+        script: std::collections::VecDeque<usize>,
+        got: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut budget = self.script.pop_front().unwrap_or(usize::MAX);
+            let mut written = 0;
+            for buf in bufs {
+                let take = budget.min(buf.len());
+                self.got.extend_from_slice(&buf[..take]);
+                budget -= take;
+                written += take;
+            }
+            Ok(written)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_vectored_writes_keep_byte_order_and_count_exactly() {
+        let stream_id = StreamId::new(SiteId::new(1), 0);
+        let big = Bytes::from((0..8192u32).map(|i| i as u8).collect::<Vec<u8>>());
+        let small = Bytes::from(vec![0xC3; 100]);
+        let header = |len| frame_header(stream_id, Quality::FULL, 0, 0, len);
+        let messages = [
+            Message::Hello {
+                site: SiteId::new(1),
+            },
+            Message::Frame {
+                stream: stream_id,
+                quality: Quality::FULL,
+                seq: 0,
+                captured_micros: 0,
+                payload: big.clone(),
+            },
+            Message::Frame {
+                stream: stream_id,
+                quality: Quality::FULL,
+                seq: 0,
+                captured_micros: 0,
+                payload: small.clone(),
+            },
+            Message::End { stream: stream_id },
+        ];
+        let mut expected = BytesMut::new();
+        for message in &messages {
+            encode(message, &mut expected);
+        }
+
+        let mut queue = WriteQueue::default();
+        queue.encode(&messages[0]);
+        queue.push_frame(&header(big.len()), &big, big.len());
+        queue.push_frame(&header(small.len()), &small, small.len());
+        queue.encode(&messages[3]);
+        // [Hello + header] [8 KiB view] [header + 100 B + End]
+        let first_run = 9 + FRAME_HEADER_LEN;
+        assert_eq!(queue.pieces.len(), 3);
+        assert_eq!(queue.len, expected.len());
+
+        // Mid-run, exactly on the run's end, mid-view, exactly on the
+        // view's end, mid-coalesced chunk, then the rest.
+        let script = [5, first_run - 5, 1000, 8192 - 1000, 50, usize::MAX];
+        let mut out = Trickle {
+            script: script.into_iter().collect(),
+            got: Vec::new(),
+        };
+        let mut written = 0;
+        while !queue.is_empty() {
+            written += queue.write_to(&mut out).expect("trickle never fails");
+            assert_eq!(
+                queue.len,
+                expected.len() - written,
+                "cap accounting drifted"
+            );
+            let queued: usize = queue
+                .pieces
+                .iter()
+                .map(|piece| match piece {
+                    Piece::Inline(run) => *run,
+                    Piece::Shared(bytes) => bytes.len(),
+                })
+                .sum();
+            assert_eq!(queued, queue.len);
+        }
+        assert_eq!(out.got, &expected[..]);
+        assert!(queue.pieces.is_empty() && queue.inline.is_empty());
+    }
+
+    #[test]
+    fn shared_payloads_count_in_full_against_each_cap() {
+        let payload = Bytes::from(vec![0u8; MAX_PENDING_WRITE]);
+        let stream_id = StreamId::new(SiteId::new(1), 0);
+        let len = MAX_PENDING_WRITE - FRAME_HEADER_LEN - 1;
+        let header = frame_header(stream_id, Quality::FULL, 0, 0, len);
+        let (mut a, mut b) = (WriteQueue::default(), WriteQueue::default());
+        for queue in [&mut a, &mut b] {
+            assert!(queue.admits());
+            queue.push_frame(&header, &payload, len);
+            // One byte under the cap: one more message is admitted, and
+            // crosses it.
+            assert_eq!(queue.len, MAX_PENDING_WRITE - 1);
+            assert!(queue.admits());
+            queue.encode(&Message::End { stream: stream_id });
+            assert!(!queue.admits());
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever the arriving tag, this RP's rung, the child's rung
+        /// and the payload size, the pieces queued for a child are
+        /// byte-for-byte the encoding of the degraded frame.
+        #[test]
+        fn queued_copy_is_the_encoded_degraded_frame(
+            rungs in (0u8..4, 0u8..4, 0u8..4),
+            payload_len in 0usize..20_000,
+        ) {
+            let (tag, planned, child_rung) = rungs;
+            let payload = Bytes::from((0..payload_len).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+            let (tagged, stream) = (Quality::new(tag), StreamId::new(SiteId::new(2), 1));
+            let frame = Relayed {
+                stream,
+                seq: 77,
+                captured_micros: 5,
+                payload_len,
+                tagged,
+                effective: tagged.max(Quality::new(planned)),
+            };
+            let child = ChildLink { site: SiteId::new(4), quality: Quality::new(child_rung) };
+            let (header, len) = frame.copy_for(&child);
+            let mut queue = WriteQueue::default();
+            queue.push_frame(&header, &payload, len);
+
+            let rung = tag.max(planned).max(child_rung);
+            let mut expected = BytesMut::new();
+            encode(
+                &Message::Frame {
+                    stream,
+                    quality: Quality::new(rung),
+                    seq: 77,
+                    captured_micros: 5,
+                    payload: payload.slice(..Quality::new(rung - tag).scaled_len(payload_len)),
+                },
+                &mut expected,
+            );
+            proptest::prop_assert_eq!(drained(&mut queue), expected.to_vec());
+        }
     }
 
     #[test]

@@ -53,6 +53,10 @@ const TAG_SHUTDOWN: u8 = 16;
 const TAG_RESYNC_QUERY: u8 = 17;
 const TAG_RESYNC_REPLY: u8 = 18;
 
+/// Encoded size of a `Frame` up to its payload: length prefix, tag,
+/// stream (origin + local), rung, seq, capture time, payload length.
+pub(crate) const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 4 + 1 + 8 + 8 + 4;
+
 /// One stream's delivery counters at one RP, as carried by
 /// [`Message::StatsReport`]. The reporting RP is identified by the control
 /// channel the report arrives on, so entries only name the stream.
@@ -251,6 +255,12 @@ pub enum WireError {
     /// An `OpenLink` carried a byte sequence that does not parse as a
     /// socket address.
     BadAddress,
+    /// The length prefix overstated the message: bytes were left in the
+    /// body after its last field.
+    TrailingBytes {
+        /// How many bytes were left over.
+        extra: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -262,6 +272,9 @@ impl std::fmt::Display for WireError {
             WireError::UnknownTag { tag } => write!(f, "unknown message tag {tag}"),
             WireError::Truncated => write!(f, "message body truncated"),
             WireError::BadAddress => write!(f, "unparseable socket address"),
+            WireError::TrailingBytes { extra } => {
+                write!(f, "{extra} bytes left after the message body")
+            }
         }
     }
 }
@@ -283,15 +296,13 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             captured_micros,
             payload,
         } => {
-            let body = 1 + 4 + 4 + 1 + 8 + 8 + 4 + payload.len();
-            dst.put_u32_le(body as u32);
-            dst.put_u8(TAG_FRAME);
-            dst.put_u32_le(stream.origin().index() as u32);
-            dst.put_u32_le(stream.local_index());
-            dst.put_u8(quality.rung() as u8);
-            dst.put_u64_le(*seq);
-            dst.put_u64_le(*captured_micros);
-            dst.put_u32_le(payload.len() as u32);
+            dst.put_slice(&frame_header(
+                *stream,
+                *quality,
+                *seq,
+                *captured_micros,
+                payload.len(),
+            ));
             dst.put_slice(payload);
         }
         Message::End { stream } => {
@@ -428,6 +439,36 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
     }
 }
 
+/// The encoding of a `Frame` carrying a `payload_len`-byte payload, up
+/// to the payload itself: the payload's bytes follow it on the wire. A
+/// relay sends `[frame_header(..), payload]` without joining the two.
+pub(crate) fn frame_header(
+    stream: StreamId,
+    quality: Quality,
+    seq: u64,
+    captured_micros: u64,
+    payload_len: usize,
+) -> [u8; FRAME_HEADER_LEN] {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    let body = (FRAME_HEADER_LEN - 4 + payload_len) as u32;
+    let fields: [&[u8]; 8] = [
+        &body.to_le_bytes(),
+        &[TAG_FRAME],
+        &(stream.origin().index() as u32).to_le_bytes(),
+        &stream.local_index().to_le_bytes(),
+        &[quality.rung() as u8],
+        &seq.to_le_bytes(),
+        &captured_micros.to_le_bytes(),
+        &(payload_len as u32).to_le_bytes(),
+    ];
+    let mut at = 0;
+    for field in fields {
+        header[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    header
+}
+
 /// Encoded size of one [`StreamDelivery`] entry: the fixed counters,
 /// the histogram's sum/min/max sidecar, and its sparse bucket pairs —
 /// entries are variable-width, so the decoder bounds-checks per entry.
@@ -524,12 +565,15 @@ fn decode_site_plan(body: &mut BytesMut) -> Result<SitePlan, WireError> {
 /// Attempts to decode one complete message from the front of `src`.
 ///
 /// Returns `Ok(None)` when more bytes are needed; consumed bytes are
-/// removed from `src` only when a full message was decoded.
+/// removed from `src` only when a full message was decoded. A decoded
+/// `Frame`'s payload is a view of `src`'s allocation, not a copy, so a
+/// frame of any size decodes in time proportional to its header.
 ///
 /// # Errors
 ///
-/// Returns an error on oversized lengths, unknown tags, or truncated
-/// bodies (the connection should then be dropped).
+/// Returns an error on oversized lengths, unknown tags, truncated bodies,
+/// or bodies longer than their fields (the connection should then be
+/// dropped).
 pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
     if src.len() < 4 {
         return Ok(None);
@@ -547,13 +591,13 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
         return Err(WireError::Truncated);
     }
     let tag = body.get_u8();
-    match tag {
+    let message = match tag {
         TAG_HELLO => {
             if body.len() < 4 {
                 return Err(WireError::Truncated);
             }
             let site = SiteId::new(body.get_u32_le());
-            Ok(Some(Message::Hello { site }))
+            Message::Hello { site }
         }
         TAG_FRAME => {
             if body.len() < 4 + 4 + 1 + 8 + 8 + 4 {
@@ -569,13 +613,13 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
                 return Err(WireError::Truncated);
             }
             let payload = body.split_to(payload_len).freeze();
-            Ok(Some(Message::Frame {
+            Message::Frame {
                 stream: StreamId::new(origin, local),
                 quality,
                 seq,
                 captured_micros,
                 payload,
-            }))
+            }
         }
         TAG_RECONFIGURE => {
             if body.len() < 8 {
@@ -583,18 +627,18 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
             let revision = body.get_u64_le();
             let site_plan = decode_site_plan(&mut body)?;
-            Ok(Some(Message::Reconfigure {
+            Message::Reconfigure {
                 revision,
                 site_plan,
-            }))
+            }
         }
         TAG_ACK => {
             if body.len() < 8 {
                 return Err(WireError::Truncated);
             }
-            Ok(Some(Message::Ack {
+            Message::Ack {
                 revision: body.get_u64_le(),
-            }))
+            }
         }
         TAG_END => {
             if body.len() < 8 {
@@ -602,11 +646,11 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
             let origin = SiteId::new(body.get_u32_le());
             let local = body.get_u32_le();
-            Ok(Some(Message::End {
+            Message::End {
                 stream: StreamId::new(origin, local),
-            }))
+            }
         }
-        TAG_ATTACH => Ok(Some(Message::Attach)),
+        TAG_ATTACH => Message::Attach,
         TAG_OPEN_LINK => {
             if body.len() < 4 + 4 {
                 return Err(WireError::Truncated);
@@ -621,31 +665,31 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
                 .ok()
                 .and_then(|s| s.parse().ok())
                 .ok_or(WireError::BadAddress)?;
-            Ok(Some(Message::OpenLink { child, addr }))
+            Message::OpenLink { child, addr }
         }
         TAG_CLOSE_LINK => {
             if body.len() < 4 {
                 return Err(WireError::Truncated);
             }
-            Ok(Some(Message::CloseLink {
+            Message::CloseLink {
                 child: SiteId::new(body.get_u32_le()),
-            }))
+            }
         }
         TAG_LINK_UP => {
             if body.len() < 4 {
                 return Err(WireError::Truncated);
             }
-            Ok(Some(Message::LinkUp {
+            Message::LinkUp {
                 peer: SiteId::new(body.get_u32_le()),
-            }))
+            }
         }
         TAG_LINK_DOWN => {
             if body.len() < 4 {
                 return Err(WireError::Truncated);
             }
-            Ok(Some(Message::LinkDown {
+            Message::LinkDown {
                 peer: SiteId::new(body.get_u32_le()),
-            }))
+            }
         }
         TAG_PUBLISH => {
             if body.len() < 4 + 4 + 8 + 8 + 4 + 8 {
@@ -653,13 +697,13 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
             let origin = SiteId::new(body.get_u32_le());
             let local = body.get_u32_le();
-            Ok(Some(Message::Publish {
+            Message::Publish {
                 stream: StreamId::new(origin, local),
                 base_seq: body.get_u64_le(),
                 frames: body.get_u64_le(),
                 payload_bytes: body.get_u32_le(),
                 interval_micros: body.get_u64_le(),
-            }))
+            }
         }
         TAG_BATCH_DONE => {
             if body.len() < 4 + 4 + 8 {
@@ -667,18 +711,18 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
             let origin = SiteId::new(body.get_u32_le());
             let local = body.get_u32_le();
-            Ok(Some(Message::BatchDone {
+            Message::BatchDone {
                 stream: StreamId::new(origin, local),
                 next_seq: body.get_u64_le(),
-            }))
+            }
         }
         TAG_STATS_REQUEST => {
             if body.len() < 8 {
                 return Err(WireError::Truncated);
             }
-            Ok(Some(Message::StatsRequest {
+            Message::StatsRequest {
                 probe: body.get_u64_le(),
-            }))
+            }
         }
         TAG_STATS_REPORT => {
             if body.len() < 8 + 8 + 8 + 4 {
@@ -723,20 +767,20 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
                     latency,
                 });
             }
-            Ok(Some(Message::StatsReport {
+            Message::StatsReport {
                 probe,
                 total,
                 max_latency_micros,
                 streams,
-            }))
+            }
         }
         TAG_RESYNC_QUERY => {
             if body.len() < 8 {
                 return Err(WireError::Truncated);
             }
-            Ok(Some(Message::ResyncQuery {
+            Message::ResyncQuery {
                 probe: body.get_u64_le(),
-            }))
+            }
         }
         TAG_RESYNC_REPLY => {
             if body.len() < 8 + 8 + 4 {
@@ -754,15 +798,22 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             for _ in 0..count {
                 inbound.push(SiteId::new(body.get_u32_le()));
             }
-            Ok(Some(Message::ResyncReply {
+            Message::ResyncReply {
                 probe,
                 revision,
                 inbound,
-            }))
+            }
         }
-        TAG_SHUTDOWN => Ok(Some(Message::Shutdown)),
-        other => Err(WireError::UnknownTag { tag: other }),
+        TAG_SHUTDOWN => Message::Shutdown,
+        other => return Err(WireError::UnknownTag { tag: other }),
+    };
+    // Every field is read: whatever remains was padding the length
+    // prefix claimed. (A `Frame`'s payload is therefore exactly the
+    // body's tail.)
+    if !body.is_empty() {
+        return Err(WireError::TrailingBytes { extra: body.len() });
     }
+    Ok(Some(message))
 }
 
 #[cfg(test)]
@@ -886,6 +937,55 @@ mod tests {
             captured_micros: 123_456_789,
             payload: Bytes::from_static(b"synthetic 3d points"),
         });
+    }
+
+    #[test]
+    fn frame_header_is_the_encoding_up_to_the_payload() {
+        let payload = Bytes::from_static(b"synthetic 3d points");
+        let (stream, quality) = (StreamId::new(SiteId::new(2), 5), Quality::new(1));
+        let mut buf = BytesMut::new();
+        encode(
+            &Message::Frame {
+                stream,
+                quality,
+                seq: 42,
+                captured_micros: 7,
+                payload: payload.clone(),
+            },
+            &mut buf,
+        );
+        let header = frame_header(stream, quality, 42, 7, payload.len());
+        assert_eq!(&buf[..FRAME_HEADER_LEN], &header[..]);
+        assert_eq!(&buf[FRAME_HEADER_LEN..], &payload[..]);
+    }
+
+    #[test]
+    fn decoded_frame_payload_is_a_view_of_the_read_buffer() {
+        let mut buf = BytesMut::new();
+        encode(
+            &Message::Frame {
+                stream: StreamId::new(SiteId::new(0), 0),
+                quality: Quality::FULL,
+                seq: 0,
+                captured_micros: 0,
+                payload: Bytes::from(vec![0x3D; 4096]),
+            },
+            &mut buf,
+        );
+        let payload_at = buf[FRAME_HEADER_LEN..].as_ptr();
+        let Ok(Some(Message::Frame { payload, .. })) = decode(&mut buf) else {
+            panic!("frame decodes");
+        };
+        assert_eq!(payload.as_ptr(), payload_at, "payload was copied");
+    }
+
+    #[test]
+    fn padded_attach_is_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(3);
+        buf.put_u8(TAG_ATTACH);
+        buf.put_slice(&[0, 0]);
+        assert_eq!(decode(&mut buf), Err(WireError::TrailingBytes { extra: 2 }));
     }
 
     #[test]

@@ -212,6 +212,21 @@ proptest! {
         );
     }
 
+    /// A length prefix overstating the body (padding after the last
+    /// field) is rejected with the exact surplus, never silently
+    /// dropped: a frame's payload is then exactly its body's tail.
+    #[test]
+    fn overstated_lengths_are_rejected(message in arb_message(), extra in 1usize..64) {
+        let mut full = BytesMut::new();
+        encode(&message, &mut full);
+        let length = u32::from_le_bytes([full[0], full[1], full[2], full[3]]) as usize;
+        let mut padded = BytesMut::new();
+        padded.extend_from_slice(&((length + extra) as u32).to_le_bytes());
+        padded.extend_from_slice(&full[4..]);
+        padded.extend_from_slice(&vec![0xEE; extra]);
+        prop_assert_eq!(decode(&mut padded), Err(WireError::TrailingBytes { extra }));
+    }
+
     /// A length prefix beyond the protocol maximum is rejected before any
     /// allocation.
     #[test]
