@@ -30,11 +30,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use teeve_pubsub::{DeltaError, DisseminationPlan, PlanDelta};
+use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, PlanDelta};
 use teeve_telemetry::{FlightEventKind, FlightRecorder, Histogram, LogHistogram, MetricsRegistry};
 use teeve_types::{SiteId, StreamId};
 
-use crate::replan::link_changes_between;
 use crate::wire::{decode, encode, Message, StreamDelivery};
 
 /// Configuration of a live cluster run.
@@ -462,8 +461,9 @@ impl SiteLink {
 ///    origin RP and blocks until every planned delivery is accounted for
 ///    by stats probes;
 /// 3. [`apply_delta`](Self::apply_delta) reconfigures the running fleet:
-///    it orders exactly the connections [`link_changes`] reports as
-///    established opened, pushes `Reconfigure { revision, site_plan }` at
+///    it orders exactly the connections
+///    [`link_changes_between`](teeve_pubsub::link_changes_between) reports
+///    as established opened, pushes `Reconfigure { revision, site_plan }` at
 ///    every touched RP, collects each epoch-boundary `Ack`, then orders
 ///    exactly the `closed` connections shut — `retained` links (including
 ///    socket-free stream reroutes) are never touched;
@@ -476,7 +476,6 @@ impl SiteLink {
 /// [`publish`](Self::publish)/[`apply_delta`](Self::apply_delta) calls
 /// return [`ClusterError::Poisoned`] until the cluster is shut down.
 ///
-/// [`link_changes`]: crate::link_changes
 pub struct Coordinator {
     config: ClusterConfig,
     plan: DisseminationPlan,

@@ -23,8 +23,9 @@
 //! coordinator) that keeps the RPs up across plan revisions:
 //! each [`PlanDelta`](teeve_pubsub::PlanDelta) is pushed at the running
 //! cluster over the control plane, opening only the connections
-//! [`link_changes`] reports as established and closing only the ones
-//! whose last stream left — socket-free reroutes touch nothing. A
+//! [`link_changes_between`](teeve_pubsub::link_changes_between) reports
+//! as established and closing only the ones whose last stream left —
+//! socket-free reroutes touch nothing. A
 //! one-shot run is `launch` → `publish` → `shutdown`, which reports
 //! per-site delivery counts and latencies.
 //!
@@ -81,10 +82,8 @@ mod cluster;
 mod coordinator;
 mod node;
 mod reactor;
-mod replan;
 pub mod wire;
 
 pub use cluster::LiveCluster;
 pub use coordinator::{ClusterConfig, ClusterError, ClusterReport, Coordinator, ReconfigureReport};
 pub use reactor::{Reactor, RpNodeHandle};
-pub use replan::{link_changes, link_changes_between, LinkChanges};

@@ -16,6 +16,9 @@
 //!   `teeve-runtime`'s `SessionRuntime`, hosted by `teeve-service`;
 //! * [`DisseminationPlan`] / [`SitePlan`] / [`ForwardingEntry`] — the
 //!   forwarding state each RP executes;
+//! * [`PlanDelta`] — the entry-level change between two plan revisions,
+//!   and [`link_changes_between`] — its link view, the RP-to-RP
+//!   connections a replan opens, closes and keeps;
 //! * [`StreamProfile`] — media parameters (bit rate, frame rate) shared by
 //!   the dissemination simulator and the live network substrate.
 //!
@@ -53,6 +56,7 @@ mod delta;
 mod membership;
 mod plan;
 mod profile;
+mod replan;
 mod rp;
 mod session;
 
@@ -60,5 +64,6 @@ pub use delta::{DeltaError, DeltaRouter, DeltaSink, EntryChange, PlanDelta, Rout
 pub use membership::subscription_universe;
 pub use plan::{ChildLink, DisseminationPlan, ForwardingEntry, SitePlan};
 pub use profile::StreamProfile;
+pub use replan::{link_changes_between, LinkChanges};
 pub use rp::RendezvousPoint;
 pub use session::{Session, SessionBuilder};

@@ -1,17 +1,20 @@
-//! Link-level replanning for the live TCP cluster.
+//! The link view of a replan: which RP-to-RP connections a plan delta
+//! opens, closes and keeps.
 //!
 //! RP-to-RP TCP connections are *site*-level: one connection per directed
 //! `(parent, child)` pair carries every stream routed over that pair. A
-//! [`PlanDelta`] therefore only forces connection churn when a pair's
-//! *last* stream leaves it (close) or its *first* stream lands on it
-//! (connect); rerouting a stream between two pairs that both keep other
-//! traffic touches no socket at all. [`link_changes`] computes exactly
-//! that split, which is what a cluster applying a delta acts on.
+//! [`PlanDelta`](crate::PlanDelta) therefore only forces connection churn
+//! when a pair's *last* stream leaves it (close) or its *first* stream
+//! lands on it (connect); rerouting a stream between two pairs that both
+//! keep other traffic touches no socket at all.
+//! [`link_changes_between`] computes exactly that split, which is what a
+//! live cluster applying a delta acts on.
 
 use std::collections::BTreeSet;
 
-use teeve_pubsub::{DisseminationPlan, PlanDelta};
 use teeve_types::SiteId;
+
+use crate::DisseminationPlan;
 
 /// The site-level connection consequences of applying one plan delta.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,24 +42,9 @@ fn link_pairs(plan: &DisseminationPlan) -> BTreeSet<(SiteId, SiteId)> {
         .collect()
 }
 
-/// Computes which RP-to-RP connections `delta` establishes, closes, and
-/// retains when applied to `current`.
-///
-/// # Errors
-///
-/// Returns the delta's own application error if it does not match
-/// `current` (stale revision).
-pub fn link_changes(
-    current: &DisseminationPlan,
-    delta: &PlanDelta,
-) -> Result<LinkChanges, teeve_pubsub::DeltaError> {
-    let mut after = current.clone();
-    delta.apply(&mut after)?;
-    Ok(link_changes_between(current, &after))
-}
-
-/// [`link_changes`] over two already-materialized plan revisions, for
-/// callers that have applied the delta themselves (the live cluster
+/// Computes which RP-to-RP connections the move from plan revision
+/// `before` to `after` establishes, closes, and retains. A caller holding
+/// a delta applies it to a copy of `before` first (the live cluster
 /// computes the next plan once and reuses it as its new state).
 pub fn link_changes_between(before: &DisseminationPlan, after: &DisseminationPlan) -> LinkChanges {
     let before = link_pairs(before);
@@ -71,8 +59,8 @@ pub fn link_changes_between(before: &DisseminationPlan, after: &DisseminationPla
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamProfile;
     use teeve_overlay::{NodeCapacity, OverlayManager, ProblemInstance};
-    use teeve_pubsub::StreamProfile;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
 
     fn site(i: u32) -> SiteId {
@@ -109,8 +97,7 @@ mod tests {
         let mut m = OverlayManager::new(p.clone());
         let before = plan_of(&p, &m);
         m.subscribe(site(1), stream(0, 0)).unwrap();
-        let delta = teeve_pubsub::PlanDelta::diff(&before, &plan_of(&p, &m));
-        let changes = link_changes(&before, &delta).unwrap();
+        let changes = link_changes_between(&before, &plan_of(&p, &m));
         assert_eq!(changes.established, vec![(site(0), site(1))]);
         assert!(changes.closed.is_empty());
         assert!(changes.retained.is_empty());
@@ -123,8 +110,7 @@ mod tests {
         m.subscribe(site(1), stream(0, 0)).unwrap();
         let before = plan_of(&p, &m);
         m.subscribe(site(1), stream(0, 1)).unwrap();
-        let delta = teeve_pubsub::PlanDelta::diff(&before, &plan_of(&p, &m));
-        let changes = link_changes(&before, &delta).unwrap();
+        let changes = link_changes_between(&before, &plan_of(&p, &m));
         assert!(changes.is_socket_free(), "pair 0->1 already carries s0.0");
         assert_eq!(changes.retained, vec![(site(0), site(1))]);
     }
@@ -137,24 +123,10 @@ mod tests {
         m.subscribe(site(2), stream(0, 0)).unwrap();
         let before = plan_of(&p, &m);
         m.unsubscribe(site(2), stream(0, 0)).unwrap();
-        let delta = teeve_pubsub::PlanDelta::diff(&before, &plan_of(&p, &m));
-        let changes = link_changes(&before, &delta).unwrap();
+        let changes = link_changes_between(&before, &plan_of(&p, &m));
         assert!(changes.established.is_empty());
         // Whichever pair carried site 2's copy closes; 0->1 survives.
         assert_eq!(changes.closed.len(), 1);
         assert!(changes.retained.contains(&(site(0), site(1))));
-    }
-
-    #[test]
-    fn stale_deltas_propagate_the_error() {
-        let p = universe();
-        let mut m = OverlayManager::new(p.clone());
-        let empty = plan_of(&p, &m);
-        m.subscribe(site(1), stream(0, 0)).unwrap();
-        let one = plan_of(&p, &m);
-        m.subscribe(site(2), stream(0, 0)).unwrap();
-        let two = plan_of(&p, &m);
-        let delta = teeve_pubsub::PlanDelta::diff(&one, &two);
-        assert!(link_changes(&empty, &delta).is_err());
     }
 }

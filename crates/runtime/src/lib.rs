@@ -17,8 +17,8 @@
 //!   incremental repair, falling back to full reconstruction when a
 //!   [`FallbackPolicy`] threshold trips;
 //! * emits [`PlanDelta`]s (per-site forwarding-entry diffs) that the
-//!   discrete-event simulator (`teeve_sim::simulate_with_replans`) and
-//!   the live TCP cluster (`teeve_net::link_changes`) apply without
+//!   discrete-event simulator (`teeve_sim::simulate`) and the live TCP
+//!   cluster (via `teeve_pubsub::link_changes_between`) apply without
 //!   tearing down unaffected links;
 //! * fits each site's granted streams into its estimated bandwidth and
 //!   stamps the resulting quality rungs onto the plan — the one quality

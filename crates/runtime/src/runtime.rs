@@ -97,10 +97,10 @@ pub struct EpochOutcome {
 ///    bandwidth (degrading under pressure, promoting when it clears);
 /// 5. a new [`DisseminationPlan`] carrying those quality rungs is derived
 ///    and emitted as a [`PlanDelta`] against the previous epoch's plan, so
-///    executors (the simulator's [`simulate_with_replans`], the TCP
-///    cluster) only touch what changed.
+///    executors (the simulator's [`simulate`], the TCP cluster) only
+///    touch what changed.
 ///
-/// [`simulate_with_replans`]: https://docs.rs/teeve-sim
+/// [`simulate`]: https://docs.rs/teeve-sim
 ///
 /// # Examples
 ///

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use teeve_pubsub::{subscription_universe, DisseminationPlan, Session};
 use teeve_runtime::{FallbackPolicy, RuntimeConfig, RuntimeEvent, SessionRuntime, TraceConfig};
-use teeve_sim::{simulate_with_replans, SimConfig, SimTime};
+use teeve_sim::{simulate, FaultPlan, SimConfig, SimTime};
 use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId};
 
 const SITES: usize = 8;
@@ -172,12 +172,13 @@ fn runtime_deltas_drive_the_simulator_end_to_end() {
     assert!(!swing2.delta.is_empty());
 
     let config = SimConfig::default().with_duration(SimTime::from_millis(1200));
-    let report = simulate_with_replans(
+    let report = simulate(
         &base_plan,
         &[
             (SimTime::from_millis(400), swing1.delta),
             (SimTime::from_millis(800), swing2.delta),
         ],
+        &FaultPlan::none(),
         &config,
     );
     assert!(report.total_frames_delivered() > 0);

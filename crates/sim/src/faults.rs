@@ -3,7 +3,7 @@
 //!
 //! The paper's latency bound covers the happy path; a deployed 3DTI system
 //! also faces lossy WAN links and relay failures. [`FaultPlan`] describes
-//! what goes wrong during a run; [`simulate_with_faults`] executes it:
+//! what goes wrong during a run; [`simulate`](crate::simulate) executes it:
 //!
 //! * **link loss** — each frame crossing a link is dropped independently
 //!   with the link's loss probability (deterministic hash-based draws, so

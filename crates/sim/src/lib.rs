@@ -6,7 +6,10 @@
 //! means for actual media: cameras capture frames at the profile's rate,
 //! every planned overlay edge behaves as one reserved stream slot
 //! (serialization + FIFO queueing), links add their propagation latency,
-//! and relaying RPs add a forwarding overhead. The resulting
+//! and relaying RPs add a forwarding overhead. One run of [`simulate`]
+//! takes the initial plan, the plan deltas a session applies while frames
+//! are in flight, and a [`FaultPlan`] of link loss and RP crashes, so a
+//! relay crash healed by a replan is a single simulation. The resulting
 //! [`SimReport`] gives per-(site, stream) delivery counts, end-to-end
 //! latency statistics, and the display-side rendering budget implied by
 //! the paper's ≈10 ms/stream measurement.
@@ -17,7 +20,7 @@
 //! use rand::SeedableRng;
 //! use teeve_overlay::{ConstructionAlgorithm, ProblemInstance, RandomJoin};
 //! use teeve_pubsub::{DisseminationPlan, StreamProfile};
-//! use teeve_sim::{simulate, SimConfig};
+//! use teeve_sim::{simulate, FaultPlan, SimConfig};
 //! use teeve_types::{CostMatrix, CostMs, Degree, SiteId, StreamId};
 //!
 //! let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(6));
@@ -31,7 +34,7 @@
 //! let outcome = RandomJoin::default().construct(&problem, &mut rng);
 //! let plan = DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default());
 //!
-//! let report = simulate(&plan, &SimConfig::short());
+//! let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
 //! assert_eq!(report.delivery_ratio(), 1.0);
 //! # Ok::<(), teeve_overlay::ProblemError>(())
 //! ```
@@ -42,13 +45,11 @@
 mod config;
 mod engine;
 mod faults;
-mod replan;
 mod report;
 mod time;
 
 pub use config::SimConfig;
-pub use engine::{simulate, simulate_with_faults};
+pub use engine::simulate;
 pub use faults::{FaultImpact, FaultPlan};
-pub use replan::simulate_with_replans;
 pub use report::{SimReport, StreamStats};
 pub use time::SimTime;

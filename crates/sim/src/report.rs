@@ -55,13 +55,8 @@ pub struct SimReport {
     serialization: SimTime,
     render_ms_per_stream: u32,
     frame_interval_us: u64,
-    /// Frames captured per overlay-transiting stream.
-    frames_per_stream: BTreeMap<StreamId, u64>,
-    /// Planned (site, stream) delivery pairs.
-    expected: Vec<(SiteId, StreamId)>,
-    /// Per-frame expectation counts, used by the replanning simulation
-    /// (where the set of planned receivers changes mid-run). Empty for
-    /// static runs, which expect `expected × frames_per_stream`.
+    /// Frames each (site, stream) pair was planned to receive, counted per
+    /// capture under the plan revision current at capture time.
     expected_frames: BTreeMap<(SiteId, StreamId), u64>,
     stats: BTreeMap<(SiteId, StreamId), StreamStats>,
 }
@@ -71,42 +66,11 @@ impl SimReport {
         plan: &DisseminationPlan,
         config: &SimConfig,
         serialization: SimTime,
-        frames_per_stream: BTreeMap<StreamId, u64>,
-    ) -> Self {
-        let expected = plan
-            .site_plans()
-            .iter()
-            .flat_map(|sp| {
-                sp.received_streams()
-                    .map(move |s| (sp.site, s))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        SimReport {
-            serialization,
-            render_ms_per_stream: config.render_ms_per_stream,
-            frame_interval_us: plan.profile().frame_interval_micros(),
-            frames_per_stream,
-            expected,
-            expected_frames: BTreeMap::new(),
-            stats: BTreeMap::new(),
-        }
-    }
-
-    /// A report for a replanning run: deliveries are expected per frame
-    /// (via [`record_expected_frame`](Self::record_expected_frame)) rather
-    /// than per planned pair, since the plan changes mid-run.
-    pub(crate) fn new_dynamic(
-        plan: &DisseminationPlan,
-        config: &SimConfig,
-        serialization: SimTime,
     ) -> Self {
         SimReport {
             serialization,
             render_ms_per_stream: config.render_ms_per_stream,
             frame_interval_us: plan.profile().frame_interval_micros(),
-            frames_per_stream: BTreeMap::new(),
-            expected: Vec::new(),
             expected_frames: BTreeMap::new(),
             stats: BTreeMap::new(),
         }
@@ -118,36 +82,26 @@ impl SimReport {
         *self.expected_frames.entry((site, stream)).or_default() += 1;
     }
 
-    /// Records one captured frame of `stream` (replanning runs).
-    pub(crate) fn record_capture(&mut self, stream: StreamId) {
-        *self.frames_per_stream.entry(stream).or_default() += 1;
-    }
-
-    #[cfg(test)]
-    pub(crate) fn record_delivery(&mut self, site: SiteId, stream: StreamId, latency: SimTime) {
-        self.record_delivery_at(site, stream, latency, None);
-    }
-
-    pub(crate) fn record_delivery_at(
+    /// Records one frame delivered to `site` with end-to-end `latency`,
+    /// arriving at `arrival`.
+    pub(crate) fn record_delivery(
         &mut self,
         site: SiteId,
         stream: StreamId,
         latency: SimTime,
-        arrival: Option<SimTime>,
+        arrival: SimTime,
     ) {
         let interval = self.frame_interval_us;
         let entry = self.stats.entry((site, stream)).or_default();
         entry.frames += 1;
         entry.latency_sum_us += latency.as_micros();
         entry.latency_max = entry.latency_max.max(latency);
-        if let Some(now) = arrival {
-            if let Some(prev) = entry.last_arrival {
-                let gap = (now - prev).as_micros();
-                entry.jitter_sum_us += gap.abs_diff(interval);
-                entry.gaps += 1;
-            }
-            entry.last_arrival = Some(now);
+        if let Some(prev) = entry.last_arrival {
+            let gap = (arrival - prev).as_micros();
+            entry.jitter_sum_us += gap.abs_diff(interval);
+            entry.gaps += 1;
         }
+        entry.last_arrival = Some(arrival);
     }
 
     /// Returns the per-frame serialization time of this run's profile.
@@ -167,18 +121,11 @@ impl SimReport {
     }
 
     /// Returns delivered frames over expected frames; 1.0 when nothing was
-    /// expected. Static runs expect every planned pair to receive every
-    /// captured frame of its stream; replanning runs count expectations
-    /// per frame under the plan revision current at capture time.
+    /// expected. Each captured frame is expected at every site holding a
+    /// receiving entry for its stream under the plan revision current at
+    /// capture time.
     pub fn delivery_ratio(&self) -> f64 {
-        let expected: u64 = if self.expected_frames.is_empty() {
-            self.expected
-                .iter()
-                .map(|(_, s)| self.frames_per_stream.get(s).copied().unwrap_or(0))
-                .sum()
-        } else {
-            self.expected_frames.values().sum()
-        };
+        let expected: u64 = self.expected_frames.values().sum();
         if expected == 0 {
             1.0
         } else {
@@ -250,13 +197,16 @@ mod tests {
         StreamId::new(site(origin), q)
     }
 
+    /// Records a delivery whose arrival time the test does not inspect.
+    fn deliver(r: &mut SimReport, site: SiteId, stream: StreamId, latency: SimTime) {
+        r.record_delivery(site, stream, latency, SimTime::ZERO);
+    }
+
     fn empty_report() -> SimReport {
         SimReport {
             serialization: SimTime::from_millis(66),
             render_ms_per_stream: 10,
             frame_interval_us: 66_666,
-            frames_per_stream: BTreeMap::new(),
-            expected: Vec::new(),
             expected_frames: BTreeMap::new(),
             stats: BTreeMap::new(),
         }
@@ -265,8 +215,8 @@ mod tests {
     #[test]
     fn stats_accumulate_mean_and_max() {
         let mut r = empty_report();
-        r.record_delivery(site(1), stream(0, 0), SimTime::from_millis(10));
-        r.record_delivery(site(1), stream(0, 0), SimTime::from_millis(20));
+        deliver(&mut r, site(1), stream(0, 0), SimTime::from_millis(10));
+        deliver(&mut r, site(1), stream(0, 0), SimTime::from_millis(20));
         let s = r.stream_stats(site(1), stream(0, 0)).unwrap();
         assert_eq!(s.frames(), 2);
         assert_eq!(s.mean_latency(), SimTime::from_millis(15));
@@ -276,10 +226,10 @@ mod tests {
     #[test]
     fn delivery_ratio_counts_expected_pairs() {
         let mut r = empty_report();
-        r.frames_per_stream.insert(stream(0, 0), 10);
-        r.expected = vec![(site(1), stream(0, 0)), (site(2), stream(0, 0))];
+        r.expected_frames.insert((site(1), stream(0, 0)), 10);
+        r.expected_frames.insert((site(2), stream(0, 0)), 10);
         for _ in 0..10 {
-            r.record_delivery(site(1), stream(0, 0), SimTime::from_millis(1));
+            deliver(&mut r, site(1), stream(0, 0), SimTime::from_millis(1));
         }
         // Site 2 got nothing: half the expected frames arrived.
         assert_eq!(r.delivery_ratio(), 0.5);
@@ -290,13 +240,13 @@ mod tests {
         let mut r = empty_report();
         // 7 streams at 10 ms each = 70 ms per 66.666 ms interval: overload.
         for q in 0..7 {
-            r.record_delivery(site(0), stream(1, q), SimTime::from_millis(5));
+            deliver(&mut r, site(0), stream(1, q), SimTime::from_millis(5));
         }
         let util = r.render_utilization(site(0));
         assert!(util > 1.0, "7 streams should exceed the render budget");
         // 3 streams = 30 ms: fits.
         for q in 0..3 {
-            r.record_delivery(site(2), stream(1, q), SimTime::from_millis(5));
+            deliver(&mut r, site(2), stream(1, q), SimTime::from_millis(5));
         }
         assert!(r.render_utilization(site(2)) < 1.0);
     }
@@ -304,7 +254,7 @@ mod tests {
     #[test]
     fn worst_overlay_latency_subtracts_serialization() {
         let mut r = empty_report();
-        r.record_delivery(site(1), stream(0, 0), SimTime::from_millis(80));
+        deliver(&mut r, site(1), stream(0, 0), SimTime::from_millis(80));
         assert_eq!(r.worst_latency(), SimTime::from_millis(80));
         assert_eq!(r.worst_overlay_latency(), SimTime::from_millis(14));
     }
@@ -313,11 +263,11 @@ mod tests {
     fn steady_arrivals_have_zero_jitter() {
         let mut r = empty_report();
         for i in 0..5u64 {
-            r.record_delivery_at(
+            r.record_delivery(
                 site(1),
                 stream(0, 0),
                 SimTime::from_millis(10),
-                Some(SimTime::from_micros(i * 66_666)),
+                SimTime::from_micros(i * 66_666),
             );
         }
         let s = r.stream_stats(site(1), stream(0, 0)).unwrap();
@@ -330,11 +280,11 @@ mod tests {
         let mut r = empty_report();
         // Gaps of 66.666 ms then 133.332 ms (a dropped frame's hole).
         for at in [0u64, 66_666, 199_998] {
-            r.record_delivery_at(
+            r.record_delivery(
                 site(1),
                 stream(0, 0),
                 SimTime::from_millis(10),
-                Some(SimTime::from_micros(at)),
+                SimTime::from_micros(at),
             );
         }
         let s = r.stream_stats(site(1), stream(0, 0)).unwrap();
@@ -345,7 +295,7 @@ mod tests {
     #[test]
     fn jitter_needs_two_frames() {
         let mut r = empty_report();
-        r.record_delivery_at(site(1), stream(0, 0), SimTime::ZERO, Some(SimTime::ZERO));
+        r.record_delivery(site(1), stream(0, 0), SimTime::ZERO, SimTime::ZERO);
         assert_eq!(
             r.stream_stats(site(1), stream(0, 0)).unwrap().mean_jitter(),
             SimTime::ZERO

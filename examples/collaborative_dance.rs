@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use teeve::geometry::{FieldOfView, Vec3};
 use teeve::prelude::*;
+use teeve::sim::FaultPlan;
 use teeve::types::{Degree, DisplayId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Simulate 2 seconds of dancing.
-    let report = simulate(&plan, &SimConfig::default());
+    let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::default());
     println!(
         "Delivered {} frames, ratio {:.3}, worst end-to-end latency {}",
         report.total_frames_delivered(),

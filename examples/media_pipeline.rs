@@ -14,6 +14,7 @@ use teeve::media::{
     FRAME_WIDTH,
 };
 use teeve::prelude::*;
+use teeve::sim::FaultPlan;
 use teeve::types::DisplayId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.subscribe_viewpoint(DisplayId::new(site, 0), target);
     }
     let (outcome, plan) = session.build_plan(&RandomJoin, &mut rng)?;
-    let report = simulate(&plan, &SimConfig::short());
+    let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
     println!(
         "overlay rejection {:.3}, sim delivery {:.3}, worst latency {}",
         outcome.metrics().rejection_ratio(),

@@ -11,6 +11,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use teeve::prelude::*;
+use teeve::sim::FaultPlan;
 use teeve_types::DisplayId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Run 2 simulated seconds of 8 Mbps / 15 fps streams over the plan.
-    let report = simulate(&plan, &SimConfig::default());
+    let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::default());
     println!(
         "\nSimulation: {} frames delivered (ratio {:.3}), worst latency {}",
         report.total_frames_delivered(),

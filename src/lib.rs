@@ -14,7 +14,8 @@
 //!   construction heuristics (LTF, STF, MCTF, RJ, Gran-LTF, CO-RJ);
 //! * [`pubsub`] — publishers, subscribers, rendezvous points, the
 //!   one-shot membership server (`Session::build_plan`), dissemination
-//!   plans and plan deltas;
+//!   plans, plan deltas and their link-level analysis (which RP-to-RP
+//!   connections a delta opens, closes and keeps);
 //! * [`runtime`] — the live membership server, one per session: an
 //!   epoch-driven orchestrator that consumes live
 //!   FOV / membership / bandwidth events, repairs the overlay
@@ -25,12 +26,11 @@
 //!   of owned session runtimes with a full lifecycle API (create /
 //!   submit / drive / close) and a parallel, per-session work-stealing
 //!   bulk driver;
-//! * [`sim`] — discrete-event dissemination simulator, including
-//!   delta-aware mid-run replanning;
+//! * [`sim`] — discrete-event dissemination simulator: replans and
+//!   faults in one run;
 //! * [`net`] — live TCP rendezvous points as process-separable nodes
 //!   (`Reactor`-hosted RP fleets driven by a wire-only `Coordinator`,
-//!   with the in-process `LiveCluster` wrapper) and link-level delta
-//!   analysis;
+//!   with the in-process `LiveCluster` wrapper);
 //! * [`media`] — synthetic 3D capture and the reduction pipeline
 //!   (background subtraction, resolution reduction, compression);
 //! * [`adapt`] — multi-stream bandwidth adaptation.
@@ -87,7 +87,7 @@ pub mod prelude {
     };
     pub use teeve_runtime::{RuntimeConfig, SessionRuntime};
     pub use teeve_service::{MembershipService, SessionSpec};
-    pub use teeve_sim::{simulate, simulate_with_replans, SimConfig};
+    pub use teeve_sim::{simulate, SimConfig};
     pub use teeve_topology::{backbone, backbone_north_america, Topology};
     pub use teeve_types::{CostMatrix, CostMs, Degree, SessionId, SiteId, StreamId};
     pub use teeve_workload::{CapacityModel, PopularityModel, WorkloadConfig};

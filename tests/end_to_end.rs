@@ -8,7 +8,7 @@ use teeve::overlay::{
     MinimumCapacityTreeFirst, RandomJoin, SmallestTreeFirst,
 };
 use teeve::prelude::*;
-use teeve::sim::{simulate, SimConfig, SimTime};
+use teeve::sim::{simulate, FaultPlan, SimConfig, SimTime};
 use teeve::types::{DisplayId, SiteId};
 
 /// Every algorithm, on a realistic paper-scale instance, must produce a
@@ -62,7 +62,7 @@ fn accepted_subscriptions_are_fully_served_by_the_simulator() {
         outcome.forest(),
         StreamProfile::compressed_mbps(8),
     );
-    let report = simulate(&plan, &SimConfig::short());
+    let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
     assert_eq!(report.delivery_ratio(), 1.0, "every planned frame arrives");
 
     // The overlay portion of the worst latency is bounded by
@@ -129,7 +129,7 @@ fn whole_pipeline_is_deterministic() {
         let outcome = CorrelatedRandomJoin.construct(&problem, &mut rng);
         let plan =
             DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default());
-        let report = simulate(&plan, &SimConfig::short());
+        let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
         (
             outcome.metrics().clone(),
             report.total_frames_delivered(),
@@ -191,7 +191,7 @@ fn render_budget_tracks_delivered_streams() {
         session.subscribe_viewpoint(DisplayId::new(site, 0), target);
     }
     let (_, plan) = session.build_plan(&RandomJoin, &mut rng).expect("plan");
-    let report = simulate(&plan, &SimConfig::short());
+    let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
     for site in SiteId::all(3) {
         let streams = report.streams_rendered().get(&site).copied().unwrap_or(0);
         let expected = streams as f64 * 10.0 * 1000.0 / 66_666.0;

@@ -85,7 +85,12 @@ fn socket_simulator_and_cluster_agree_on_deliveries() {
         StreamProfile::compressed_mbps(5),
     );
 
-    let sim_report = teeve::sim::simulate(&plan, &teeve::sim::SimConfig::short());
+    let sim_report = teeve::sim::simulate(
+        &plan,
+        &[],
+        &teeve::sim::FaultPlan::none(),
+        &teeve::sim::SimConfig::short(),
+    );
     let mut cluster = LiveCluster::launch(&plan, &quick_config(2)).expect("cluster");
     cluster.publish(2).expect("cluster completes");
     let net_report = cluster.shutdown();

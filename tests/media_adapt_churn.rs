@@ -9,6 +9,7 @@ use teeve::geometry::{CyberSpace, FieldOfView, ViewSelector};
 use teeve::media::{PipelineStats, ReductionPipeline, SyntheticCapture, FRAME_FPS};
 use teeve::prelude::*;
 use teeve::runtime::{FallbackPolicy, RuntimeEvent};
+use teeve::sim::FaultPlan;
 use teeve::types::{CostMatrix, CostMs, Degree, DisplayId, SiteId, StreamId};
 
 /// Measures the pipeline on a synthetic camera and returns the provisioned
@@ -49,7 +50,7 @@ fn measured_media_rate_carries_a_session() {
     let (outcome, plan) = session.build_plan(&RandomJoin, &mut rng).expect("plan");
     assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
 
-    let report = simulate(&plan, &SimConfig::short());
+    let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
     assert_eq!(report.delivery_ratio(), 1.0);
     // Serialization rounding can make each frame a microsecond late, but
     // steady-state delivery must stay essentially jitter-free.

@@ -8,7 +8,7 @@ use teeve::overlay::{
     ProblemInstance, RandomJoin, SmallestTreeFirst,
 };
 use teeve::prelude::*;
-use teeve::sim::{simulate, SimConfig};
+use teeve::sim::{simulate, FaultPlan, SimConfig, SimTime};
 use teeve::types::{CostMatrix, CostMs, Degree, SiteId, StreamId};
 
 /// Builds an arbitrary problem instance from proptest-drawn parameters.
@@ -107,7 +107,7 @@ proptest! {
         let outcome = RandomJoin.construct(&problem, &mut rng);
         let plan = DisseminationPlan::from_forest(
             &problem, outcome.forest(), StreamProfile::default());
-        let report = simulate(&plan, &SimConfig::short());
+        let report = simulate(&plan, &[], &FaultPlan::none(), &SimConfig::short());
         prop_assert_eq!(report.delivery_ratio(), 1.0);
         // Per planned (site, stream) delivery, at least one frame and all
         // with sane latencies.
@@ -120,6 +120,88 @@ proptest! {
                 prop_assert!(stats.max_latency() >= stats.mean_latency());
             }
         }
+    }
+
+    /// Replans and faults in one run never conjure frames: under random
+    /// churn deltas, a lossy planned link and an optional crash, no (site,
+    /// stream) pair receives more frames than its stream captured, the
+    /// delivery ratio stays within [0, 1], and the run is deterministic.
+    #[test]
+    fn simulator_never_overdelivers_under_replans_and_faults(
+        n in 3usize..6,
+        capacity in 1u32..6,
+        edges in proptest::collection::vec((0u8..6, 0u8..6, 0u8..4), 1..40),
+        ops in proptest::collection::vec((proptest::bool::ANY, 0usize..64), 0..30),
+        replans in proptest::collection::vec((0u64..1000, 0usize..10), 0..4),
+        loss in (0usize..64, 0.0f64..1.0),
+        crash in (proptest::bool::ANY, 0u32..6, 0u64..1000),
+        cost_seed in 0u8..255,
+    ) {
+        use teeve::overlay::OverlayManager;
+
+        let Some(problem) = arbitrary_problem(n, capacity, 40, &edges, cost_seed) else {
+            return Ok(());
+        };
+        let requests: Vec<_> = problem
+            .requests()
+            .map(|r| (r.subscriber, r.stream))
+            .collect();
+        let mut manager = OverlayManager::new(problem.clone());
+        for &(sub, stream) in &requests {
+            let _ = manager.subscribe(sub, stream);
+        }
+        let plan_of = |manager: &OverlayManager| {
+            DisseminationPlan::from_forest(
+                &problem, &manager.forest_snapshot(), StreamProfile::default())
+        };
+        let initial = plan_of(&manager);
+
+        // Churn deltas at random sorted times, each diffed against the
+        // revision before it.
+        let mut replans = replans;
+        replans.sort_by_key(|&(at, _)| at);
+        let mut ops = ops.into_iter();
+        let mut revision = initial.clone();
+        let mut deltas = Vec::new();
+        for (at, len) in replans {
+            for (join, pick) in ops.by_ref().take(len) {
+                let Some(&(sub, stream)) = requests.get(pick % requests.len().max(1)) else {
+                    continue;
+                };
+                if join {
+                    let _ = manager.subscribe(sub, stream);
+                } else {
+                    let _ = manager.unsubscribe(sub, stream);
+                }
+            }
+            let next = plan_of(&manager);
+            deltas.push((SimTime::from_millis(at), PlanDelta::diff(&revision, &next)));
+            revision = next;
+        }
+
+        let planned: Vec<_> = initial.edges().collect();
+        let mut faults = FaultPlan::none();
+        if let Some(&(from, to, _)) = planned.get(loss.0 % planned.len().max(1)) {
+            faults = faults.with_link_loss(from, to, loss.1);
+        }
+        if crash.0 {
+            faults = faults.with_crash(SiteId::new(crash.1 % n as u32), SimTime::from_millis(crash.2));
+        }
+
+        let config = SimConfig::default().with_duration(SimTime::from_millis(1000));
+        let report = simulate(&initial, &deltas, &faults, &config);
+        let interval = StreamProfile::default().frame_interval_micros();
+        let captures = (config.duration.as_micros() - 1) / interval + 1;
+        for site in SiteId::all(n) {
+            for stream in problem.requests().map(|r| r.stream) {
+                let got = report.stream_stats(site, stream).map_or(0, |s| s.frames());
+                prop_assert!(got <= captures,
+                    "{site} got {got} frames of {stream}, which captured {captures}");
+            }
+        }
+        let ratio = report.delivery_ratio();
+        prop_assert!((0.0..=1.0).contains(&ratio), "delivery ratio {ratio}");
+        prop_assert_eq!(report, simulate(&initial, &deltas, &faults, &config));
     }
 
     /// Workload generation always produces problems the builder accepts,
@@ -220,7 +302,7 @@ proptest! {
         }
     }
 
-    /// `link_changes` partitions the site-level connection consequences
+    /// `link_changes_between` partitions the site-level connection consequences
     /// of any delta exactly: what it establishes is new, what it closes is
     /// gone, and established ∪ retained is precisely the after-state.
     #[test]
@@ -233,9 +315,8 @@ proptest! {
         cost_seed in 0u8..255,
     ) {
         use std::collections::BTreeSet;
-        use teeve::net::link_changes;
         use teeve::overlay::OverlayManager;
-        use teeve::pubsub::PlanDelta;
+        use teeve::pubsub::link_changes_between;
 
         let Some(problem) = arbitrary_problem(n, capacity, 30, &edges, cost_seed) else {
             return Ok(());
@@ -272,8 +353,9 @@ proptest! {
         let before_pairs = pairs(&before);
         let after_pairs = pairs(&after);
 
-        let delta = PlanDelta::diff(&before, &after);
-        let changes = link_changes(&before, &delta).expect("delta matches before");
+        let mut applied = before.clone();
+        PlanDelta::diff(&before, &after).apply(&mut applied).expect("delta matches before");
+        let changes = link_changes_between(&before, &applied);
         let established: BTreeSet<_> = changes.established.iter().copied().collect();
         let closed: BTreeSet<_> = changes.closed.iter().copied().collect();
         let retained: BTreeSet<_> = changes.retained.iter().copied().collect();
