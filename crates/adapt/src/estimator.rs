@@ -8,7 +8,8 @@ use serde::{Deserialize, Serialize};
 /// estimate converges towards the observed rate with smoothing factor
 /// `alpha` (higher = more reactive). This is the classic estimator used by
 /// transport-level flow coordination in tele-immersion (the paper's
-/// reference \[15\]) and the input to the adaptation controller.
+/// reference \[15\]) and the budget the runtime fits stream qualities
+/// into.
 ///
 /// # Examples
 ///

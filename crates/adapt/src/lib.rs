@@ -1,53 +1,33 @@
-//! Multi-stream bandwidth adaptation for 3D tele-immersive sessions.
+//! Bandwidth estimation for 3D tele-immersive sessions.
 //!
 //! The paper's dissemination model decides *which* streams cross the
-//! overlay; this crate decides *at what quality* each admitted stream is
-//! served when the receiving site's measured bandwidth falls short — the
-//! session-layer adaptation framework of the paper's reference \[27\]
-//! (Yang et al., NOSSDAV '06), rebuilt on the same FOV contribution
-//! scores the subscription framework produces:
+//! overlay; the session-layer adaptation of the paper's reference \[27\]
+//! (Yang et al., NOSSDAV '06) decides *at what quality* each admitted
+//! stream is served when the receiving site's measured bandwidth falls
+//! short. The degradation half is `teeve-overlay`'s `fit_qualities`,
+//! which the live runtime runs every epoch; this crate is the estimation
+//! half that feeds it:
 //!
-//! * [`BandwidthEstimator`] — EWMA throughput estimation;
-//! * [`QualityLadder`] — the discrete bit rates a stream can degrade
-//!   through;
-//! * [`AdaptationController`] — priority-based graceful degradation that
-//!   fits the stream set into a budget;
-//! * [`AdaptiveReceiver`] — the closed loop with hysteresis.
+//! * [`BandwidthEstimator`] — EWMA throughput estimation.
 //!
 //! # Examples
 //!
 //! ```
-//! use teeve_adapt::{AdaptStream, AdaptationController, QualityLadder};
-//! use teeve_types::{SiteId, StreamId};
+//! use teeve_adapt::BandwidthEstimator;
 //!
-//! // Four remote streams, scored by FOV contribution.
-//! let streams: Vec<AdaptStream> = (0..4)
-//!     .map(|q| AdaptStream {
-//!         stream: StreamId::new(SiteId::new(1), q),
-//!         score: 1.0 - 0.2 * f64::from(q),
-//!         ladder: QualityLadder::paper_default(),
-//!     })
-//!     .collect();
-//!
-//! // 18 Mbps cannot carry 4 × 8 Mbps: the weakest streams degrade first.
-//! let plan = AdaptationController::new().plan(18_000_000, &streams);
-//! assert!(plan.total_bitrate_bps() <= 18_000_000);
-//! assert_eq!(plan.decision(streams[0].stream).unwrap().level, Some(0));
+//! // A receiver reports 20 Mbps, then one congested 4 Mbps sample: the
+//! // budget it implies drops, but not all the way to the spike.
+//! let mut est = BandwidthEstimator::new(0.3);
+//! assert!(!est.is_warm());
+//! est.observe_bps(20e6);
+//! est.observe_bps(4e6);
+//! let budget = est.estimate_bps();
+//! assert!(budget < 20e6 && budget > 4e6);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
-mod driver;
 mod estimator;
 
-pub use controller::{
-    per_site_grants, AdaptStream, AdaptationController, AdaptationPlan, Decision,
-};
-pub use driver::AdaptiveReceiver;
 pub use estimator::BandwidthEstimator;
-// The quality vocabulary (rung indices, levels, ladders) lives in
-// `teeve-types` so dissemination plan entries and the wire protocol can
-// carry it too; re-exported here for the adaptation-centric callers.
-pub use teeve_types::{Quality, QualityLadder, QualityLevel};

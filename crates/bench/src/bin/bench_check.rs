@@ -8,12 +8,7 @@
 use std::process::ExitCode;
 
 /// The benches whose trajectories CI archives.
-const EXPECTED: [&str; 4] = [
-    "runtime_repair",
-    "quality_delta",
-    "coordinator_resync",
-    "fleet_scale",
-];
+const EXPECTED: [&str; 3] = ["runtime_repair", "coordinator_resync", "fleet_scale"];
 
 fn main() -> ExitCode {
     let mut failed = false;

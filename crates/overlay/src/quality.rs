@@ -31,10 +31,10 @@ pub struct QualityFit {
 }
 
 /// Fits `streams` (id, FOV contribution score) into `budget_bps` by
-/// degrading the least-scored stream one rung at a time, mirroring the
-/// adaptation controller's policy but never dropping a stream: the floor
-/// of the ladder is as far as fitting goes, and [`QualityFit::fits`]
-/// reports whether that was enough.
+/// degrading the least-scored stream one rung at a time — the priority
+/// degradation of the paper's reference \[27\] — but never dropping a
+/// stream: the floor of the ladder is as far as fitting goes, and
+/// [`QualityFit::fits`] reports whether that was enough.
 ///
 /// Ties and NaN scores order deterministically (`f64::total_cmp`, then
 /// stream id), so the same inputs always produce the same assignment.

@@ -54,37 +54,12 @@ impl FallbackPolicy {
 }
 
 /// Configuration of a [`SessionRuntime`](crate::SessionRuntime).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// When to abandon incremental repair for full reconstruction.
     pub fallback: FallbackPolicy,
     /// Attempt CO-RJ victim swapping on saturated joins.
     pub correlation_aware: bool,
-    /// EWMA smoothing factor of the per-site bandwidth estimators.
-    pub bandwidth_alpha: f64,
-    /// Contribution score assumed for subscriptions without FOV scores
-    /// (e.g. explicit stream lists), used when ranking adaptation.
-    pub default_score: f64,
-    /// Close the adaptation loop through the overlay: feed each site's
-    /// bandwidth estimate into the degrade-don't-reject admission path
-    /// (on the paper-default quality ladder), stamp every derived plan
-    /// and emitted delta with per-subscription quality, and re-fit
-    /// granted qualities to the estimate every epoch. Disabled, the
-    /// runtime behaves as before: admission is purely structural and
-    /// plans always carry full quality.
-    pub degrade_dont_reject: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            fallback: FallbackPolicy::default(),
-            correlation_aware: false,
-            bandwidth_alpha: 0.3,
-            default_score: 0.5,
-            degrade_dont_reject: true,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,13 @@ use crate::config::RuntimeConfig;
 use crate::event::RuntimeEvent;
 use crate::metrics::{EpochReport, PhaseBreakdown, RuntimeReport};
 
+/// EWMA smoothing factor of the per-site bandwidth estimators.
+const BANDWIDTH_ALPHA: f64 = 0.3;
+
+/// Contribution score assumed for a subscription no live FOV explains
+/// (e.g. an explicit stream list), used when ranking degradation.
+const DEFAULT_SCORE: f64 = 0.5;
+
 /// Pre-resolved telemetry handles the runtime records each epoch into:
 /// one histogram per phase plus the whole-epoch reconvergence, and the
 /// flight recorder for structural events (rebuild-gate trips).
@@ -208,7 +215,7 @@ impl SessionRuntime {
             manager,
             granted: vec![BTreeSet::new(); n],
             active: vec![true; n],
-            estimators: vec![BandwidthEstimator::new(config.bandwidth_alpha); n],
+            estimators: vec![BandwidthEstimator::new(BANDWIDTH_ALPHA); n],
             scores: BTreeMap::new(),
             rebuilt_for: None,
             ladder: QualityLadder::paper_default(),
@@ -543,14 +550,14 @@ impl SessionRuntime {
     }
 
     /// The strongest contribution score any of `site`'s displays currently
-    /// records for `stream`, or the configured default when no live FOV
+    /// records for `stream`, or [`DEFAULT_SCORE`] when no live FOV
     /// explains the delivery.
     fn fov_score(&self, site: SiteId, stream: StreamId) -> f64 {
         (0..self.session.rp(site).display_count())
             .filter_map(|d| self.scores.get(&(DisplayId::new(site, d), stream)))
             .copied()
             .reduce(f64::max)
-            .unwrap_or(self.config.default_score)
+            .unwrap_or(DEFAULT_SCORE)
     }
 
     /// The streams `site` should receive: its aggregated display demand,
@@ -636,12 +643,9 @@ impl SessionRuntime {
     }
 
     /// Pushes every site's current bandwidth estimate into the overlay's
-    /// rate-admission budgets (a no-op with the loop disabled). Cold
-    /// estimators leave their site unconstrained.
+    /// rate-admission budgets. Cold estimators leave their site
+    /// unconstrained.
     fn sync_budgets(&mut self) {
-        if !self.config.degrade_dont_reject {
-            return;
-        }
         for site in SiteId::all(self.session.site_count()) {
             let budget = self.budget_of(site);
             self.manager.set_rate_budget(site, budget);
@@ -649,10 +653,11 @@ impl SessionRuntime {
     }
 
     /// The bit-rate budget `site`'s warm estimator implies, or `None`
-    /// while the estimator is cold (or the loop is disabled).
+    /// while the estimator is cold.
     fn budget_of(&self, site: SiteId) -> Option<u64> {
         let estimator = &self.estimators[site.index()];
-        (self.config.degrade_dont_reject && estimator.is_warm())
+        estimator
+            .is_warm()
             .then(|| estimator.estimate_bps().max(0.0) as u64)
     }
 
@@ -674,9 +679,6 @@ impl SessionRuntime {
     /// live FOV state — into its current budget, degrading or promoting
     /// as the estimate moved.
     fn refit_qualities(&mut self) {
-        if !self.config.degrade_dont_reject {
-            return;
-        }
         for site in SiteId::all(self.session.site_count()) {
             let rescored: Vec<(StreamId, f64)> = self.granted[site.index()]
                 .iter()
@@ -696,12 +698,10 @@ impl SessionRuntime {
     }
 
     fn make_manager(universe: &Arc<ProblemInstance>, config: &RuntimeConfig) -> OverlayManager {
-        let mut manager = OverlayManager::new(Arc::clone(universe));
+        let mut manager = OverlayManager::new(Arc::clone(universe))
+            .with_rate_admission(QualityLadder::paper_default());
         if config.correlation_aware {
             manager = manager.with_correlation_swapping();
-        }
-        if config.degrade_dont_reject {
-            manager = manager.with_rate_admission(QualityLadder::paper_default());
         }
         manager
     }
@@ -744,13 +744,11 @@ impl SessionRuntime {
         // Stamp the adaptation loop's quality decisions onto the plan:
         // the delta diffed against the previous epoch then carries them
         // to every executor, socket-free when nothing structural moved.
-        if self.config.degrade_dont_reject {
-            for site in SiteId::all(self.session.site_count()) {
-                for stream in plan.deliveries_to(site) {
-                    let quality = self.manager.quality_of(site, stream);
-                    if !quality.is_full() {
-                        plan.set_quality(site, stream, quality);
-                    }
+        for site in SiteId::all(self.session.site_count()) {
+            for stream in plan.deliveries_to(site) {
+                let quality = self.manager.quality_of(site, stream);
+                if !quality.is_full() {
+                    plan.set_quality(site, stream, quality);
                 }
             }
         }
@@ -1074,35 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_loop_keeps_plans_at_full_quality() {
-        let s = session(4, 10);
-        let u = subscription_universe(&s).unwrap();
-        let mut rt = SessionRuntime::new(
-            u,
-            s,
-            RuntimeConfig {
-                degrade_dont_reject: false,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        rt.apply_epoch(&[viewpoint(0, 0, 1)]);
-        let quiet = rt.apply_epoch(&[RuntimeEvent::BandwidthSample {
-            site: site(0),
-            bits_per_sec: 6_000_000.0,
-        }]);
-        // Without the loop, bandwidth samples never move the plan.
-        assert!(quiet.delta.is_empty());
-        assert_eq!(quiet.report.served_degraded, 0);
-        assert!(quiet.report.served_full > 0);
-        assert!(rt.plan().deliveries_to(site(0)).iter().all(|&st| rt
-            .plan()
-            .quality_of(site(0), st)
-            .unwrap()
-            .is_full()));
-    }
-
-    #[test]
     fn budget_shifts_reopen_the_rebuild_gate_once() {
         // Inbound capacity 1 with two displays demanding different
         // sites: persistently infeasible, so the default policy rebuilds
@@ -1348,7 +1317,6 @@ mod tests {
                     RuntimeConfig {
                         correlation_aware,
                         fallback: FallbackPolicy::never(),
-                        ..RuntimeConfig::default()
                     },
                 )
                 .unwrap();

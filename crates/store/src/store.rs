@@ -476,3 +476,84 @@ impl RestoredSession {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use teeve_runtime::RuntimeEvent;
+    use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId};
+
+    /// A log framed by an older writer — whose runtime config still
+    /// carried `bandwidth_alpha`, `default_score` and
+    /// `degrade_dont_reject`, and whose ladder levels carried `utility` —
+    /// opens whole and replays through the restore cross-check: retired
+    /// fields are ignored, not rejected as a torn tail.
+    #[test]
+    fn logs_carrying_retired_fields_open_and_replay() {
+        let def = Session::builder(CostMatrix::from_fn(4, |i, j| {
+            CostMs::new(4 + ((i + j) % 3) as u32)
+        }))
+        .cameras_per_site(6)
+        .displays_per_site(2)
+        .symmetric_capacity(Degree::new(12))
+        .build();
+        let config = RuntimeConfig::default();
+        let id = SessionId::new(5);
+        let universe = subscription_universe(&def).expect("universe");
+        let mut runtime = SessionRuntime::new(universe, def.clone(), config)
+            .expect("runtime")
+            .with_scope(id);
+        let mut records = vec![LogRecord::Opened {
+            session: id,
+            def,
+            config,
+        }];
+        let epochs = [
+            vec![RuntimeEvent::Viewpoint {
+                display: DisplayId::new(SiteId::new(0), 0),
+                target: SiteId::new(2),
+            }],
+            vec![RuntimeEvent::BandwidthSample {
+                site: SiteId::new(0),
+                bits_per_sec: 6_000_000.0,
+            }],
+        ];
+        for events in &epochs {
+            let commit = runtime.apply_epoch(events).commit;
+            records.push(LogRecord::Commit {
+                session: id,
+                commit,
+            });
+        }
+
+        let mut log = Vec::new();
+        for record in &records {
+            let legacy = serde_json::to_string(record)
+                .expect("encode")
+                .replace(
+                    "\"correlation_aware\":false",
+                    "\"correlation_aware\":false,\"bandwidth_alpha\":0.3,\
+                     \"default_score\":0.5,\"degrade_dont_reject\":true",
+                )
+                .replace("{\"bitrate_bps\":", "{\"utility\":0.7,\"bitrate_bps\":");
+            log.extend_from_slice(&frame(legacy.as_bytes()));
+        }
+        let text = String::from_utf8_lossy(&log);
+        assert_eq!(text.matches("\"degrade_dont_reject\"").count(), 1);
+        assert_eq!(text.matches("\"utility\"").count(), 3 * epochs.len());
+
+        let path = std::env::temp_dir().join(format!(
+            "teeve-store-legacy-fields-{}.log",
+            std::process::id()
+        ));
+        std::fs::write(&path, &log).expect("write legacy log");
+        let store = SessionStore::open(&path).expect("open");
+        assert_eq!(store.recovered_records(), records.len() as u64);
+        assert_eq!(store.truncated_bytes(), 0);
+        let restored = store.restore(id).expect("restore");
+        assert_eq!(restored.config(), config);
+        let replayed = restored.replay().expect("replay cross-check");
+        assert_eq!(replayed.plan(), runtime.plan());
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -18,9 +18,8 @@
 //! * [`Degree`] — a bandwidth limit expressed in *number of streams*
 //!   (`I_i, O_i ∈ ℕ`).
 //! * [`Quality`] / [`QualityLadder`] — per-subscription quality rungs,
-//!   shared by the adaptation controller, the overlay's degrade-don't-
-//!   reject admission path, dissemination plan entries, and the wire
-//!   protocol.
+//!   shared by the overlay's degrade-don't-reject admission path and
+//!   quality fitting, dissemination plan entries, and the wire protocol.
 //! * [`clock`] — the single sanctioned wall-clock module; all absolute
 //!   timestamps in the workspace come from [`clock::unix_micros`].
 //!

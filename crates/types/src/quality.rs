@@ -1,13 +1,13 @@
 //! Quality levels: the discrete rungs a stream can be served at.
 //!
-//! The adaptation layer (`teeve-adapt`), the overlay admission path
-//! (`teeve-overlay`), dissemination plans (`teeve-pubsub`), and the wire
-//! protocol (`teeve-net`) all speak about per-subscription quality; this
-//! module is the shared vocabulary they agree on:
+//! The overlay admission path and quality fitting (`teeve-overlay`),
+//! dissemination plans (`teeve-pubsub`), and the wire protocol
+//! (`teeve-net`) all speak about per-subscription quality; this module is
+//! the shared vocabulary they agree on:
 //!
 //! * [`Quality`] — a ladder rung *index* (0 = full quality), the compact
 //!   representation plan entries and wire messages carry;
-//! * [`QualityLevel`] — one rung's media parameters (bit rate, utility);
+//! * [`QualityLevel`] — one rung's media parameters (its bit rate);
 //! * [`QualityLadder`] — the descending sequence of levels a stream can
 //!   degrade through.
 
@@ -85,12 +85,9 @@ impl std::fmt::Display for Quality {
 pub struct QualityLevel {
     /// Bit rate this level consumes.
     pub bitrate_bps: u64,
-    /// Relative visual utility in `[0, 1]` (1 = full quality).
-    pub utility: f64,
 }
 
-/// A descending ladder of quality levels for one stream, ending in an
-/// implicit "dropped" state (0 bps, 0 utility).
+/// A descending ladder of quality levels for one stream.
 ///
 /// # Examples
 ///
@@ -99,7 +96,7 @@ pub struct QualityLevel {
 ///
 /// let ladder = QualityLadder::paper_default();
 /// assert_eq!(ladder.full().bitrate_bps, 8_000_000);
-/// assert!(ladder.level(1).bitrate_bps < ladder.level(0).bitrate_bps);
+/// assert!(ladder.rate_of(Quality::new(1)) < ladder.rate_of(Quality::FULL));
 /// assert_eq!(ladder.rate_of(Quality::new(2)), 2_000_000);
 /// assert_eq!(ladder.floor(), Quality::new(2));
 /// ```
@@ -113,27 +110,23 @@ impl QualityLadder {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is empty, bit rates are not strictly
-    /// descending and positive, or utilities are not in `(0, 1]` and
-    /// non-increasing.
+    /// Panics if `levels` is empty, holds more than 256 levels (a
+    /// [`Quality`] rung is a `u8`), or bit rates are not strictly
+    /// descending and positive.
     pub fn new(levels: Vec<QualityLevel>) -> Self {
         assert!(!levels.is_empty(), "a ladder needs at least one level");
+        assert!(
+            levels.len() <= usize::from(u8::MAX) + 1,
+            "a ladder holds at most 256 levels"
+        );
         for pair in levels.windows(2) {
             assert!(
                 pair[0].bitrate_bps > pair[1].bitrate_bps,
                 "bit rates must be strictly descending"
             );
-            assert!(
-                pair[0].utility >= pair[1].utility,
-                "utility must be non-increasing"
-            );
         }
         for level in &levels {
             assert!(level.bitrate_bps > 0, "levels must have positive bit rate");
-            assert!(
-                level.utility > 0.0 && level.utility <= 1.0,
-                "utility must be in (0, 1]"
-            );
         }
         QualityLadder { levels }
     }
@@ -145,20 +138,17 @@ impl QualityLadder {
         QualityLadder::new(vec![
             QualityLevel {
                 bitrate_bps: 8_000_000,
-                utility: 1.0,
             },
             QualityLevel {
                 bitrate_bps: 4_000_000,
-                utility: 0.7,
             },
             QualityLevel {
                 bitrate_bps: 2_000_000,
-                utility: 0.45,
             },
         ])
     }
 
-    /// Returns the number of real (non-dropped) levels.
+    /// Returns the number of levels.
     pub fn len(&self) -> usize {
         self.levels.len()
     }
@@ -171,20 +161,6 @@ impl QualityLadder {
     /// Returns the full-quality level.
     pub fn full(&self) -> QualityLevel {
         self.levels[0]
-    }
-
-    /// Returns level `index` (0 = full quality).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn level(&self, index: usize) -> QualityLevel {
-        self.levels[index]
-    }
-
-    /// Returns all levels, descending.
-    pub fn levels(&self) -> &[QualityLevel] {
-        &self.levels
     }
 
     /// The lowest (coarsest) rung of this ladder.
@@ -200,11 +176,6 @@ impl QualityLadder {
     /// Returns the bit rate consumed at `quality`, clamped to the ladder.
     pub fn rate_of(&self, quality: Quality) -> u64 {
         self.levels[self.clamp(quality).rung()].bitrate_bps
-    }
-
-    /// Returns the utility delivered at `quality`, clamped to the ladder.
-    pub fn utility_of(&self, quality: Quality) -> f64 {
-        self.levels[self.clamp(quality).rung()].utility
     }
 
     /// Whether `quality` has a rung below it in this ladder.
@@ -224,13 +195,19 @@ impl Default for QualityLadder {
 mod tests {
     use super::*;
 
+    fn rates(rates: &[u64]) -> Vec<QualityLevel> {
+        rates
+            .iter()
+            .map(|&bitrate_bps| QualityLevel { bitrate_bps })
+            .collect()
+    }
+
     #[test]
     fn paper_ladder_is_descending() {
         let l = QualityLadder::paper_default();
         assert_eq!(l.len(), 3);
-        assert!(l.level(0).bitrate_bps > l.level(1).bitrate_bps);
-        assert!(l.level(1).bitrate_bps > l.level(2).bitrate_bps);
-        assert_eq!(l.full().utility, 1.0);
+        assert!(l.rate_of(Quality::FULL) > l.rate_of(Quality::new(1)));
+        assert!(l.rate_of(Quality::new(1)) > l.rate_of(Quality::new(2)));
     }
 
     #[test]
@@ -242,40 +219,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "descending")]
     fn ascending_rates_panic() {
-        let _ = QualityLadder::new(vec![
-            QualityLevel {
-                bitrate_bps: 1,
-                utility: 0.5,
-            },
-            QualityLevel {
-                bitrate_bps: 2,
-                utility: 0.4,
-            },
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "utility")]
-    fn increasing_utility_panics() {
-        let _ = QualityLadder::new(vec![
-            QualityLevel {
-                bitrate_bps: 2,
-                utility: 0.4,
-            },
-            QualityLevel {
-                bitrate_bps: 1,
-                utility: 0.9,
-            },
-        ]);
+        let _ = QualityLadder::new(rates(&[1, 2]));
     }
 
     #[test]
     #[should_panic(expected = "positive bit rate")]
     fn zero_rate_panics() {
-        let _ = QualityLadder::new(vec![QualityLevel {
-            bitrate_bps: 0,
-            utility: 0.5,
-        }]);
+        let _ = QualityLadder::new(rates(&[0]));
+    }
+
+    #[test]
+    fn a_ladder_may_use_every_rung() {
+        let deepest: Vec<u64> = (1..=256).rev().collect();
+        let l = QualityLadder::new(rates(&deepest));
+        assert_eq!(l.floor(), Quality::new(255));
+        assert_eq!(l.rate_of(l.floor()), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 levels")]
+    fn ladders_deeper_than_a_rung_index_panic() {
+        // 257 levels would make `floor()` wrap to `Quality::FULL`.
+        let too_deep: Vec<u64> = (1..=257).rev().collect();
+        let _ = QualityLadder::new(rates(&too_deep));
     }
 
     #[test]
@@ -297,7 +263,6 @@ mod tests {
         assert_eq!(l.rate_of(Quality::new(200)), 2_000_000);
         assert!(l.can_degrade(Quality::FULL));
         assert!(!l.can_degrade(Quality::new(2)));
-        assert!((l.utility_of(Quality::new(1)) - 0.7).abs() < 1e-12);
     }
 
     #[test]

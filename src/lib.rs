@@ -33,7 +33,8 @@
 //!   with the in-process `LiveCluster` wrapper);
 //! * [`media`] — synthetic 3D capture and the reduction pipeline
 //!   (background subtraction, resolution reduction, compression);
-//! * [`adapt`] — multi-stream bandwidth adaptation.
+//! * [`adapt`] — per-site bandwidth estimation (the degradation it
+//!   feeds is [`overlay::fit_qualities`], run by the runtime).
 //!
 //! # Quickstart
 //!
@@ -75,7 +76,6 @@ pub use teeve_workload as workload;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use teeve_adapt::{AdaptStream, AdaptationController, AdaptiveReceiver, QualityLadder};
     pub use teeve_geometry::{CyberSpace, FieldOfView, ViewSelector};
     pub use teeve_media::{ReductionPipeline, SyntheticCapture};
     pub use teeve_overlay::{

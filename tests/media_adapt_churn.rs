@@ -1,16 +1,18 @@
 //! Cross-crate integration: the media pipeline's measured bit rate drives
-//! the dissemination plan, FOV contribution scores drive adaptation, and
+//! the dissemination plan, FOV contribution scores drive quality fitting, and
 //! live churn preserves the overlay invariants.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve::adapt::{AdaptStream, AdaptationController, QualityLadder};
 use teeve::geometry::{CyberSpace, FieldOfView, ViewSelector};
 use teeve::media::{PipelineStats, ReductionPipeline, SyntheticCapture, FRAME_FPS};
+use teeve::overlay::fit_qualities;
 use teeve::prelude::*;
 use teeve::runtime::{FallbackPolicy, RuntimeEvent};
 use teeve::sim::FaultPlan;
-use teeve::types::{CostMatrix, CostMs, Degree, DisplayId, SiteId, StreamId};
+use teeve::types::{
+    CostMatrix, CostMs, Degree, DisplayId, Quality, QualityLadder, SiteId, StreamId,
+};
 
 /// Measures the pipeline on a synthetic camera and returns the provisioned
 /// Mbps (rounded up from the measured rate).
@@ -57,9 +59,8 @@ fn measured_media_rate_carries_a_session() {
     assert!(report.worst_jitter() <= teeve::sim::SimTime::from_micros(2));
 }
 
-/// FOV contribution scores flow into the adaptation controller: under a
-/// tight budget, the streams kept at full quality are exactly the top
-/// scorers.
+/// FOV contribution scores flow into quality fitting: under a tight
+/// budget, the streams kept at full quality are exactly the top scorers.
 #[test]
 fn adaptation_keeps_the_most_contributing_streams() {
     let space = CyberSpace::meeting_circle(4, 8);
@@ -69,25 +70,20 @@ fn adaptation_keeps_the_most_contributing_streams() {
     let scored = ViewSelector::top_k(5).select(&space, &fov);
     assert!(scored.len() >= 3, "need a real stream set to adapt");
 
-    let streams: Vec<AdaptStream> = scored
-        .iter()
-        .map(|s| AdaptStream {
-            stream: s.stream,
-            score: s.score,
-            ladder: QualityLadder::paper_default(),
-        })
-        .collect();
+    let ladder = QualityLadder::paper_default();
+    let streams: Vec<(StreamId, f64)> = scored.iter().map(|s| (s.stream, s.score)).collect();
 
     // Budget for roughly half the full-quality demand.
-    let full: u64 = streams.iter().map(|s| s.ladder.full().bitrate_bps).sum();
-    let plan = AdaptationController::new().plan(full / 2, &streams);
-    assert!(plan.total_bitrate_bps() <= full / 2);
+    let full = streams.len() as u64 * ladder.full().bitrate_bps;
+    let fit = fit_qualities(&ladder, Some(full / 2), &streams);
+    assert!(fit.fits);
+    assert!(fit.total_bps <= full / 2);
 
     // The best-scored stream is served at full quality; the worst is not.
     let best = &scored[0];
     let worst = scored.last().unwrap();
-    assert_eq!(plan.decision(best.stream).unwrap().level, Some(0));
-    assert_ne!(plan.decision(worst.stream).unwrap().level, Some(0));
+    assert_eq!(fit.qualities[&best.stream], Quality::FULL);
+    assert_ne!(fit.qualities[&worst.stream], Quality::FULL);
 }
 
 /// Churn at session level leaves a forest that satisfies every static
@@ -113,7 +109,6 @@ fn churned_session_forest_validates_against_the_universe() {
         RuntimeConfig {
             correlation_aware: true,
             fallback: FallbackPolicy::never(),
-            ..RuntimeConfig::default()
         },
     )
     .expect("runtime");

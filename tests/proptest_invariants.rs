@@ -4,12 +4,12 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use teeve::overlay::{
-    validate_forest, ConstructionAlgorithm, CorrelatedRandomJoin, GranLtf, LargestTreeFirst,
-    ProblemInstance, RandomJoin, SmallestTreeFirst,
+    fit_qualities, validate_forest, ConstructionAlgorithm, CorrelatedRandomJoin, GranLtf,
+    LargestTreeFirst, ProblemInstance, RandomJoin, SmallestTreeFirst,
 };
 use teeve::prelude::*;
 use teeve::sim::{simulate, FaultPlan, SimConfig, SimTime};
-use teeve::types::{CostMatrix, CostMs, Degree, SiteId, StreamId};
+use teeve::types::{CostMatrix, CostMs, Degree, QualityLadder, QualityLevel, SiteId, StreamId};
 
 /// Builds an arbitrary problem instance from proptest-drawn parameters.
 fn arbitrary_problem(
@@ -393,5 +393,140 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A ladder of 1–4 rungs through [`QualityLadder::new`]: the floor rate is
+/// `steps[0]` and each rung above adds the next step.
+fn ladder_from_steps(steps: &[u64]) -> QualityLadder {
+    let mut rate = 0;
+    let mut levels: Vec<QualityLevel> = steps
+        .iter()
+        .map(|step| {
+            rate += step;
+            QualityLevel { bitrate_bps: rate }
+        })
+        .collect();
+    levels.reverse();
+    QualityLadder::new(levels)
+}
+
+/// Unique streams with FOV scores, one in four NaN (the first draw of an
+/// id wins).
+fn scored_streams(raw: &[(u32, u32, u32, f64)]) -> Vec<(StreamId, f64)> {
+    let mut seen = std::collections::BTreeSet::new();
+    raw.iter()
+        .filter(|&&(origin, q, _, _)| seen.insert((origin, q)))
+        .map(|&(origin, q, nan, score)| {
+            let score = if nan == 0 { f64::NAN } else { score };
+            (StreamId::new(SiteId::new(origin), q), score)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `fits` is exactly `total_bps <= budget`, and a fit that does not
+    /// fit has exhausted the ladder: every stream sits at the floor.
+    #[test]
+    fn fit_qualities_fits_exactly_when_within_budget(
+        steps in proptest::collection::vec(1u64..10_000_000, 1..5),
+        raw in proptest::collection::vec((0u32..6, 0u32..8, 0u32..4, 0.0f64..1.0), 0..12),
+        budget in 0u64..300_000_000,
+    ) {
+        let ladder = ladder_from_steps(&steps);
+        let fit = fit_qualities(&ladder, Some(budget), &scored_streams(&raw));
+        prop_assert_eq!(fit.fits, fit.total_bps <= budget);
+        if !fit.fits {
+            prop_assert!(fit.qualities.values().all(|&q| q == ladder.floor()));
+        }
+    }
+
+    /// Every input stream gets exactly one rung, within the ladder, with
+    /// or without a budget.
+    #[test]
+    fn fit_qualities_covers_every_stream_within_the_ladder(
+        steps in proptest::collection::vec(1u64..10_000_000, 1..5),
+        raw in proptest::collection::vec((0u32..6, 0u32..8, 0u32..4, 0.0f64..1.0), 0..12),
+        budget in 0u64..300_000_000,
+        unconstrained in proptest::bool::ANY,
+    ) {
+        let ladder = ladder_from_steps(&steps);
+        let streams = scored_streams(&raw);
+        let budget = (!unconstrained).then_some(budget);
+        let fit = fit_qualities(&ladder, budget, &streams);
+        prop_assert_eq!(fit.qualities.len(), streams.len());
+        for (stream, _) in &streams {
+            prop_assert!(fit.qualities[stream] <= ladder.floor());
+        }
+        if budget.is_none() {
+            prop_assert!(fit.fits);
+            prop_assert!(fit.qualities.values().all(|q| q.is_full()));
+        }
+    }
+
+    /// The reported total is the sum of the granted rungs' ladder rates.
+    #[test]
+    fn fit_qualities_total_is_the_sum_of_granted_rates(
+        steps in proptest::collection::vec(1u64..10_000_000, 1..5),
+        raw in proptest::collection::vec((0u32..6, 0u32..8, 0u32..4, 0.0f64..1.0), 0..12),
+        budget in 0u64..300_000_000,
+    ) {
+        let ladder = ladder_from_steps(&steps);
+        let fit = fit_qualities(&ladder, Some(budget), &scored_streams(&raw));
+        let sum: u64 = fit.qualities.values().map(|&q| ladder.rate_of(q)).sum();
+        prop_assert_eq!(fit.total_bps, sum);
+    }
+
+    /// More budget never serves any stream at a coarser rung.
+    #[test]
+    fn fit_qualities_is_monotone_in_budget(
+        steps in proptest::collection::vec(1u64..10_000_000, 1..5),
+        raw in proptest::collection::vec((0u32..6, 0u32..8, 0u32..4, 0.0f64..1.0), 0..12),
+        a in 0u64..300_000_000,
+        b in 0u64..300_000_000,
+    ) {
+        let ladder = ladder_from_steps(&steps);
+        let streams = scored_streams(&raw);
+        let small = fit_qualities(&ladder, Some(a.min(b)), &streams);
+        let large = fit_qualities(&ladder, Some(a.max(b)), &streams);
+        for (stream, _) in &streams {
+            prop_assert!(large.qualities[stream] <= small.qualities[stream]);
+        }
+    }
+
+    /// Between two streams with real scores, the higher-scored one is
+    /// never served at a coarser rung.
+    #[test]
+    fn fit_qualities_degrades_the_lower_score_first(
+        steps in proptest::collection::vec(1u64..10_000_000, 1..5),
+        raw in proptest::collection::vec((0u32..6, 0u32..8, 0u32..4, 0.0f64..1.0), 0..12),
+        budget in 0u64..300_000_000,
+    ) {
+        let ladder = ladder_from_steps(&steps);
+        let streams = scored_streams(&raw);
+        let fit = fit_qualities(&ladder, Some(budget), &streams);
+        for (high, high_score) in &streams {
+            for (low, low_score) in &streams {
+                if high_score > low_score {
+                    prop_assert!(fit.qualities[high] <= fit.qualities[low]);
+                }
+            }
+        }
+    }
+
+    /// The fit depends on the stream set, not on its order.
+    #[test]
+    fn fit_qualities_ignores_input_order(
+        steps in proptest::collection::vec(1u64..10_000_000, 1..5),
+        raw in proptest::collection::vec((0u32..6, 0u32..8, 0u32..4, 0.0f64..1.0), 0..12),
+        budget in 0u64..300_000_000,
+    ) {
+        let ladder = ladder_from_steps(&steps);
+        let mut streams = scored_streams(&raw);
+        let forward = fit_qualities(&ladder, Some(budget), &streams);
+        streams.reverse();
+        prop_assert_eq!(forward, fit_qualities(&ladder, Some(budget), &streams));
     }
 }
