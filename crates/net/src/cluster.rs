@@ -187,8 +187,9 @@ impl LiveCluster {
     }
 
     /// Publishes `frames` frames from every origin stream of the current
-    /// plan and blocks until all planned deliveries of the batch land;
-    /// see [`Coordinator::publish`].
+    /// plan and blocks until every RP has pushed the stats report that
+    /// accounts for its planned deliveries of the batch; see
+    /// [`Coordinator::publish`].
     ///
     /// # Errors
     ///
@@ -243,8 +244,10 @@ impl teeve_pubsub::DeltaSink for LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::io::Write;
+    use std::time::{Duration, Instant};
 
+    use bytes::BytesMut;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use teeve_overlay::{
@@ -252,6 +255,8 @@ mod tests {
     };
     use teeve_pubsub::StreamProfile;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
+
+    use crate::wire::{encode, Message};
 
     fn site(i: u32) -> SiteId {
         SiteId::new(i)
@@ -643,6 +648,77 @@ mod tests {
             node.stop();
             node.join();
         }
+    }
+
+    #[test]
+    fn socket_undelivered_batch_times_out_with_typed_accounting() {
+        let plan = relay_plan();
+        let (relay, leaf) = plan
+            .edges()
+            .find(|&(parent, _, _)| parent != site(0))
+            .map(|(parent, child, _)| (parent, child))
+            .expect("a relay hop");
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
+        let config = ClusterConfig {
+            timeout: Duration::from_millis(300),
+            ..quick_config()
+        };
+        let mut coordinator = Coordinator::connect(&plan, &addrs, &config).expect("connect");
+        coordinator.publish(2).expect("healthy batch");
+
+        // Behind the coordinator's back, the relay is ordered to close
+        // its link to the leaf over an unattached connection; once the
+        // leaf has seen the link drop, nothing more reaches it.
+        let mut rogue = std::net::TcpStream::connect(addrs[relay.index()]).expect("rogue connect");
+        let mut order = BytesMut::new();
+        encode(&Message::CloseLink { child: leaf }, &mut order);
+        rogue.write_all(&order).expect("rogue order");
+        let link_down = teeve_telemetry::FlightEventKind::LinkDown {
+            parent: relay.index() as u32,
+            child: leaf.index() as u32,
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !nodes[leaf.index()]
+            .flight_recorder()
+            .events()
+            .iter()
+            .any(|e| e.kind == link_down)
+        {
+            assert!(
+                Instant::now() < deadline,
+                "the leaf never saw its link drop"
+            );
+            std::thread::yield_now();
+        }
+
+        // The relay gets its frame, the leaf never does: the wait runs
+        // out as a typed timeout, not as a control error. `delivered`
+        // sums the freshest totals the coordinator holds — the relay's
+        // new one only if its report was read before the leaf's wait.
+        match coordinator.publish(1) {
+            Err(ClusterError::Timeout {
+                delivered,
+                expected,
+            }) => {
+                assert_eq!(expected, 3 + 3);
+                assert!((2 + 2..expected).contains(&delivered), "{delivered}");
+            }
+            other => panic!("expected a delivery timeout, got {other:?}"),
+        }
+        assert!(!coordinator.is_poisoned(), "a slow batch poisons nothing");
+
+        let report = coordinator.shutdown();
+        assert_eq!(report.delivered[&(relay, stream(0, 0))], 3);
+        assert_eq!(report.delivered[&(leaf, stream(0, 0))], 2);
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
+        reactor.shutdown();
     }
 
     #[test]

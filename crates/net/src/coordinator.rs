@@ -8,7 +8,8 @@
 //! orders confirmed by `LinkUp`/`LinkDown` notifications from the
 //! receiving RP, frames inject via `Publish`/`BatchDone` at origin RPs,
 //! and delivery accounting is harvested with `StatsRequest`/`StatsReport`
-//! — so the RPs it drives can live in the same process
+//! (each RP pushes its report the moment it has delivered what the
+//! coordinator is owed) — so the RPs it drives can live in the same process
 //! ([`LiveCluster`](crate::LiveCluster)), in separate OS processes, or on
 //! other hosts.
 //!
@@ -458,8 +459,8 @@ impl SiteLink {
 ///    (`Reconfigure`/`Ack`), and orders the initial data links open
 ///    (`OpenLink`, confirmed by each child's `LinkUp`);
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
-///    origin RP and blocks until every planned delivery is accounted for
-///    by stats probes;
+///    origin RP, arms one `StatsRequest` per RP at the delivered total
+///    that RP owes, and blocks until every RP has pushed its report;
 /// 3. [`apply_delta`](Self::apply_delta) reconfigures the running fleet:
 ///    it orders exactly the connections
 ///    [`link_changes_between`](teeve_pubsub::link_changes_between) reports
@@ -483,7 +484,9 @@ pub struct Coordinator {
     started: Option<Instant>,
     next_seq: u64,
     next_probe: u64,
-    expected_total: u64,
+    /// Per site, the delivered-frame total its RP owes: the baseline
+    /// plus `frames × in_degree` of every batch published since.
+    owed: Vec<u64>,
     connections_opened: u64,
     connections_closed: u64,
     poisoned: bool,
@@ -589,7 +592,7 @@ impl Coordinator {
             started: None,
             next_seq: 0,
             next_probe: 0,
-            expected_total: 0,
+            owed: vec![0; addrs.len()],
             connections_opened: 0,
             connections_closed: 0,
             poisoned: false,
@@ -718,16 +721,16 @@ impl Coordinator {
         self.next_probe += 1;
         let probe = self.next_probe;
         for link in &mut self.sites {
-            link.send(&Message::StatsRequest { probe })?;
+            link.send(&Message::StatsRequest { probe, at_least: 0 })?;
         }
-        let mut baseline = 0u64;
-        for link in &mut self.sites {
-            let snapshot = link.wait_for(deadline, "baseline stats report", |l| {
-                l.stats.as_ref().filter(|s| s.probe >= probe).cloned()
+        for (link, owed) in self.sites.iter_mut().zip(&mut self.owed) {
+            *owed = link.wait_for(deadline, "baseline stats report", |l| {
+                l.stats
+                    .as_ref()
+                    .filter(|s| s.probe >= probe)
+                    .map(|s| s.total)
             })?;
-            baseline += snapshot.total;
         }
-        self.expected_total = baseline;
 
         self.resync_span.record_duration(resync_started.elapsed());
         self.recorder.record(FlightEventKind::ResyncComplete {
@@ -830,7 +833,8 @@ impl Coordinator {
 
     /// Orders `frames` frames published from every origin stream of the
     /// current plan and blocks until all planned deliveries of the batch
-    /// are accounted for by the fleet's stats reports.
+    /// are accounted for: every RP pushes its stats report once its
+    /// delivered total reaches what it owes.
     ///
     /// The first call starts the report clock: setup cost (listener
     /// binding, connection establishment) is excluded from `elapsed` by
@@ -849,9 +853,7 @@ impl Coordinator {
             self.started = Some(Instant::now());
         }
         let mut origins: Vec<(SiteId, StreamId)> = Vec::new();
-        let mut expected_per_frame = 0u64;
         for sp in self.plan.site_plans() {
-            expected_per_frame += sp.in_degree() as u64;
             for entry in &sp.entries {
                 if entry.is_origin() && !entry.children.is_empty() {
                     origins.push((sp.site, entry.stream));
@@ -881,7 +883,9 @@ impl Coordinator {
             })?;
         }
         self.next_seq += frames;
-        self.expected_total += frames * expected_per_frame;
+        for (owed, sp) in self.owed.iter_mut().zip(self.plan.site_plans()) {
+            *owed += frames * sp.in_degree() as u64;
+        }
         self.await_deliveries()
     }
 
@@ -1014,7 +1018,10 @@ impl Coordinator {
         };
         let mut reachable: Vec<bool> = Vec::with_capacity(self.sites.len());
         for link in &mut self.sites {
-            reachable.push(link.send(&Message::StatsRequest { probe }).is_ok());
+            reachable.push(
+                link.send(&Message::StatsRequest { probe, at_least: 0 })
+                    .is_ok(),
+            );
         }
         for (link, ok) in self.sites.iter_mut().zip(reachable) {
             let snapshot = if ok {
@@ -1104,33 +1111,34 @@ impl Coordinator {
         })
     }
 
-    /// Polls the fleet's stats until every published frame is accounted
-    /// for.
+    /// Arms one `StatsRequest` per RP at the total it owes and waits for
+    /// every report. The RPs push concurrently, so the wait costs the
+    /// slowest site, not the sum of the sites.
     fn await_deliveries(&mut self) -> Result<(), ClusterError> {
         let deadline = Instant::now() + self.config.timeout;
-        loop {
-            self.next_probe += 1;
-            let probe = self.next_probe;
-            for link in &mut self.sites {
-                link.send(&Message::StatsRequest { probe })?;
+        self.next_probe += 1;
+        let probe = self.next_probe;
+        for (link, &at_least) in self.sites.iter_mut().zip(&self.owed) {
+            link.send(&Message::StatsRequest { probe, at_least })?;
+        }
+        let waited = self.sites.iter_mut().try_for_each(|link| {
+            link.wait_for(deadline, "stats report", |l| {
+                l.stats.as_ref().filter(|s| s.probe >= probe).map(|_| ())
+            })
+        });
+        match waited {
+            Err(ClusterError::Control { .. }) if Instant::now() > deadline => {
+                Err(ClusterError::Timeout {
+                    delivered: self
+                        .sites
+                        .iter()
+                        .filter_map(|l| l.stats.as_ref())
+                        .map(|s| s.total)
+                        .sum(),
+                    expected: self.owed.iter().sum(),
+                })
             }
-            let mut delivered = 0u64;
-            for link in &mut self.sites {
-                let snapshot = link.wait_for(deadline, "stats report", |l| {
-                    l.stats.as_ref().filter(|s| s.probe >= probe).cloned()
-                })?;
-                delivered += snapshot.total;
-            }
-            if delivered >= self.expected_total {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(ClusterError::Timeout {
-                    delivered,
-                    expected: self.expected_total,
-                });
-            }
-            std::thread::sleep(Duration::from_millis(1));
+            other => other,
         }
     }
 }

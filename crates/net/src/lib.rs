@@ -15,9 +15,10 @@
 //! installs via `Reconfigure`/`Ack`, link lifecycle via
 //! `OpenLink`/`CloseLink` orders confirmed by `LinkUp`/`LinkDown`
 //! notifications, frame injection via `Publish`/`BatchDone`, delivery
-//! accounting via `StatsRequest`/`StatsReport`), so the same coordinator
-//! drives RPs hosted in its own process, in separate OS processes, or on
-//! other hosts.
+//! accounting via `StatsRequest`/`StatsReport`, each report pushed by the
+//! RP once it has delivered the total the request names), so the same
+//! coordinator drives RPs hosted in its own process, in separate OS
+//! processes, or on other hosts.
 //!
 //! [`LiveCluster`] is the in-process convenience wrapper (N nodes + one
 //! coordinator) that keeps the RPs up across plan revisions:

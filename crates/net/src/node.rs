@@ -124,6 +124,11 @@ impl NodeStats {
         self.max_latency_micros = self.max_latency_micros.max(latency_micros);
     }
 
+    /// Frames delivered at this site so far.
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+
     pub(crate) fn report(&self, probe: u64) -> Message {
         let streams = self
             .delivered

@@ -136,6 +136,9 @@ struct NodeState {
     control: Option<(u64, usize)>,
     control_generation: u64,
     stats: NodeStats,
+    /// The armed `StatsRequest` as `(probe, at_least)`: answered from the
+    /// `Frame` arm by the delivery that brings `stats` up to `at_least`.
+    armed: Option<(u64, u64)>,
     /// Ring of recent structured events (reconfigures, link churn) for
     /// post-mortem inspection; never crosses the wire.
     recorder: FlightRecorder,
@@ -145,6 +148,19 @@ struct NodeState {
     /// Set by `Shutdown`/`StopNode`: no new conns are accepted and the
     /// node is removed once its last connection dies.
     stopping: bool,
+}
+
+impl NodeState {
+    /// Disarms and returns the armed stats report once the delivered
+    /// total has reached its watermark.
+    fn due_report(&mut self) -> Option<Message> {
+        let (probe, at_least) = self.armed?;
+        if self.stats.total() < at_least {
+            return None;
+        }
+        self.armed = None;
+        Some(self.stats.report(probe))
+    }
 }
 
 /// One registered connection and its buffers.
@@ -504,6 +520,7 @@ impl LoopState {
                 control: None,
                 control_generation: 0,
                 stats: NodeStats::default(),
+                armed: None,
                 recorder,
                 _done: done,
                 stopping: false,
@@ -835,12 +852,16 @@ impl LoopState {
                 // on, further degraded if the plan says so.
                 let effective =
                     self.forward_frame(node_idx, stream, seq, captured_micros, &payload, quality);
-                if let Some(node) = self.node_mut(node_idx) {
+                let report = self.node_mut(node_idx).and_then(|node| {
                     node.stats.record(
                         stream,
                         unix_micros().saturating_sub(captured_micros),
                         !effective.is_full(),
                     );
+                    node.due_report()
+                });
+                if let Some(report) = report {
+                    self.notify(node_idx, &report);
                 }
                 true
             }
@@ -891,6 +912,9 @@ impl LoopState {
                     };
                     node.control_generation += 1;
                     node.control = Some((node.control_generation, token));
+                    // A watermark armed by the replaced coordinator must
+                    // not answer this one: its probe numbering restarts.
+                    node.armed = None;
                     node.control_generation
                 };
                 if let Some(conn) = self.conn_mut(token) {
@@ -948,12 +972,18 @@ impl LoopState {
                 );
                 true
             }
-            Message::StatsRequest { probe } => {
-                let report = match self.node_ref(node_idx) {
-                    Some(node) => node.stats.report(probe),
+            Message::StatsRequest { probe, at_least } => {
+                let report = match self.node_mut(node_idx) {
+                    Some(node) => {
+                        // A newer request replaces an armed one.
+                        node.armed = Some((probe, at_least));
+                        node.due_report()
+                    }
                     None => return false,
                 };
-                self.notify(node_idx, &report);
+                if let Some(report) = report {
+                    self.notify(node_idx, &report);
+                }
                 true
             }
             Message::Shutdown => {
@@ -1891,27 +1921,22 @@ mod tests {
                 read_next(&mut control, &mut buf, &mut chunk),
                 Message::BatchDone { next_seq, .. } if next_seq == sent
             ) {}
-            // The healthy sibling receives every frame of every batch.
-            loop {
-                send(&mut child_control, &[Message::StatsRequest { probe: sent }]);
-                let total = loop {
-                    if let Message::StatsReport { total, .. } =
-                        read_next(&mut child_control, &mut child_buf, &mut chunk)
-                    {
-                        break total;
-                    }
-                };
-                assert!(total <= sent, "more deliveries than frames published");
-                if total == sent {
-                    break;
+            // The healthy sibling receives every frame of every batch: its
+            // report is armed to arrive once it has.
+            send(&mut child_control, &[stats_request(sent, sent)]);
+            let total = loop {
+                if let Message::StatsReport { total, .. } =
+                    read_next(&mut child_control, &mut child_buf, &mut chunk)
+                {
+                    break total;
                 }
-                thread::sleep(Duration::from_millis(1));
-            }
+            };
+            assert_eq!(total, sent, "exactly the frames published");
         }
 
         // With a link shedding, the origin's control channel still
         // answers.
-        send(&mut control, &[Message::StatsRequest { probe: 7 }]);
+        send(&mut control, &[stats_request(7, 0)]);
         while !matches!(
             read_next(&mut control, &mut buf, &mut chunk),
             Message::StatsReport { probe: 7, .. }
@@ -1921,6 +1946,141 @@ mod tests {
         healthy.stop();
         origin.join();
         healthy.join();
+        reactor.shutdown();
+    }
+
+    /// An origin-only table at revision 1: re-sent as an order, its `Ack`
+    /// fences everything queued ahead of it on the same connection.
+    fn fence() -> Message {
+        origin_table(StreamId::new(SiteId::new(0), 0), &[])
+    }
+
+    fn stats_request(probe: u64, at_least: u64) -> Message {
+        Message::StatsRequest { probe, at_least }
+    }
+
+    /// `count` empty frames of a stream the node records but forwards
+    /// nowhere.
+    fn frames(count: u64) -> Vec<Message> {
+        (0..count)
+            .map(|seq| Message::Frame {
+                stream: StreamId::new(SiteId::new(0), 0),
+                quality: Quality::FULL,
+                seq,
+                captured_micros: unix_micros(),
+                payload: Bytes::new(),
+            })
+            .collect()
+    }
+
+    /// Sends `messages` then a fence on `conn`, and returns every reply
+    /// that arrived ahead of the fence's `Ack`. Orders on one connection
+    /// execute in arrival order, so frames sent on the control channel
+    /// itself are recorded before the fence is acknowledged.
+    fn replies_before_fence(
+        conn: &mut std::net::TcpStream,
+        buf: &mut BytesMut,
+        messages: &[Message],
+    ) -> Vec<Message> {
+        let mut orders = messages.to_vec();
+        orders.push(fence());
+        send(conn, &orders);
+        let mut chunk = [0u8; 4096];
+        let mut replies = Vec::new();
+        loop {
+            match read_next(conn, buf, &mut chunk) {
+                Message::Ack { revision: 1 } => return replies,
+                reply => replies.push(reply),
+            }
+        }
+    }
+
+    /// A node (site 0) with one attached control connection.
+    fn attached_node() -> (Reactor, RpNodeHandle, std::net::TcpStream) {
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let node = reactor.bind_node(SiteId::new(0)).expect("bind");
+        let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
+        control.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        send(&mut control, &[Message::Attach]);
+        (reactor, node, control)
+    }
+
+    fn report_of(message: &Message) -> (u64, u64) {
+        match message {
+            Message::StatsReport { probe, total, .. } => (*probe, *total),
+            other => panic!("expected a stats report, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn socket_armed_stats_request_answers_once_at_its_watermark() {
+        let (reactor, node, mut control) = attached_node();
+        let mut buf = BytesMut::new();
+
+        // Armed above the total: two frames are not enough.
+        let mut orders = vec![stats_request(1, 3)];
+        orders.extend(frames(2));
+        let replies = replies_before_fence(&mut control, &mut buf, &orders);
+        assert!(replies.is_empty(), "answered early: {replies:?}");
+
+        // The crossing frame pushes exactly one report; later frames
+        // push nothing more.
+        let replies = replies_before_fence(&mut control, &mut buf, &frames(1));
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(1, 3)]);
+        let replies = replies_before_fence(&mut control, &mut buf, &frames(2));
+        assert!(replies.is_empty(), "disarmed after answering: {replies:?}");
+
+        // At or below the total — `at_least = 0` included — answers at
+        // once.
+        let replies = replies_before_fence(
+            &mut control,
+            &mut buf,
+            &[stats_request(2, 5), stats_request(3, 0)],
+        );
+        assert_eq!(
+            replies.iter().map(report_of).collect::<Vec<_>>(),
+            [(2, 5), (3, 5)]
+        );
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_newer_stats_request_replaces_the_armed_one() {
+        let (reactor, node, mut control) = attached_node();
+        let mut buf = BytesMut::new();
+        let mut orders = vec![stats_request(1, 2), stats_request(2, 4)];
+        orders.extend(frames(4));
+        let replies = replies_before_fence(&mut control, &mut buf, &orders);
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(2, 4)]);
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_attach_disarms_the_armed_stats_request() {
+        let (reactor, node, mut first) = attached_node();
+        let mut first_buf = BytesMut::new();
+        let replies = replies_before_fence(&mut first, &mut first_buf, &[stats_request(9, 2)]);
+        assert!(replies.is_empty());
+
+        // A successor attaches — its probe numbering restarts — and
+        // frames cross the old watermark: nobody hears the stale probe.
+        let mut second = std::net::TcpStream::connect(node.addr()).expect("control connect");
+        second.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let mut second_buf = BytesMut::new();
+        let mut orders = vec![Message::Attach];
+        orders.extend(frames(3));
+        let replies = replies_before_fence(&mut second, &mut second_buf, &orders);
+        assert!(replies.is_empty(), "stale watermark answered: {replies:?}");
+        let replies = replies_before_fence(&mut second, &mut second_buf, &[stats_request(0, 0)]);
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(0, 3)]);
+
+        node.stop();
+        node.join();
         reactor.shutdown();
     }
 

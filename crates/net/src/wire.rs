@@ -16,7 +16,8 @@
 //! * frame injection: [`Message::Publish`] orders executed by origin RPs,
 //!   acknowledged with [`Message::BatchDone`];
 //! * delivery accounting: [`Message::StatsRequest`] answered by
-//!   [`Message::StatsReport`];
+//!   [`Message::StatsReport`] — at once, or armed to be pushed the moment
+//!   the RP's delivered total reaches the request's watermark;
 //! * coordinator recovery: [`Message::ResyncQuery`] answered by
 //!   [`Message::ResyncReply`] on a freshly re-attached control channel;
 //! * teardown: [`Message::Shutdown`].
@@ -189,11 +190,18 @@ pub enum Message {
         /// One past the last published sequence number.
         next_seq: u64,
     },
-    /// Coordinator probe: report current delivery counters. `probe`
-    /// correlates request and response on the control channel.
+    /// Coordinator probe: report delivery counters once this RP has
+    /// delivered `at_least` frames in total. An RP already there answers
+    /// at once; otherwise it arms the request and pushes the report from
+    /// the frame that crosses the watermark. `at_least = 0` means "answer
+    /// now". A newer request replaces an armed one, and an `Attach`
+    /// disarms it. `probe` correlates request and response on the
+    /// control channel.
     StatsRequest {
         /// Caller-chosen correlation token, echoed by the report.
         probe: u64,
+        /// Delivered-frame total the report waits for.
+        at_least: u64,
     },
     /// RP response to [`StatsRequest`](Self::StatsRequest): the RP's
     /// complete delivery accounting so far. Replaces the old shared
@@ -376,10 +384,11 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u32_le(stream.local_index());
             dst.put_u64_le(*next_seq);
         }
-        Message::StatsRequest { probe } => {
-            dst.put_u32_le(1 + 8);
+        Message::StatsRequest { probe, at_least } => {
+            dst.put_u32_le(1 + 8 + 8);
             dst.put_u8(TAG_STATS_REQUEST);
             dst.put_u64_le(*probe);
+            dst.put_u64_le(*at_least);
         }
         Message::StatsReport {
             probe,
@@ -717,11 +726,12 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
         }
         TAG_STATS_REQUEST => {
-            if body.len() < 8 {
+            if body.len() < 8 + 8 {
                 return Err(WireError::Truncated);
             }
             Message::StatsRequest {
                 probe: body.get_u64_le(),
+                at_least: body.get_u64_le(),
             }
         }
         TAG_STATS_REPORT => {
@@ -920,6 +930,16 @@ mod tests {
     }
 
     #[test]
+    fn truncated_stats_request_watermark_is_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(1 + 8 + 4);
+        buf.put_u8(TAG_STATS_REQUEST);
+        buf.put_u64_le(9); // probe
+        buf.put_u32_le(0); // u64 at_least missing its upper half
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+    }
+
+    #[test]
     fn truncated_end_body_is_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u32_le(5);
@@ -1104,7 +1124,14 @@ mod tests {
             stream: StreamId::new(SiteId::new(1), 2),
             next_seq: 89,
         });
-        roundtrip(Message::StatsRequest { probe: 41 });
+        roundtrip(Message::StatsRequest {
+            probe: 41,
+            at_least: 0,
+        });
+        roundtrip(Message::StatsRequest {
+            probe: 42,
+            at_least: u64::MAX - 3,
+        });
         roundtrip(Message::ResyncQuery { probe: 7 });
         roundtrip(Message::ResyncReply {
             probe: 7,

@@ -145,7 +145,10 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         stream,
                         next_seq: a,
                     },
-                    12 => Message::StatsRequest { probe: a },
+                    12 => Message::StatsRequest {
+                        probe: a,
+                        at_least: b,
+                    },
                     13 => Message::StatsReport {
                         probe: a,
                         total: b,

@@ -31,7 +31,7 @@ use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId};
 const SITES: usize = 8;
 
 /// A bare control client: the minimum needed to stand in for a
-/// coordinator against one RP (drive a gap publish, poll stats) without
+/// coordinator against one RP (drive a gap publish, await stats) without
 /// any coordinator state.
 struct RawControl {
     conn: TcpStream,
@@ -184,32 +184,35 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     });
     drop(origin_ctl);
     let gap_goal = 3 + 2 + gap_frames; // both coordinated batches + the gap batch
-    let mut probe = 10_000u64;
     for site in SiteId::all(SITES) {
-        if !runtime.plan().deliveries_to(site).contains(&stream) {
+        let received = runtime.plan().deliveries_to(site);
+        if !received.contains(&stream) {
             continue;
         }
+        // Every received stream took both coordinated batches; only
+        // `stream` took the gap batch. The report is armed to arrive
+        // once the site's total says the gap batch has landed.
         let mut ctl = RawControl::attach(addrs[site.index()]);
-        loop {
-            probe += 1;
-            ctl.send(&Message::StatsRequest { probe });
-            let sent = probe;
-            let delivered = ctl.wait("gap stats report", |m| match m {
-                Message::StatsReport {
-                    probe: p, streams, ..
-                } if *p >= sent => Some(
-                    streams
-                        .iter()
-                        .find(|d| d.stream == stream)
-                        .map_or(0, |d| d.delivered),
-                ),
-                _ => None,
-            });
-            if delivered >= gap_goal {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let probe = 10_000 + site.index() as u64;
+        ctl.send(&Message::StatsRequest {
+            probe,
+            at_least: (3 + 2) * received.len() as u64 + gap_frames,
+        });
+        let delivered = ctl.wait("gap stats report", |m| match m {
+            Message::StatsReport {
+                probe: p, streams, ..
+            } if *p == probe => Some(
+                streams
+                    .iter()
+                    .find(|d| d.stream == stream)
+                    .map_or(0, |d| d.delivered),
+            ),
+            _ => None,
+        });
+        assert!(
+            delivered >= gap_goal,
+            "{site} saw {delivered} of the gap stream"
+        );
     }
 
     // A reconnect with a stale plan (the pre-pressure revision) is
