@@ -68,7 +68,6 @@ fn bench_coordinator_resync(c: &mut Criterion) {
     };
 
     let reactor = Reactor::new(1).expect("reactor starts");
-    let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut group = c.benchmark_group("coordinator_resync");
     group.sample_size(10);
     for &sites in &FLEETS {
@@ -99,7 +98,6 @@ fn bench_coordinator_resync(c: &mut Criterion) {
         }
         let mean_micros = timer.elapsed().as_micros() as f64 / f64::from(rounds);
         println!("resync over {sites} sites: {mean_micros:.0} us/reconnect");
-        metrics.push((format!("resync_micros_fleet_{sites}"), mean_micros));
 
         // Re-adopt one last time to shut the fleet down for real.
         drop(Coordinator::reconnect(&plan, &addrs, &config).expect("final reconnect"));
@@ -109,9 +107,6 @@ fn bench_coordinator_resync(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    let entries: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    teeve_bench::write_bench_json("coordinator_resync", &entries);
 }
 
 criterion_group!(benches, bench_coordinator_resync);

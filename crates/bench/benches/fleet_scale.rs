@@ -175,18 +175,6 @@ fn bench_fleet_scale(c: &mut Criterion) {
          {sessions_per_sec:.1} sessions/sec; reconfigure p50 {reconfigure_p50:.0} us, \
          p99 {reconfigure_p99:.0} us; {reactor_threads_per_rp:.4} threads/RP"
     );
-    teeve_bench::write_bench_json(
-        "fleet_scale",
-        &[
-            ("rp_count", rp_count),
-            ("session_count", SESSIONS as f64),
-            ("loop_threads", LOOP_THREADS as f64),
-            ("launch_sessions_per_sec", sessions_per_sec),
-            ("reconfigure_p50_micros", reconfigure_p50),
-            ("reconfigure_p99_micros", reconfigure_p99),
-            ("reactor_threads_per_rp", reactor_threads_per_rp),
-        ],
-    );
 }
 
 criterion_group!(benches, bench_fleet_scale);

@@ -133,15 +133,6 @@ fn bench_runtime_repair(c: &mut Criterion) {
         incremental < full,
         "incremental repair must beat full reconstruction ({incremental:?} vs {full:?})"
     );
-    teeve_bench::write_bench_json(
-        "runtime_repair",
-        &[
-            ("incremental_micros_per_event", incremental_micros),
-            ("full_reconstruction_micros_per_event", full_micros),
-            ("speedup", speedup),
-            ("churn_events", trace.len() as f64),
-        ],
-    );
 }
 
 criterion_group!(benches, bench_runtime_repair);

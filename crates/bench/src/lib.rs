@@ -7,7 +7,7 @@
 //!
 //! The `src/bin/fig*.rs` binaries print these series as tables (or JSON
 //! with `--json`); the Criterion benches under `benches/` measure the
-//! construction *cost* claims and the ablations listed in `DESIGN.md`.
+//! construction *cost* claims and the `ablation_*` design choices.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -299,88 +299,6 @@ pub fn cell(x: f64) -> String {
     format!("{x:>8.4}")
 }
 
-/// Schema version of the `BENCH_<name>.json` trajectory files.
-pub const BENCH_SCHEMA: u64 = 1;
-
-/// One machine-readable bench trajectory, written to the repo root as
-/// `BENCH_<name>.json` by the headline benches and validated by the
-/// `bench_check` binary in CI.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// The bench that produced this file (matches the `[[bench]]` name).
-    pub bench: String,
-    /// File format version; bump on incompatible change.
-    pub schema: u64,
-    /// Headline metrics: name → finite number. On the wire this is an
-    /// array of `[name, value]` pairs (the map encoding of the vendored
-    /// serde stand-in).
-    pub metrics: std::collections::BTreeMap<String, f64>,
-}
-
-/// Where `BENCH_<name>.json` lives: the workspace root, so CI can glob
-/// `BENCH_*.json` without knowing the crate layout.
-pub fn bench_json_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join(format!("BENCH_{name}.json"))
-}
-
-/// Writes a bench trajectory to the repo root and returns its path.
-///
-/// Panics on I/O or serialization failure — a bench that cannot record
-/// its own results should fail loudly, not silently skip the artifact.
-pub fn write_bench_json(name: &str, metrics: &[(&str, f64)]) -> std::path::PathBuf {
-    let report = BenchReport {
-        bench: name.to_string(),
-        schema: BENCH_SCHEMA,
-        metrics: metrics
-            .iter()
-            .map(|&(key, value)| (key.to_string(), value))
-            .collect(),
-    };
-    let path = bench_json_path(name);
-    let file =
-        std::fs::File::create(&path).unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
-    serde_json::to_writer(file, &report).expect("bench report serializes");
-    println!("wrote {}", path.display());
-    path
-}
-
-/// Reads `BENCH_<name>.json` back and checks the schema contract: the
-/// declared bench name matches, the schema version is current, and the
-/// metrics object is non-empty with every value finite.
-pub fn validate_bench_json(name: &str) -> Result<BenchReport, String> {
-    let path = bench_json_path(name);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let report: BenchReport =
-        serde_json::from_str(&text).map_err(|e| format!("parse {}: {e:?}", path.display()))?;
-    if report.bench != name {
-        return Err(format!(
-            "{}: declares bench {:?}, expected {name:?}",
-            path.display(),
-            report.bench
-        ));
-    }
-    if report.schema != BENCH_SCHEMA {
-        return Err(format!(
-            "{}: schema {} != {BENCH_SCHEMA}",
-            path.display(),
-            report.schema
-        ));
-    }
-    if report.metrics.is_empty() {
-        return Err(format!("{}: empty metrics object", path.display()));
-    }
-    for (key, value) in &report.metrics {
-        if !value.is_finite() {
-            return Err(format!("{}: metric {key:?} is {value}", path.display()));
-        }
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,41 +352,6 @@ mod tests {
             assert!(r.rj >= 0.0);
             assert!(r.corj >= 0.0);
         }
-    }
-
-    #[test]
-    fn bench_json_roundtrips_and_validates() {
-        let path = write_bench_json("lib_selftest", &[("a_micros", 1.0), ("speedup", 2.5)]);
-        let report = validate_bench_json("lib_selftest").expect("fresh file validates");
-        assert_eq!(report.bench, "lib_selftest");
-        assert_eq!(report.schema, BENCH_SCHEMA);
-        assert_eq!(report.metrics["a_micros"], 1.0);
-        assert_eq!(report.metrics["speedup"], 2.5);
-        std::fs::remove_file(path).unwrap();
-        assert!(validate_bench_json("lib_selftest").is_err());
-    }
-
-    #[test]
-    fn bench_json_validation_rejects_contract_violations() {
-        let path = bench_json_path("lib_badfile");
-        std::fs::write(
-            &path,
-            r#"{"bench":"other","schema":1,"metrics":[["a",1.0]]}"#,
-        )
-        .unwrap();
-        let err = validate_bench_json("lib_badfile").unwrap_err();
-        assert!(err.contains("declares bench"), "{err}");
-        std::fs::write(
-            &path,
-            r#"{"bench":"lib_badfile","schema":99,"metrics":[["a",1.0]]}"#,
-        )
-        .unwrap();
-        let err = validate_bench_json("lib_badfile").unwrap_err();
-        assert!(err.contains("schema"), "{err}");
-        std::fs::write(&path, r#"{"bench":"lib_badfile","schema":1,"metrics":[]}"#).unwrap();
-        let err = validate_bench_json("lib_badfile").unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

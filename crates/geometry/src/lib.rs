@@ -7,7 +7,7 @@
 //! convert that FOV into the concrete subset of streams that contribute to
 //! it (its Figure 4 shows an eight-camera ring where cameras 1, 2, 7, 8
 //! contribute most to a FOV). The paper delegates this to ViewCast \[26\];
-//! this crate is our ViewCast substitute (substitution S4 in `DESIGN.md`):
+//! this crate is our ViewCast substitute:
 //!
 //! * [`Vec3`] — minimal 3D vector math;
 //! * [`Camera`] and [`CameraRing`] — 3D camera rigs around a participant;

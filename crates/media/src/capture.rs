@@ -1,5 +1,5 @@
 //! Synthetic 3D capture: a deterministic, procedural stand-in for a real
-//! 3D camera (substitution S2 in DESIGN.md).
+//! 3D camera: no camera hardware, same code paths.
 //!
 //! Each [`SyntheticCapture`] renders the same scene every 3DTI paper
 //! photograph shows: a person in front of an open background, seen from a

@@ -5,8 +5,8 @@
 //! reduction techniques — background subtraction \[11\], resolution
 //! reduction, and real-time 3D compression \[13, 14, 25\] — to reach the
 //! 5–10 Mbps per stream its evaluation assumes. This crate implements that
-//! chain end to end on synthetic captures (substitution S2 in DESIGN.md:
-//! no camera hardware, same code paths):
+//! chain end to end on synthetic captures (no camera hardware, same code
+//! paths):
 //!
 //! * [`SyntheticCapture`] — deterministic procedural 3D camera;
 //! * [`RawFrame`] — dense color + depth at the paper's 5 B/pixel;

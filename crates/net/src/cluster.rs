@@ -254,6 +254,7 @@ mod tests {
         ConstructionAlgorithm, NodeCapacity, OverlayManager, ProblemInstance, RandomJoin,
     };
     use teeve_pubsub::StreamProfile;
+    use teeve_telemetry::FlightEventKind;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
 
     use crate::wire::{encode, Message};
@@ -310,9 +311,8 @@ mod tests {
         assert_eq!(report.connections_closed, 0);
     }
 
-    #[test]
-    fn socket_multi_stream_fanout_delivers_everything() {
-        // 4 sites, 2 streams each, everyone subscribes to everything.
+    /// 4 sites, 2 streams each, everyone subscribes to everything.
+    fn fanout_plan() -> DisseminationPlan {
         let costs = CostMatrix::from_fn(4, |_, _| CostMs::new(2));
         let mut b = ProblemInstance::builder(costs, CostMs::new(50))
             .symmetric_capacities(Degree::new(10))
@@ -331,9 +331,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let outcome = RandomJoin.construct(&problem, &mut rng);
         assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
-        let plan =
-            DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default());
+        DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default())
+    }
 
+    #[test]
+    fn socket_multi_stream_fanout_delivers_everything() {
+        let plan = fanout_plan();
         let config = quick_config();
         let mut cluster = LiveCluster::launch(&plan, &config).expect("cluster launches");
         cluster
@@ -533,6 +536,66 @@ mod tests {
         assert_eq!(cluster.revision(), 0);
         assert_eq!(cluster.connections_opened(), 0);
         drop(cluster);
+    }
+
+    #[test]
+    fn socket_connect_converges_a_bare_fleet_through_one_barrier() {
+        let mut plan = fanout_plan();
+        plan.set_revision(3);
+        let cluster = LiveCluster::launch(&plan, &quick_config()).expect("launch");
+        let events = cluster.flight_recorder().events();
+        // Exactly one Ack per site at the plan revision: one barrier.
+        let mut acks: Vec<(u32, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                FlightEventKind::Ack { site, revision } => Some((site, revision)),
+                _ => None,
+            })
+            .collect();
+        acks.sort_unstable();
+        let every_site: Vec<(u32, u64)> = SiteId::all(plan.site_count())
+            .map(|s| (s.index() as u32, 3))
+            .collect();
+        assert_eq!(acks, every_site);
+        // Exactly one LinkUp per plan pair.
+        let pairs: std::collections::BTreeSet<(u32, u32)> = plan
+            .edges()
+            .map(|(parent, child, _)| (parent.index() as u32, child.index() as u32))
+            .collect();
+        let mut ups: Vec<(u32, u32)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                FlightEventKind::LinkUp { parent, child } => Some((parent, child)),
+                _ => None,
+            })
+            .collect();
+        ups.sort_unstable();
+        assert_eq!(ups, pairs.into_iter().collect::<Vec<_>>());
+        // Initial links are the plan's, not a reconfiguration's.
+        assert_eq!(cluster.connections_opened(), 0);
+    }
+
+    #[test]
+    fn wrong_fleet_size_is_refused_before_dialing() {
+        let plan = relay_plan();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addrs = vec![listener.local_addr().expect("addr"); 2];
+        let config = quick_config();
+        for result in [
+            Coordinator::connect(&plan, &addrs, &config),
+            Coordinator::reconnect(&plan, &addrs, &config),
+        ] {
+            assert!(matches!(
+                result,
+                Err(ClusterError::FleetSize { sites: 3, addrs: 2 })
+            ));
+        }
+        let accepted = listener.accept().map_err(|e| e.kind());
+        assert!(
+            matches!(accepted, Err(std::io::ErrorKind::WouldBlock)),
+            "nothing may be dialed"
+        );
     }
 
     #[test]

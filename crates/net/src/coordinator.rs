@@ -3,23 +3,28 @@
 //!
 //! A [`Coordinator`] holds nothing of the rendezvous points it drives but
 //! **control connections and site addresses**. Every action is a
-//! [`wire`](crate::wire) message: forwarding tables install via
-//! `Reconfigure`/`Ack`, links open and close via `OpenLink`/`CloseLink`
-//! orders confirmed by `LinkUp`/`LinkDown` notifications from the
-//! receiving RP, frames inject via `Publish`/`BatchDone` at origin RPs,
-//! and delivery accounting is harvested with `StatsRequest`/`StatsReport`
-//! (each RP pushes its report the moment it has delivered what the
-//! coordinator is owed) — so the RPs it drives can live in the same process
-//! ([`LiveCluster`](crate::LiveCluster)), in separate OS processes, or on
-//! other hosts.
+//! [`wire`](crate::wire) message, so the RPs it drives can live in the
+//! same process ([`LiveCluster`](crate::LiveCluster)), in separate OS
+//! processes, or on other hosts.
+//!
+//! Every overlay change — the initial plan at [`Coordinator::connect`]
+//! and each [`PlanDelta`] at [`Coordinator::apply_delta`] — runs through
+//! one convergence step: order the new links open (`OpenLink`, confirmed
+//! by the child's `LinkUp`), dictate the touched RPs' forwarding tables
+//! through one ack barrier (`Reconfigure`/`Ack`), then order the dead
+//! links shut (`CloseLink`, confirmed by the child's `LinkDown`). Frames
+//! inject via `Publish`/`BatchDone` at origin RPs, and delivery
+//! accounting comes from one stats probe (`StatsRequest`/`StatsReport`:
+//! each RP pushes its report the moment it has delivered what the
+//! coordinator is owed).
 //!
 //! The coordinator survives losing its control connections:
 //! [`Coordinator::detach`] abandons a fleet *without* shutting it down
 //! (the RPs keep forwarding by their last-dictated tables), and
 //! [`Coordinator::reconnect`] re-adopts it — fresh `Attach`es, a
 //! `ResyncQuery`/`ResyncReply` round that rebuilds the coordinator's
-//! link view, then re-dictation of the latest revision as a fresh ack
-//! barrier. The shape is pinned by the model checker's crash scopes
+//! link view, then the same ack barrier re-dictating the latest
+//! revision. The shape is pinned by the model checker's crash scopes
 //! (`teeve-check model --resync`, see `crates/check`): resync replies
 //! rebuild the *view* but never choose the dictation target — trusting
 //! them is exactly the `ResyncSkip`/`ReconnectRewind` mutant pair the
@@ -31,7 +36,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, PlanDelta};
+use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, LinkChanges, PlanDelta};
 use teeve_telemetry::{FlightEventKind, FlightRecorder, Histogram, LogHistogram, MetricsRegistry};
 use teeve_types::{SiteId, StreamId};
 
@@ -287,8 +292,10 @@ struct SiteLink {
     /// Upstream peers the RP has reported `LinkUp` (minus `LinkDown`)
     /// for: the wire-level replacement of the old shared inbound set.
     inbound: BTreeSet<SiteId>,
-    /// Revisions the RP has acknowledged.
-    acks: BTreeSet<u64>,
+    /// The highest revision the RP has acknowledged. Revisions on one
+    /// control connection only increase, so `acked >= revision` is the
+    /// barrier test.
+    acked: Option<u64>,
     /// Per-stream high-water mark of `BatchDone { next_seq }`.
     batches: BTreeMap<StreamId, u64>,
     /// The freshest stats report, tagged with its probe token.
@@ -316,7 +323,7 @@ impl SiteLink {
             conn,
             buf: BytesMut::with_capacity(4 * 1024),
             inbound: BTreeSet::new(),
-            acks: BTreeSet::new(),
+            acked: None,
             batches: BTreeMap::new(),
             stats: None,
             resync: None,
@@ -334,7 +341,7 @@ impl SiteLink {
                 self.inbound.remove(&peer);
             }
             Message::Ack { revision } => {
-                self.acks.insert(revision);
+                self.acked = self.acked.max(Some(revision));
             }
             Message::BatchDone { stream, next_seq } => {
                 let high = self.batches.entry(stream).or_default();
@@ -452,23 +459,22 @@ impl SiteLink {
 /// addresses.
 ///
 /// Lifecycle — the live analogue of the paper's membership-server
-/// dictation, now entirely wire-level:
+/// dictation, entirely wire-level:
 ///
 /// 1. [`connect`](Self::connect) attaches one control connection per RP
-///    address, installs the initial plan's forwarding tables
-///    (`Reconfigure`/`Ack`), and orders the initial data links open
-///    (`OpenLink`, confirmed by each child's `LinkUp`);
+///    address and converges the bare fleet onto the initial plan: every
+///    plan link ordered open, every site's forwarding table dictated;
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
-///    origin RP, arms one `StatsRequest` per RP at the delivered total
-///    that RP owes, and blocks until every RP has pushed its report;
-/// 3. [`apply_delta`](Self::apply_delta) reconfigures the running fleet:
-///    it orders exactly the connections
-///    [`link_changes_between`](teeve_pubsub::link_changes_between) reports
-///    as established opened, pushes `Reconfigure { revision, site_plan }` at
-///    every touched RP, collects each epoch-boundary `Ack`, then orders
-///    exactly the `closed` connections shut — `retained` links (including
-///    socket-free stream reroutes) are never touched;
-/// 4. [`shutdown`](Self::shutdown) harvests every RP's final
+///    origin RP, then probes every RP armed at the delivered total it
+///    owes and blocks until each has pushed its report;
+/// 3. [`apply_delta`](Self::apply_delta) converges the running fleet onto
+///    the delta's successor plan by the same step: exactly the
+///    connections [`link_changes_between`](teeve_pubsub::link_changes_between)
+///    reports as established are opened, every touched RP's table is
+///    dictated through the ack barrier, then exactly the `closed`
+///    connections are shut — `retained` links (including socket-free
+///    stream reroutes) are never touched;
+/// 4. [`shutdown`](Self::shutdown) probes every RP for its final
 ///    `StatsReport`, folds them into the [`ClusterReport`], and orders
 ///    the fleet down.
 ///
@@ -506,62 +512,35 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Connects to an already-listening RP fleet (one address per site of
-    /// `plan`, in site order), installs the plan's forwarding tables, and
-    /// orders the initial overlay links open.
+    /// `plan`, in site order) and converges it onto `plan`: every plan
+    /// link ordered open, every site's forwarding table installed.
     ///
     /// # Errors
     ///
     /// Returns an error if the address count mismatches the plan, a
-    /// control connection cannot be established, a table install is not
-    /// acknowledged, or an initial link does not come up within
+    /// control connection cannot be established, an initial link does
+    /// not come up, or a table install is not acknowledged within
     /// `config.timeout`.
     pub fn connect(
         plan: &DisseminationPlan,
         addrs: &[SocketAddr],
         config: &ClusterConfig,
     ) -> Result<Coordinator, ClusterError> {
-        if addrs.len() != plan.site_count() {
-            return Err(ClusterError::FleetSize {
-                sites: plan.site_count(),
-                addrs: addrs.len(),
-            });
-        }
         let mut coordinator = Coordinator::attach_fleet(plan, addrs, config)?;
-
-        let deadline = Instant::now() + config.timeout;
-        // Install every forwarding table before any link exists, so the
-        // first frame routed already has its table.
-        let revision = plan.revision();
-        coordinator.recorder.record(FlightEventKind::Reconfigure {
-            revision,
-            sites: plan.site_count() as u64,
-        });
-        let sent_at = Instant::now();
-        for site in SiteId::all(plan.site_count()) {
-            coordinator.sites[site.index()].send(&Message::Reconfigure {
-                revision,
-                site_plan: plan.site_plan(site).clone(),
-            })?;
-        }
-        for site in SiteId::all(plan.site_count()) {
-            coordinator.await_ack(site, revision, deadline)?;
-            coordinator.record_ack(site, revision, sent_at);
-        }
-
-        // Initial data links (parent → child), one per directed site pair;
-        // the RPs dial their own children.
+        // A bare fleet converges like any delta in which every plan pair
+        // is new and every site touched. Its links open before its
+        // tables, which is safe because no frame is published before
+        // `connect` returns.
         let pairs: BTreeSet<(SiteId, SiteId)> = plan
             .edges()
             .map(|(parent, child, _)| (parent, child))
             .collect();
-        let opens_sent = Instant::now();
-        for &(parent, child) in &pairs {
-            coordinator.order_open(parent, child)?;
-        }
-        for &(parent, child) in &pairs {
-            coordinator.await_inbound(child, parent, true, deadline)?;
-            coordinator.record_link(parent, child, true, opens_sent);
-        }
+        let changes = LinkChanges {
+            established: pairs.into_iter().collect(),
+            ..LinkChanges::default()
+        };
+        let every_site: Vec<SiteId> = SiteId::all(plan.site_count()).collect();
+        coordinator.converge(plan, &every_site, &changes)?;
         Ok(coordinator)
     }
 
@@ -611,7 +590,7 @@ impl Coordinator {
     /// connection per RP (atomically replacing any dead one on the RP
     /// side), runs a `ResyncQuery` round to rebuild the coordinator's
     /// view of inbound links, then re-dictates `plan`'s revision to
-    /// every RP as a fresh ack barrier.
+    /// every RP through the same ack barrier as every reconfiguration.
     ///
     /// `plan` must be the plan the lost coordinator last fully
     /// dictated, revision included (a restarted membership service
@@ -643,7 +622,7 @@ impl Coordinator {
     ) -> Result<Coordinator, ClusterError> {
         let resync_started = Instant::now();
         let mut coordinator = Coordinator::attach_fleet(plan, addrs, config)?;
-        match coordinator.resync(resync_started) {
+        match coordinator.resync(plan, resync_started) {
             Ok(()) => Ok(coordinator),
             Err(e) => {
                 // A refused or failed resync must leave the fleet exactly
@@ -659,13 +638,17 @@ impl Coordinator {
     /// The resync round of [`reconnect`](Self::reconnect), run on a
     /// freshly attached fleet: query, rebuild the view, re-dictate the
     /// barrier, baseline accounting.
-    fn resync(&mut self, resync_started: Instant) -> Result<(), ClusterError> {
+    fn resync(
+        &mut self,
+        plan: &DisseminationPlan,
+        resync_started: Instant,
+    ) -> Result<(), ClusterError> {
         self.recorder.record(FlightEventKind::ResyncStart);
         let deadline = Instant::now() + self.config.timeout;
 
         // 1. Query every RP and rebuild the inbound-link view from the
         //    replies. The reported revisions are observed, not obeyed.
-        let plan_revision = self.plan.revision();
+        let plan_revision = plan.revision();
         self.next_probe += 1;
         let probe = self.next_probe;
         for link in &mut self.sites {
@@ -696,46 +679,21 @@ impl Coordinator {
         //    already running it re-apply idempotently (tables swap on
         //    `revision >= current`); any that missed the final
         //    pre-crash Reconfigure catch up here.
-        let revision = plan_revision;
-        let site_count = self.plan.site_count();
-        self.recorder.record(FlightEventKind::Reconfigure {
-            revision,
-            sites: site_count as u64,
-        });
-        let sent_at = Instant::now();
-        for site in SiteId::all(site_count) {
-            let site_plan = self.plan.site_plan(site).clone();
-            self.sites[site.index()].send(&Message::Reconfigure {
-                revision,
-                site_plan,
-            })?;
-        }
-        for site in SiteId::all(site_count) {
-            self.await_ack(site, revision, deadline)?;
-            self.record_ack(site, revision, sent_at);
-        }
+        let every_site: Vec<SiteId> = SiteId::all(plan.site_count()).collect();
+        self.dictate(plan, &every_site, deadline)?;
 
         // 3. Baseline delivery accounting at the barrier: whatever the
         //    fleet delivered while unsupervised is not this
         //    coordinator's to await.
-        self.next_probe += 1;
-        let probe = self.next_probe;
-        for link in &mut self.sites {
-            link.send(&Message::StatsRequest { probe, at_least: 0 })?;
-        }
-        for (link, owed) in self.sites.iter_mut().zip(&mut self.owed) {
-            *owed = link.wait_for(deadline, "baseline stats report", |l| {
-                l.stats
-                    .as_ref()
-                    .filter(|s| s.probe >= probe)
-                    .map(|s| s.total)
-            })?;
-        }
+        self.owed = self
+            .probe_stats(false, deadline)
+            .map(|(_, total)| total)
+            .collect::<Result<_, _>>()?;
 
         self.resync_span.record_duration(resync_started.elapsed());
         self.recorder.record(FlightEventKind::ResyncComplete {
-            sites: site_count as u64,
-            revision,
+            sites: every_site.len() as u64,
+            revision: plan_revision,
         });
         Ok(())
     }
@@ -806,31 +764,6 @@ impl Coordinator {
         self.recorder.dump_json()
     }
 
-    /// Records one site's `Ack` round-trip and its flight event.
-    fn record_ack(&self, site: SiteId, revision: u64, sent_at: Instant) {
-        self.reconfigure_rtt.record_duration(sent_at.elapsed());
-        self.recorder.record(FlightEventKind::Ack {
-            site: site.index() as u32,
-            revision,
-        });
-    }
-
-    /// Records one confirmed link transition (order-sent → confirmed)
-    /// and its flight event.
-    fn record_link(&self, parent: SiteId, child: SiteId, up: bool, sent_at: Instant) {
-        let parent = parent.index() as u32;
-        let child = child.index() as u32;
-        if up {
-            self.link_open_span.record_duration(sent_at.elapsed());
-            self.recorder
-                .record(FlightEventKind::LinkUp { parent, child });
-        } else {
-            self.link_close_span.record_duration(sent_at.elapsed());
-            self.recorder
-                .record(FlightEventKind::LinkDown { parent, child });
-        }
-    }
-
     /// Orders `frames` frames published from every origin stream of the
     /// current plan and blocks until all planned deliveries of the batch
     /// are accounted for: every RP pushes its stats report once its
@@ -889,12 +822,13 @@ impl Coordinator {
         self.await_deliveries()
     }
 
-    /// Applies one [`PlanDelta`] to the running cluster: orders exactly
-    /// the `established` connections opened, reconfigures every touched
-    /// RP over its control channel, waits for all epoch-boundary `Ack`s,
-    /// then orders exactly the `closed` connections shut. Links that are
-    /// `retained` — including pairs whose stream set changed — are never
-    /// touched, so a socket-free reroute opens and closes nothing.
+    /// Applies one [`PlanDelta`] to the running cluster: validates it,
+    /// then converges the fleet onto the successor plan by the same step
+    /// as [`connect`](Self::connect) — exactly the `established`
+    /// connections opened, every touched RP's table dictated, exactly
+    /// the `closed` connections shut. Links that are `retained` —
+    /// including pairs whose stream set changed — are never touched, so
+    /// a socket-free reroute opens and closes nothing.
     ///
     /// # Errors
     ///
@@ -916,85 +850,106 @@ impl Coordinator {
         }
         let mut next = self.plan.clone();
         delta.apply(&mut next)?;
+        let changes = link_changes_between(&self.plan, &next);
+        let touched: Vec<SiteId> = delta.touched_sites().into_iter().collect();
         // Validation passed: any failure beyond this point leaves the
         // fleet partially reconfigured, so it poisons the coordinator.
-        match self.reconfigure(delta, next) {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                self.poisoned = true;
-                self.recorder.record(FlightEventKind::Poisoned {
-                    revision: delta.to_revision(),
-                    detail: e.to_string(),
-                });
-                Err(e)
-            }
+        if let Err(e) = self.converge(&next, &touched, &changes) {
+            self.poisoned = true;
+            self.recorder.record(FlightEventKind::Poisoned {
+                revision: delta.to_revision(),
+                detail: e.to_string(),
+            });
+            return Err(e);
         }
-    }
-
-    /// The socket-touching phase of [`apply_delta`](Self::apply_delta);
-    /// `next` is the already-validated successor plan.
-    fn reconfigure(
-        &mut self,
-        delta: &PlanDelta,
-        next: DisseminationPlan,
-    ) -> Result<ReconfigureReport, ClusterError> {
-        let changes = link_changes_between(&self.plan, &next);
-        let revision = delta.to_revision();
-        let deadline = Instant::now() + self.config.timeout;
-
-        // 1. Open new links before any table switches, so the first frame
-        //    routed by a new table already has its socket, and wait until
-        //    each child has reported its new parent's link up.
-        let opens_sent = Instant::now();
-        for &(parent, child) in &changes.established {
-            self.order_open(parent, child)?;
-        }
-        for &(parent, child) in &changes.established {
-            self.await_inbound(child, parent, true, deadline)?;
-            self.record_link(parent, child, true, opens_sent);
-        }
-
-        // 2. Swap forwarding tables over the control plane and collect
-        //    every Ack: once all land, no RP forwards by an old table.
-        let touched = delta.touched_sites();
-        self.recorder.record(FlightEventKind::Reconfigure {
-            revision,
-            sites: touched.len() as u64,
-        });
-        let sent_at = Instant::now();
-        for &site in &touched {
-            self.sites[site.index()].send(&Message::Reconfigure {
-                revision,
-                site_plan: next.site_plan(site).clone(),
-            })?;
-        }
-        for &site in &touched {
-            self.await_ack(site, revision, deadline)?;
-            self.record_ack(site, revision, sent_at);
-        }
-
-        // 3. Order links whose last stream left shut, and wait for the
-        //    receive side to report the attributed parent gone.
-        let closes_sent = Instant::now();
-        for &(parent, child) in &changes.closed {
-            self.sites[parent.index()].send(&Message::CloseLink { child })?;
-        }
-        for &(parent, child) in &changes.closed {
-            self.await_inbound(child, parent, false, deadline)?;
-            self.record_link(parent, child, false, closes_sent);
-        }
-
         self.connections_opened += changes.established.len() as u64;
         self.connections_closed += changes.closed.len() as u64;
         self.plan = next;
         Ok(ReconfigureReport {
-            revision,
+            revision: delta.to_revision(),
             quality_changes: delta.quality_changes().len(),
             established: changes.established,
             closed: changes.closed,
             retained: changes.retained.len(),
             reconfigured_sites: touched.len(),
         })
+    }
+
+    /// The one convergence step, shared by [`connect`](Self::connect)
+    /// and [`apply_delta`](Self::apply_delta): orders `changes`'
+    /// established links open and waits for each child's `LinkUp`,
+    /// [`dictate`](Self::dictate)s `next` to the `touched` sites, then
+    /// orders the closed links shut and waits for each child's
+    /// `LinkDown`.
+    fn converge(
+        &mut self,
+        next: &DisseminationPlan,
+        touched: &[SiteId],
+        changes: &LinkChanges,
+    ) -> Result<(), ClusterError> {
+        let deadline = Instant::now() + self.config.timeout;
+
+        // 1. Open new links before any table switches, so the first frame
+        //    routed by a new table already has its socket.
+        let opens_sent = Instant::now();
+        for &(parent, child) in &changes.established {
+            let addr = self.sites[child.index()].addr;
+            self.sites[parent.index()].send(&Message::OpenLink { child, addr })?;
+        }
+        for &(parent, child) in &changes.established {
+            self.await_link(parent, child, true, opens_sent, deadline)?;
+        }
+
+        // 2. Swap forwarding tables: once every Ack lands, no RP forwards
+        //    by an old table.
+        self.dictate(next, touched, deadline)?;
+
+        // 3. Shut links whose last stream left, and wait for the receive
+        //    side to report the attributed parent gone.
+        let closes_sent = Instant::now();
+        for &(parent, child) in &changes.closed {
+            self.sites[parent.index()].send(&Message::CloseLink { child })?;
+        }
+        for &(parent, child) in &changes.closed {
+            self.await_link(parent, child, false, closes_sent, deadline)?;
+        }
+        Ok(())
+    }
+
+    /// The one ack barrier: pushes `Reconfigure { revision, site_plan }`
+    /// with `plan`'s table to each of `sites`, then waits until every one
+    /// has acknowledged `plan`'s revision. Used by
+    /// [`converge`](Self::converge) and by
+    /// [`reconnect`](Self::reconnect)'s re-dictation.
+    fn dictate(
+        &mut self,
+        plan: &DisseminationPlan,
+        sites: &[SiteId],
+        deadline: Instant,
+    ) -> Result<(), ClusterError> {
+        let revision = plan.revision();
+        self.recorder.record(FlightEventKind::Reconfigure {
+            revision,
+            sites: sites.len() as u64,
+        });
+        let sent_at = Instant::now();
+        for &site in sites {
+            self.sites[site.index()].send(&Message::Reconfigure {
+                revision,
+                site_plan: plan.site_plan(site).clone(),
+            })?;
+        }
+        for &site in sites {
+            self.sites[site.index()].wait_for(deadline, "reconfiguration ack", |link| {
+                (link.acked >= Some(revision)).then_some(())
+            })?;
+            self.reconfigure_rtt.record_duration(sent_at.elapsed());
+            self.recorder.record(FlightEventKind::Ack {
+                site: site.index() as u32,
+                revision,
+            });
+        }
+        Ok(())
     }
 
     /// Shuts the fleet down and reports: harvests every RP's final stats
@@ -1005,56 +960,39 @@ impl Coordinator {
     /// failed (e.g. after a poisoning reconfiguration) contributes
     /// nothing to the report instead of failing the shutdown.
     pub fn shutdown(mut self) -> ClusterReport {
-        let elapsed = self.started.map(|s| s.elapsed()).unwrap_or_default();
-        let deadline = Instant::now() + self.config.timeout;
-        self.next_probe += 1;
-        let probe = self.next_probe;
         let mut report = ClusterReport {
-            elapsed,
+            elapsed: self.started.map(|s| s.elapsed()).unwrap_or_default(),
             final_revision: self.plan.revision(),
             connections_opened: self.connections_opened,
             connections_closed: self.connections_closed,
             ..ClusterReport::default()
         };
-        let mut reachable: Vec<bool> = Vec::with_capacity(self.sites.len());
-        for link in &mut self.sites {
-            reachable.push(
-                link.send(&Message::StatsRequest { probe, at_least: 0 })
-                    .is_ok(),
-            );
-        }
-        for (link, ok) in self.sites.iter_mut().zip(reachable) {
-            let snapshot = if ok {
-                link.wait_for(deadline, "final stats report", |l| {
-                    l.stats.as_ref().filter(|s| s.probe >= probe).cloned()
-                })
-                .ok()
-            } else {
-                None
-            };
+        let deadline = Instant::now() + self.config.timeout;
+        let harvest: Vec<(SiteId, Option<StatsSnapshot>)> = self
+            .probe_stats(false, deadline)
+            .map(|(link, total)| (link.site, total.ok().and(link.stats.take())))
+            .collect();
+        for (site, snapshot) in harvest {
             // A dead RP's accounting is *named* as missing, never
             // silently dropped: the report stays auditable after a
             // poisoning run.
             let Some(snapshot) = snapshot else {
                 report.missing_reports += 1;
                 self.recorder.record(FlightEventKind::StatsLost {
-                    site: link.site.index() as u32,
+                    site: site.index() as u32,
                 });
                 continue;
             };
             for entry in snapshot.streams {
-                report
-                    .delivered
-                    .insert((link.site, entry.stream), entry.delivered);
+                let key = (site, entry.stream);
+                report.delivered.insert(key, entry.delivered);
                 report
                     .delivered_degraded
-                    .insert((link.site, entry.stream), entry.delivered_degraded);
+                    .insert(key, entry.delivered_degraded);
                 report
                     .latency_sum_micros
-                    .insert((link.site, entry.stream), entry.latency_sum_micros);
-                report
-                    .latency
-                    .insert((link.site, entry.stream), entry.latency);
+                    .insert(key, entry.latency_sum_micros);
+                report.latency.insert(key, entry.latency);
             }
             report.max_latency_micros = report.max_latency_micros.max(snapshot.max_latency_micros);
         }
@@ -1065,30 +1003,25 @@ impl Coordinator {
         report
     }
 
-    /// Orders `parent` to open its data link to `child`, resolving the
-    /// child's address from the fleet table.
-    fn order_open(&mut self, parent: SiteId, child: SiteId) -> Result<(), ClusterError> {
-        let addr = self.sites[child.index()].addr;
-        self.sites[parent.index()].send(&Message::OpenLink { child, addr })
-    }
-
     /// Waits until `child` has reported the inbound link from `parent`
-    /// up (`present`) or down (`!present`).
-    fn await_inbound(
+    /// up (`up`) or down (`!up`), then records the transition's latency
+    /// since its order was sent and its flight event.
+    fn await_link(
         &mut self,
-        child: SiteId,
         parent: SiteId,
-        present: bool,
+        child: SiteId,
+        up: bool,
+        sent_at: Instant,
         deadline: Instant,
     ) -> Result<(), ClusterError> {
-        let what = if present {
+        let what = if up {
             "inbound link attribution"
         } else {
             "inbound link closure"
         };
         self.sites[child.index()]
             .wait_for(deadline, what, |link| {
-                (link.inbound.contains(&parent) == present).then_some(())
+                (link.inbound.contains(&parent) == up).then_some(())
             })
             .map_err(|e| match e {
                 ClusterError::Control { site, detail } => ClusterError::Control {
@@ -1096,36 +1029,64 @@ impl Coordinator {
                     detail: format!("{detail} (link {parent} -> {child})"),
                 },
                 other => other,
-            })
+            })?;
+        let (parent, child) = (parent.index() as u32, child.index() as u32);
+        if up {
+            self.link_open_span.record_duration(sent_at.elapsed());
+            self.recorder
+                .record(FlightEventKind::LinkUp { parent, child });
+        } else {
+            self.link_close_span.record_duration(sent_at.elapsed());
+            self.recorder
+                .record(FlightEventKind::LinkDown { parent, child });
+        }
+        Ok(())
     }
 
-    /// Waits for `site`'s `Ack` of `revision`.
-    fn await_ack(
+    /// The one stats probe: sends every RP a `StatsRequest` — armed at
+    /// the total it owes when `armed`, answered at once otherwise — and
+    /// returns a lazy wait over the replies in site order. Each item is a
+    /// site's link and the delivered total it reported; the full report
+    /// stays in the link's `stats`. The RPs answer concurrently, so the
+    /// wait costs the slowest site, not the sum of the sites. Strict
+    /// callers stop at the first `Err`; best-effort ones read on.
+    fn probe_stats(
         &mut self,
-        site: SiteId,
-        revision: u64,
+        armed: bool,
         deadline: Instant,
-    ) -> Result<(), ClusterError> {
-        self.sites[site.index()].wait_for(deadline, "reconfiguration ack", |link| {
-            link.acks.contains(&revision).then_some(())
+    ) -> impl Iterator<Item = (&mut SiteLink, Result<u64, ClusterError>)> + '_ {
+        self.next_probe += 1;
+        let probe = self.next_probe;
+        let sent: Vec<Result<(), ClusterError>> = self
+            .sites
+            .iter_mut()
+            .zip(&self.owed)
+            .map(|(link, &owed)| {
+                let at_least = if armed { owed } else { 0 };
+                link.send(&Message::StatsRequest { probe, at_least })
+            })
+            .collect();
+        self.sites.iter_mut().zip(sent).map(move |(link, sent)| {
+            let total = sent.and_then(|()| {
+                link.wait_for(deadline, "stats report", |l| {
+                    l.stats
+                        .as_ref()
+                        .filter(|s| s.probe >= probe)
+                        .map(|s| s.total)
+                })
+            });
+            (link, total)
         })
     }
 
-    /// Arms one `StatsRequest` per RP at the total it owes and waits for
-    /// every report. The RPs push concurrently, so the wait costs the
-    /// slowest site, not the sum of the sites.
+    /// Probes every RP armed at the total it owes and waits for every
+    /// report, stopping at the first failure; a wait that overruns the
+    /// deadline is a [`ClusterError::Timeout`] naming what was delivered.
     fn await_deliveries(&mut self) -> Result<(), ClusterError> {
         let deadline = Instant::now() + self.config.timeout;
-        self.next_probe += 1;
-        let probe = self.next_probe;
-        for (link, &at_least) in self.sites.iter_mut().zip(&self.owed) {
-            link.send(&Message::StatsRequest { probe, at_least })?;
-        }
-        let waited = self.sites.iter_mut().try_for_each(|link| {
-            link.wait_for(deadline, "stats report", |l| {
-                l.stats.as_ref().filter(|s| s.probe >= probe).map(|_| ())
-            })
-        });
+        let waited = self
+            .probe_stats(true, deadline)
+            .try_for_each(|(_, total)| total.map(drop));
         match waited {
             Err(ClusterError::Control { .. }) if Instant::now() > deadline => {
                 Err(ClusterError::Timeout {

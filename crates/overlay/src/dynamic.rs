@@ -104,7 +104,7 @@ pub struct ScoredAdmission {
     /// The structural outcome (joined, already joined, or rejected).
     pub result: SubscribeResult,
     /// The quality the subscription is served at ([`Quality::FULL`]
-    /// when rate admission is disabled or the budget is ample).
+    /// when the site's budget is unset or ample).
     pub quality: Quality,
     /// Already-admitted streams at this site whose quality changed to fit
     /// the budget: degraded — CO-RJ style — to make room for the
@@ -202,8 +202,8 @@ pub struct OverlayManager {
     state: ForestState<Arc<ProblemInstance>>,
     /// Enable CO-RJ victim swapping on saturated joins.
     correlation_aware: bool,
-    /// Rate-aware degrade-don't-reject admission, when enabled.
-    rate: Option<RateAdmission>,
+    /// Rate-aware degrade-don't-reject admission.
+    rate: RateAdmission,
 }
 
 impl OverlayManager {
@@ -213,11 +213,26 @@ impl OverlayManager {
     /// capacities and bound. Accepts a `ProblemInstance` by value or an
     /// already-shared `Arc<ProblemInstance>` (callers keeping their own
     /// handle on the universe pass a clone of the `Arc`).
+    ///
+    /// Admission is rate-aware on the paper's
+    /// [`QualityLadder::paper_default`]: every subscription is granted a
+    /// [`Quality`] rung, and when a receiving site's bit-rate budget (see
+    /// [`set_rate_budget`](Self::set_rate_budget)) cannot carry a new
+    /// stream at full quality, admission degrades — first the newcomer,
+    /// then the site's lowest-scored already-admitted streams — and only
+    /// rejects once every stream sits at the ladder floor. Budgets start
+    /// unset, and an unset budget grants [`Quality::FULL`].
     pub fn new(problem: impl Into<Arc<ProblemInstance>>) -> Self {
+        let state = ForestState::new(problem.into());
+        let rate = RateAdmission {
+            ladder: QualityLadder::paper_default(),
+            budgets: vec![None; state.problem().site_count()],
+            admitted: BTreeMap::new(),
+        };
         OverlayManager {
-            state: ForestState::new(problem.into()),
+            state,
             correlation_aware: false,
-            rate: None,
+            rate,
         }
     }
 
@@ -228,33 +243,6 @@ impl OverlayManager {
         self
     }
 
-    /// Enables the rate-aware degrade-don't-reject admission path: every
-    /// subscription is granted a [`Quality`] rung on the shared `ladder`,
-    /// and when a receiving site's bit-rate budget (see
-    /// [`set_rate_budget`](Self::set_rate_budget)) cannot carry a new
-    /// stream at full quality, admission degrades — first the newcomer,
-    /// then the site's lowest-scored already-admitted streams — and only
-    /// rejects once every stream sits at the ladder floor.
-    ///
-    /// Budgets start unconstrained; until one is set, every subscription
-    /// is granted [`Quality::FULL`] exactly as without this call.
-    #[must_use]
-    pub fn with_rate_admission(mut self, ladder: QualityLadder) -> Self {
-        let n = self.state.problem().site_count();
-        self.rate = Some(RateAdmission {
-            ladder,
-            budgets: vec![None; n],
-            admitted: BTreeMap::new(),
-        });
-        self
-    }
-
-    /// Returns true when the degrade-don't-reject admission path is
-    /// enabled.
-    pub fn has_rate_admission(&self) -> bool {
-        self.rate.is_some()
-    }
-
     /// Sets (or clears) `site`'s inbound bit-rate budget. Takes effect on
     /// the next [`subscribe_scored`](Self::subscribe_scored) or
     /// [`refit_site`](Self::refit_site) call — already-granted qualities
@@ -262,21 +250,14 @@ impl OverlayManager {
     ///
     /// # Panics
     ///
-    /// Panics if rate admission is not enabled or `site` is out of range.
+    /// Panics if `site` is out of range.
     pub fn set_rate_budget(&mut self, site: SiteId, budget_bps: Option<u64>) {
-        let rate = self
-            .rate
-            .as_mut()
-            .expect("rate admission not enabled; call with_rate_admission first");
-        rate.budgets[site.index()] = budget_bps;
+        self.rate.budgets[site.index()] = budget_bps;
     }
 
-    /// Returns `site`'s inbound bit-rate budget (`None` when unlimited or
-    /// rate admission is disabled).
+    /// Returns `site`'s inbound bit-rate budget (`None` when unlimited).
     pub fn rate_budget(&self, site: SiteId) -> Option<u64> {
-        self.rate
-            .as_ref()
-            .and_then(|rate| rate.budgets[site.index()])
+        self.rate.budgets[site.index()]
     }
 
     /// Returns the quality `site` currently receives `stream` at:
@@ -284,21 +265,18 @@ impl OverlayManager {
     /// degraded to) a lower rung.
     pub fn quality_of(&self, site: SiteId, stream: StreamId) -> Quality {
         self.rate
-            .as_ref()
-            .and_then(|rate| rate.admitted.get(&(site, stream)))
-            .map(|&(_, quality)| quality)
-            .unwrap_or(Quality::FULL)
+            .admitted
+            .get(&(site, stream))
+            .map_or(Quality::FULL, |&(_, quality)| quality)
     }
 
     /// Updates the stored FOV contribution score of an admitted
     /// subscription (a display re-targeted without unsubscribing), so
     /// later refits and victim selections rank it correctly. A no-op for
-    /// unknown subscriptions or without rate admission.
+    /// unknown subscriptions.
     pub fn rescore(&mut self, site: SiteId, stream: StreamId, score: f64) {
-        if let Some(rate) = self.rate.as_mut() {
-            if let Some(entry) = rate.admitted.get_mut(&(site, stream)) {
-                entry.0 = score;
-            }
+        if let Some(entry) = self.rate.admitted.get_mut(&(site, stream)) {
+            entry.0 = score;
         }
     }
 
@@ -310,10 +288,7 @@ impl OverlayManager {
     /// too small for even the floor keeps everything at the floor; the
     /// transport layer surfaces the shortfall).
     pub fn refit_site(&mut self, site: SiteId) -> Vec<(StreamId, Quality)> {
-        match self.rate.as_mut() {
-            Some(rate) => rate.commit_fit(site, None),
-            None => Vec::new(),
-        }
+        self.rate.commit_fit(site, None)
     }
 
     /// Returns the shared subscription universe this manager operates over.
@@ -381,9 +356,9 @@ impl OverlayManager {
     /// contribution `score` through the degrade-don't-reject admission
     /// path.
     ///
-    /// With rate admission enabled
-    /// ([`with_rate_admission`](Self::with_rate_admission)) and a budget
-    /// set for `site`, saturation degrades instead of rejecting: the
+    /// With a budget set for `site`
+    /// ([`set_rate_budget`](Self::set_rate_budget)), saturation degrades
+    /// instead of rejecting: the
     /// newcomer is first tried at lower rungs, then the site's
     /// lowest-scored already-admitted streams yield budget one rung at a
     /// time (the CO-RJ idea, with *degrade* in place of *drop*), and the
@@ -427,14 +402,13 @@ impl OverlayManager {
             // Known member: a scored call refreshes the stored score so
             // later refits and victim selections rank it correctly; a
             // score-less call leaves it alone.
-            if let Some(rate) = self.rate.as_mut() {
-                let entry = rate
-                    .admitted
-                    .entry((site, stream))
-                    .or_insert((admit_score, Quality::FULL));
-                if let Some(score) = score {
-                    entry.0 = score;
-                }
+            let entry = self
+                .rate
+                .admitted
+                .entry((site, stream))
+                .or_insert((admit_score, Quality::FULL));
+            if let Some(score) = score {
+                entry.0 = score;
             }
             return Ok(ScoredAdmission {
                 result: SubscribeResult::AlreadyJoined,
@@ -446,14 +420,12 @@ impl OverlayManager {
 
         // Rate feasibility first, so a ladder-exhausted rejection never
         // mutates the forest (no join to undo, no swap to revert).
-        if let Some(rate) = self.rate.as_ref() {
-            if rate.budgets[site.index()].is_some() {
-                let mut streams = rate.site_streams(site);
-                streams.push((stream, admit_score));
-                let fit = fit_qualities(&rate.ladder, rate.budgets[site.index()], &streams);
-                if !fit.fits {
-                    return Ok(rejected(Quality::FULL));
-                }
+        let budget = self.rate.budgets[site.index()];
+        if budget.is_some() {
+            let mut streams = self.rate.site_streams(site);
+            streams.push((stream, admit_score));
+            if !fit_qualities(&self.rate.ladder, budget, &streams).fits {
+                return Ok(rejected(Quality::FULL));
             }
         }
 
@@ -470,9 +442,7 @@ impl OverlayManager {
                         // The swap traded the victim subscription away;
                         // its quality bookkeeping goes with it, and the
                         // caller is told so its granted state follows.
-                        if let Some(rate) = self.rate.as_mut() {
-                            rate.admitted.remove(&(site, sacrificed));
-                        }
+                        self.rate.admitted.remove(&(site, sacrificed));
                         victim = Some(sacrificed);
                         self.state
                             .tree(group)
@@ -485,13 +455,8 @@ impl OverlayManager {
             _ => return Ok(rejected(Quality::FULL)),
         };
 
-        let (quality, changed) = match self.rate.as_mut() {
-            Some(rate) => {
-                let changed = rate.commit_fit(site, Some((stream, admit_score)));
-                (rate.admitted[&(site, stream)].1, changed)
-            }
-            None => (Quality::FULL, Vec::new()),
-        };
+        let changed = self.rate.commit_fit(site, Some((stream, admit_score)));
+        let quality = self.quality_of(site, stream);
         Ok(ScoredAdmission {
             result: SubscribeResult::Joined { parent },
             quality,
@@ -539,11 +504,9 @@ impl OverlayManager {
         }
         // Release the departed (and dropped) subscriptions' quality
         // bookkeeping; re-attached descendants keep theirs.
-        if let Some(rate) = self.rate.as_mut() {
-            rate.admitted.remove(&(site, stream));
-            for &dropped in &result.dropped {
-                rate.admitted.remove(&(dropped, stream));
-            }
+        self.rate.admitted.remove(&(site, stream));
+        for &dropped in &result.dropped {
+            self.rate.admitted.remove(&(dropped, stream));
         }
         Ok(result)
     }
@@ -795,7 +758,7 @@ mod tests {
             .subscribe(site(1), stream(0, 1))
             .build()
             .unwrap();
-        let mut m = OverlayManager::new(p).with_rate_admission(QualityLadder::paper_default());
+        let mut m = OverlayManager::new(p);
         m.set_rate_budget(site(1), Some(12_000_000));
 
         let first = m.subscribe_scored(site(1), stream(0, 0), 0.9).unwrap();
@@ -823,7 +786,7 @@ mod tests {
             .subscribe(site(1), stream(0, 1))
             .build()
             .unwrap();
-        let mut m = OverlayManager::new(p).with_rate_admission(QualityLadder::paper_default());
+        let mut m = OverlayManager::new(p);
         m.set_rate_budget(site(1), Some(12_000_000));
         m.subscribe_scored(site(1), stream(0, 0), 0.2).unwrap();
 
@@ -846,8 +809,7 @@ mod tests {
             .subscribe(site(1), stream(0, 2))
             .build()
             .unwrap();
-        let mut m =
-            OverlayManager::new(p.clone()).with_rate_admission(QualityLadder::paper_default());
+        let mut m = OverlayManager::new(p.clone());
         m.set_rate_budget(site(1), Some(5_000_000));
 
         assert!(matches!(
@@ -879,7 +841,7 @@ mod tests {
             .subscribe(site(1), stream(0, 1))
             .build()
             .unwrap();
-        let mut m = OverlayManager::new(p).with_rate_admission(QualityLadder::paper_default());
+        let mut m = OverlayManager::new(p);
         m.set_rate_budget(site(1), Some(10_000_000));
         m.subscribe_scored(site(1), stream(0, 0), 0.9).unwrap();
         m.subscribe_scored(site(1), stream(0, 1), 0.1).unwrap();
@@ -907,7 +869,7 @@ mod tests {
             .subscribe(site(1), stream(0, 1))
             .build()
             .unwrap();
-        let mut m = OverlayManager::new(p).with_rate_admission(QualityLadder::paper_default());
+        let mut m = OverlayManager::new(p);
         m.set_rate_budget(site(1), Some(12_000_000));
         m.subscribe_scored(site(1), stream(0, 0), 0.9).unwrap();
         m.subscribe_scored(site(1), stream(0, 1), 0.1).unwrap();
@@ -937,7 +899,7 @@ mod tests {
             .subscribe(site(1), stream(0, 1))
             .build()
             .unwrap();
-        let mut m = OverlayManager::new(p).with_rate_admission(QualityLadder::paper_default());
+        let mut m = OverlayManager::new(p);
         m.subscribe_scored(site(1), stream(0, 0), 0.1).unwrap();
         m.subscribe_scored(site(1), stream(0, 1), 0.9).unwrap();
         // Idempotent plain re-subscribe of the low scorer.
@@ -961,12 +923,9 @@ mod tests {
 
     #[test]
     fn plain_subscribe_is_unchanged_without_budgets() {
-        // Rate admission enabled but no budget set: behavior (and
-        // qualities) are identical to the plain path.
+        // No budget set: every subscription is granted full quality.
         let p = problem();
-        let mut m =
-            OverlayManager::new(p.clone()).with_rate_admission(QualityLadder::paper_default());
-        assert!(m.has_rate_admission());
+        let mut m = OverlayManager::new(p.clone());
         assert_eq!(m.rate_budget(site(1)), None);
         let s = stream(0, 0);
         assert!(matches!(

@@ -160,8 +160,6 @@ pub struct SessionRuntime {
     /// reconstruction is deterministic, and thrashing on persistently
     /// infeasible demand is exactly what this gate prevents.
     rebuilt_for: Option<Vec<BTreeMap<StreamId, Quality>>>,
-    /// The quality ladder shared by admission and refitting.
-    ladder: QualityLadder,
     /// The hosted session this runtime serves when owned by a
     /// multi-session service; every derived plan and emitted delta is
     /// stamped with it.
@@ -218,7 +216,6 @@ impl SessionRuntime {
             estimators: vec![BandwidthEstimator::new(BANDWIDTH_ALPHA); n],
             scores: BTreeMap::new(),
             rebuilt_for: None,
-            ladder: QualityLadder::paper_default(),
             scope: None,
             session,
             config,
@@ -464,7 +461,7 @@ impl SessionRuntime {
                         .collect()
                 })
                 .collect(),
-            ladder: self.ladder.clone(),
+            ladder: QualityLadder::paper_default(),
         };
         self.epoch += 1;
         self.totals.absorb(&report);
@@ -664,13 +661,14 @@ impl SessionRuntime {
     /// Annotates the desired state with the quality rung each site's
     /// current budget would fit it at — the key of the rebuild-once gate.
     fn annotate_demand(&self, desired: &[BTreeSet<StreamId>]) -> Vec<BTreeMap<StreamId, Quality>> {
+        let ladder = QualityLadder::paper_default();
         SiteId::all(self.session.site_count())
             .map(|site| {
                 let streams: Vec<(StreamId, f64)> = desired[site.index()]
                     .iter()
                     .map(|&stream| (stream, self.fov_score(site, stream)))
                     .collect();
-                fit_qualities(&self.ladder, self.budget_of(site), &streams).qualities
+                fit_qualities(&ladder, self.budget_of(site), &streams).qualities
             })
             .collect()
     }
@@ -698,8 +696,7 @@ impl SessionRuntime {
     }
 
     fn make_manager(universe: &Arc<ProblemInstance>, config: &RuntimeConfig) -> OverlayManager {
-        let mut manager = OverlayManager::new(Arc::clone(universe))
-            .with_rate_admission(QualityLadder::paper_default());
+        let mut manager = OverlayManager::new(Arc::clone(universe));
         if config.correlation_aware {
             manager = manager.with_correlation_swapping();
         }

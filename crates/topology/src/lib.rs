@@ -4,7 +4,7 @@
 //! **Mapnet** Internet topology (CAIDA), randomly selecting 3–10 PoP nodes
 //! per session and deriving edge costs from geographic distance. The Mapnet
 //! dataset is no longer distributable, so this crate provides a faithful
-//! substitute (substitution S1 in `DESIGN.md`):
+//! substitute:
 //!
 //! * [`backbone`] — an embedded backbone of 48 real PoP cities (public
 //!   latitude/longitude) connected with a realistic mesh of regional rings

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// **expected total demand**, so the workload families are directly
 /// comparable (same expected demand, different concentration).
 ///
-/// The calibration (see `DESIGN.md`) reproduces the paper's regime: a
+/// The calibration reproduces the paper's regime: a
 /// *dense* session where "a participant typically wants to see a large
 /// portion of other participants" — the popular streams are subscribed by
 /// almost every site (big multicast groups), a long tail goes
@@ -82,8 +82,8 @@ pub enum PopularityModel {
 }
 
 impl PopularityModel {
-    /// The paper-calibrated default interest mass (see `DESIGN.md`,
-    /// "Demand calibration"): with [`Self::DEFAULT_ALPHA`], the
+    /// The paper-calibrated default interest mass: with
+    /// [`Self::DEFAULT_ALPHA`], the
     /// `mass^(1/alpha) = 20` most popular streams are subscribed by
     /// (nearly) every site.
     pub const DEFAULT_MASS: f64 = 8000.0;

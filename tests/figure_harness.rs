@@ -1,5 +1,5 @@
 //! Smoke tests for the figure-reproduction harness (reduced sample counts;
-//! the full runs live in `teeve-bench`'s binaries and EXPERIMENTS.md).
+//! the full runs are `teeve-bench`'s `fig8`–`fig11` binaries).
 
 use teeve_bench::{fig10_series, fig11_series, fig8_series, fig9_series, Fig8Panel};
 
