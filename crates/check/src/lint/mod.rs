@@ -29,8 +29,8 @@ pub use locks::{
     run_locks_rules, LOCK_RULES, RULE_LOCK_BLOCKING, RULE_LOCK_DOUBLE, RULE_LOCK_ORDER,
 };
 pub use rules::{
-    run_all, ALL_RULES, RULE_CLOCK, RULE_DECODE_BOUNDS, RULE_NET_NO_PANIC, RULE_RELAY_COPY,
-    RULE_STD_SYNC, RULE_WIRE_PARITY,
+    run_all, ALL_RULES, RULE_CLOCK, RULE_DECODE_BOUNDS, RULE_NET_NO_PANIC, RULE_READ_SCRATCH,
+    RULE_RELAY_COPY, RULE_STD_SYNC, RULE_WIRE_PARITY,
 };
 pub use source::{collect_sources, strip_comments_and_strings, SourceFile};
 

@@ -30,6 +30,9 @@ pub const RULE_CLOCK: &str = "clock";
 /// No byte copy on the relay path: a relayed payload is one shared
 /// allocation from the read buffer to every child's write queue.
 pub const RULE_RELAY_COPY: &str = "relay-copy";
+/// No buffer zeroed per call on the read path: every socket read lands in
+/// a scratch buffer its thread allocated once.
+pub const RULE_READ_SCRATCH: &str = "read-scratch";
 
 /// All rules, in the order they run and report.
 pub const ALL_RULES: &[&str] = &[
@@ -39,6 +42,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_STD_SYNC,
     RULE_CLOCK,
     RULE_RELAY_COPY,
+    RULE_READ_SCRATCH,
 ];
 
 /// True when `hay` contains `needle` delimited by non-identifier chars.
@@ -442,32 +446,73 @@ const COPY_TOKENS: &[&str] = &[
 /// the path that is no longer found is a finding too — the rule must not
 /// go quiet because its target was renamed.
 pub fn relay_copy(files: &[SourceFile]) -> Vec<Finding> {
+    path_tokens(
+        files,
+        RULE_RELAY_COPY,
+        ("relay", "RELAY_PATH", RELAY_PATH),
+        COPY_TOKENS,
+        "queue a view of the payload instead of copying it",
+    )
+}
+
+/// The read path, by file: the functions that read a socket.
+const READ_PATH: &[(&str, &[&str])] = &[
+    ("crates/net/src/reactor.rs", &["on_readable"]),
+    (
+        "crates/net/src/coordinator.rs",
+        &["wait_for", "read_arrived"],
+    ),
+];
+
+/// Tokens that build a zeroed buffer.
+const ZEROED_TOKENS: &[&str] = &["[0u8;", "vec![0"];
+
+/// `read-scratch`: no zeroed buffer built inside the read path's
+/// functions, so a 64 KiB array cannot come back to be zeroed on every
+/// read. A function of the path that is no longer found is a finding too.
+pub fn read_scratch(files: &[SourceFile]) -> Vec<Finding> {
+    path_tokens(
+        files,
+        RULE_READ_SCRATCH,
+        ("read", "READ_PATH", READ_PATH),
+        ZEROED_TOKENS,
+        "read into the thread's one scratch buffer instead",
+    )
+}
+
+/// The shared body of the path rules: every line of a `path` function
+/// that holds one of `tokens` is a finding, and so is a function of the
+/// path that is no longer found.
+fn path_tokens(
+    files: &[SourceFile],
+    rule: &'static str,
+    (kind, table, path): (&str, &str, &[(&str, &[&str])]),
+    tokens: &[&str],
+    advice: &str,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for &(path, functions) in RELAY_PATH {
-        let Some(file) = files.iter().find(|f| f.rel == path) else {
+    for &(rel, functions) in path {
+        let Some(file) = files.iter().find(|f| f.rel == rel) else {
             continue;
         };
         for &name in functions {
             let Some(lines) = fn_lines(file, name) else {
                 findings.push(Finding::new(
-                    RULE_RELAY_COPY,
+                    rule,
                     &file.rel,
                     1,
-                    format!("relay-path function `fn {name}` not found; update RELAY_PATH"),
+                    format!("{kind}-path function `fn {name}` not found; update {table}"),
                 ));
                 continue;
             };
             for idx in lines {
                 let line = &file.clean_lines[idx];
-                if let Some(token) = COPY_TOKENS.iter().find(|t| line.contains(*t)) {
+                if let Some(token) = tokens.iter().find(|t| line.contains(*t)) {
                     findings.push(Finding::new(
-                        RULE_RELAY_COPY,
+                        rule,
                         &file.rel,
                         idx + 1,
-                        format!(
-                            "`{token}` on the relay path (`fn {name}`): queue a view of the \
-                             payload instead of copying it"
-                        ),
+                        format!("`{token}` on the {kind} path (`fn {name}`): {advice}"),
                     ));
                 }
             }
@@ -485,6 +530,7 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     findings.extend(std_sync(files));
     findings.extend(clock(files));
     findings.extend(relay_copy(files));
+    findings.extend(read_scratch(files));
     findings
 }
 
@@ -678,6 +724,65 @@ mod tests {
         let findings = relay_copy(&relay_files(&reactor, &node));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("`fn write_to` not found"));
+    }
+
+    /// A reactor/coordinator pair holding every read-path function, each
+    /// reading into a buffer it was handed.
+    fn read_fixture() -> Vec<SourceFile> {
+        let reactor = "fn new() -> LoopState {\n    let s = vec![0; 64];\n}\n\
+                       fn on_readable(&mut self) {\n    self.s.read(&mut self.scratch);\n}\n";
+        let coordinator = "fn wait_for(&mut self, scratch: &mut [u8]) {\n    c.read(scratch);\n}\n\
+                           fn read_arrived(&mut self, scratch: &mut [u8]) {}\n\
+                           fn probe() {\n    let b = [0u8; 8];\n}\n";
+        vec![
+            fake_file("crates/net/src/reactor.rs", reactor),
+            fake_file("crates/net/src/coordinator.rs", coordinator),
+        ]
+    }
+
+    #[test]
+    fn read_scratch_passes_the_scratch_reading_fixture() {
+        // The zeroed buffers in `new` and `probe` are off the read path.
+        assert_eq!(read_scratch(&read_fixture()), vec![]);
+    }
+
+    #[test]
+    fn read_scratch_flags_a_buffer_zeroed_per_read() {
+        let mut files = read_fixture();
+        files[0] = fake_file(
+            "crates/net/src/reactor.rs",
+            "fn on_readable(&mut self) {\n    let mut chunk = [0u8; 65536];\n}\n",
+        );
+        files[1] = fake_file(
+            "crates/net/src/coordinator.rs",
+            "fn wait_for(&mut self) {\n    let mut chunk = vec![0; 65536];\n}\n\
+             fn read_arrived(&mut self) {}\n",
+        );
+        let findings = read_scratch(&files);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert_eq!(
+            (findings[0].path.as_str(), findings[0].line),
+            ("crates/net/src/reactor.rs", 2)
+        );
+        assert!(findings[0]
+            .message
+            .contains("`[0u8;` on the read path (`fn on_readable`)"));
+        assert_eq!(
+            (findings[1].path.as_str(), findings[1].line),
+            ("crates/net/src/coordinator.rs", 2)
+        );
+        assert_eq!(findings[1].rule, RULE_READ_SCRATCH);
+    }
+
+    #[test]
+    fn read_scratch_reports_a_vanished_read_function() {
+        let mut files = read_fixture();
+        files[1] = fake_file("crates/net/src/coordinator.rs", "fn read_arrived() {}\n");
+        let findings = read_scratch(&files);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0]
+            .message
+            .contains("`fn wait_for` not found; update READ_PATH"));
     }
 
     #[test]

@@ -187,15 +187,15 @@ impl LiveCluster {
     }
 
     /// Publishes `frames` frames from every origin stream of the current
-    /// plan and blocks until every RP has pushed the stats report that
+    /// plan and blocks until every RP has pushed the delivery reply that
     /// accounts for its planned deliveries of the batch; see
     /// [`Coordinator::publish`].
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::Timeout`] if the batch does not fully
-    /// deliver within `config.timeout`, or [`ClusterError::Poisoned`]
-    /// after a failed reconfiguration.
+    /// Returns [`ClusterError::Shed`] or [`ClusterError::Timeout`] if the
+    /// batch does not fully deliver within `config.timeout`, or
+    /// [`ClusterError::Poisoned`] after a failed reconfiguration.
     pub fn publish(&mut self, frames: u64) -> Result<(), ClusterError> {
         self.coordinator.publish(frames)
     }
@@ -294,6 +294,38 @@ mod tests {
         let outcome = RandomJoin.construct(&problem, &mut rng);
         assert_eq!(outcome.metrics().rejection_ratio(), 0.0);
         DisseminationPlan::from_forest(&problem, outcome.forest(), StreamProfile::default())
+    }
+
+    /// The relay chain 0 -> 1 -> 2 carrying `streams` streams of site 0
+    /// on both of its links: site 1 joins every stream first and takes
+    /// all of site 0's capacity, so site 2 can only join through it.
+    fn wide_relay_plan(streams: u32) -> DisseminationPlan {
+        let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(2));
+        let receivers = [site(1), site(2)];
+        let mut builder = ProblemInstance::builder(costs, CostMs::new(50))
+            .capacities(vec![
+                NodeCapacity::symmetric(Degree::new(streams)),
+                NodeCapacity::symmetric(Degree::new(4 * streams)),
+                NodeCapacity::symmetric(Degree::new(4 * streams)),
+            ])
+            .streams_per_site(&[streams, 0, 0]);
+        for receiver in receivers {
+            for q in 0..streams {
+                builder = builder.subscribe(receiver, stream(0, q));
+            }
+        }
+        let problem = builder.build().unwrap();
+        let mut manager = OverlayManager::new(problem.clone());
+        for receiver in receivers {
+            for q in 0..streams {
+                manager.subscribe(receiver, stream(0, q)).unwrap();
+            }
+        }
+        DisseminationPlan::from_forest(
+            &problem,
+            &manager.forest_snapshot(),
+            StreamProfile::default(),
+        )
     }
 
     #[test]
@@ -781,6 +813,45 @@ mod tests {
             node.stop();
             node.join();
         }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_overcap_unpaced_batch_is_a_typed_shed() {
+        // Eight streams share the origin's one link: an unpaced batch of
+        // 8192 frames of 256 B each queues ≈19 MB on it, faster than one
+        // event loop drains it, so the queue passes its 8 MiB cap, the
+        // origin sheds, and the relay can never reach what it is owed.
+        let plan = wide_relay_plan(8);
+        assert!(
+            plan.edges()
+                .all(|(parent, child, _)| parent.index() + 1 == child.index()),
+            "every stream runs down the one chain"
+        );
+        let config = ClusterConfig {
+            payload_bytes: 256,
+            timeout: Duration::from_secs(2),
+            ..quick_config()
+        };
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let mut cluster = LiveCluster::launch_reactor(&plan, &config, &reactor).expect("launch");
+        let dropped = reactor.telemetry().counter("reactor.writes.dropped");
+        match cluster.publish(8192) {
+            Err(ClusterError::Shed {
+                site: shed_at,
+                dropped: count,
+            }) => {
+                assert_eq!(
+                    shed_at,
+                    site(0),
+                    "the origin's queue is the one over its cap"
+                );
+                assert!((1..=dropped.get()).contains(&count), "{count} sheds");
+            }
+            other => panic!("expected a typed shed, got {other:?}"),
+        }
+        assert!(!cluster.is_poisoned(), "a shed batch poisons nothing");
+        drop(cluster);
         reactor.shutdown();
     }
 

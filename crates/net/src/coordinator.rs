@@ -14,9 +14,10 @@
 //! through one ack barrier (`Reconfigure`/`Ack`), then order the dead
 //! links shut (`CloseLink`, confirmed by the child's `LinkDown`). Frames
 //! inject via `Publish`/`BatchDone` at origin RPs, and delivery
-//! accounting comes from one stats probe (`StatsRequest`/`StatsReport`:
-//! each RP pushes its report the moment it has delivered what the
-//! coordinator is owed).
+//! accounting comes from one stats probe (`StatsRequest`, answered by the
+//! fixed-size `Delivered` the moment an RP has delivered what the
+//! coordinator is owed, or by the full per-stream `StatsReport` at
+//! shutdown).
 //!
 //! The coordinator survives losing its control connections:
 //! [`Coordinator::detach`] abandons a fleet *without* shutting it down
@@ -41,6 +42,10 @@ use teeve_telemetry::{FlightEventKind, FlightRecorder, Histogram, LogHistogram, 
 use teeve_types::{SiteId, StreamId};
 
 use crate::wire::{decode, encode, Message, StreamDelivery};
+
+/// Read-syscall chunk size: the length of the coordinator's one read
+/// scratch, shared by every control-channel wait.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Configuration of a live cluster run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,6 +187,15 @@ pub enum ClusterError {
         /// Frames expected in total.
         expected: u64,
     },
+    /// Deliveries did not complete before the configured timeout, and an
+    /// RP reported writes shed at a full write queue: the frames it shed
+    /// never reach their subtree, so the batch can never complete.
+    Shed {
+        /// The RP that shed writes.
+        site: SiteId,
+        /// Writes it has shed so far.
+        dropped: u64,
+    },
     /// A plan delta did not apply to the cluster's current plan.
     Delta(DeltaError),
     /// A delta was produced against a different revision than the cluster
@@ -221,6 +235,10 @@ impl std::fmt::Display for ClusterError {
                 delivered,
                 expected,
             } => write!(f, "timed out with {delivered}/{expected} frames delivered"),
+            ClusterError::Shed { site, dropped } => write!(
+                f,
+                "{site} shed {dropped} writes at its write-queue cap; the batch cannot complete"
+            ),
             ClusterError::Delta(e) => write!(f, "plan delta rejected: {e}"),
             ClusterError::StaleRevision { cluster, delta } => write!(
                 f,
@@ -263,6 +281,14 @@ impl From<DeltaError> for ClusterError {
     }
 }
 
+/// The latest [`Message::Delivered`] reply from one RP.
+#[derive(Debug, Clone, Copy)]
+struct DeliveredSnapshot {
+    probe: u64,
+    total: u64,
+    shed: u64,
+}
+
 /// The latest [`Message::StatsReport`] harvested from one RP.
 #[derive(Debug, Clone, Default)]
 struct StatsSnapshot {
@@ -298,7 +324,11 @@ struct SiteLink {
     acked: Option<u64>,
     /// Per-stream high-water mark of `BatchDone { next_seq }`.
     batches: BTreeMap<StreamId, u64>,
-    /// The freshest stats report, tagged with its probe token.
+    /// The freshest compact delivery reply, tagged with its probe token:
+    /// what every `publish` waits on.
+    delivered: Option<DeliveredSnapshot>,
+    /// The freshest full stats report, tagged with its probe token: only
+    /// `shutdown`'s harvest asks for one.
     stats: Option<StatsSnapshot>,
     /// The freshest resync reply, tagged with its probe token.
     resync: Option<ResyncSnapshot>,
@@ -325,6 +355,7 @@ impl SiteLink {
             inbound: BTreeSet::new(),
             acked: None,
             batches: BTreeMap::new(),
+            delivered: None,
             stats: None,
             resync: None,
         };
@@ -346,6 +377,9 @@ impl SiteLink {
             Message::BatchDone { stream, next_seq } => {
                 let high = self.batches.entry(stream).or_default();
                 *high = (*high).max(next_seq);
+            }
+            Message::Delivered { probe, total, shed } => {
+                self.delivered = Some(DeliveredSnapshot { probe, total, shed });
             }
             Message::StatsReport {
                 probe,
@@ -410,14 +444,15 @@ impl SiteLink {
     }
 
     /// Reads and dispatches control traffic until `pred` yields, or the
-    /// deadline passes.
+    /// deadline passes. Reads land in `scratch`, the coordinator's one
+    /// read buffer.
     fn wait_for<T>(
         &mut self,
+        scratch: &mut [u8],
         deadline: Instant,
         what: &str,
         mut pred: impl FnMut(&SiteLink) -> Option<T>,
     ) -> Result<T, ClusterError> {
-        let mut chunk = [0u8; 64 * 1024];
         loop {
             self.drain()?;
             if let Some(found) = pred(self) {
@@ -431,14 +466,14 @@ impl SiteLink {
             }
             // The read timeout set at connect bounds this; a silent RP
             // surfaces as a control error rather than a wedged cluster.
-            match self.conn.read(&mut chunk) {
+            match self.conn.read(scratch) {
                 Ok(0) => {
                     return Err(ClusterError::Control {
                         site: self.site,
                         detail: "control channel closed".into(),
                     })
                 }
-                Ok(read) => self.buf.extend_from_slice(&chunk[..read]),
+                Ok(read) => self.buf.extend_from_slice(&scratch[..read]),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -453,6 +488,22 @@ impl SiteLink {
             }
         }
     }
+
+    /// Reads and dispatches whatever control traffic has already arrived,
+    /// without blocking. Best-effort: a failed channel reads nothing.
+    fn read_arrived(&mut self, scratch: &mut [u8]) {
+        if self.conn.set_nonblocking(true).is_err() {
+            return;
+        }
+        while let Ok(read @ 1..) = self.conn.read(scratch) {
+            self.buf.extend_from_slice(&scratch[..read]);
+            if read < scratch.len() {
+                break;
+            }
+        }
+        let _ = self.conn.set_nonblocking(false);
+        let _ = self.drain();
+    }
 }
 
 /// A cluster coordinator holding only control connections and site
@@ -466,7 +517,8 @@ impl SiteLink {
 ///    plan link ordered open, every site's forwarding table dictated;
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
 ///    origin RP, then probes every RP armed at the delivered total it
-///    owes and blocks until each has pushed its report;
+///    owes and blocks until each has pushed its fixed-size `Delivered`
+///    reply (no per-stream counters or histograms cross the wire);
 /// 3. [`apply_delta`](Self::apply_delta) converges the running fleet onto
 ///    the delta's successor plan by the same step: exactly the
 ///    connections [`link_changes_between`](teeve_pubsub::link_changes_between)
@@ -474,9 +526,9 @@ impl SiteLink {
 ///    dictated through the ack barrier, then exactly the `closed`
 ///    connections are shut — `retained` links (including socket-free
 ///    stream reroutes) are never touched;
-/// 4. [`shutdown`](Self::shutdown) probes every RP for its final
-///    `StatsReport`, folds them into the [`ClusterReport`], and orders
-///    the fleet down.
+/// 4. [`shutdown`](Self::shutdown) probes every RP for its final full
+///    `StatsReport` (per-stream counters and latency histograms), folds
+///    them into the [`ClusterReport`], and orders the fleet down.
 ///
 /// A reconfiguration that fails after validation **poisons** the
 /// coordinator: the fleet's plan state is unknown, so further
@@ -487,6 +539,9 @@ pub struct Coordinator {
     config: ClusterConfig,
     plan: DisseminationPlan,
     sites: Vec<SiteLink>,
+    /// The one buffer every control-channel read lands in: allocated once
+    /// per coordinator, never per wait.
+    scratch: Vec<u8>,
     started: Option<Instant>,
     next_seq: u64,
     next_probe: u64,
@@ -568,6 +623,7 @@ impl Coordinator {
             config: config.clone(),
             plan: plan.clone(),
             sites,
+            scratch: vec![0; READ_CHUNK],
             started: None,
             next_seq: 0,
             next_probe: 0,
@@ -655,7 +711,7 @@ impl Coordinator {
             link.send(&Message::ResyncQuery { probe })?;
         }
         for link in &mut self.sites {
-            let snapshot = link.wait_for(deadline, "resync reply", |l| {
+            let snapshot = link.wait_for(&mut self.scratch, deadline, "resync reply", |l| {
                 l.resync.as_ref().filter(|r| r.probe >= probe).cloned()
             })?;
             // An RP ahead of the reconnect plan means the recovered plan
@@ -686,7 +742,7 @@ impl Coordinator {
         //    fleet delivered while unsupervised is not this
         //    coordinator's to await.
         self.owed = self
-            .probe_stats(false, deadline)
+            .probe_stats(Probe::Now, deadline)
             .map(|(_, total)| total)
             .collect::<Result<_, _>>()?;
 
@@ -766,8 +822,8 @@ impl Coordinator {
 
     /// Orders `frames` frames published from every origin stream of the
     /// current plan and blocks until all planned deliveries of the batch
-    /// are accounted for: every RP pushes its stats report once its
-    /// delivered total reaches what it owes.
+    /// are accounted for: every RP pushes its fixed-size `Delivered`
+    /// reply once its delivered total reaches what it owes.
     ///
     /// The first call starts the report clock: setup cost (listener
     /// binding, connection establishment) is excluded from `elapsed` by
@@ -775,9 +831,10 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::Poisoned`] after a failed reconfiguration,
-    /// and [`ClusterError::Timeout`] if the batch does not fully deliver
-    /// within `config.timeout`.
+    /// Returns [`ClusterError::Poisoned`] after a failed reconfiguration.
+    /// A batch that does not fully deliver within `config.timeout` is a
+    /// [`ClusterError::Shed`] when an RP reports writes shed at its
+    /// write-queue cap, and a [`ClusterError::Timeout`] otherwise.
     pub fn publish(&mut self, frames: u64) -> Result<(), ClusterError> {
         if self.poisoned {
             return Err(ClusterError::Poisoned);
@@ -811,9 +868,12 @@ impl Coordinator {
         let deadline = Instant::now() + self.config.timeout;
         let target = base_seq + frames;
         for &(site, stream) in &origins {
-            self.sites[site.index()].wait_for(deadline, "publish batch completion", |link| {
-                (link.batches.get(&stream).copied().unwrap_or(0) >= target).then_some(())
-            })?;
+            self.sites[site.index()].wait_for(
+                &mut self.scratch,
+                deadline,
+                "publish batch completion",
+                |link| (link.batches.get(&stream).copied().unwrap_or(0) >= target).then_some(()),
+            )?;
         }
         self.next_seq += frames;
         for (owed, sp) in self.owed.iter_mut().zip(self.plan.site_plans()) {
@@ -940,9 +1000,12 @@ impl Coordinator {
             })?;
         }
         for &site in sites {
-            self.sites[site.index()].wait_for(deadline, "reconfiguration ack", |link| {
-                (link.acked >= Some(revision)).then_some(())
-            })?;
+            self.sites[site.index()].wait_for(
+                &mut self.scratch,
+                deadline,
+                "reconfiguration ack",
+                |link| (link.acked >= Some(revision)).then_some(()),
+            )?;
             self.reconfigure_rtt.record_duration(sent_at.elapsed());
             self.recorder.record(FlightEventKind::Ack {
                 site: site.index() as u32,
@@ -952,9 +1015,9 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Shuts the fleet down and reports: harvests every RP's final stats
-    /// report, folds them into the [`ClusterReport`], then orders every
-    /// RP to exit.
+    /// Shuts the fleet down and reports: harvests every RP's final full
+    /// stats report, folds them into the [`ClusterReport`], then orders
+    /// every RP to exit.
     ///
     /// Harvesting is best-effort — an RP whose control channel already
     /// failed (e.g. after a poisoning reconfiguration) contributes
@@ -969,7 +1032,7 @@ impl Coordinator {
         };
         let deadline = Instant::now() + self.config.timeout;
         let harvest: Vec<(SiteId, Option<StatsSnapshot>)> = self
-            .probe_stats(false, deadline)
+            .probe_stats(Probe::Full, deadline)
             .map(|(link, total)| (link.site, total.ok().and(link.stats.take())))
             .collect();
         for (site, snapshot) in harvest {
@@ -1020,7 +1083,7 @@ impl Coordinator {
             "inbound link closure"
         };
         self.sites[child.index()]
-            .wait_for(deadline, what, |link| {
+            .wait_for(&mut self.scratch, deadline, what, |link| {
                 (link.inbound.contains(&parent) == up).then_some(())
             })
             .map_err(|e| match e {
@@ -1043,36 +1106,46 @@ impl Coordinator {
         Ok(())
     }
 
-    /// The one stats probe: sends every RP a `StatsRequest` — armed at
-    /// the total it owes when `armed`, answered at once otherwise — and
-    /// returns a lazy wait over the replies in site order. Each item is a
-    /// site's link and the delivered total it reported; the full report
-    /// stays in the link's `stats`. The RPs answer concurrently, so the
-    /// wait costs the slowest site, not the sum of the sites. Strict
-    /// callers stop at the first `Err`; best-effort ones read on.
+    /// The one stats probe: sends every RP a `StatsRequest` as `kind`
+    /// says, and returns a lazy wait over the replies in site order. Each
+    /// item is a site's link and the delivered total it reported; the
+    /// reply itself stays in the link's `delivered` (compact) or `stats`
+    /// (full). The RPs answer concurrently, so the wait costs the slowest
+    /// site, not the sum of the sites. Strict callers stop at the first
+    /// `Err`; best-effort ones read on.
     fn probe_stats(
         &mut self,
-        armed: bool,
+        kind: Probe,
         deadline: Instant,
     ) -> impl Iterator<Item = (&mut SiteLink, Result<u64, ClusterError>)> + '_ {
         self.next_probe += 1;
         let probe = self.next_probe;
+        let full = kind == Probe::Full;
         let sent: Vec<Result<(), ClusterError>> = self
             .sites
             .iter_mut()
             .zip(&self.owed)
             .map(|(link, &owed)| {
-                let at_least = if armed { owed } else { 0 };
-                link.send(&Message::StatsRequest { probe, at_least })
+                let at_least = if kind == Probe::Armed { owed } else { 0 };
+                link.send(&Message::StatsRequest {
+                    probe,
+                    at_least,
+                    full,
+                })
             })
             .collect();
+        let scratch = &mut self.scratch;
         self.sites.iter_mut().zip(sent).map(move |(link, sent)| {
             let total = sent.and_then(|()| {
-                link.wait_for(deadline, "stats report", |l| {
-                    l.stats
-                        .as_ref()
-                        .filter(|s| s.probe >= probe)
-                        .map(|s| s.total)
+                link.wait_for(scratch, deadline, "stats report", |l| {
+                    if full {
+                        l.stats
+                            .as_ref()
+                            .filter(|s| s.probe >= probe)
+                            .map(|s| s.total)
+                    } else {
+                        l.delivered.filter(|d| d.probe >= probe).map(|d| d.total)
+                    }
                 })
             });
             (link, total)
@@ -1080,28 +1153,54 @@ impl Coordinator {
     }
 
     /// Probes every RP armed at the total it owes and waits for every
-    /// report, stopping at the first failure; a wait that overruns the
-    /// deadline is a [`ClusterError::Timeout`] naming what was delivered.
+    /// reply, stopping at the first failure. A wait that overruns the
+    /// deadline first reads every reply that has already arrived: one
+    /// that reports shed writes makes it a [`ClusterError::Shed`] naming
+    /// that RP, and otherwise it is a [`ClusterError::Timeout`] naming
+    /// what was delivered.
     fn await_deliveries(&mut self) -> Result<(), ClusterError> {
         let deadline = Instant::now() + self.config.timeout;
         let waited = self
-            .probe_stats(true, deadline)
+            .probe_stats(Probe::Armed, deadline)
             .try_for_each(|(_, total)| total.map(drop));
         match waited {
             Err(ClusterError::Control { .. }) if Instant::now() > deadline => {
+                for link in &mut self.sites {
+                    link.read_arrived(&mut self.scratch);
+                }
+                let replies = self
+                    .sites
+                    .iter()
+                    .filter_map(|l| Some((l.site, l.delivered?)));
+                let mut delivered = 0;
+                for (site, reply) in replies {
+                    if reply.shed > 0 {
+                        return Err(ClusterError::Shed {
+                            site,
+                            dropped: reply.shed,
+                        });
+                    }
+                    delivered += reply.total;
+                }
                 Err(ClusterError::Timeout {
-                    delivered: self
-                        .sites
-                        .iter()
-                        .filter_map(|l| l.stats.as_ref())
-                        .map(|s| s.total)
-                        .sum(),
+                    delivered,
                     expected: self.owed.iter().sum(),
                 })
             }
             other => other,
         }
     }
+}
+
+/// What a [`Coordinator::probe_stats`] round asks every RP for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// A compact reply once the RP has delivered what it owes.
+    Armed,
+    /// A compact reply at once.
+    Now,
+    /// The full per-stream report at once.
+    Full,
 }
 
 impl Drop for Coordinator {

@@ -15,10 +15,12 @@
 //! installs via `Reconfigure`/`Ack`, link lifecycle via
 //! `OpenLink`/`CloseLink` orders confirmed by `LinkUp`/`LinkDown`
 //! notifications, frame injection via `Publish`/`BatchDone`, delivery
-//! accounting via `StatsRequest`/`StatsReport`, each report pushed by the
-//! RP once it has delivered the total the request names), so the same
-//! coordinator drives RPs hosted in its own process, in separate OS
-//! processes, or on other hosts.
+//! accounting via `StatsRequest` answered by the fixed-size `Delivered`
+//! — pushed by the RP once it has delivered the total the request names,
+//! and carrying its count of shed writes — or by the full per-stream
+//! `StatsReport` the shutdown harvest asks for), so the same coordinator
+//! drives RPs hosted in its own process, in separate OS processes, or on
+//! other hosts.
 //!
 //! [`LiveCluster`] is the in-process convenience wrapper (N nodes + one
 //! coordinator) that keeps the RPs up across plan revisions:
@@ -35,10 +37,12 @@
 //! There is one RP implementation, and a [`Reactor`] hosts it: a fixed
 //! pool of non-blocking event loops. Each loop owns its nodes' complete
 //! state (no locks), decodes incrementally from per-connection read
-//! buffers, coalesces writes per wakeup into pending buffers that shed
-//! past a cap (a reader that stops reading loses frames, never stalls
-//! the node), and paces `Publish` batches with timers — thousands of RPs
-//! at a thread budget that does not grow with fleet size.
+//! buffers filled through one read scratch per loop, coalesces writes
+//! per wakeup into pending buffers that shed past a cap (a reader that
+//! stops reading loses frames, never stalls the node; a batch that
+//! counts on the shed frames fails as [`ClusterError::Shed`]), and paces
+//! `Publish` batches with timers — thousands of RPs at a thread budget
+//! that does not grow with fleet size.
 //!
 //! [`Reactor::bind_node`] / [`Reactor::bind_node_at`] put one RP on a
 //! reactor (the standalone `rp_node` process is exactly that plus

@@ -102,9 +102,11 @@ struct StreamStats {
     latency: LogHistogram,
 }
 
-/// The node's local delivery counters, reported over the wire via
-/// [`Message::StatsReport`] — no memory is shared with the coordinator,
-/// and none with other threads: the node's event loop owns them.
+/// The node's local delivery counters, reported over the wire — the
+/// total alone in [`Message::Delivered`], everything in
+/// [`Message::StatsReport`] — so no memory is shared with the
+/// coordinator, and none with other threads: the node's event loop owns
+/// them.
 #[derive(Debug, Default)]
 pub(crate) struct NodeStats {
     /// Per-stream delivery accounting at this site.
@@ -129,6 +131,8 @@ impl NodeStats {
         self.total
     }
 
+    /// The full per-stream report: every stream's counters and latency
+    /// histogram, cloned. Only a `full` request pays for it.
     pub(crate) fn report(&self, probe: u64) -> Message {
         let streams = self
             .delivered

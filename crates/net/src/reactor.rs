@@ -8,7 +8,8 @@
 //! connection sends [`Message::Attach`] to mark itself as the control
 //! channel; the node then routes all of its notifications
 //! ([`Message::LinkUp`]/[`Message::LinkDown`]) and replies
-//! ([`Message::Ack`], [`Message::BatchDone`], [`Message::StatsReport`])
+//! ([`Message::Ack`], [`Message::BatchDone`], [`Message::Delivered`],
+//! [`Message::StatsReport`])
 //! through that channel. Orders arriving on one connection execute
 //! strictly in arrival order — a `Reconfigure` queued behind an
 //! `OpenLink` only runs once the new link is registered — which is what
@@ -19,10 +20,11 @@
 //! 1. **Poll** — block in `epoll_wait` until a socket is ready, a paced
 //!    publish timer is due, or another thread wakes the loop to deliver
 //!    a command (register a node, stop one, quit).
-//! 2. **Read** — drain every readable connection to `WouldBlock`,
-//!    decoding frames and orders incrementally out of a per-connection
-//!    read buffer and dispatching them (`LoopState::dispatch` is the
-//!    RP's whole message table).
+//! 2. **Read** — drain every readable connection through the loop's one
+//!    read scratch until a read comes back short, decoding frames and
+//!    orders incrementally out of a per-connection read buffer and
+//!    dispatching them (`LoopState::dispatch` is the RP's whole message
+//!    table).
 //! 3. **Write** — outgoing messages accumulate in a per-connection
 //!    write queue: small ones are copied into one coalescing buffer,
 //!    large payloads are queued as views of the allocation they arrived
@@ -33,7 +35,8 @@
 //!    is full keeps `WRITABLE` interest until it drains. A connection
 //!    whose backlog exceeds the cap sheds new frames: a reader that stops
 //!    reading loses its subtree's frames, never the node's other links or
-//!    its control channel.
+//!    its control channel. The node counts its sheds and reports them in
+//!    every [`Message::Delivered`].
 //! 4. **Timers** — paced `Publish` batches are due-time entries in a
 //!    timer map, so two paced origin streams at one site interleave at
 //!    their shared cadence; each firing forwards one frame and re-arms,
@@ -87,7 +90,7 @@ const COALESCE_BELOW: usize = 4 * 1024;
 /// Most slices one vectored write gathers.
 const MAX_IOV: usize = 64;
 
-/// Read-syscall chunk size.
+/// Read-syscall chunk size: the length of each loop's one read scratch.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// How many readiness records one poll can return.
@@ -136,9 +139,14 @@ struct NodeState {
     control: Option<(u64, usize)>,
     control_generation: u64,
     stats: NodeStats,
-    /// The armed `StatsRequest` as `(probe, at_least)`: answered from the
-    /// `Frame` arm by the delivery that brings `stats` up to `at_least`.
-    armed: Option<(u64, u64)>,
+    /// Writes this node's connections shed at the backlog cap, counted by
+    /// [`queue_write`] and reported in every [`Message::Delivered`].
+    shed: u64,
+    /// The armed `StatsRequest`: answered from the `Frame` arm by the
+    /// delivery that brings `stats` up to its `at_least`, with a
+    /// fixed-size [`Message::Delivered`] — or the full
+    /// [`Message::StatsReport`] when the request set `full`.
+    armed: Option<ArmedProbe>,
     /// Ring of recent structured events (reconfigures, link churn) for
     /// post-mortem inspection; never crosses the wire.
     recorder: FlightRecorder,
@@ -150,16 +158,35 @@ struct NodeState {
     stopping: bool,
 }
 
+/// A `StatsRequest` waiting for its watermark.
+#[derive(Debug, Clone, Copy)]
+struct ArmedProbe {
+    probe: u64,
+    at_least: u64,
+    full: bool,
+}
+
 impl NodeState {
-    /// Disarms and returns the armed stats report once the delivered
-    /// total has reached its watermark.
+    /// Disarms and returns the armed request's reply once the delivered
+    /// total has reached its watermark: the compact `Delivered`, which
+    /// costs the same however many streams this node has delivered, or
+    /// the full per-stream report when the request asked for it.
     fn due_report(&mut self) -> Option<Message> {
-        let (probe, at_least) = self.armed?;
-        if self.stats.total() < at_least {
+        let armed = self.armed?;
+        let total = self.stats.total();
+        if total < armed.at_least {
             return None;
         }
         self.armed = None;
-        Some(self.stats.report(probe))
+        Some(if armed.full {
+            self.stats.report(armed.probe)
+        } else {
+            Message::Delivered {
+                probe: armed.probe,
+                total,
+                shed: self.shed,
+            }
+        })
     }
 }
 
@@ -312,12 +339,14 @@ impl WriteQueue {
 /// Queues one message on connection `token` — `write` puts it on the
 /// connection's queue — and marks the connection for the end-of-iteration
 /// flush. A connection at its backlog cap sheds the message (see
-/// [`MAX_PENDING_WRITE`]). Takes the loop's fields apart so fan-out can
+/// [`MAX_PENDING_WRITE`]), counted loop-wide in `dropped` and for the
+/// owning node in `shed`. Takes the loop's fields apart so fan-out can
 /// queue while it borrows the node's table.
 fn queue_write(
     entries: &mut [Option<Entry>],
     dirty: &mut Vec<usize>,
     dropped: &Counter,
+    shed: &mut u64,
     token: usize,
     write: impl FnOnce(&mut WriteQueue),
 ) {
@@ -329,6 +358,7 @@ fn queue_write(
     }
     if !conn.out.admits() {
         dropped.incr();
+        *shed += 1;
         return;
     }
     write(&mut conn.out);
@@ -408,6 +438,10 @@ struct LoopState {
     /// Connections with bytes queued this iteration, flushed once at
     /// its end.
     dirty: Vec<usize>,
+    /// The one buffer every socket read on this loop lands in, before
+    /// its bytes move to the connection's `read_buf`: allocated and
+    /// zeroed once per loop, never per read.
+    read_scratch: Box<[u8]>,
     metrics: LoopMetrics,
 }
 
@@ -424,6 +458,7 @@ impl LoopState {
             timers: BTreeMap::new(),
             timer_seq: 0,
             dirty: Vec::new(),
+            read_scratch: vec![0; READ_CHUNK].into_boxed_slice(),
             metrics,
         }
     }
@@ -520,6 +555,7 @@ impl LoopState {
                 control: None,
                 control_generation: 0,
                 stats: NodeStats::default(),
+                shed: 0,
                 armed: None,
                 recorder,
                 _done: done,
@@ -766,33 +802,43 @@ impl LoopState {
         self.flush_conn(token);
     }
 
+    /// Reads a readable connection through the loop's scratch buffer and
+    /// dispatches what decodes, until a read comes back short.
+    ///
+    /// A read that fills less than the scratch buffer has emptied the
+    /// socket, so the extra read that would only return `WouldBlock` is
+    /// skipped. That is safe under the vendored shim's level-triggered
+    /// epoll (bytes still unread re-report the socket on the next poll)
+    /// and under upstream mio's edge-triggered epoll too, because bytes
+    /// arriving after the short read raise a fresh edge; tokio relies on
+    /// the same rule.
     fn on_readable(&mut self, token: usize) {
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            let read = {
-                let Some(conn) = self.conn_mut(token) else {
-                    return;
-                };
-                conn.stream.read(&mut chunk)
+            let LoopState {
+                entries,
+                read_scratch,
+                ..
+            } = self;
+            let Some(Some(Entry::Conn(conn))) = entries.get_mut(token) else {
+                return;
             };
-            match read {
+            match conn.stream.read(read_scratch) {
                 Ok(0) => {
                     self.close_conn(token);
                     return;
                 }
                 Ok(n) => {
-                    let outbound = {
-                        let Some(conn) = self.conn_mut(token) else {
-                            return;
-                        };
-                        if conn.outbound_child.is_none() {
-                            conn.read_buf.extend_from_slice(&chunk[..n]);
-                        }
-                        conn.outbound_child.is_some()
-                    };
                     // Nothing legitimate ever flows back on an outbound
                     // data link; discard so only EOF/errors matter.
+                    let outbound = conn.outbound_child.is_some();
+                    if !outbound {
+                        conn.read_buf.extend_from_slice(&read_scratch[..n]);
+                    }
+                    let drained = n < read_scratch.len();
                     if !outbound && !self.drain_messages(token) {
+                        return;
+                    }
+                    if drained {
                         return;
                     }
                 }
@@ -972,11 +1018,19 @@ impl LoopState {
                 );
                 true
             }
-            Message::StatsRequest { probe, at_least } => {
+            Message::StatsRequest {
+                probe,
+                at_least,
+                full,
+            } => {
                 let report = match self.node_mut(node_idx) {
                     Some(node) => {
                         // A newer request replaces an armed one.
-                        node.armed = Some((probe, at_least));
+                        node.armed = Some(ArmedProbe {
+                            probe,
+                            at_least,
+                            full,
+                        });
                         node.due_report()
                     }
                     None => return false,
@@ -997,6 +1051,7 @@ impl LoopState {
             | Message::LinkUp { .. }
             | Message::LinkDown { .. }
             | Message::BatchDone { .. }
+            | Message::Delivered { .. }
             | Message::StatsReport { .. }
             | Message::ResyncReply { .. } => {
                 self.close_conn(token);
@@ -1029,10 +1084,16 @@ impl LoopState {
             metrics,
             ..
         } = self;
-        let Some(node) = nodes.get(node_idx).and_then(Option::as_ref) else {
+        let Some(NodeState {
+            table,
+            outbound,
+            shed,
+            ..
+        }) = nodes.get_mut(node_idx).and_then(Option::as_mut)
+        else {
             return tagged;
         };
-        let (children, planned) = plan_entry(&node.table.plan, stream);
+        let (children, planned) = plan_entry(&table.plan, stream);
         let frame = Relayed {
             stream,
             seq,
@@ -1042,11 +1103,18 @@ impl LoopState {
             effective: tagged.max(planned),
         };
         for child in children {
-            if let Some(&token) = node.outbound.get(&child.site) {
+            if let Some(&token) = outbound.get(&child.site) {
                 let (header, len) = frame.copy_for(child);
-                queue_write(entries, dirty, &metrics.dropped_writes, token, |out| {
-                    out.push_frame(&header, payload, len);
-                });
+                queue_write(
+                    entries,
+                    dirty,
+                    &metrics.dropped_writes,
+                    shed,
+                    token,
+                    |out| {
+                        out.push_frame(&header, payload, len);
+                    },
+                );
             }
         }
         frame.effective
@@ -1064,25 +1132,52 @@ impl LoopState {
             metrics,
             ..
         } = self;
-        let Some(node) = nodes.get(node_idx).and_then(Option::as_ref) else {
+        let Some(NodeState {
+            table,
+            outbound,
+            shed,
+            ..
+        }) = nodes.get_mut(node_idx).and_then(Option::as_mut)
+        else {
             return;
         };
         let end = Message::End { stream };
-        for child in plan_entry(&node.table.plan, stream).0 {
-            if let Some(&token) = node.outbound.get(&child.site) {
-                queue_write(entries, dirty, &metrics.dropped_writes, token, |out| {
-                    out.encode(&end);
-                });
+        for child in plan_entry(&table.plan, stream).0 {
+            if let Some(&token) = outbound.get(&child.site) {
+                queue_write(
+                    entries,
+                    dirty,
+                    &metrics.dropped_writes,
+                    shed,
+                    token,
+                    |out| {
+                        out.encode(&end);
+                    },
+                );
             }
         }
     }
 
     /// Queues `message` on connection `token` (see [`queue_write`]).
     fn send(&mut self, token: usize, message: &Message) {
+        let Some(node_idx) = self.conn_node(token) else {
+            return;
+        };
+        let LoopState {
+            nodes,
+            entries,
+            dirty,
+            metrics,
+            ..
+        } = self;
+        let Some(node) = nodes.get_mut(node_idx).and_then(Option::as_mut) else {
+            return;
+        };
         queue_write(
-            &mut self.entries,
-            &mut self.dirty,
-            &self.metrics.dropped_writes,
+            entries,
+            dirty,
+            &metrics.dropped_writes,
+            &mut node.shed,
             token,
             |out| out.encode(message),
         );
@@ -1922,25 +2017,29 @@ mod tests {
                 Message::BatchDone { next_seq, .. } if next_seq == sent
             ) {}
             // The healthy sibling receives every frame of every batch: its
-            // report is armed to arrive once it has.
+            // reply is armed to arrive once it has, and it shed nothing.
             send(&mut child_control, &[stats_request(sent, sent)]);
-            let total = loop {
-                if let Message::StatsReport { total, .. } =
+            let (total, shed) = loop {
+                if let Message::Delivered { total, shed, .. } =
                     read_next(&mut child_control, &mut child_buf, &mut chunk)
                 {
-                    break total;
+                    break (total, shed);
                 }
             };
-            assert_eq!(total, sent, "exactly the frames published");
+            assert_eq!((total, shed), (sent, 0), "exactly the frames published");
         }
 
         // With a link shedding, the origin's control channel still
-        // answers.
+        // answers, and its reply counts exactly the loop's sheds.
         send(&mut control, &[stats_request(7, 0)]);
-        while !matches!(
-            read_next(&mut control, &mut buf, &mut chunk),
-            Message::StatsReport { probe: 7, .. }
-        ) {}
+        let shed = loop {
+            if let Message::Delivered { probe: 7, shed, .. } =
+                read_next(&mut control, &mut buf, &mut chunk)
+            {
+                break shed;
+            }
+        };
+        assert_eq!(shed, dropped.get(), "the origin counts its own sheds");
 
         origin.stop();
         healthy.stop();
@@ -1955,16 +2054,25 @@ mod tests {
         origin_table(StreamId::new(SiteId::new(0), 0), &[])
     }
 
+    /// A compact probe: answered with `Delivered`.
     fn stats_request(probe: u64, at_least: u64) -> Message {
-        Message::StatsRequest { probe, at_least }
+        Message::StatsRequest {
+            probe,
+            at_least,
+            full: false,
+        }
     }
 
     /// `count` empty frames of a stream the node records but forwards
     /// nowhere.
     fn frames(count: u64) -> Vec<Message> {
+        frames_of(StreamId::new(SiteId::new(0), 0), count)
+    }
+
+    fn frames_of(stream: StreamId, count: u64) -> Vec<Message> {
         (0..count)
             .map(|seq| Message::Frame {
-                stream: StreamId::new(SiteId::new(0), 0),
+                stream,
                 quality: Quality::FULL,
                 seq,
                 captured_micros: unix_micros(),
@@ -2007,8 +2115,12 @@ mod tests {
 
     fn report_of(message: &Message) -> (u64, u64) {
         match message {
-            Message::StatsReport { probe, total, .. } => (*probe, *total),
-            other => panic!("expected a stats report, got {other:?}"),
+            Message::Delivered {
+                probe,
+                total,
+                shed: 0,
+            } => (*probe, *total),
+            other => panic!("expected a shed-free delivery reply, got {other:?}"),
         }
     }
 
@@ -2078,6 +2190,140 @@ mod tests {
         assert!(replies.is_empty(), "stale watermark answered: {replies:?}");
         let replies = replies_before_fence(&mut second, &mut second_buf, &[stats_request(0, 0)]);
         assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(0, 3)]);
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_full_report_after_compact_probes_sums_to_the_totals() {
+        let (reactor, node, mut control) = attached_node();
+        let mut buf = BytesMut::new();
+        let (a, b) = (
+            StreamId::new(SiteId::new(3), 0),
+            StreamId::new(SiteId::new(5), 1),
+        );
+
+        // Compact probes carry totals only, however many streams there are.
+        let mut orders = vec![stats_request(1, 5)];
+        orders.extend(frames_of(a, 2));
+        orders.extend(frames_of(b, 3));
+        let replies = replies_before_fence(&mut control, &mut buf, &orders);
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(1, 5)]);
+        let mut orders = frames_of(a, 4);
+        orders.push(stats_request(2, 0));
+        let replies = replies_before_fence(&mut control, &mut buf, &orders);
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(2, 9)]);
+
+        // The shutdown harvest's full request: per-stream counts and
+        // latency histograms add up to the total the compact probes saw.
+        let full = Message::StatsRequest {
+            probe: 3,
+            at_least: 0,
+            full: true,
+        };
+        let replies = replies_before_fence(&mut control, &mut buf, &[full]);
+        let [Message::StatsReport {
+            probe: 3,
+            total,
+            max_latency_micros,
+            streams,
+        }] = &replies[..]
+        else {
+            panic!("expected one full report, got {replies:?}");
+        };
+        assert_eq!(*total, 9);
+        let counts: Vec<(StreamId, u64)> =
+            streams.iter().map(|d| (d.stream, d.delivered)).collect();
+        assert_eq!(counts, [(a, 6), (b, 3)]);
+        assert_eq!(
+            streams.iter().map(|d| d.latency.count()).sum::<u64>(),
+            *total
+        );
+        for entry in streams {
+            assert_eq!(entry.latency.sum(), entry.latency_sum_micros);
+            assert!(entry.latency.max() <= *max_latency_micros);
+        }
+
+        send(&mut control, &[Message::Shutdown]);
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_frame_larger_than_the_read_scratch_is_relayed_intact() {
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let node = reactor.bind_node(SiteId::new(0)).expect("bind");
+        let stream_id = StreamId::new(SiteId::new(0), 0);
+        let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
+        let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
+        control.set_read_timeout(Some(Duration::from_secs(10))).ok();
+
+        // ≈200 KiB fills the read scratch three times over: every full
+        // read must be followed by another before the frame decodes.
+        let payload: Vec<u8> = (0..200 * 1024).map(|i| (i % 251) as u8).collect();
+        assert!(payload.len() > 3 * READ_CHUNK);
+        send(
+            &mut control,
+            &[
+                Message::Attach,
+                origin_table(stream_id, &[(1, 0)]),
+                Message::OpenLink {
+                    child: SiteId::new(1),
+                    addr: child_listener.local_addr().expect("child addr"),
+                },
+                Message::Frame {
+                    stream: stream_id,
+                    quality: Quality::FULL,
+                    seq: 0,
+                    captured_micros: unix_micros(),
+                    payload: Bytes::from(payload.clone()),
+                },
+            ],
+        );
+        let (mut child, _) = child_listener.accept().expect("node dials child");
+        child.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let (mut child_buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
+        let hello = read_next(&mut child, &mut child_buf, &mut chunk);
+        assert_eq!(
+            hello,
+            Message::Hello {
+                site: SiteId::new(0)
+            }
+        );
+        let Message::Frame {
+            payload: relayed, ..
+        } = read_next(&mut child, &mut child_buf, &mut chunk)
+        else {
+            panic!("expected the relayed frame");
+        };
+        assert_eq!(&relayed[..], &payload[..], "relayed frame differs");
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_short_read_then_later_segment_still_delivers() {
+        let (reactor, node, mut control) = attached_node();
+        control.set_nodelay(true).ok();
+        let mut encoded = BytesMut::new();
+        encode(&stats_request(4, 2), &mut encoded);
+        for frame in frames(2) {
+            encode(&frame, &mut encoded);
+        }
+        // The first segment ends mid-way through the second frame, so
+        // the node's read of it comes back short with a frame pending;
+        // the rest arrives after a pause, as a new readiness event.
+        let cut = encoded.len() - 5;
+        control.write_all(&encoded[..cut]).expect("first segment");
+        std::thread::sleep(Duration::from_millis(50));
+        control.write_all(&encoded[cut..]).expect("second segment");
+        let mut buf = BytesMut::new();
+        let replies = replies_before_fence(&mut control, &mut buf, &[]);
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(4, 2)]);
 
         node.stop();
         node.join();

@@ -15,9 +15,11 @@
 //!   receiving side;
 //! * frame injection: [`Message::Publish`] orders executed by origin RPs,
 //!   acknowledged with [`Message::BatchDone`];
-//! * delivery accounting: [`Message::StatsRequest`] answered by
-//!   [`Message::StatsReport`] — at once, or armed to be pushed the moment
-//!   the RP's delivered total reaches the request's watermark;
+//! * delivery accounting: [`Message::StatsRequest`] answered — at once,
+//!   or armed to be pushed the moment the RP's delivered total reaches the
+//!   request's watermark — by the fixed-size [`Message::Delivered`]
+//!   (`{probe, total, shed}`), or by the full per-stream
+//!   [`Message::StatsReport`] when the request sets `full`;
 //! * coordinator recovery: [`Message::ResyncQuery`] answered by
 //!   [`Message::ResyncReply`] on a freshly re-attached control channel;
 //! * teardown: [`Message::Shutdown`].
@@ -53,6 +55,7 @@ const TAG_STATS_REPORT: u8 = 15;
 const TAG_SHUTDOWN: u8 = 16;
 const TAG_RESYNC_QUERY: u8 = 17;
 const TAG_RESYNC_REPLY: u8 = 18;
+const TAG_DELIVERED: u8 = 19;
 
 /// Encoded size of a `Frame` up to its payload: length prefix, tag,
 /// stream (origin + local), rung, seq, capture time, payload length.
@@ -132,7 +135,8 @@ pub enum Message {
     /// Coordinator preamble: marks this connection as the RP's control
     /// channel. All RP-originated control traffic ([`LinkUp`](Self::LinkUp),
     /// [`LinkDown`](Self::LinkDown), [`Ack`](Self::Ack),
-    /// [`BatchDone`](Self::BatchDone), [`StatsReport`](Self::StatsReport))
+    /// [`BatchDone`](Self::BatchDone), [`Delivered`](Self::Delivered),
+    /// [`StatsReport`](Self::StatsReport))
     /// is sent on the most recently attached connection.
     Attach,
     /// Coordinator order: dial `addr`, open with the `Hello` preamble, and
@@ -202,9 +206,25 @@ pub enum Message {
         probe: u64,
         /// Delivered-frame total the report waits for.
         at_least: u64,
+        /// Answer with the full per-stream [`StatsReport`](Self::StatsReport)
+        /// instead of the fixed-size [`Delivered`](Self::Delivered).
+        full: bool,
     },
-    /// RP response to [`StatsRequest`](Self::StatsRequest): the RP's
-    /// complete delivery accounting so far. Replaces the old shared
+    /// RP response to a compact [`StatsRequest`](Self::StatsRequest): the
+    /// delivered total and the shed count, fixed-size however many
+    /// streams the RP has delivered.
+    Delivered {
+        /// The echoed correlation token.
+        probe: u64,
+        /// Total frames delivered at this RP.
+        total: u64,
+        /// Writes this RP has shed at a full write queue. A frame shed on
+        /// a data link never reaches the child's subtree, so a delivery
+        /// total that counts on it can never be reached.
+        shed: u64,
+    },
+    /// RP response to a `full` [`StatsRequest`](Self::StatsRequest): the
+    /// RP's complete delivery accounting so far. Replaces the old shared
     /// in-memory `Stats`; the coordinator folds these into its
     /// cluster-wide report.
     StatsReport {
@@ -384,11 +404,23 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u32_le(stream.local_index());
             dst.put_u64_le(*next_seq);
         }
-        Message::StatsRequest { probe, at_least } => {
-            dst.put_u32_le(1 + 8 + 8);
+        Message::StatsRequest {
+            probe,
+            at_least,
+            full,
+        } => {
+            dst.put_u32_le(1 + 8 + 8 + 1);
             dst.put_u8(TAG_STATS_REQUEST);
             dst.put_u64_le(*probe);
             dst.put_u64_le(*at_least);
+            dst.put_u8(u8::from(*full));
+        }
+        Message::Delivered { probe, total, shed } => {
+            dst.put_u32_le(1 + 8 + 8 + 8);
+            dst.put_u8(TAG_DELIVERED);
+            dst.put_u64_le(*probe);
+            dst.put_u64_le(*total);
+            dst.put_u64_le(*shed);
         }
         Message::StatsReport {
             probe,
@@ -726,12 +758,23 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
         }
         TAG_STATS_REQUEST => {
-            if body.len() < 8 + 8 {
+            if body.len() < 8 + 8 + 1 {
                 return Err(WireError::Truncated);
             }
             Message::StatsRequest {
                 probe: body.get_u64_le(),
                 at_least: body.get_u64_le(),
+                full: body.get_u8() != 0,
+            }
+        }
+        TAG_DELIVERED => {
+            if body.len() < 8 + 8 + 8 {
+                return Err(WireError::Truncated);
+            }
+            Message::Delivered {
+                probe: body.get_u64_le(),
+                total: body.get_u64_le(),
+                shed: body.get_u64_le(),
             }
         }
         TAG_STATS_REPORT => {
@@ -940,6 +983,38 @@ mod tests {
     }
 
     #[test]
+    fn stats_request_without_its_full_flag_is_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(1 + 8 + 8);
+        buf.put_u8(TAG_STATS_REQUEST);
+        buf.put_u64_le(9); // probe
+        buf.put_u64_le(3); // at_least, then no `full` byte
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn delivered_roundtrip_is_fixed_size() {
+        for (probe, total, shed) in [(0, 0, 0), (7, 1_000_000, 3), (u64::MAX, u64::MAX, u64::MAX)] {
+            let message = Message::Delivered { probe, total, shed };
+            let mut buf = BytesMut::new();
+            encode(&message, &mut buf);
+            assert_eq!(buf.len(), 4 + 1 + 8 + 8 + 8);
+            roundtrip(message);
+        }
+    }
+
+    #[test]
+    fn truncated_delivered_shed_is_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(1 + 8 + 8 + 4);
+        buf.put_u8(TAG_DELIVERED);
+        buf.put_u64_le(1); // probe
+        buf.put_u64_le(10); // total
+        buf.put_u32_le(0); // u64 shed missing its upper half
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+    }
+
+    #[test]
     fn truncated_end_body_is_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u32_le(5);
@@ -1127,10 +1202,12 @@ mod tests {
         roundtrip(Message::StatsRequest {
             probe: 41,
             at_least: 0,
+            full: true,
         });
         roundtrip(Message::StatsRequest {
             probe: 42,
             at_least: u64::MAX - 3,
+            full: false,
         });
         roundtrip(Message::ResyncQuery { probe: 7 });
         roundtrip(Message::ResyncReply {

@@ -97,7 +97,7 @@ fn arb_delivery() -> impl Strategy<Value = StreamDelivery> {
 /// values.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
-        (0usize..17, arb_site(), arb_stream(), arb_addr()),
+        (0usize..18, arb_site(), arb_stream(), arb_addr()),
         (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
         proptest::collection::vec(0u8..255, 0..64usize),
         (
@@ -148,6 +148,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     12 => Message::StatsRequest {
                         probe: a,
                         at_least: b,
+                        full: c % 2 == 1,
                     },
                     13 => Message::StatsReport {
                         probe: a,
@@ -166,6 +167,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
                             .iter()
                             .flat_map(|e| e.children.iter().map(|c| c.site))
                             .collect(),
+                    },
+                    16 => Message::Delivered {
+                        probe: a,
+                        total: b,
+                        shed: c,
                     },
                     _ => Message::Shutdown,
                 }

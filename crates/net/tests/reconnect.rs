@@ -191,12 +191,14 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
         }
         // Every received stream took both coordinated batches; only
         // `stream` took the gap batch. The report is armed to arrive
-        // once the site's total says the gap batch has landed.
+        // once the site's total says the gap batch has landed, in full:
+        // only the full report carries per-stream counts.
         let mut ctl = RawControl::attach(addrs[site.index()]);
         let probe = 10_000 + site.index() as u64;
         ctl.send(&Message::StatsRequest {
             probe,
             at_least: (3 + 2) * received.len() as u64 + gap_frames,
+            full: true,
         });
         let delivered = ctl.wait("gap stats report", |m| match m {
             Message::StatsReport {
