@@ -315,8 +315,16 @@ pub fn wire_parity(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Tokens that read a length-prefixed count off the wire.
-const COUNT_SOURCES: &[&str] = &["get_u32_le()", "get_u16_le()", "get_u8()", "from_le_bytes"];
+/// Tokens that read a length-prefixed count off the wire: raw buffer
+/// reads, and the wire decoder's checked body-reader reads.
+const COUNT_SOURCES: &[&str] = &[
+    "get_u32_le()",
+    "get_u16_le()",
+    "get_u8()",
+    "from_le_bytes",
+    ".u8()?",
+    ".u32()?",
+];
 /// Tokens that count as a bounds guard for such a count.
 const GUARDS: &[&str] = &["checked_mul", ".min(", "len() <", "len() >=", "> BUCKETS"];
 /// How many following lines the guard must appear within.
@@ -652,6 +660,18 @@ mod tests {
             decode_bounds(&[fake_file("crates/net/src/bad.rs", bad)]).len(),
             1
         );
+        assert!(decode_bounds(&[fake_file("crates/net/src/good.rs", good)]).is_empty());
+    }
+
+    #[test]
+    fn decode_bounds_sees_counts_read_through_the_body_reader() {
+        let bad = "fn d(body: &mut Body) {\n    let nonzero = body.u8()? as usize;\n    \
+                   let mut v = Vec::with_capacity(nonzero);\n}";
+        let good = "fn d(body: &mut Body) {\n    let count = body.u32()? as usize;\n    \
+                    let mut v = Vec::with_capacity(count.min(1024));\n}";
+        let findings = decode_bounds(&[fake_file("crates/net/src/bad.rs", bad)]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`nonzero`"));
         assert!(decode_bounds(&[fake_file("crates/net/src/good.rs", good)]).is_empty());
     }
 

@@ -6,6 +6,12 @@
 //! feed bytes as they arrive, decode complete messages as they become
 //! available.
 //!
+//! Each message's layout is stated once, by its fields: [`encode`] writes
+//! them after a placeholder length and patches the length from the bytes
+//! they wrote, and [`decode`] reads them back through a body reader whose
+//! every read is bounds-checked, failing with [`WireError::Truncated`] at
+//! the end of the body.
+//!
 //! Since the process-separable RP redesign, *every* coordinator action is
 //! a message on this protocol — there is no shared-memory side channel:
 //!
@@ -311,11 +317,13 @@ impl std::error::Error for WireError {}
 
 /// Encodes `message` onto the end of `dst`.
 pub fn encode(message: &Message, dst: &mut BytesMut) {
+    let start = dst.len();
+    // The length prefix, patched below from the bytes the fields wrote.
+    dst.put_u32_le(0);
     match message {
         Message::Hello { site } => {
-            dst.put_u32_le(1 + 4);
             dst.put_u8(TAG_HELLO);
-            dst.put_u32_le(site.index() as u32);
+            put_site(dst, *site);
         }
         Message::Frame {
             stream,
@@ -324,62 +332,46 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             captured_micros,
             payload,
         } => {
-            dst.put_slice(&frame_header(
-                *stream,
-                *quality,
-                *seq,
-                *captured_micros,
-                payload.len(),
-            ));
+            let header = frame_header(*stream, *quality, *seq, *captured_micros, payload.len());
+            // Past the header's own length: the patch below writes it.
+            dst.put_slice(&header[4..]);
             dst.put_slice(payload);
         }
         Message::End { stream } => {
-            dst.put_u32_le(1 + 4 + 4);
             dst.put_u8(TAG_END);
-            dst.put_u32_le(stream.origin().index() as u32);
-            dst.put_u32_le(stream.local_index());
+            put_stream(dst, *stream);
         }
         Message::Reconfigure {
             revision,
             site_plan,
         } => {
-            let body = 1 + 8 + site_plan_bytes(site_plan);
-            dst.put_u32_le(body as u32);
             dst.put_u8(TAG_RECONFIGURE);
             dst.put_u64_le(*revision);
             encode_site_plan(site_plan, dst);
         }
         Message::Ack { revision } => {
-            dst.put_u32_le(1 + 8);
             dst.put_u8(TAG_ACK);
             dst.put_u64_le(*revision);
         }
-        Message::Attach => {
-            dst.put_u32_le(1);
-            dst.put_u8(TAG_ATTACH);
-        }
+        Message::Attach => dst.put_u8(TAG_ATTACH),
         Message::OpenLink { child, addr } => {
             let text = addr.to_string();
-            dst.put_u32_le((1 + 4 + 4 + text.len()) as u32);
             dst.put_u8(TAG_OPEN_LINK);
-            dst.put_u32_le(child.index() as u32);
+            put_site(dst, *child);
             dst.put_u32_le(text.len() as u32);
             dst.put_slice(text.as_bytes());
         }
         Message::CloseLink { child } => {
-            dst.put_u32_le(1 + 4);
             dst.put_u8(TAG_CLOSE_LINK);
-            dst.put_u32_le(child.index() as u32);
+            put_site(dst, *child);
         }
         Message::LinkUp { peer } => {
-            dst.put_u32_le(1 + 4);
             dst.put_u8(TAG_LINK_UP);
-            dst.put_u32_le(peer.index() as u32);
+            put_site(dst, *peer);
         }
         Message::LinkDown { peer } => {
-            dst.put_u32_le(1 + 4);
             dst.put_u8(TAG_LINK_DOWN);
-            dst.put_u32_le(peer.index() as u32);
+            put_site(dst, *peer);
         }
         Message::Publish {
             stream,
@@ -388,20 +380,16 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             payload_bytes,
             interval_micros,
         } => {
-            dst.put_u32_le(1 + 4 + 4 + 8 + 8 + 4 + 8);
             dst.put_u8(TAG_PUBLISH);
-            dst.put_u32_le(stream.origin().index() as u32);
-            dst.put_u32_le(stream.local_index());
+            put_stream(dst, *stream);
             dst.put_u64_le(*base_seq);
             dst.put_u64_le(*frames);
             dst.put_u32_le(*payload_bytes);
             dst.put_u64_le(*interval_micros);
         }
         Message::BatchDone { stream, next_seq } => {
-            dst.put_u32_le(1 + 4 + 4 + 8);
             dst.put_u8(TAG_BATCH_DONE);
-            dst.put_u32_le(stream.origin().index() as u32);
-            dst.put_u32_le(stream.local_index());
+            put_stream(dst, *stream);
             dst.put_u64_le(*next_seq);
         }
         Message::StatsRequest {
@@ -409,14 +397,12 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             at_least,
             full,
         } => {
-            dst.put_u32_le(1 + 8 + 8 + 1);
             dst.put_u8(TAG_STATS_REQUEST);
             dst.put_u64_le(*probe);
             dst.put_u64_le(*at_least);
             dst.put_u8(u8::from(*full));
         }
         Message::Delivered { probe, total, shed } => {
-            dst.put_u32_le(1 + 8 + 8 + 8);
             dst.put_u8(TAG_DELIVERED);
             dst.put_u64_le(*probe);
             dst.put_u64_le(*total);
@@ -428,16 +414,13 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             max_latency_micros,
             streams,
         } => {
-            let body = 1 + 8 + 8 + 8 + 4 + streams.iter().map(delivery_bytes).sum::<usize>();
-            dst.put_u32_le(body as u32);
             dst.put_u8(TAG_STATS_REPORT);
             dst.put_u64_le(*probe);
             dst.put_u64_le(*total);
             dst.put_u64_le(*max_latency_micros);
             dst.put_u32_le(streams.len() as u32);
             for entry in streams {
-                dst.put_u32_le(entry.stream.origin().index() as u32);
-                dst.put_u32_le(entry.stream.local_index());
+                put_stream(dst, entry.stream);
                 dst.put_u64_le(entry.delivered);
                 dst.put_u64_le(entry.delivered_degraded);
                 dst.put_u64_le(entry.latency_sum_micros);
@@ -455,7 +438,6 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             }
         }
         Message::ResyncQuery { probe } => {
-            dst.put_u32_le(1 + 8);
             dst.put_u8(TAG_RESYNC_QUERY);
             dst.put_u64_le(*probe);
         }
@@ -464,20 +446,18 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             revision,
             inbound,
         } => {
-            dst.put_u32_le((1 + 8 + 8 + 4 + 4 * inbound.len()) as u32);
             dst.put_u8(TAG_RESYNC_REPLY);
             dst.put_u64_le(*probe);
             dst.put_u64_le(*revision);
             dst.put_u32_le(inbound.len() as u32);
             for peer in inbound {
-                dst.put_u32_le(peer.index() as u32);
+                put_site(dst, *peer);
             }
         }
-        Message::Shutdown => {
-            dst.put_u32_le(1);
-            dst.put_u8(TAG_SHUTDOWN);
-        }
+        Message::Shutdown => dst.put_u8(TAG_SHUTDOWN),
     }
+    let length = (dst.len() - start - 4) as u32;
+    dst[start..start + 4].copy_from_slice(&length.to_le_bytes());
 }
 
 /// The encoding of a `Frame` carrying a `payload_len`-byte payload, up
@@ -510,24 +490,15 @@ pub(crate) fn frame_header(
     header
 }
 
-/// Encoded size of one [`StreamDelivery`] entry: the fixed counters,
-/// the histogram's sum/min/max sidecar, and its sparse bucket pairs —
-/// entries are variable-width, so the decoder bounds-checks per entry.
-fn delivery_bytes(entry: &StreamDelivery) -> usize {
-    let nonzero = entry.latency.nonzero_buckets().count();
-    4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + nonzero * (1 + 8)
+/// Writes a site as its `u32` index.
+fn put_site(dst: &mut BytesMut, site: SiteId) {
+    dst.put_u32_le(site.index() as u32);
 }
 
-/// Encoded size of a [`SitePlan`] body, in bytes.
-fn site_plan_bytes(site_plan: &SitePlan) -> usize {
-    // site + entry count, then per entry: stream (origin + local) +
-    // parent flag/value + quality rung + child count + children.
-    4 + 4
-        + site_plan
-            .entries
-            .iter()
-            .map(|e| 4 + 4 + 1 + 4 + 1 + 4 + 5 * e.children.len())
-            .sum::<usize>()
+/// Writes a stream as its origin site, then its local index.
+fn put_stream(dst: &mut BytesMut, stream: StreamId) {
+    put_site(dst, stream.origin());
+    dst.put_u32_le(stream.local_index());
 }
 
 /// Encodes a forwarding table: `[site][entry count]` then per entry
@@ -536,71 +507,118 @@ fn site_plan_bytes(site_plan: &SitePlan) -> usize {
 /// stream) is flag 0 with a zero placeholder, keeping every entry
 /// fixed-width up to its child list.
 fn encode_site_plan(site_plan: &SitePlan, dst: &mut BytesMut) {
-    dst.put_u32_le(site_plan.site.index() as u32);
+    put_site(dst, site_plan.site);
     dst.put_u32_le(site_plan.entries.len() as u32);
     for entry in &site_plan.entries {
-        dst.put_u32_le(entry.stream.origin().index() as u32);
-        dst.put_u32_le(entry.stream.local_index());
-        match entry.parent {
-            Some(parent) => {
-                dst.put_u8(1);
-                dst.put_u32_le(parent.index() as u32);
-            }
-            None => {
-                dst.put_u8(0);
-                dst.put_u32_le(0);
-            }
-        }
+        put_stream(dst, entry.stream);
+        dst.put_u8(u8::from(entry.parent.is_some()));
+        put_site(dst, entry.parent.unwrap_or(SiteId::new(0)));
         dst.put_u8(entry.quality.rung() as u8);
         dst.put_u32_le(entry.children.len() as u32);
         for child in &entry.children {
-            dst.put_u32_le(child.site.index() as u32);
+            put_site(dst, child.site);
             dst.put_u8(child.quality.rung() as u8);
         }
     }
 }
 
 /// Decodes the [`SitePlan`] body of a `Reconfigure`.
-fn decode_site_plan(body: &mut BytesMut) -> Result<SitePlan, WireError> {
-    if body.len() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let site = SiteId::new(body.get_u32_le());
-    let entry_count = body.get_u32_le() as usize;
+fn decode_site_plan(body: &mut Body) -> Result<SitePlan, WireError> {
+    let site = body.site()?;
+    // Entries are variable-width, so each read below is checked as it
+    // happens and the count only caps the up-front reservation.
+    let entry_count = body.u32()? as usize;
     let mut entries = Vec::with_capacity(entry_count.min(1024));
     for _ in 0..entry_count {
-        if body.len() < 4 + 4 + 1 + 4 + 1 + 4 {
-            return Err(WireError::Truncated);
-        }
-        let origin = SiteId::new(body.get_u32_le());
-        let local = body.get_u32_le();
-        let has_parent = body.get_u8() != 0;
-        let parent_raw = body.get_u32_le();
-        let parent = has_parent.then(|| SiteId::new(parent_raw));
-        let quality = Quality::new(body.get_u8());
-        let child_count = body.get_u32_le() as usize;
-        // checked_mul: a corrupt count must not wrap the bounds check on
-        // 32-bit targets and drive the reads past the buffer.
-        if child_count
-            .checked_mul(5)
-            .is_none_or(|need| body.len() < need)
-        {
-            return Err(WireError::Truncated);
-        }
+        let stream = body.stream()?;
+        let has_parent = body.u8()? != 0;
+        let parent = body.site()?;
+        let quality = body.quality()?;
+        let child_count = body.count(5)?;
         let mut children = Vec::with_capacity(child_count);
         for _ in 0..child_count {
-            let site = SiteId::new(body.get_u32_le());
-            let quality = Quality::new(body.get_u8());
-            children.push(ChildLink { site, quality });
+            children.push(ChildLink {
+                site: body.site()?,
+                quality: body.quality()?,
+            });
         }
         entries.push(ForwardingEntry {
-            stream: StreamId::new(origin, local),
-            parent,
+            stream,
+            parent: has_parent.then_some(parent),
             children,
             quality,
         });
     }
     Ok(SitePlan { site, entries })
+}
+
+/// A message body being decoded, read field by field from the front.
+/// Every read checks what is left and fails with
+/// [`WireError::Truncated`] past the end. The methods are `#[inline]`:
+/// the `Frame` relay path decodes through them once per hop.
+struct Body(BytesMut);
+
+impl Body {
+    #[inline]
+    fn need(&self, bytes: usize) -> Result<(), WireError> {
+        if self.0.len() < bytes {
+            return Err(WireError::Truncated);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.need(1)?;
+        Ok(self.0.get_u8())
+    }
+
+    #[inline]
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.need(4)?;
+        Ok(self.0.get_u32_le())
+    }
+
+    #[inline]
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.need(8)?;
+        Ok(self.0.get_u64_le())
+    }
+
+    #[inline]
+    fn site(&mut self) -> Result<SiteId, WireError> {
+        Ok(SiteId::new(self.u32()?))
+    }
+
+    #[inline]
+    fn stream(&mut self) -> Result<StreamId, WireError> {
+        Ok(StreamId::new(self.site()?, self.u32()?))
+    }
+
+    #[inline]
+    fn quality(&mut self) -> Result<Quality, WireError> {
+        Ok(Quality::new(self.u8()?))
+    }
+
+    /// A `u32` count of fixed-width elements, refused unless that many
+    /// `width`-byte elements fit in the rest of the body, so the count
+    /// can size an allocation.
+    #[inline]
+    fn count(&mut self, width: usize) -> Result<usize, WireError> {
+        let count = self.u32()? as usize;
+        // checked_mul: a corrupt count must not wrap the bounds check on
+        // 32-bit targets and drive the reads past the buffer.
+        self.need(count.checked_mul(width).ok_or(WireError::Truncated)?)?;
+        Ok(count)
+    }
+
+    /// A `u32` length, then that many bytes: a view of the body's
+    /// allocation, not a copy.
+    #[inline]
+    fn bytes(&mut self) -> Result<BytesMut, WireError> {
+        let len = self.count(1)?;
+        Ok(self.0.split_to(len))
+    }
 }
 
 /// Attempts to decode one complete message from the front of `src`.
@@ -627,193 +645,89 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
         return Ok(None);
     }
     src.advance(4);
-    let mut body = src.split_to(length);
-    if body.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    let tag = body.get_u8();
-    let message = match tag {
-        TAG_HELLO => {
-            if body.len() < 4 {
-                return Err(WireError::Truncated);
-            }
-            let site = SiteId::new(body.get_u32_le());
-            Message::Hello { site }
-        }
-        TAG_FRAME => {
-            if body.len() < 4 + 4 + 1 + 8 + 8 + 4 {
-                return Err(WireError::Truncated);
-            }
-            let origin = SiteId::new(body.get_u32_le());
-            let local = body.get_u32_le();
-            let quality = Quality::new(body.get_u8());
-            let seq = body.get_u64_le();
-            let captured_micros = body.get_u64_le();
-            let payload_len = body.get_u32_le() as usize;
-            if body.len() < payload_len {
-                return Err(WireError::Truncated);
-            }
-            let payload = body.split_to(payload_len).freeze();
-            Message::Frame {
-                stream: StreamId::new(origin, local),
-                quality,
-                seq,
-                captured_micros,
-                payload,
-            }
-        }
-        TAG_RECONFIGURE => {
-            if body.len() < 8 {
-                return Err(WireError::Truncated);
-            }
-            let revision = body.get_u64_le();
-            let site_plan = decode_site_plan(&mut body)?;
-            Message::Reconfigure {
-                revision,
-                site_plan,
-            }
-        }
-        TAG_ACK => {
-            if body.len() < 8 {
-                return Err(WireError::Truncated);
-            }
-            Message::Ack {
-                revision: body.get_u64_le(),
-            }
-        }
-        TAG_END => {
-            if body.len() < 8 {
-                return Err(WireError::Truncated);
-            }
-            let origin = SiteId::new(body.get_u32_le());
-            let local = body.get_u32_le();
-            Message::End {
-                stream: StreamId::new(origin, local),
-            }
-        }
+    let mut body = Body(src.split_to(length));
+    // Struct fields are evaluated in the order written, which is the
+    // order they travel in.
+    let message = match body.u8()? {
+        TAG_HELLO => Message::Hello { site: body.site()? },
+        TAG_FRAME => Message::Frame {
+            stream: body.stream()?,
+            quality: body.quality()?,
+            seq: body.u64()?,
+            captured_micros: body.u64()?,
+            payload: body.bytes()?.freeze(),
+        },
+        TAG_RECONFIGURE => Message::Reconfigure {
+            revision: body.u64()?,
+            site_plan: decode_site_plan(&mut body)?,
+        },
+        TAG_ACK => Message::Ack {
+            revision: body.u64()?,
+        },
+        TAG_END => Message::End {
+            stream: body.stream()?,
+        },
         TAG_ATTACH => Message::Attach,
-        TAG_OPEN_LINK => {
-            if body.len() < 4 + 4 {
-                return Err(WireError::Truncated);
-            }
-            let child = SiteId::new(body.get_u32_le());
-            let addr_len = body.get_u32_le() as usize;
-            if body.len() < addr_len {
-                return Err(WireError::Truncated);
-            }
-            let text = body.split_to(addr_len);
-            let addr = std::str::from_utf8(&text)
+        TAG_OPEN_LINK => Message::OpenLink {
+            child: body.site()?,
+            addr: std::str::from_utf8(&body.bytes()?)
                 .ok()
                 .and_then(|s| s.parse().ok())
-                .ok_or(WireError::BadAddress)?;
-            Message::OpenLink { child, addr }
-        }
-        TAG_CLOSE_LINK => {
-            if body.len() < 4 {
-                return Err(WireError::Truncated);
-            }
-            Message::CloseLink {
-                child: SiteId::new(body.get_u32_le()),
-            }
-        }
-        TAG_LINK_UP => {
-            if body.len() < 4 {
-                return Err(WireError::Truncated);
-            }
-            Message::LinkUp {
-                peer: SiteId::new(body.get_u32_le()),
-            }
-        }
-        TAG_LINK_DOWN => {
-            if body.len() < 4 {
-                return Err(WireError::Truncated);
-            }
-            Message::LinkDown {
-                peer: SiteId::new(body.get_u32_le()),
-            }
-        }
-        TAG_PUBLISH => {
-            if body.len() < 4 + 4 + 8 + 8 + 4 + 8 {
-                return Err(WireError::Truncated);
-            }
-            let origin = SiteId::new(body.get_u32_le());
-            let local = body.get_u32_le();
-            Message::Publish {
-                stream: StreamId::new(origin, local),
-                base_seq: body.get_u64_le(),
-                frames: body.get_u64_le(),
-                payload_bytes: body.get_u32_le(),
-                interval_micros: body.get_u64_le(),
-            }
-        }
-        TAG_BATCH_DONE => {
-            if body.len() < 4 + 4 + 8 {
-                return Err(WireError::Truncated);
-            }
-            let origin = SiteId::new(body.get_u32_le());
-            let local = body.get_u32_le();
-            Message::BatchDone {
-                stream: StreamId::new(origin, local),
-                next_seq: body.get_u64_le(),
-            }
-        }
-        TAG_STATS_REQUEST => {
-            if body.len() < 8 + 8 + 1 {
-                return Err(WireError::Truncated);
-            }
-            Message::StatsRequest {
-                probe: body.get_u64_le(),
-                at_least: body.get_u64_le(),
-                full: body.get_u8() != 0,
-            }
-        }
-        TAG_DELIVERED => {
-            if body.len() < 8 + 8 + 8 {
-                return Err(WireError::Truncated);
-            }
-            Message::Delivered {
-                probe: body.get_u64_le(),
-                total: body.get_u64_le(),
-                shed: body.get_u64_le(),
-            }
-        }
+                .ok_or(WireError::BadAddress)?,
+        },
+        TAG_CLOSE_LINK => Message::CloseLink {
+            child: body.site()?,
+        },
+        TAG_LINK_UP => Message::LinkUp { peer: body.site()? },
+        TAG_LINK_DOWN => Message::LinkDown { peer: body.site()? },
+        TAG_PUBLISH => Message::Publish {
+            stream: body.stream()?,
+            base_seq: body.u64()?,
+            frames: body.u64()?,
+            payload_bytes: body.u32()?,
+            interval_micros: body.u64()?,
+        },
+        TAG_BATCH_DONE => Message::BatchDone {
+            stream: body.stream()?,
+            next_seq: body.u64()?,
+        },
+        TAG_STATS_REQUEST => Message::StatsRequest {
+            probe: body.u64()?,
+            at_least: body.u64()?,
+            full: body.u8()? != 0,
+        },
+        TAG_DELIVERED => Message::Delivered {
+            probe: body.u64()?,
+            total: body.u64()?,
+            shed: body.u64()?,
+        },
         TAG_STATS_REPORT => {
-            if body.len() < 8 + 8 + 8 + 4 {
-                return Err(WireError::Truncated);
-            }
-            let probe = body.get_u64_le();
-            let total = body.get_u64_le();
-            let max_latency_micros = body.get_u64_le();
-            let count = body.get_u32_le() as usize;
+            let probe = body.u64()?;
+            let total = body.u64()?;
+            let max_latency_micros = body.u64()?;
+            // Entries are variable-width (sparse histogram tail): each
+            // read is checked as it happens, and the count only caps the
+            // up-front reservation.
+            let count = body.u32()? as usize;
             let mut streams = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                // Entries are variable-width (sparse histogram tail), so
-                // each one is bounds-checked as it is read.
-                if body.len() < 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let origin = SiteId::new(body.get_u32_le());
-                let local = body.get_u32_le();
-                let delivered = body.get_u64_le();
-                let delivered_degraded = body.get_u64_le();
-                let latency_sum_micros = body.get_u64_le();
-                let hist_sum = body.get_u64_le();
-                let hist_min = body.get_u64_le();
-                let hist_max = body.get_u64_le();
-                let nonzero = body.get_u8() as usize;
-                if nonzero > BUCKETS || body.len() < nonzero * (1 + 8) {
+                let stream = body.stream()?;
+                let delivered = body.u64()?;
+                let delivered_degraded = body.u64()?;
+                let latency_sum_micros = body.u64()?;
+                let (hist_sum, hist_min, hist_max) = (body.u64()?, body.u64()?, body.u64()?);
+                let nonzero = body.u8()? as usize;
+                if nonzero > BUCKETS {
                     return Err(WireError::Truncated);
                 }
                 let mut pairs = Vec::with_capacity(nonzero);
                 for _ in 0..nonzero {
-                    let index = body.get_u8();
-                    let bucket_count = body.get_u64_le();
-                    pairs.push((index, bucket_count));
+                    pairs.push((body.u8()?, body.u64()?));
                 }
                 let latency = LogHistogram::from_parts(&pairs, hist_sum, hist_min, hist_max)
                     .ok_or(WireError::Truncated)?;
                 streams.push(StreamDelivery {
-                    stream: StreamId::new(origin, local),
+                    stream,
                     delivered,
                     delivered_degraded,
                     latency_sum_micros,
@@ -827,29 +741,14 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
                 streams,
             }
         }
-        TAG_RESYNC_QUERY => {
-            if body.len() < 8 {
-                return Err(WireError::Truncated);
-            }
-            Message::ResyncQuery {
-                probe: body.get_u64_le(),
-            }
-        }
+        TAG_RESYNC_QUERY => Message::ResyncQuery { probe: body.u64()? },
         TAG_RESYNC_REPLY => {
-            if body.len() < 8 + 8 + 4 {
-                return Err(WireError::Truncated);
-            }
-            let probe = body.get_u64_le();
-            let revision = body.get_u64_le();
-            let count = body.get_u32_le() as usize;
-            // checked_mul: a corrupt count must not wrap the bounds check
-            // on 32-bit targets and drive the reads past the buffer.
-            if count.checked_mul(4).is_none_or(|need| body.len() < need) {
-                return Err(WireError::Truncated);
-            }
+            let probe = body.u64()?;
+            let revision = body.u64()?;
+            let count = body.count(4)?;
             let mut inbound = Vec::with_capacity(count);
             for _ in 0..count {
-                inbound.push(SiteId::new(body.get_u32_le()));
+                inbound.push(body.site()?);
             }
             Message::ResyncReply {
                 probe,
@@ -863,8 +762,10 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
     // Every field is read: whatever remains was padding the length
     // prefix claimed. (A `Frame`'s payload is therefore exactly the
     // body's tail.)
-    if !body.is_empty() {
-        return Err(WireError::TrailingBytes { extra: body.len() });
+    if !body.0.is_empty() {
+        return Err(WireError::TrailingBytes {
+            extra: body.0.len(),
+        });
     }
     Ok(Some(message))
 }
@@ -879,6 +780,157 @@ mod tests {
         let decoded = decode(&mut buf).expect("decodes").expect("complete");
         assert_eq!(decoded, msg);
         assert!(buf.is_empty(), "decoder must consume the full message");
+    }
+
+    /// One value of every variant (both `OpenLink` address families),
+    /// each paired with its exact encoding. Round-trip tests cannot see a
+    /// format change made to the encoder and decoder at once; this can.
+    fn golden_messages() -> Vec<(Message, &'static str)> {
+        let mut latency = LogHistogram::new();
+        for sample in [1u64, 3, 3, 700] {
+            latency.record(sample);
+        }
+        let stream = StreamId::new(SiteId::new(2), 5);
+        vec![
+            (Message::Hello { site: SiteId::new(7) }, "050000000107000000"),
+            (
+                Message::Frame {
+                    stream,
+                    quality: Quality::new(1),
+                    seq: 42,
+                    captured_micros: 0x0102_0304,
+                    payload: Bytes::from_static(b"3d"),
+                },
+                "20000000020200000005000000012a000000000000000403020100000000020000003364",
+            ),
+            (Message::End { stream }, "09000000040200000005000000"),
+            (
+                Message::Reconfigure {
+                    revision: 17,
+                    site_plan: SitePlan {
+                        site: SiteId::new(2),
+                        entries: vec![
+                            ForwardingEntry {
+                                stream,
+                                parent: None,
+                                children: vec![ChildLink::full(SiteId::new(0))],
+                                quality: Quality::FULL,
+                            },
+                            ForwardingEntry {
+                                stream: StreamId::new(SiteId::new(0), 1),
+                                parent: Some(SiteId::new(0)),
+                                children: vec![
+                                    ChildLink {
+                                        site: SiteId::new(1),
+                                        quality: Quality::new(1),
+                                    },
+                                    ChildLink::full(SiteId::new(3)),
+                                ],
+                                quality: Quality::new(2),
+                            },
+                        ],
+                    },
+                },
+                concat!(
+                    "44000000051100000000000000", // length, tag, revision
+                    "0200000002000000", // site, entry count
+                    "020000000500000000000000000001000000", // origin entry: no parent, one child
+                    "0000000000", // child 0 at full quality
+                    "000000000100000001000000000202000000", // relayed entry: parent 0, two children
+                    "01000000010300000000", // children 1 and 3
+                ),
+            ),
+            (Message::Ack { revision: 17 }, "09000000061100000000000000"),
+            (Message::Attach, "0100000007"),
+            (
+                Message::OpenLink {
+                    child: SiteId::new(4),
+                    addr: "127.0.0.1:9".parse().unwrap(),
+                },
+                "1400000008040000000b0000003132372e302e302e313a39",
+            ),
+            (
+                Message::OpenLink {
+                    child: SiteId::new(4),
+                    addr: "[::1]:9".parse().unwrap(),
+                },
+                "100000000804000000070000005b3a3a315d3a39",
+            ),
+            (Message::CloseLink { child: SiteId::new(4) }, "050000000904000000"),
+            (Message::LinkUp { peer: SiteId::new(3) }, "050000000a03000000"),
+            (Message::LinkDown { peer: SiteId::new(3) }, "050000000b03000000"),
+            (
+                Message::Publish {
+                    stream,
+                    base_seq: 77,
+                    frames: 12,
+                    payload_bytes: 4096,
+                    interval_micros: 5_000,
+                },
+                "250000000c02000000050000004d000000000000000c00000000000000001000008813000000000000",
+            ),
+            (Message::BatchDone { stream, next_seq: 89 }, "110000000d02000000050000005900000000000000"),
+            (
+                Message::StatsRequest {
+                    probe: 9,
+                    at_least: 100,
+                    full: true,
+                },
+                "120000000e0900000000000000640000000000000001",
+            ),
+            (
+                Message::Delivered {
+                    probe: 9,
+                    total: 100,
+                    shed: 2,
+                },
+                "1900000013090000000000000064000000000000000200000000000000",
+            ),
+            (
+                Message::StatsReport {
+                    probe: 9,
+                    total: 100,
+                    max_latency_micros: 700,
+                    streams: vec![StreamDelivery {
+                        stream,
+                        delivered: 100,
+                        delivered_degraded: 4,
+                        latency_sum_micros: 707,
+                        latency,
+                    }],
+                },
+                concat!(
+                    "710000000f09000000000000006400000000000000", // length, tag, probe, total
+                    "bc0200000000000001000000", // max latency, stream count
+                    "020000000500000064000000000000000400000000000000", // stream, delivered, degraded
+                    "c302000000000000", // latency sum
+                    "c3020000000000000100000000000000bc02000000000000", // histogram sum, min, max
+                    "03010100000000000000", // three non-empty buckets: 1 ×1,
+                    "0202000000000000000a0100000000000000", // 2 ×2 and 10 ×1
+                ),
+            ),
+            (Message::ResyncQuery { probe: 9 }, "09000000110900000000000000"),
+            (
+                Message::ResyncReply {
+                    probe: 9,
+                    revision: 17,
+                    inbound: vec![SiteId::new(0), SiteId::new(3)],
+                },
+                "1d0000001209000000000000001100000000000000020000000000000003000000",
+            ),
+            (Message::Shutdown, "0100000010"),
+        ]
+    }
+
+    #[test]
+    fn every_variant_encodes_to_its_golden_bytes() {
+        for (message, golden) in golden_messages() {
+            let mut buf = BytesMut::new();
+            encode(&message, &mut buf);
+            let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{message:?}");
+            roundtrip(message);
+        }
     }
 
     #[test]

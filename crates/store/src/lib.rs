@@ -16,9 +16,11 @@
 //! the log serves reads. [`SessionStore::open`] rebuilds the index from
 //! the log and truncates a crash-torn tail — a record either frames and
 //! hashes correctly or everything from it on is discarded, so recovery
-//! is unambiguous. [`SessionStore::snapshot`] answers "what was this
-//! session's state at revision *r*"; [`SessionStore::restore`] hands
-//! back a [`RestoredSession`] whose
+//! is unambiguous. An append is written to the operating system but
+//! never synced to disk, so a returned commit survives a crash of the
+//! process, not a power loss. [`SessionStore::snapshot`] answers "what
+//! was this session's state at revision *r*";
+//! [`SessionStore::restore`] hands back a [`RestoredSession`] whose
 //! [`replay`](RestoredSession::replay) rebuilds a live
 //! [`SessionRuntime`](teeve_runtime::SessionRuntime) by re-driving the
 //! persisted event history — epoch reconciliation is deterministic, so

@@ -155,18 +155,16 @@ impl SessionStore {
         def: &Session,
         config: RuntimeConfig,
     ) -> Result<(), StoreError> {
+        let record = encode(&LogRecord::Opened {
+            session,
+            def: def.clone(),
+            config,
+        })?;
         let mut inner = self.inner.lock();
         if inner.sessions.contains_key(&session) {
             return Err(StoreError::DuplicateSession(session));
         }
-        append(
-            &mut inner.file,
-            &LogRecord::Opened {
-                session,
-                def: def.clone(),
-                config,
-            },
-        )?;
+        append(&mut inner.file, &record)?;
         inner.sessions.insert(
             session,
             History {
@@ -192,19 +190,17 @@ impl SessionStore {
         session: SessionId,
         commit: &EpochCommit,
     ) -> Result<(), StoreError> {
+        let record = encode(&LogRecord::Commit {
+            session,
+            commit: commit.clone(),
+        })?;
         let mut inner = self.inner.lock();
         match inner.sessions.get(&session) {
             None => return Err(StoreError::UnknownSession(session)),
             Some(history) if history.closed => return Err(StoreError::SessionClosed(session)),
             Some(_) => {}
         }
-        append(
-            &mut inner.file,
-            &LogRecord::Commit {
-                session,
-                commit: commit.clone(),
-            },
-        )?;
+        append(&mut inner.file, &record)?;
         if let Some(history) = inner.sessions.get_mut(&session) {
             history.commits.push(commit.clone());
         }
@@ -221,13 +217,14 @@ impl SessionStore {
     /// [`StoreError::SessionClosed`] if already closed, or an append
     /// error.
     pub fn record_closed(&self, session: SessionId) -> Result<(), StoreError> {
+        let record = encode(&LogRecord::Closed { session })?;
         let mut inner = self.inner.lock();
         match inner.sessions.get(&session) {
             None => return Err(StoreError::UnknownSession(session)),
             Some(history) if history.closed => return Err(StoreError::SessionClosed(session)),
             Some(_) => {}
         }
-        append(&mut inner.file, &LogRecord::Closed { session })?;
+        append(&mut inner.file, &record)?;
         if let Some(history) = inner.sessions.get_mut(&session) {
             history.closed = true;
         }
@@ -332,13 +329,22 @@ impl SessionStore {
     }
 }
 
-/// Appends one record to the log: frame, write, flush. The index is only
-/// updated by callers *after* this succeeds, so a failed append leaves
-/// index and log agreeing.
-fn append(file: &mut File, record: &LogRecord) -> Result<(), StoreError> {
-    let payload = serde_json::to_string(record)?;
-    file.write_all(&frame(payload.as_bytes()))?;
-    file.flush()?;
+/// One record as it goes to the log: its JSON, framed. Callers encode
+/// before taking the store lock, so sessions committing in parallel do
+/// not queue behind each other's encoding.
+fn encode(record: &LogRecord) -> Result<Vec<u8>, StoreError> {
+    Ok(frame(serde_json::to_string(record)?.as_bytes()))
+}
+
+/// Appends one framed record to the log. The index is only updated by
+/// callers *after* this succeeds, so a failed append leaves index and log
+/// agreeing.
+///
+/// The write reaches the operating system, not the disk: nothing calls
+/// `sync_data`, so a returned commit survives a crash of this process but
+/// not a power loss or a kernel crash.
+fn append(file: &mut File, record: &[u8]) -> Result<(), StoreError> {
+    file.write_all(record)?;
     Ok(())
 }
 

@@ -76,8 +76,30 @@ fn commit_history(
     runtime
 }
 
+/// A string of arbitrary scalars, weighted towards the ones the JSON
+/// codec treats specially: control characters (escaped as `\uXXXX`),
+/// ASCII (including `"` and `\`), and multi-byte UTF-8.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u32..3, 0u32..0x11_0000), 0..48usize).prop_map(|picks| {
+        picks
+            .into_iter()
+            .filter_map(|(kind, code)| {
+                char::from_u32([code % 0x20, code % 0x80, code][kind as usize])
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any string survives the store's JSON codec: `to_string` then
+    /// `from_str` gives back the exact string.
+    #[test]
+    fn strings_roundtrip_through_the_json_codec(text in arb_text()) {
+        let json = serde_json::to_string(&text).expect("encode");
+        prop_assert_eq!(serde_json::from_str::<String>(&json).expect("decode"), text);
+    }
 
     /// Any commit history round-trips: a reopened store recovers every
     /// record, truncates nothing, and replays to the exact plan the
