@@ -187,9 +187,9 @@ impl LiveCluster {
     }
 
     /// Publishes `frames` frames from every origin stream of the current
-    /// plan and blocks until every RP has pushed the delivery reply that
-    /// accounts for its planned deliveries of the batch; see
-    /// [`Coordinator::publish`].
+    /// plan — one `Publish` per origin RP — and blocks until every RP has
+    /// pushed the delivery reply that accounts for its planned deliveries
+    /// of the batch; see [`Coordinator::publish`].
     ///
     /// # Errors
     ///
@@ -244,10 +244,15 @@ impl teeve_pubsub::DeltaSink for LiveCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::collections::BTreeMap;
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use bytes::BytesMut;
+    use parking_lot::Mutex;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use teeve_overlay::{
@@ -257,7 +262,7 @@ mod tests {
     use teeve_telemetry::FlightEventKind;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
 
-    use crate::wire::{encode, Message};
+    use crate::wire::{decode, encode, Message};
 
     fn site(i: u32) -> SiteId {
         SiteId::new(i)
@@ -459,9 +464,10 @@ mod tests {
 
     #[test]
     fn socket_paced_streams_of_one_origin_pace_concurrently() {
-        // Site 0 originates two paced streams. Their Publish orders are
-        // independent timer entries, so the batch's wall time stays
-        // ≈ frames × interval — not doubled back-to-back per stream.
+        // Site 0 originates two paced streams. Its one Publish order is
+        // one timer entry forwarding a frame of each stream per firing,
+        // so the batch's wall time stays ≈ frames × interval — not
+        // doubled back-to-back per stream.
         let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(2));
         let problem = ProblemInstance::builder(costs, CostMs::new(50))
             .symmetric_capacities(Degree::new(6))
@@ -488,8 +494,8 @@ mod tests {
             .expect("cluster completes");
         let report = cluster.shutdown();
         assert_eq!(report.total_delivered(), 10);
-        // One paced batch spans ≥ its own gaps…
-        assert!(report.elapsed >= Duration::from_millis(180));
+        // One paced batch spans ≥ its own gaps, (frames − 1) × interval…
+        assert!(report.elapsed >= Duration::from_millis(160));
         // …but two streams serialized would take ≥ 400 ms; concurrent
         // pacing stays well under that even on a loaded host.
         assert!(
@@ -497,6 +503,105 @@ mod tests {
             "paced batches must overlap, took {:?}",
             report.elapsed
         );
+    }
+
+    /// Message kinds (their variant names) counted by [`tap`]s.
+    type Tally = Arc<Mutex<BTreeMap<String, u64>>>;
+
+    /// Relays every connection made to the returned address on to the RP
+    /// at `rp`, byte for byte, and counts each message crossing it by
+    /// kind in `tally`, before passing it on. Accepts until `stop` is
+    /// set and one more connection arrives.
+    fn tap(rp: SocketAddr, tally: &Tally, stop: &Arc<AtomicBool>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("tap bind");
+        let addr = listener.local_addr().expect("tap addr");
+        let (tally, stop) = (Arc::clone(tally), Arc::clone(stop));
+        std::thread::spawn(move || {
+            for downstream in listener.incoming() {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                let (Ok(downstream), Ok(upstream)) = (downstream, TcpStream::connect(rp)) else {
+                    continue;
+                };
+                for (from, to) in [
+                    (downstream.try_clone(), upstream.try_clone()),
+                    (Ok(upstream), Ok(downstream)),
+                ] {
+                    let (Ok(from), Ok(to)) = (from, to) else {
+                        continue;
+                    };
+                    let tally = Arc::clone(&tally);
+                    std::thread::spawn(move || pump(from, to, &tally));
+                }
+            }
+        });
+        addr
+    }
+
+    /// One direction of a [`tap`]'s relay, until either side closes.
+    fn pump(mut from: TcpStream, mut to: TcpStream, tally: &Tally) {
+        to.set_nodelay(true).ok();
+        let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 16 * 1024]);
+        while let Ok(read @ 1..) = from.read(&mut chunk) {
+            buf.extend_from_slice(&chunk[..read]);
+            while let Ok(Some(message)) = decode(&mut buf) {
+                let name = format!("{message:?}");
+                let kind = name.split(|c: char| !c.is_alphanumeric()).next();
+                *tally
+                    .lock()
+                    .entry(kind.unwrap_or_default().to_owned())
+                    .or_default() += 1;
+            }
+            if to.write_all(&chunk[..read]).is_err() {
+                break;
+            }
+        }
+        let _ = to.shutdown(Shutdown::Write);
+    }
+
+    #[test]
+    fn socket_a_batch_is_one_publish_per_origin_site_and_one_probe_round() {
+        // Every connection — control channels and data links alike —
+        // crosses a tap in front of its RP.
+        let plan = fanout_plan();
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(4)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let (tally, stop) = (Tally::default(), Arc::new(AtomicBool::new(false)));
+        let taps: Vec<SocketAddr> = nodes.iter().map(|n| tap(n.addr(), &tally, &stop)).collect();
+        let mut coordinator = Coordinator::connect(&plan, &taps, &quick_config()).expect("connect");
+
+        // Four origin sites of two streams each: one Publish per site,
+        // one StatsRequest and one Delivered per site, and no other
+        // control message. Every one of the 4 × 6 × 5 deliveries is one
+        // frame crossing one tap.
+        tally.lock().clear();
+        coordinator.publish(5).expect("batch delivers");
+        let batch = std::mem::take(&mut *tally.lock());
+        let expected = [
+            ("Delivered", 4),
+            ("Frame", 120),
+            ("Publish", 4),
+            ("StatsRequest", 4),
+        ];
+        assert_eq!(
+            batch,
+            BTreeMap::from(expected.map(|(kind, n)| (kind.to_owned(), n))),
+            "one batch's traffic"
+        );
+
+        assert_eq!(coordinator.shutdown().total_delivered(), 120);
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
+        reactor.shutdown();
+        stop.store(true, Ordering::Relaxed);
+        for addr in taps {
+            let _ = TcpStream::connect(addr);
+        }
     }
 
     #[test]

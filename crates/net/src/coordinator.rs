@@ -12,12 +12,13 @@
 //! one convergence step: order the new links open (`OpenLink`, confirmed
 //! by the child's `LinkUp`), dictate the touched RPs' forwarding tables
 //! through one ack barrier (`Reconfigure`/`Ack`), then order the dead
-//! links shut (`CloseLink`, confirmed by the child's `LinkDown`). Frames
-//! inject via `Publish`/`BatchDone` at origin RPs, and delivery
-//! accounting comes from one stats probe (`StatsRequest`, answered by the
-//! fixed-size `Delivered` the moment an RP has delivered what the
-//! coordinator is owed, or by the full per-stream `StatsReport` at
-//! shutdown).
+//! links shut (`CloseLink`, confirmed by the child's `LinkDown`). A batch
+//! of frames is one `Publish` per origin RP, naming every stream it
+//! injects, and delivery accounting comes from one stats probe
+//! (`StatsRequest`, answered by the fixed-size `Delivered` the moment an
+//! RP has delivered what the coordinator is owed, or by the full
+//! per-stream `StatsReport` at shutdown). An origin's probe travels
+//! behind its `Publish`, so nothing else confirms the batch.
 //!
 //! The coordinator survives losing its control connections:
 //! [`Coordinator::detach`] abandons a fleet *without* shutting it down
@@ -322,8 +323,8 @@ struct SiteLink {
     /// control connection only increase, so `acked >= revision` is the
     /// barrier test.
     acked: Option<u64>,
-    /// Per-stream high-water mark of `BatchDone { next_seq }`.
-    batches: BTreeMap<StreamId, u64>,
+    /// Orders queued to go out in one write with the next `send`.
+    out: BytesMut,
     /// The freshest compact delivery reply, tagged with its probe token:
     /// what every `publish` waits on.
     delivered: Option<DeliveredSnapshot>,
@@ -354,7 +355,7 @@ impl SiteLink {
             buf: BytesMut::with_capacity(4 * 1024),
             inbound: BTreeSet::new(),
             acked: None,
-            batches: BTreeMap::new(),
+            out: BytesMut::new(),
             delivered: None,
             stats: None,
             resync: None,
@@ -373,10 +374,6 @@ impl SiteLink {
             }
             Message::Ack { revision } => {
                 self.acked = self.acked.max(Some(revision));
-            }
-            Message::BatchDone { stream, next_seq } => {
-                let high = self.batches.entry(stream).or_default();
-                *high = (*high).max(next_seq);
             }
             Message::Delivered { probe, total, shed } => {
                 self.delivered = Some(DeliveredSnapshot { probe, total, shed });
@@ -431,12 +428,18 @@ impl SiteLink {
         }
     }
 
-    /// Encodes and sends one order down the control channel.
+    /// Encodes an order to go out with the next [`send`](Self::send).
+    fn queue(&mut self, message: &Message) {
+        encode(message, &mut self.out);
+    }
+
+    /// Encodes one order and sends it down the control channel, in one
+    /// write behind every order queued ahead of it.
     fn send(&mut self, message: &Message) -> Result<(), ClusterError> {
-        let mut buf = BytesMut::new();
-        encode(message, &mut buf);
+        let mut orders = std::mem::take(&mut self.out);
+        encode(message, &mut orders);
         self.conn
-            .write_all(&buf)
+            .write_all(&orders)
             .map_err(|e| ClusterError::Control {
                 site: self.site,
                 detail: format!("order write failed: {e}"),
@@ -516,9 +519,10 @@ impl SiteLink {
 ///    address and converges the bare fleet onto the initial plan: every
 ///    plan link ordered open, every site's forwarding table dictated;
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
-///    origin RP, then probes every RP armed at the delivered total it
-///    owes and blocks until each has pushed its fixed-size `Delivered`
-///    reply (no per-stream counters or histograms cross the wire);
+///    origin RP (one `Publish` each) and, in the same pass, probes every
+///    RP armed at the delivered total it owes, then blocks until each has
+///    pushed its fixed-size `Delivered` reply (no per-stream counters or
+///    histograms cross the wire);
 /// 3. [`apply_delta`](Self::apply_delta) converges the running fleet onto
 ///    the delta's successor plan by the same step: exactly the
 ///    connections [`link_changes_between`](teeve_pubsub::link_changes_between)
@@ -822,8 +826,10 @@ impl Coordinator {
 
     /// Orders `frames` frames published from every origin stream of the
     /// current plan and blocks until all planned deliveries of the batch
-    /// are accounted for: every RP pushes its fixed-size `Delivered`
-    /// reply once its delivered total reaches what it owes.
+    /// are accounted for. Each origin RP gets one `Publish` naming its
+    /// streams and, in the same write, the armed `StatsRequest` every RP
+    /// gets; each RP pushes its fixed-size `Delivered` reply once its
+    /// delivered total reaches what it owes. One round trip per batch.
     ///
     /// The first call starts the report clock: setup cost (listener
     /// binding, connection establishment) is excluded from `elapsed` by
@@ -842,43 +848,37 @@ impl Coordinator {
         if self.started.is_none() {
             self.started = Some(Instant::now());
         }
-        let mut origins: Vec<(SiteId, StreamId)> = Vec::new();
-        for sp in self.plan.site_plans() {
-            for entry in &sp.entries {
-                if entry.is_origin() && !entry.children.is_empty() {
-                    origins.push((sp.site, entry.stream));
-                }
-            }
-        }
-        let base_seq = self.next_seq;
         let interval_micros = self
             .config
             .frame_interval
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        for &(site, stream) in &origins {
-            self.sites[site.index()].send(&Message::Publish {
-                stream,
-                base_seq,
-                frames,
-                payload_bytes: self.config.payload_bytes as u32,
-                interval_micros,
-            })?;
-        }
-        let deadline = Instant::now() + self.config.timeout;
-        let target = base_seq + frames;
-        for &(site, stream) in &origins {
-            self.sites[site.index()].wait_for(
-                &mut self.scratch,
-                deadline,
-                "publish batch completion",
-                |link| (link.batches.get(&stream).copied().unwrap_or(0) >= target).then_some(()),
-            )?;
+        for ((link, owed), sp) in self
+            .sites
+            .iter_mut()
+            .zip(&mut self.owed)
+            .zip(self.plan.site_plans())
+        {
+            *owed += frames * sp.in_degree() as u64;
+            let streams: Vec<StreamId> = sp
+                .entries
+                .iter()
+                .filter(|entry| entry.is_origin() && !entry.children.is_empty())
+                .map(|entry| entry.stream)
+                .collect();
+            if !streams.is_empty() {
+                // Queued: the probe `await_deliveries` sends rides in the
+                // same write, behind it, so it runs after the injection.
+                link.queue(&Message::Publish {
+                    streams,
+                    base_seq: self.next_seq,
+                    frames,
+                    payload_bytes: self.config.payload_bytes as u32,
+                    interval_micros,
+                });
+            }
         }
         self.next_seq += frames;
-        for (owed, sp) in self.owed.iter_mut().zip(self.plan.site_plans()) {
-            *owed += frames * sp.in_degree() as u64;
-        }
         self.await_deliveries()
     }
 

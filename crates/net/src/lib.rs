@@ -14,8 +14,9 @@
 //! and site addresses. Every coordinator action is a [`wire`] message (table
 //! installs via `Reconfigure`/`Ack`, link lifecycle via
 //! `OpenLink`/`CloseLink` orders confirmed by `LinkUp`/`LinkDown`
-//! notifications, frame injection via `Publish`/`BatchDone`, delivery
-//! accounting via `StatsRequest` answered by the fixed-size `Delivered`
+//! notifications, frame injection via one `Publish` per origin RP naming
+//! its streams, delivery accounting via `StatsRequest` answered by the
+//! fixed-size `Delivered`
 //! — pushed by the RP once it has delivered the total the request names,
 //! and carrying its count of shed writes — or by the full per-stream
 //! `StatsReport` the shutdown harvest asks for), so the same coordinator

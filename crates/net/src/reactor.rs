@@ -8,12 +8,13 @@
 //! connection sends [`Message::Attach`] to mark itself as the control
 //! channel; the node then routes all of its notifications
 //! ([`Message::LinkUp`]/[`Message::LinkDown`]) and replies
-//! ([`Message::Ack`], [`Message::BatchDone`], [`Message::Delivered`],
-//! [`Message::StatsReport`])
-//! through that channel. Orders arriving on one connection execute
-//! strictly in arrival order — a `Reconfigure` queued behind an
-//! `OpenLink` only runs once the new link is registered — which is what
-//! lets the coordinator sequence reconfigurations without shared memory.
+//! ([`Message::Ack`], [`Message::Delivered`], [`Message::StatsReport`],
+//! [`Message::ResyncReply`]) through that channel. Orders arriving on one
+//! connection execute strictly in arrival order — a `Reconfigure` queued
+//! behind an `OpenLink` only runs once the new link is registered, and a
+//! `StatsRequest` behind an unpaced `Publish` only once the batch is
+//! injected — which is what lets the coordinator sequence
+//! reconfigurations and batches without shared memory.
 //!
 //! Per event-loop iteration:
 //!
@@ -37,11 +38,9 @@
 //!    reading loses its subtree's frames, never the node's other links or
 //!    its control channel. The node counts its sheds and reports them in
 //!    every [`Message::Delivered`].
-//! 4. **Timers** — paced `Publish` batches are due-time entries in a
-//!    timer map, so two paced origin streams at one site interleave at
-//!    their shared cadence; each firing forwards one frame and re-arms,
-//!    and the final firing reports `BatchDone` one interval after the
-//!    last frame.
+//! 4. **Timers** — a paced `Publish` batch is one due-time entry in a
+//!    timer map; each firing forwards one frame of every stream the
+//!    order names and re-arms until the last frame is out.
 //!
 //! Ownership is strictly per-loop: a node and all its connections live
 //! on exactly one event loop, so node state needs no locks at all. The
@@ -374,12 +373,11 @@ enum Entry {
     Conn(Conn),
 }
 
-/// A paced `Publish` batch parked in the timer map. `next_seq ==
-/// end_seq` marks the trailing firing that reports `BatchDone` one
-/// interval after the last frame.
+/// A paced `Publish` batch parked in the timer map: its next firing
+/// forwards frame `next_seq` of every one of `streams`.
 struct PacedBatch {
     node_key: u64,
-    stream: StreamId,
+    streams: Vec<StreamId>,
     next_seq: u64,
     end_seq: u64,
     interval_micros: u64,
@@ -1002,7 +1000,7 @@ impl LoopState {
                 true
             }
             Message::Publish {
-                stream,
+                streams,
                 base_seq,
                 frames,
                 payload_bytes,
@@ -1010,7 +1008,7 @@ impl LoopState {
             } => {
                 self.publish(
                     node_idx,
-                    stream,
+                    streams,
                     base_seq,
                     frames,
                     payload_bytes,
@@ -1050,7 +1048,6 @@ impl LoopState {
             Message::Ack { .. }
             | Message::LinkUp { .. }
             | Message::LinkDown { .. }
-            | Message::BatchDone { .. }
             | Message::Delivered { .. }
             | Message::StatsReport { .. }
             | Message::ResyncReply { .. } => {
@@ -1232,13 +1229,15 @@ impl LoopState {
     }
 
     /// Executes a `Publish` order: inject a batch of synthetic frames of
-    /// a locally originated stream into the overlay. The origin
-    /// publishes at full quality; `forward_frame` degrades (sizes and
-    /// tags) to the origin entry's planned rung.
+    /// each listed, locally originated stream into the overlay —
+    /// unpaced, one stream's whole batch after another; paced, one frame
+    /// of every stream per firing. The origin publishes at full quality;
+    /// `forward_frame` degrades (sizes and tags) to the origin entry's
+    /// planned rung.
     fn publish(
         &mut self,
         node_idx: usize,
-        stream: StreamId,
+        streams: Vec<StreamId>,
         base_seq: u64,
         frames: u64,
         payload_bytes: u32,
@@ -1248,42 +1247,39 @@ impl LoopState {
         let end_seq = base_seq.saturating_add(frames);
         if interval_micros == 0 {
             // Unpaced: inject the whole batch inline.
-            for seq in base_seq..end_seq {
-                self.forward_frame(
-                    node_idx,
-                    stream,
-                    seq,
-                    unix_micros(),
-                    &payload,
-                    Quality::FULL,
-                );
+            for stream in streams {
+                for seq in base_seq..end_seq {
+                    self.forward_frame(
+                        node_idx,
+                        stream,
+                        seq,
+                        unix_micros(),
+                        &payload,
+                        Quality::FULL,
+                    );
+                }
             }
-            self.notify(
-                node_idx,
-                &Message::BatchDone {
-                    stream,
-                    next_seq: end_seq,
-                },
-            );
             return;
         }
         let node_key = match self.node_ref(node_idx) {
             Some(node) => node.key,
             None => return,
         };
-        // First frame is due immediately; fire_timers runs later this
-        // same iteration.
-        self.schedule(
-            PacedBatch {
-                node_key,
-                stream,
-                next_seq: base_seq,
-                end_seq,
-                interval_micros,
-                payload,
-            },
-            unix_micros(),
-        );
+        if base_seq < end_seq {
+            // The first firing is due immediately; fire_timers runs
+            // later this same iteration.
+            self.schedule(
+                PacedBatch {
+                    node_key,
+                    streams,
+                    next_seq: base_seq,
+                    end_seq,
+                    interval_micros,
+                    payload,
+                },
+                unix_micros(),
+            );
+        }
     }
 
     // ---- timers ------------------------------------------------------
@@ -1313,32 +1309,21 @@ impl LoopState {
             let Some(&node_idx) = self.node_keys.get(&batch.node_key) else {
                 continue;
             };
-            if batch.next_seq >= batch.end_seq {
-                // Trailing firing: BatchDone one interval after the
-                // last frame.
-                self.notify(
+            for &stream in &batch.streams {
+                self.forward_frame(
                     node_idx,
-                    &Message::BatchDone {
-                        stream: batch.stream,
-                        next_seq: batch.end_seq,
-                    },
+                    stream,
+                    batch.next_seq,
+                    now,
+                    &batch.payload,
+                    Quality::FULL,
                 );
-                continue;
             }
-            self.forward_frame(
-                node_idx,
-                batch.stream,
-                batch.next_seq,
-                now,
-                &batch.payload,
-                Quality::FULL,
-            );
-            let interval = batch.interval_micros;
-            let rearmed = PacedBatch {
-                next_seq: batch.next_seq + 1,
-                ..batch
-            };
-            self.schedule(rearmed, now.saturating_add(interval));
+            let next_seq = batch.next_seq + 1;
+            if next_seq < batch.end_seq {
+                let due = now.saturating_add(batch.interval_micros);
+                self.schedule(PacedBatch { next_seq, ..batch }, due);
+            }
         }
     }
 
@@ -1834,25 +1819,29 @@ mod tests {
         conn.write_all(&orders).expect("orders sent");
     }
 
-    /// A revision-1 table making site 0 the origin of `stream` with one
-    /// child link per `(site, rung)`.
-    fn origin_table(stream: StreamId, children: &[(u32, u8)]) -> Message {
+    /// A revision-1 table making site 0 the origin of `streams`, each
+    /// with one child link per `(site, rung)`.
+    fn origin_table(streams: &[StreamId], children: &[(u32, u8)]) -> Message {
+        let children: Vec<ChildLink> = children
+            .iter()
+            .map(|&(site, rung)| ChildLink {
+                site: SiteId::new(site),
+                quality: Quality::new(rung),
+            })
+            .collect();
         Message::Reconfigure {
             revision: 1,
             site_plan: SitePlan {
                 site: SiteId::new(0),
-                entries: vec![ForwardingEntry {
-                    stream,
-                    parent: None,
-                    children: children
-                        .iter()
-                        .map(|&(site, rung)| ChildLink {
-                            site: SiteId::new(site),
-                            quality: Quality::new(rung),
-                        })
-                        .collect(),
-                    quality: Quality::FULL,
-                }],
+                entries: streams
+                    .iter()
+                    .map(|&stream| ForwardingEntry {
+                        stream,
+                        parent: None,
+                        children: children.clone(),
+                        quality: Quality::FULL,
+                    })
+                    .collect(),
             },
         }
     }
@@ -1878,13 +1867,13 @@ mod tests {
             &mut control,
             &[
                 Message::Attach,
-                origin_table(stream_id, &[(1, 1)]),
+                origin_table(&[stream_id], &[(1, 1)]),
                 Message::OpenLink {
                     child: SiteId::new(1),
                     addr: child_addr,
                 },
                 Message::Publish {
-                    stream: stream_id,
+                    streams: vec![stream_id],
                     base_seq: 0,
                     frames: 1,
                     payload_bytes: 1024,
@@ -1925,17 +1914,6 @@ mod tests {
         assert_eq!(quality, Quality::new(1), "frame tagged at the child's rung");
         assert_eq!(payload.len(), 512, "payload halved for rung 1");
 
-        // BatchDone comes back on the control channel once the inline
-        // batch has been injected.
-        let done = read_next(&mut control, &mut control_buf, &mut chunk);
-        assert_eq!(
-            done,
-            Message::BatchDone {
-                stream: stream_id,
-                next_seq: 1
-            }
-        );
-
         node.stop();
         node.join();
         // Stopping cascaded the link down: the child sees EOF.
@@ -1948,6 +1926,82 @@ mod tests {
         }
         let registered = reactor.telemetry().gauge("reactor.nodes.registered").get();
         assert_eq!(registered, 0, "stopped node must deregister");
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_one_publish_injects_every_listed_stream_before_its_probe_answers() {
+        let (reactor, node, mut control) = attached_node();
+        let streams = [
+            StreamId::new(SiteId::new(0), 0),
+            StreamId::new(SiteId::new(0), 1),
+        ];
+        let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
+        send(
+            &mut control,
+            &[
+                origin_table(&streams, &[(1, 0)]),
+                Message::OpenLink {
+                    child: SiteId::new(1),
+                    addr: child_listener.local_addr().expect("child addr"),
+                },
+            ],
+        );
+        let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
+        let ack = read_next(&mut control, &mut buf, &mut chunk);
+        assert_eq!(ack, Message::Ack { revision: 1 });
+
+        // One write: a Publish naming both streams, then the probe a
+        // coordinator sends an origin that owes nothing. The probe runs
+        // after the injection, and it is the only reply.
+        let publish = Message::Publish {
+            streams: streams.to_vec(),
+            base_seq: 0,
+            frames: 2,
+            payload_bytes: 16,
+            interval_micros: 0,
+        };
+        let replies = replies_before_fence(&mut control, &mut buf, &[publish, stats_request(5, 0)]);
+        assert_eq!(
+            replies,
+            [Message::Delivered {
+                probe: 5,
+                total: 0,
+                shed: 0
+            }]
+        );
+
+        // The child takes each stream's batch in turn.
+        let (mut child, _) = child_listener.accept().expect("node dials child");
+        child.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let mut child_buf = BytesMut::new();
+        let hello = read_next(&mut child, &mut child_buf, &mut chunk);
+        assert_eq!(
+            hello,
+            Message::Hello {
+                site: SiteId::new(0)
+            }
+        );
+        let received: Vec<(StreamId, u64)> = (0..4)
+            .map(
+                |_| match read_next(&mut child, &mut child_buf, &mut chunk) {
+                    Message::Frame { stream, seq, .. } => (stream, seq),
+                    other => panic!("expected a frame, got {other:?}"),
+                },
+            )
+            .collect();
+        assert_eq!(
+            received,
+            [
+                (streams[0], 0),
+                (streams[0], 1),
+                (streams[1], 0),
+                (streams[1], 1)
+            ]
+        );
+
+        node.stop();
+        node.join();
         reactor.shutdown();
     }
 
@@ -1968,11 +2022,14 @@ mod tests {
         let stuck_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("stuck bind");
         let mut control = std::net::TcpStream::connect(origin.addr()).expect("control connect");
         control.set_read_timeout(timeout).ok();
+        // Re-sent after each batch, the table is a fence: its `Ack`
+        // proves the origin's control channel still answers.
+        let table = origin_table(&[stream_id], &[(1, 0), (2, 0)]);
         send(
             &mut control,
             &[
                 Message::Attach,
-                origin_table(stream_id, &[(1, 0), (2, 0)]),
+                table.clone(),
                 Message::OpenLink {
                     child: SiteId::new(1),
                     addr: stuck_listener.local_addr().expect("stuck addr"),
@@ -1998,24 +2055,26 @@ mod tests {
         let dropped = reactor.telemetry().counter("reactor.writes.dropped");
         let (mut buf, mut child_buf) = (BytesMut::new(), BytesMut::new());
         let mut chunk = [0u8; 4096];
+        let fenced = Message::Ack { revision: 1 };
+        assert_eq!(read_next(&mut control, &mut buf, &mut chunk), fenced);
         let mut sent = 0u64;
         while dropped.get() == 0 {
             assert!(sent < 4096, "256 MiB queued behind a stuck reader, no shed");
             send(
                 &mut control,
-                &[Message::Publish {
-                    stream: stream_id,
-                    base_seq: sent,
-                    frames: BATCH_FRAMES,
-                    payload_bytes: PAYLOAD_BYTES,
-                    interval_micros: 0,
-                }],
+                &[
+                    Message::Publish {
+                        streams: vec![stream_id],
+                        base_seq: sent,
+                        frames: BATCH_FRAMES,
+                        payload_bytes: PAYLOAD_BYTES,
+                        interval_micros: 0,
+                    },
+                    table.clone(),
+                ],
             );
             sent += BATCH_FRAMES;
-            while !matches!(
-                read_next(&mut control, &mut buf, &mut chunk),
-                Message::BatchDone { next_seq, .. } if next_seq == sent
-            ) {}
+            assert_eq!(read_next(&mut control, &mut buf, &mut chunk), fenced);
             // The healthy sibling receives every frame of every batch: its
             // reply is armed to arrive once it has, and it shed nothing.
             send(&mut child_control, &[stats_request(sent, sent)]);
@@ -2051,7 +2110,7 @@ mod tests {
     /// An origin-only table at revision 1: re-sent as an order, its `Ack`
     /// fences everything queued ahead of it on the same connection.
     fn fence() -> Message {
-        origin_table(StreamId::new(SiteId::new(0), 0), &[])
+        origin_table(&[StreamId::new(SiteId::new(0), 0)], &[])
     }
 
     /// A compact probe: answered with `Delivered`.
@@ -2268,7 +2327,7 @@ mod tests {
             &mut control,
             &[
                 Message::Attach,
-                origin_table(stream_id, &[(1, 0)]),
+                origin_table(&[stream_id], &[(1, 0)]),
                 Message::OpenLink {
                     child: SiteId::new(1),
                     addr: child_listener.local_addr().expect("child addr"),
@@ -2359,7 +2418,7 @@ mod tests {
             let node = state.node_mut(0).expect("node");
             node.outbound.insert(SiteId::new(site), token);
         }
-        let Message::Reconfigure { site_plan, .. } = origin_table(stream, children) else {
+        let Message::Reconfigure { site_plan, .. } = origin_table(&[stream], children) else {
             unreachable!("origin_table builds a Reconfigure");
         };
         let node = state.node_mut(0).expect("node");

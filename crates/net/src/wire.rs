@@ -19,8 +19,10 @@
 //!   (the RP dials or write-shuts its own sockets) answered by
 //!   [`Message::LinkUp`]/[`Message::LinkDown`] notifications from the
 //!   receiving side;
-//! * frame injection: [`Message::Publish`] orders executed by origin RPs,
-//!   acknowledged with [`Message::BatchDone`];
+//! * frame injection: one [`Message::Publish`] order per origin RP,
+//!   naming every stream it injects; nothing acknowledges it, because the
+//!   armed [`Message::StatsRequest`] sent behind it reports the batch's
+//!   deliveries;
 //! * delivery accounting: [`Message::StatsRequest`] answered — at once,
 //!   or armed to be pushed the moment the RP's delivered total reaches the
 //!   request's watermark — by the fixed-size [`Message::Delivered`]
@@ -55,7 +57,8 @@ const TAG_CLOSE_LINK: u8 = 9;
 const TAG_LINK_UP: u8 = 10;
 const TAG_LINK_DOWN: u8 = 11;
 const TAG_PUBLISH: u8 = 12;
-const TAG_BATCH_DONE: u8 = 13;
+// Tag 13 (the retired per-stream batch acknowledgement) stays unassigned
+// the same way.
 const TAG_STATS_REQUEST: u8 = 14;
 const TAG_STATS_REPORT: u8 = 15;
 const TAG_SHUTDOWN: u8 = 16;
@@ -141,7 +144,7 @@ pub enum Message {
     /// Coordinator preamble: marks this connection as the RP's control
     /// channel. All RP-originated control traffic ([`LinkUp`](Self::LinkUp),
     /// [`LinkDown`](Self::LinkDown), [`Ack`](Self::Ack),
-    /// [`BatchDone`](Self::BatchDone), [`Delivered`](Self::Delivered),
+    /// [`Delivered`](Self::Delivered), [`ResyncReply`](Self::ResyncReply),
     /// [`StatsReport`](Self::StatsReport))
     /// is sent on the most recently attached connection.
     Attach,
@@ -176,12 +179,14 @@ pub enum Message {
         peer: SiteId,
     },
     /// Coordinator order to an origin RP: inject `frames` synthetic frames
-    /// of `stream` (sequence numbers `base_seq..base_seq + frames`) into
-    /// the overlay, pacing by `interval_micros` when nonzero. Answered
-    /// with [`BatchDone`](Self::BatchDone) once the last frame is sent.
+    /// of each of `streams` (sequence numbers `base_seq..base_seq +
+    /// frames`) into the overlay, pacing by `interval_micros` when
+    /// nonzero. Nothing answers it: the armed
+    /// [`StatsRequest`](Self::StatsRequest) sent behind it on the same
+    /// connection reports what the batch delivered.
     Publish {
-        /// The stream to publish; the receiving RP must originate it.
-        stream: StreamId,
+        /// The streams to publish; the receiving RP must originate them.
+        streams: Vec<StreamId>,
         /// First sequence number of the batch.
         base_seq: u64,
         /// Number of frames to publish.
@@ -190,15 +195,6 @@ pub enum Message {
         payload_bytes: u32,
         /// Pause between frames in microseconds (0 = unpaced).
         interval_micros: u64,
-    },
-    /// Origin RP acknowledgement: every frame of the
-    /// [`Publish`](Self::Publish) batch ending at `next_seq` has been
-    /// forwarded to the stream's children.
-    BatchDone {
-        /// The published stream.
-        stream: StreamId,
-        /// One past the last published sequence number.
-        next_seq: u64,
     },
     /// Coordinator probe: report delivery counters once this RP has
     /// delivered `at_least` frames in total. An RP already there answers
@@ -374,23 +370,21 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             put_site(dst, *peer);
         }
         Message::Publish {
-            stream,
+            streams,
             base_seq,
             frames,
             payload_bytes,
             interval_micros,
         } => {
             dst.put_u8(TAG_PUBLISH);
-            put_stream(dst, *stream);
+            dst.put_u32_le(streams.len() as u32);
+            for stream in streams {
+                put_stream(dst, *stream);
+            }
             dst.put_u64_le(*base_seq);
             dst.put_u64_le(*frames);
             dst.put_u32_le(*payload_bytes);
             dst.put_u64_le(*interval_micros);
-        }
-        Message::BatchDone { stream, next_seq } => {
-            dst.put_u8(TAG_BATCH_DONE);
-            put_stream(dst, *stream);
-            dst.put_u64_le(*next_seq);
         }
         Message::StatsRequest {
             probe,
@@ -681,15 +675,18 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
         TAG_LINK_UP => Message::LinkUp { peer: body.site()? },
         TAG_LINK_DOWN => Message::LinkDown { peer: body.site()? },
         TAG_PUBLISH => Message::Publish {
-            stream: body.stream()?,
+            streams: {
+                let count = body.count(8)?;
+                let mut streams = Vec::with_capacity(count);
+                for _ in 0..count {
+                    streams.push(body.stream()?);
+                }
+                streams
+            },
             base_seq: body.u64()?,
             frames: body.u64()?,
             payload_bytes: body.u32()?,
             interval_micros: body.u64()?,
-        },
-        TAG_BATCH_DONE => Message::BatchDone {
-            stream: body.stream()?,
-            next_seq: body.u64()?,
         },
         TAG_STATS_REQUEST => Message::StatsRequest {
             probe: body.u64()?,
@@ -792,7 +789,12 @@ mod tests {
         }
         let stream = StreamId::new(SiteId::new(2), 5);
         vec![
-            (Message::Hello { site: SiteId::new(7) }, "050000000107000000"),
+            (
+                Message::Hello {
+                    site: SiteId::new(7),
+                },
+                "050000000107000000",
+            ),
             (
                 Message::Frame {
                     stream,
@@ -832,12 +834,12 @@ mod tests {
                     },
                 },
                 concat!(
-                    "44000000051100000000000000", // length, tag, revision
-                    "0200000002000000", // site, entry count
+                    "44000000051100000000000000",           // length, tag, revision
+                    "0200000002000000",                     // site, entry count
                     "020000000500000000000000000001000000", // origin entry: no parent, one child
-                    "0000000000", // child 0 at full quality
+                    "0000000000",                           // child 0 at full quality
                     "000000000100000001000000000202000000", // relayed entry: parent 0, two children
-                    "01000000010300000000", // children 1 and 3
+                    "01000000010300000000",                 // children 1 and 3
                 ),
             ),
             (Message::Ack { revision: 17 }, "09000000061100000000000000"),
@@ -856,20 +858,39 @@ mod tests {
                 },
                 "100000000804000000070000005b3a3a315d3a39",
             ),
-            (Message::CloseLink { child: SiteId::new(4) }, "050000000904000000"),
-            (Message::LinkUp { peer: SiteId::new(3) }, "050000000a03000000"),
-            (Message::LinkDown { peer: SiteId::new(3) }, "050000000b03000000"),
+            (
+                Message::CloseLink {
+                    child: SiteId::new(4),
+                },
+                "050000000904000000",
+            ),
+            (
+                Message::LinkUp {
+                    peer: SiteId::new(3),
+                },
+                "050000000a03000000",
+            ),
+            (
+                Message::LinkDown {
+                    peer: SiteId::new(3),
+                },
+                "050000000b03000000",
+            ),
             (
                 Message::Publish {
-                    stream,
+                    streams: vec![stream, StreamId::new(SiteId::new(2), 6)],
                     base_seq: 77,
                     frames: 12,
                     payload_bytes: 4096,
                     interval_micros: 5_000,
                 },
-                "250000000c02000000050000004d000000000000000c00000000000000001000008813000000000000",
+                concat!(
+                    "310000000c02000000",               // length, tag, stream count
+                    "02000000050000000200000006000000", // streams 2.5 and 2.6
+                    "4d000000000000000c00000000000000", // base seq, frames
+                    "001000008813000000000000",         // payload bytes, interval
+                ),
             ),
-            (Message::BatchDone { stream, next_seq: 89 }, "110000000d02000000050000005900000000000000"),
             (
                 Message::StatsRequest {
                     probe: 9,
@@ -901,15 +922,18 @@ mod tests {
                 },
                 concat!(
                     "710000000f09000000000000006400000000000000", // length, tag, probe, total
-                    "bc0200000000000001000000", // max latency, stream count
+                    "bc0200000000000001000000",                   // max latency, stream count
                     "020000000500000064000000000000000400000000000000", // stream, delivered, degraded
-                    "c302000000000000", // latency sum
+                    "c302000000000000",                                 // latency sum
                     "c3020000000000000100000000000000bc02000000000000", // histogram sum, min, max
                     "03010100000000000000", // three non-empty buckets: 1 ×1,
                     "0202000000000000000a0100000000000000", // 2 ×2 and 10 ×1
                 ),
             ),
-            (Message::ResyncQuery { probe: 9 }, "09000000110900000000000000"),
+            (
+                Message::ResyncQuery { probe: 9 },
+                "09000000110900000000000000",
+            ),
             (
                 Message::ResyncReply {
                     probe: 9,
@@ -1201,8 +1225,9 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // 3 is the retired `Bye` tag: unassigned for good.
-        for tag in [0, 3, 99] {
+        // 3 is the retired `Bye` tag and 13 the retired per-stream batch
+        // acknowledgement: both unassigned for good.
+        for tag in [0, 3, 13, 99] {
             let mut buf = BytesMut::new();
             buf.put_u32_le(1);
             buf.put_u8(tag);
@@ -1241,15 +1266,18 @@ mod tests {
             peer: SiteId::new(3),
         });
         roundtrip(Message::Publish {
-            stream: StreamId::new(SiteId::new(1), 2),
+            streams: vec![StreamId::new(SiteId::new(1), 2)],
             base_seq: 77,
             frames: 12,
             payload_bytes: 4096,
             interval_micros: 5_000,
         });
-        roundtrip(Message::BatchDone {
-            stream: StreamId::new(SiteId::new(1), 2),
-            next_seq: 89,
+        roundtrip(Message::Publish {
+            streams: Vec::new(),
+            base_seq: 0,
+            frames: 0,
+            payload_bytes: 0,
+            interval_micros: 0,
         });
         roundtrip(Message::StatsRequest {
             probe: 41,

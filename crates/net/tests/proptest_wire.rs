@@ -97,7 +97,7 @@ fn arb_delivery() -> impl Strategy<Value = StreamDelivery> {
 /// values.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
-        (0usize..18, arb_site(), arb_stream(), arb_addr()),
+        (0usize..17, arb_site(), arb_stream(), arb_addr()),
         (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
         proptest::collection::vec(0u8..255, 0..64usize),
         (
@@ -135,29 +135,27 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     8 => Message::LinkUp { peer: site },
                     9 => Message::LinkDown { peer: site },
                     10 => Message::Publish {
-                        stream,
+                        // Reuse the drawn site plan's entries as an
+                        // arbitrary stream list.
+                        streams: site_plan.entries.iter().map(|e| e.stream).collect(),
                         base_seq: a,
                         frames: b,
                         payload_bytes: small,
                         interval_micros: c,
                     },
-                    11 => Message::BatchDone {
-                        stream,
-                        next_seq: a,
-                    },
-                    12 => Message::StatsRequest {
+                    11 => Message::StatsRequest {
                         probe: a,
                         at_least: b,
                         full: c % 2 == 1,
                     },
-                    13 => Message::StatsReport {
+                    12 => Message::StatsReport {
                         probe: a,
                         total: b,
                         max_latency_micros: c,
                         streams,
                     },
-                    14 => Message::ResyncQuery { probe: a },
-                    15 => Message::ResyncReply {
+                    13 => Message::ResyncQuery { probe: a },
+                    14 => Message::ResyncReply {
                         probe: a,
                         revision: b,
                         // Reuse the drawn site plan's child links as an
@@ -168,7 +166,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                             .flat_map(|e| e.children.iter().map(|c| c.site))
                             .collect(),
                     },
-                    16 => Message::Delivered {
+                    15 => Message::Delivered {
                         probe: a,
                         total: b,
                         shed: c,

@@ -162,25 +162,19 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
 
     // The headless fleet still delivers: hand-publish a batch at one
     // origin over a bare socket and watch it land at *every* site in the
-    // stream's dissemination subtree, by their own stats.
+    // stream's dissemination subtree, by their own stats: each site's
+    // armed probe below is what says the batch has landed.
     let receiver = SiteId::new(0);
     let stream = runtime.plan().deliveries_to(receiver)[0];
     let origin = stream.origin();
     let gap_frames = 4u64;
     let mut origin_ctl = RawControl::attach(addrs[origin.index()]);
     origin_ctl.send(&Message::Publish {
-        stream,
+        streams: vec![stream],
         base_seq: 1_000,
         frames: gap_frames,
         payload_bytes: 512,
         interval_micros: 0,
-    });
-    origin_ctl.wait("gap batch completion", |m| match m {
-        Message::BatchDone {
-            stream: done,
-            next_seq,
-        } if *done == stream && *next_seq >= 1_000 + gap_frames => Some(()),
-        _ => None,
     });
     drop(origin_ctl);
     let gap_goal = 3 + 2 + gap_frames; // both coordinated batches + the gap batch

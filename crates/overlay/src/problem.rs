@@ -335,12 +335,6 @@ impl ProblemBuilder {
         self
     }
 
-    /// Adds many subscription requests at once.
-    pub fn subscribe_all(mut self, requests: impl IntoIterator<Item = Request>) -> Self {
-        self.requests.extend(requests);
-        self
-    }
-
     /// Validates and assembles the instance.
     ///
     /// # Errors

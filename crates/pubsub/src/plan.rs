@@ -60,11 +60,6 @@ impl ForwardingEntry {
     pub fn is_origin(&self) -> bool {
         self.parent.is_none()
     }
-
-    /// Returns the downstream sites, without their rungs.
-    pub fn child_sites(&self) -> Vec<SiteId> {
-        self.children.iter().map(|c| c.site).collect()
-    }
 }
 
 /// The complete forwarding state of one RP.
