@@ -2,9 +2,10 @@
 //! restarted membership server take to re-adopt a live RP fleet?
 //!
 //! One reconnect is the full recovery round on real sockets — a fresh
-//! `Attach` per RP, a `ResyncQuery`/`ResyncReply` round rebuilding the
-//! link view, re-dictation of the latest revision as the ack barrier,
-//! and the baseline stats probe — measured against running ring fleets
+//! `Attach` per RP, a `ResyncQuery`/`ResyncReply` round reading each
+//! RP's revision, re-dictation of the latest revision as the ack barrier
+//! (which finds every link in place and dials nothing), and the baseline
+//! stats probe — measured against running ring fleets
 //! of 4, 16, and 64 sites. Each iteration reconnects and detaches, so
 //! the same headless fleet is re-adopted over and over.
 

@@ -81,13 +81,6 @@ impl ViewSelector {
         }
     }
 
-    /// Restricts an existing selector to at most `k` streams.
-    #[must_use]
-    pub fn with_max_streams(mut self, k: usize) -> Self {
-        self.max_streams = Some(k);
-        self
-    }
-
     /// Computes the contribution score of one camera to `fov`.
     ///
     /// Returns a value in `[0, 1]`; zero when the camera's subject is

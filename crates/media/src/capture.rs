@@ -98,12 +98,6 @@ impl SyntheticCapture {
         self
     }
 
-    /// Sets the torso (clothing) color, e.g. to distinguish sites.
-    pub fn with_torso_color(mut self, color: Rgb) -> Self {
-        self.torso_color = color;
-        self
-    }
-
     /// Returns the frame width in pixels.
     pub fn width(&self) -> u32 {
         self.width

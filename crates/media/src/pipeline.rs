@@ -25,15 +25,6 @@ pub struct StageBytes {
     pub compressed: u64,
 }
 
-impl StageBytes {
-    /// Returns the end-to-end compression ratio `raw / compressed`
-    /// (infinite for an empty compressed frame is avoided by flooring the
-    /// denominator at 1 byte).
-    pub fn compression_ratio(&self) -> f64 {
-        self.raw as f64 / self.compressed.max(1) as f64
-    }
-}
-
 /// One frame's pipeline output: the compressed frame plus its accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessedFrame {

@@ -23,8 +23,8 @@ use crate::reactor::{Reactor, RpNodeHandle};
 /// 1. [`launch`](Self::launch) /
 ///    [`launch_reactor`](Self::launch_reactor) binds one RP per site of
 ///    the plan on a reactor, then connects a [`Coordinator`] to their
-///    addresses — installing forwarding tables and ordering the initial
-///    links open, all over TCP;
+///    addresses — installing forwarding tables, from which each RP dials
+///    its initial links, all over TCP;
 /// 2. [`publish`](Self::publish) / [`apply_delta`](Self::apply_delta) /
 ///    [`shutdown`](Self::shutdown) delegate to the coordinator, so the
 ///    wrapper's behavior is *identical* to driving a fleet of external
@@ -80,9 +80,9 @@ impl LiveCluster {
     ///
     /// # Errors
     ///
-    /// Returns an error on socket failures, or if the initial tables are
-    /// not acknowledged and links not reported up within
-    /// `config.timeout`.
+    /// Returns an error on socket failures, if an RP cannot reach a
+    /// child (see [`ClusterError::LinkFailed`]), or if the initial tables
+    /// are not acknowledged within `config.timeout`.
     pub fn launch(
         plan: &DisseminationPlan,
         config: &ClusterConfig,
@@ -103,9 +103,9 @@ impl LiveCluster {
     ///
     /// # Errors
     ///
-    /// Returns an error on socket failures, or if the initial tables are
-    /// not acknowledged and links not reported up within
-    /// `config.timeout`.
+    /// Returns an error on socket failures, if an RP cannot reach a
+    /// child (see [`ClusterError::LinkFailed`]), or if the initial tables
+    /// are not acknowledged within `config.timeout`.
     pub fn launch_reactor(
         plan: &DisseminationPlan,
         config: &ClusterConfig,
@@ -164,8 +164,8 @@ impl LiveCluster {
         self.coordinator().is_poisoned()
     }
 
-    /// The coordinator's metrics registry (link open/close latencies,
-    /// Reconfigure→Ack round-trip times); see [`Coordinator::telemetry`].
+    /// The coordinator's metrics registry (Reconfigure→Ack round-trip
+    /// times); see [`Coordinator::telemetry`].
     pub fn telemetry(&self) -> &teeve_telemetry::MetricsRegistry {
         self.coordinator().telemetry()
     }
@@ -262,7 +262,7 @@ mod tests {
     use teeve_telemetry::FlightEventKind;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
 
-    use crate::wire::{decode, encode, Message};
+    use crate::wire::{decode, Message};
 
     fn site(i: u32) -> SiteId {
         SiteId::new(i)
@@ -505,53 +505,127 @@ mod tests {
         );
     }
 
-    /// Message kinds (their variant names) counted by [`tap`]s.
-    type Tally = Arc<Mutex<BTreeMap<String, u64>>>;
+    /// What a set of [`tap`]s share.
+    #[derive(Default)]
+    struct Taps {
+        /// Every message crossing a tap, counted by kind (its variant
+        /// name).
+        tally: Mutex<BTreeMap<String, u64>>,
+        /// Once set, each tap stops accepting at its next connection.
+        stop: AtomicBool,
+        /// While set, data links (connections that open with `Hello`)
+        /// pass nothing on: the link stays up and carries nothing.
+        stall: AtomicBool,
+    }
+
+    impl Taps {
+        /// Takes the tally, leaving it empty.
+        fn take(&self) -> BTreeMap<String, u64> {
+            std::mem::take(&mut *self.tally.lock())
+        }
+
+        /// Waits until `n` messages of `kind` have crossed the taps. An
+        /// `Ack` waits for its RP's dials, not for their `Hello`s to
+        /// cross a tap.
+        fn await_count(&self, kind: &str, n: u64) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.tally.lock().get(kind).copied().unwrap_or(0) < n {
+                assert!(Instant::now() < deadline, "{n} × {kind} never crossed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Releases stalled links and stops the taps at `addrs`.
+        fn close(&self, addrs: &[SocketAddr]) {
+            self.stall.store(false, Ordering::Relaxed);
+            self.stop.store(true, Ordering::Relaxed);
+            for &addr in addrs {
+                let _ = TcpStream::connect(addr);
+            }
+        }
+    }
+
+    /// A tally of message kinds, as [`Taps::take`] returns it.
+    fn tally(counts: &[(&str, u64)]) -> BTreeMap<String, u64> {
+        counts
+            .iter()
+            .map(|&(kind, n)| (kind.to_owned(), n))
+            .collect()
+    }
 
     /// Relays every connection made to the returned address on to the RP
     /// at `rp`, byte for byte, and counts each message crossing it by
-    /// kind in `tally`, before passing it on. Accepts until `stop` is
+    /// kind in `taps`, before passing it on. Accepts until `taps.stop` is
     /// set and one more connection arrives.
-    fn tap(rp: SocketAddr, tally: &Tally, stop: &Arc<AtomicBool>) -> SocketAddr {
+    fn tap(rp: SocketAddr, taps: &Arc<Taps>) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("tap bind");
         let addr = listener.local_addr().expect("tap addr");
-        let (tally, stop) = (Arc::clone(tally), Arc::clone(stop));
+        let taps = Arc::clone(taps);
         std::thread::spawn(move || {
             for downstream in listener.incoming() {
-                if stop.load(Ordering::Relaxed) {
+                if taps.stop.load(Ordering::Relaxed) {
                     return;
                 }
-                let (Ok(downstream), Ok(upstream)) = (downstream, TcpStream::connect(rp)) else {
-                    continue;
-                };
-                for (from, to) in [
-                    (downstream.try_clone(), upstream.try_clone()),
-                    (Ok(upstream), Ok(downstream)),
-                ] {
-                    let (Ok(from), Ok(to)) = (from, to) else {
-                        continue;
-                    };
-                    let tally = Arc::clone(&tally);
-                    std::thread::spawn(move || pump(from, to, &tally));
+                if let Ok(downstream) = downstream {
+                    relay(downstream, rp, &taps);
                 }
             }
         });
         addr
     }
 
+    /// Relays the first connection made to the returned address on to
+    /// the RP at `rp`, as [`tap`] does, and stops listening as soon as it
+    /// arrives: every later dial of the address is refused.
+    fn relay_first(rp: SocketAddr) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("relay bind");
+        let addr = listener.local_addr().expect("relay addr");
+        std::thread::spawn(move || {
+            if let Ok((downstream, _)) = listener.accept() {
+                drop(listener);
+                relay(downstream, rp, &Arc::default());
+            }
+        });
+        addr
+    }
+
+    /// Connects `downstream` through to the RP at `rp`, one [`pump`]
+    /// thread per direction.
+    fn relay(downstream: TcpStream, rp: SocketAddr, taps: &Arc<Taps>) {
+        let Ok(upstream) = TcpStream::connect(rp) else {
+            return;
+        };
+        for (from, to) in [
+            (downstream.try_clone(), upstream.try_clone()),
+            (Ok(upstream), Ok(downstream)),
+        ] {
+            let (Ok(from), Ok(to)) = (from, to) else {
+                continue;
+            };
+            let taps = Arc::clone(taps);
+            std::thread::spawn(move || pump(from, to, &taps));
+        }
+    }
+
     /// One direction of a [`tap`]'s relay, until either side closes.
-    fn pump(mut from: TcpStream, mut to: TcpStream, tally: &Tally) {
+    fn pump(mut from: TcpStream, mut to: TcpStream, taps: &Taps) {
         to.set_nodelay(true).ok();
         let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 16 * 1024]);
+        let mut data_link = false;
         while let Ok(read @ 1..) = from.read(&mut chunk) {
             buf.extend_from_slice(&chunk[..read]);
             while let Ok(Some(message)) = decode(&mut buf) {
+                data_link |= matches!(message, Message::Hello { .. });
                 let name = format!("{message:?}");
                 let kind = name.split(|c: char| !c.is_alphanumeric()).next();
-                *tally
+                *taps
+                    .tally
                     .lock()
                     .entry(kind.unwrap_or_default().to_owned())
                     .or_default() += 1;
+            }
+            while data_link && taps.stall.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(1));
             }
             if to.write_all(&chunk[..read]).is_err() {
                 break;
@@ -569,28 +643,29 @@ mod tests {
         let nodes: Vec<RpNodeHandle> = SiteId::all(4)
             .map(|s| reactor.bind_node(s).expect("bind"))
             .collect();
-        let (tally, stop) = (Tally::default(), Arc::new(AtomicBool::new(false)));
-        let taps: Vec<SocketAddr> = nodes.iter().map(|n| tap(n.addr(), &tally, &stop)).collect();
-        let mut coordinator = Coordinator::connect(&plan, &taps, &quick_config()).expect("connect");
+        let taps = Arc::new(Taps::default());
+        let addrs: Vec<SocketAddr> = nodes.iter().map(|n| tap(n.addr(), &taps)).collect();
+        let mut coordinator =
+            Coordinator::connect(&plan, &addrs, &quick_config()).expect("connect");
+        let pairs: std::collections::BTreeSet<_> = plan
+            .edges()
+            .map(|(parent, child, _)| (parent, child))
+            .collect();
+        taps.await_count("Hello", pairs.len() as u64);
 
         // Four origin sites of two streams each: one Publish per site,
         // one StatsRequest and one Delivered per site, and no other
         // control message. Every one of the 4 × 6 × 5 deliveries is one
         // frame crossing one tap.
-        tally.lock().clear();
+        taps.take();
         coordinator.publish(5).expect("batch delivers");
-        let batch = std::mem::take(&mut *tally.lock());
         let expected = [
             ("Delivered", 4),
             ("Frame", 120),
             ("Publish", 4),
             ("StatsRequest", 4),
         ];
-        assert_eq!(
-            batch,
-            BTreeMap::from(expected.map(|(kind, n)| (kind.to_owned(), n))),
-            "one batch's traffic"
-        );
+        assert_eq!(taps.take(), tally(&expected), "one batch's traffic");
 
         assert_eq!(coordinator.shutdown().total_delivered(), 120);
         for node in nodes {
@@ -598,17 +673,116 @@ mod tests {
             node.join();
         }
         reactor.shutdown();
-        stop.store(true, Ordering::Relaxed);
-        for addr in taps {
-            let _ = TcpStream::connect(addr);
+        taps.close(&addrs);
+    }
+
+    /// A 3-site universe where site 0 originates stream 0.0 and sites 1
+    /// and 2 may each take it, and an overlay where site 1 takes it.
+    fn hop_plans() -> (ProblemInstance, OverlayManager) {
+        let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(4));
+        let problem = ProblemInstance::builder(costs, CostMs::new(50))
+            .symmetric_capacities(Degree::new(6))
+            .streams_per_site(&[1, 0, 0])
+            .subscribe(site(1), stream(0, 0))
+            .subscribe(site(2), stream(0, 0))
+            .build()
+            .unwrap();
+        let mut manager = OverlayManager::new(problem.clone());
+        manager.subscribe(site(1), stream(0, 0)).unwrap();
+        (problem, manager)
+    }
+
+    /// The plan `manager` holds now, at `revision`.
+    fn plan_at(
+        problem: &ProblemInstance,
+        manager: &OverlayManager,
+        revision: u64,
+    ) -> DisseminationPlan {
+        let mut plan = DisseminationPlan::from_forest(
+            problem,
+            &manager.forest_snapshot(),
+            StreamProfile::default(),
+        );
+        plan.set_revision(revision);
+        plan
+    }
+
+    #[test]
+    fn socket_a_delta_is_one_table_order_per_touched_site_and_reconnect_dials_nothing() {
+        // Stream 0.0 moves from site 1 to site 2: the delta closes the
+        // link 0 -> 1 and opens 0 -> 2, and touches all three sites.
+        let (problem, mut manager) = hop_plans();
+        let plan_a = plan_at(&problem, &manager, 0);
+        manager.unsubscribe(site(1), stream(0, 0)).unwrap();
+        manager.subscribe(site(2), stream(0, 0)).unwrap();
+        let plan_b = plan_at(&problem, &manager, 1);
+        let delta = PlanDelta::diff(&plan_a, &plan_b);
+        assert_eq!(delta.touched_sites().len(), 3);
+
+        // Every connection — control channels and data links alike —
+        // crosses a tap in front of its RP.
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let taps = Arc::new(Taps::default());
+        let addrs: Vec<SocketAddr> = nodes.iter().map(|n| tap(n.addr(), &taps)).collect();
+        let config = quick_config();
+        let mut coordinator = Coordinator::connect(&plan_a, &addrs, &config).expect("connect");
+        taps.await_count("Hello", 1);
+
+        // One Reconfigure and one Ack per touched site, and the one
+        // Peers order of the one site that routes to a child. The new
+        // link's Hello is the only data traffic; no other order goes.
+        taps.take();
+        let report = coordinator.apply_delta(&delta).expect("delta applies");
+        assert_eq!(report.established, [(site(0), site(2))]);
+        assert_eq!(report.closed, [(site(0), site(1))]);
+        taps.await_count("Hello", 1);
+        let expected = [("Ack", 3), ("Hello", 1), ("Peers", 1), ("Reconfigure", 3)];
+        assert_eq!(taps.take(), tally(&expected), "one delta's traffic");
+
+        // A successor re-dictates the same tables: every RP already
+        // follows its table, so no data path sees a Hello.
+        coordinator.detach();
+        let mut coordinator = Coordinator::reconnect(&plan_b, &addrs, &config).expect("reconnect");
+        let expected = [
+            ("Ack", 3),
+            ("Attach", 3),
+            ("Delivered", 3),
+            ("Peers", 1),
+            ("Reconfigure", 3),
+            ("ResyncQuery", 3),
+            ("ResyncReply", 3),
+            ("StatsRequest", 3),
+        ];
+        assert_eq!(taps.take(), tally(&expected), "one reconnect's traffic");
+
+        // Nor does one later: the batch's traffic is the batch's own.
+        coordinator.publish(2).expect("the moved stream delivers");
+        let expected = [
+            ("Delivered", 3),
+            ("Frame", 2),
+            ("Publish", 1),
+            ("StatsRequest", 3),
+        ];
+        assert_eq!(taps.take(), tally(&expected), "one batch's traffic");
+        let report = coordinator.shutdown();
+        assert_eq!(report.delivered[&(site(2), stream(0, 0))], 2);
+        for node in nodes {
+            node.stop();
+            node.join();
         }
+        reactor.shutdown();
+        taps.close(&addrs);
     }
 
     #[test]
     fn socket_advertised_address_is_what_the_coordinator_dials() {
         // The relay node (site 1) binds a wildcard address but advertises
         // loopback: the coordinator's control connection AND site 0's
-        // OpenLink dial of its data link both use the advertised address
+        // dial of its data link (at the address the coordinator's `Peers`
+        // order names) both use the advertised address
         // — exact delivery proves both paths reached it.
         let plan = relay_plan();
         let reactor = Reactor::new(1).expect("reactor starts");
@@ -694,20 +868,34 @@ mod tests {
             .map(|s| (s.index() as u32, 3))
             .collect();
         assert_eq!(acks, every_site);
-        // Exactly one LinkUp per plan pair.
-        let pairs: std::collections::BTreeSet<(u32, u32)> = plan
+        // Exactly one LinkUp per plan pair, recorded by the child RP as
+        // its parent's Hello arrives.
+        let pairs: Vec<(u32, u32)> = plan
             .edges()
             .map(|(parent, child, _)| (parent.index() as u32, child.index() as u32))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
             .collect();
-        let mut ups: Vec<(u32, u32)> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FlightEventKind::LinkUp { parent, child } => Some((parent, child)),
-                _ => None,
-            })
-            .collect();
-        ups.sort_unstable();
-        assert_eq!(ups, pairs.into_iter().collect::<Vec<_>>());
+        let ups = || {
+            let mut ups: Vec<(u32, u32)> = cluster
+                .fleet
+                .nodes
+                .iter()
+                .flat_map(|node| node.flight_recorder().events())
+                .filter_map(|e| match e.kind {
+                    FlightEventKind::LinkUp { parent, child } => Some((parent, child)),
+                    _ => None,
+                })
+                .collect();
+            ups.sort_unstable();
+            ups
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ups().len() < pairs.len() {
+            assert!(Instant::now() < deadline, "links never came up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(ups(), pairs);
         // Initial links are the plan's, not a reconfiguration's.
         assert_eq!(cluster.connections_opened(), 0);
     }
@@ -763,21 +951,8 @@ mod tests {
     #[test]
     fn socket_failed_reconfigure_poisons_the_coordinator() {
         // A 3-site universe where site 2 can join stream 0.0 later.
-        let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(4));
-        let problem = ProblemInstance::builder(costs, CostMs::new(50))
-            .symmetric_capacities(Degree::new(6))
-            .streams_per_site(&[1, 0, 0])
-            .subscribe(site(1), stream(0, 0))
-            .subscribe(site(2), stream(0, 0))
-            .build()
-            .unwrap();
-        let mut manager = OverlayManager::new(problem.clone());
-        manager.subscribe(site(1), stream(0, 0)).unwrap();
-        let plan_a = DisseminationPlan::from_forest(
-            &problem,
-            &manager.forest_snapshot(),
-            StreamProfile::default(),
-        );
+        let (problem, mut manager) = hop_plans();
+        let plan_a = plan_at(&problem, &manager, 0);
 
         // Hand-rolled fleet, so one RP can be killed on its own.
         let reactor = Reactor::new(1).expect("reactor starts");
@@ -799,18 +974,19 @@ mod tests {
         victim.stop();
         victim.join();
         manager.subscribe(site(2), stream(0, 0)).unwrap();
-        let mut plan_b = DisseminationPlan::from_forest(
-            &problem,
-            &manager.forest_snapshot(),
-            StreamProfile::default(),
-        );
-        plan_b.set_revision(1);
+        let plan_b = plan_at(&problem, &manager, 1);
         let delta = PlanDelta::diff(&plan_a, &plan_b);
+        let (parent, _, _) = plan_b
+            .edges()
+            .find(|&(_, child, _)| child == site(2))
+            .expect("site 2 takes the stream");
 
+        // The parent's dial of the dead RP fails, and the parent is
+        // waited on first (it is site 0 or 1).
         let err = coordinator.apply_delta(&delta).unwrap_err();
         assert!(
-            matches!(err, ClusterError::Control { .. } | ClusterError::Io(_)),
-            "dead RP must surface as a control failure, got {err}"
+            matches!(err, ClusterError::LinkFailed { parent: p, child } if p == parent && child == site(2)),
+            "dead RP must surface as its parent's failed link, got {err}"
         );
         assert!(coordinator.is_poisoned());
 
@@ -851,6 +1027,56 @@ mod tests {
     }
 
     #[test]
+    fn socket_failed_dial_is_a_typed_link_failure_inside_the_barrier() {
+        // Site 2's address relays the coordinator's control connection to
+        // the real RP and then stops listening, so the dial its parent
+        // makes when a delta routes stream 0.0 to it is refused.
+        let (problem, mut manager) = hop_plans();
+        let plan_a = plan_at(&problem, &manager, 0);
+        manager.subscribe(site(2), stream(0, 0)).unwrap();
+        let plan_b = plan_at(&problem, &manager, 1);
+        let (parent, _, _) = plan_b
+            .edges()
+            .find(|&(_, child, _)| child == site(2))
+            .expect("site 2 takes the stream");
+
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let mut addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
+        addrs[2] = relay_first(addrs[2]);
+        let config = ClusterConfig {
+            timeout: Duration::from_secs(5),
+            ..quick_config()
+        };
+        // Site 2's Ack crossed the relay, so its listener is gone.
+        let mut coordinator = Coordinator::connect(&plan_a, &addrs, &config).expect("connect");
+
+        let started = Instant::now();
+        let err = coordinator
+            .apply_delta(&PlanDelta::diff(&plan_a, &plan_b))
+            .unwrap_err();
+        let waited = started.elapsed();
+        assert!(
+            matches!(err, ClusterError::LinkFailed { parent: p, child } if p == parent && child == site(2)),
+            "expected {parent}'s link to site 2 to fail, got {err}"
+        );
+        assert!(
+            waited < Duration::from_secs(1),
+            "the failure must surface inside the barrier, not at its timeout: {waited:?}"
+        );
+        assert!(coordinator.is_poisoned());
+
+        drop(coordinator);
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
     fn socket_undelivered_batch_times_out_with_typed_accounting() {
         let plan = relay_plan();
         let (relay, leaf) = plan
@@ -862,7 +1088,11 @@ mod tests {
         let nodes: Vec<RpNodeHandle> = SiteId::all(3)
             .map(|s| reactor.bind_node(s).expect("bind"))
             .collect();
-        let addrs: Vec<_> = nodes.iter().map(RpNodeHandle::addr).collect();
+        // The leaf sits behind a tap, so its data link from the relay
+        // can be stalled while the link stays up.
+        let taps = Arc::new(Taps::default());
+        let mut addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
+        addrs[leaf.index()] = tap(addrs[leaf.index()], &taps);
         let config = ClusterConfig {
             timeout: Duration::from_millis(300),
             ..quick_config()
@@ -870,35 +1100,12 @@ mod tests {
         let mut coordinator = Coordinator::connect(&plan, &addrs, &config).expect("connect");
         coordinator.publish(2).expect("healthy batch");
 
-        // Behind the coordinator's back, the relay is ordered to close
-        // its link to the leaf over an unattached connection; once the
-        // leaf has seen the link drop, nothing more reaches it.
-        let mut rogue = std::net::TcpStream::connect(addrs[relay.index()]).expect("rogue connect");
-        let mut order = BytesMut::new();
-        encode(&Message::CloseLink { child: leaf }, &mut order);
-        rogue.write_all(&order).expect("rogue order");
-        let link_down = teeve_telemetry::FlightEventKind::LinkDown {
-            parent: relay.index() as u32,
-            child: leaf.index() as u32,
-        };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !nodes[leaf.index()]
-            .flight_recorder()
-            .events()
-            .iter()
-            .any(|e| e.kind == link_down)
-        {
-            assert!(
-                Instant::now() < deadline,
-                "the leaf never saw its link drop"
-            );
-            std::thread::yield_now();
-        }
-
         // The relay gets its frame, the leaf never does: the wait runs
-        // out as a typed timeout, not as a control error. `delivered`
-        // sums the freshest totals the coordinator holds — the relay's
-        // new one only if its report was read before the leaf's wait.
+        // out as a typed timeout, not as a control error or a failed
+        // link. `delivered` sums the freshest totals the coordinator
+        // holds — the relay's new one only if its report was read
+        // before the leaf's wait.
+        taps.stall.store(true, Ordering::Relaxed);
         match coordinator.publish(1) {
             Err(ClusterError::Timeout {
                 delivered,
@@ -914,6 +1121,54 @@ mod tests {
         let report = coordinator.shutdown();
         assert_eq!(report.delivered[&(relay, stream(0, 0))], 3);
         assert_eq!(report.delivered[&(leaf, stream(0, 0))], 2);
+        taps.close(&[addrs[leaf.index()]]);
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_shutdown_harvest_reads_past_a_link_that_failed_between_orders() {
+        let plan = relay_plan();
+        let (relay, leaf) = plan
+            .edges()
+            .find(|&(parent, _, _)| parent != site(0))
+            .map(|(parent, child, _)| (parent, child))
+            .expect("a relay hop");
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let mut nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
+        let mut coordinator =
+            Coordinator::connect(&plan, &addrs, &quick_config()).expect("connect");
+        coordinator.publish(2).expect("healthy batch");
+
+        // The leaf goes away between orders. Its control channel and
+        // inbound link close with it; then the relay's link to it closes
+        // under a table that still routes there, and the relay queues
+        // `LinkFailed` on its control channel ahead of any later reply.
+        let live = reactor.telemetry().gauge("reactor.connections.live");
+        let before = live.get();
+        let victim = nodes.remove(leaf.index());
+        victim.stop();
+        victim.join();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live.get() > before - 3 {
+            assert!(
+                Instant::now() < deadline,
+                "the relay never saw its link close"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // Only the dead leaf's report is missing: the relay's follows its
+        // link failure on the same channel.
+        let report = coordinator.shutdown();
+        assert_eq!(report.missing_reports, 1);
+        assert_eq!(report.delivered[&(relay, stream(0, 0))], 2);
         for node in nodes {
             node.stop();
             node.join();

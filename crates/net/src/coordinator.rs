@@ -8,11 +8,13 @@
 //! processes, or on other hosts.
 //!
 //! Every overlay change — the initial plan at [`Coordinator::connect`]
-//! and each [`PlanDelta`] at [`Coordinator::apply_delta`] — runs through
-//! one convergence step: order the new links open (`OpenLink`, confirmed
-//! by the child's `LinkUp`), dictate the touched RPs' forwarding tables
-//! through one ack barrier (`Reconfigure`/`Ack`), then order the dead
-//! links shut (`CloseLink`, confirmed by the child's `LinkDown`). A batch
+//! and each [`PlanDelta`] at [`Coordinator::apply_delta`] — is one ack
+//! barrier: each touched RP is sent its forwarding table
+//! (`Reconfigure`, with the `Peers` order naming its children's
+//! addresses), and answers `Ack` once it runs the table. The table is
+//! the link order too: an RP closes its links to the children its table
+//! dropped and dials the ones it added before it acknowledges, and
+//! reports a child it cannot reach as `LinkFailed`. A batch
 //! of frames is one `Publish` per origin RP, naming every stream it
 //! injects, and delivery accounting comes from one stats probe
 //! (`StatsRequest`, answered by the fixed-size `Delivered` the moment an
@@ -24,21 +26,21 @@
 //! [`Coordinator::detach`] abandons a fleet *without* shutting it down
 //! (the RPs keep forwarding by their last-dictated tables), and
 //! [`Coordinator::reconnect`] re-adopts it — fresh `Attach`es, a
-//! `ResyncQuery`/`ResyncReply` round that rebuilds the coordinator's
-//! link view, then the same ack barrier re-dictating the latest
-//! revision. The shape is pinned by the model checker's crash scopes
-//! (`teeve-check model --resync`, see `crates/check`): resync replies
-//! rebuild the *view* but never choose the dictation target — trusting
-//! them is exactly the `ResyncSkip`/`ReconnectRewind` mutant pair the
-//! checker kills.
+//! `ResyncQuery`/`ResyncReply` round that reads each RP's revision, then
+//! the same ack barrier re-dictating the latest revision (which reopens
+//! any link that died and touches no live one). The shape is pinned by
+//! the model checker's crash scopes (`teeve-check model --resync`, see
+//! `crates/check`): resync replies are observed but never choose the
+//! dictation target — trusting them is exactly the
+//! `ResyncSkip`/`ReconnectRewind` mutant pair the checker kills.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, LinkChanges, PlanDelta};
+use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, PlanDelta};
 use teeve_telemetry::{FlightEventKind, FlightRecorder, Histogram, LogHistogram, MetricsRegistry};
 use teeve_types::{SiteId, StreamId};
 
@@ -207,6 +209,14 @@ pub enum ClusterError {
         /// The revision the delta applies from.
         delta: u64,
     },
+    /// An RP's table routes to `child`, and the RP has no usable link to
+    /// it: the dial failed, or the link closed under the table.
+    LinkFailed {
+        /// The RP that could not reach its child.
+        parent: SiteId,
+        /// The unreachable child.
+        child: SiteId,
+    },
     /// The control channel to one RP failed during reconfiguration.
     Control {
         /// The RP whose control channel failed.
@@ -245,6 +255,9 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "delta applies from revision {delta} but the cluster runs revision {cluster}"
             ),
+            ClusterError::LinkFailed { parent, child } => {
+                write!(f, "{parent} has no link to its child {child}")
+            }
             ClusterError::Control { site, detail } => {
                 write!(f, "control channel to {site} failed: {detail}")
             }
@@ -300,15 +313,14 @@ struct StatsSnapshot {
 }
 
 /// The latest [`Message::ResyncReply`] harvested from one RP.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ResyncSnapshot {
     probe: u64,
     revision: u64,
-    inbound: Vec<SiteId>,
 }
 
 /// The coordinator's entire knowledge of one RP: its address, the control
-/// connection, and state reconstructed from its notifications. There is
+/// connection, and state reconstructed from its replies. There is
 /// deliberately no `Arc` into RP memory here — this struct is what makes
 /// the cluster process-separable.
 struct SiteLink {
@@ -316,9 +328,6 @@ struct SiteLink {
     addr: SocketAddr,
     conn: TcpStream,
     buf: BytesMut,
-    /// Upstream peers the RP has reported `LinkUp` (minus `LinkDown`)
-    /// for: the wire-level replacement of the old shared inbound set.
-    inbound: BTreeSet<SiteId>,
     /// The highest revision the RP has acknowledged. Revisions on one
     /// control connection only increase, so `acked >= revision` is the
     /// barrier test.
@@ -353,7 +362,6 @@ impl SiteLink {
             addr,
             conn,
             buf: BytesMut::with_capacity(4 * 1024),
-            inbound: BTreeSet::new(),
             acked: None,
             out: BytesMut::new(),
             delivered: None,
@@ -363,14 +371,15 @@ impl SiteLink {
         link.send(&Message::Attach)?;
         Ok(link)
     }
-    /// Folds one decoded control message into the reconstructed state.
+    /// Folds one decoded control message into the reconstructed state. A
+    /// `LinkFailed` report is a [`ClusterError::LinkFailed`].
     fn dispatch(&mut self, message: Message) -> Result<(), ClusterError> {
         match message {
-            Message::LinkUp { peer } => {
-                self.inbound.insert(peer);
-            }
-            Message::LinkDown { peer } => {
-                self.inbound.remove(&peer);
+            Message::LinkFailed { child } => {
+                return Err(ClusterError::LinkFailed {
+                    parent: self.site,
+                    child,
+                })
             }
             Message::Ack { revision } => {
                 self.acked = self.acked.max(Some(revision));
@@ -391,16 +400,8 @@ impl SiteLink {
                     streams,
                 });
             }
-            Message::ResyncReply {
-                probe,
-                revision,
-                inbound,
-            } => {
-                self.resync = Some(ResyncSnapshot {
-                    probe,
-                    revision,
-                    inbound,
-                });
+            Message::ResyncReply { probe, revision } => {
+                self.resync = Some(ResyncSnapshot { probe, revision });
             }
             other => {
                 return Err(ClusterError::Control {
@@ -516,20 +517,20 @@ impl SiteLink {
 /// dictation, entirely wire-level:
 ///
 /// 1. [`connect`](Self::connect) attaches one control connection per RP
-///    address and converges the bare fleet onto the initial plan: every
-///    plan link ordered open, every site's forwarding table dictated;
+///    address and dictates every site's forwarding table of the initial
+///    plan through one ack barrier; each RP dials its plan links itself;
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
 ///    origin RP (one `Publish` each) and, in the same pass, probes every
 ///    RP armed at the delivered total it owes, then blocks until each has
 ///    pushed its fixed-size `Delivered` reply (no per-stream counters or
 ///    histograms cross the wire);
-/// 3. [`apply_delta`](Self::apply_delta) converges the running fleet onto
-///    the delta's successor plan by the same step: exactly the
-///    connections [`link_changes_between`](teeve_pubsub::link_changes_between)
-///    reports as established are opened, every touched RP's table is
-///    dictated through the ack barrier, then exactly the `closed`
-///    connections are shut — `retained` links (including socket-free
-///    stream reroutes) are never touched;
+/// 3. [`apply_delta`](Self::apply_delta) dictates the delta's successor
+///    plan to every touched RP through the same barrier. Each RP follows
+///    its new table, so exactly the connections
+///    [`link_changes_between`](teeve_pubsub::link_changes_between)
+///    reports as established are opened and exactly the `closed` ones
+///    shut — `retained` links (including socket-free stream reroutes)
+///    are never touched;
 /// 4. [`shutdown`](Self::shutdown) probes every RP for its final full
 ///    `StatsReport` (per-stream counters and latency histograms), folds
 ///    them into the [`ClusterReport`], and orders the fleet down.
@@ -558,10 +559,6 @@ pub struct Coordinator {
     done: bool,
     registry: MetricsRegistry,
     recorder: FlightRecorder,
-    /// Order-sent → link-confirmed latency of `OpenLink` orders.
-    link_open_span: Histogram,
-    /// Order-sent → closure-confirmed latency of `CloseLink` orders.
-    link_close_span: Histogram,
     /// Reconfigure-sent → `Ack` round-trip time, one sample per site.
     reconfigure_rtt: Histogram,
     /// Full resync-round duration of [`reconnect`](Self::reconnect):
@@ -571,35 +568,25 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Connects to an already-listening RP fleet (one address per site of
-    /// `plan`, in site order) and converges it onto `plan`: every plan
-    /// link ordered open, every site's forwarding table installed.
+    /// `plan`, in site order) and dictates `plan` to every site through
+    /// one ack barrier: each RP installs its table and dials its plan
+    /// links.
     ///
     /// # Errors
     ///
     /// Returns an error if the address count mismatches the plan, a
-    /// control connection cannot be established, an initial link does
-    /// not come up, or a table install is not acknowledged within
-    /// `config.timeout`.
+    /// control connection cannot be established, an RP reports a plan
+    /// link as [`ClusterError::LinkFailed`], or a table install is not
+    /// acknowledged within `config.timeout`.
     pub fn connect(
         plan: &DisseminationPlan,
         addrs: &[SocketAddr],
         config: &ClusterConfig,
     ) -> Result<Coordinator, ClusterError> {
         let mut coordinator = Coordinator::attach_fleet(plan, addrs, config)?;
-        // A bare fleet converges like any delta in which every plan pair
-        // is new and every site touched. Its links open before its
-        // tables, which is safe because no frame is published before
-        // `connect` returns.
-        let pairs: BTreeSet<(SiteId, SiteId)> = plan
-            .edges()
-            .map(|(parent, child, _)| (parent, child))
-            .collect();
-        let changes = LinkChanges {
-            established: pairs.into_iter().collect(),
-            ..LinkChanges::default()
-        };
         let every_site: Vec<SiteId> = SiteId::all(plan.site_count()).collect();
-        coordinator.converge(plan, &every_site, &changes)?;
+        let deadline = Instant::now() + config.timeout;
+        coordinator.dictate(plan, &every_site, deadline)?;
         Ok(coordinator)
     }
 
@@ -636,8 +623,6 @@ impl Coordinator {
             connections_closed: 0,
             poisoned: false,
             done: false,
-            link_open_span: registry.histogram("coordinator.link_open_micros"),
-            link_close_span: registry.histogram("coordinator.link_close_micros"),
             reconfigure_rtt: registry.histogram("coordinator.reconfigure_rtt_micros"),
             resync_span: registry.histogram("coordinator.resync_micros"),
             registry,
@@ -648,14 +633,15 @@ impl Coordinator {
     /// Re-adopts an already-running RP fleet whose previous coordinator
     /// died or [`detach`](Self::detach)ed: attaches a fresh control
     /// connection per RP (atomically replacing any dead one on the RP
-    /// side), runs a `ResyncQuery` round to rebuild the coordinator's
-    /// view of inbound links, then re-dictates `plan`'s revision to
-    /// every RP through the same ack barrier as every reconfiguration.
+    /// side), runs a `ResyncQuery` round that reads every RP's revision,
+    /// then re-dictates `plan`'s revision to every RP through the same
+    /// ack barrier as every reconfiguration. RPs already following
+    /// `plan` open and close no link; one whose link died redials it.
     ///
     /// `plan` must be the plan the lost coordinator last fully
     /// dictated, revision included (a restarted membership service
-    /// recovers it from its session store). Resync replies rebuild the
-    /// link *view* only — they never choose what to dictate. Resuming
+    /// recovers it from its session store). Resync replies are observed
+    /// only — they never choose what to dictate. Resuming
     /// from a reply's revision instead is the `ResyncSkip`/
     /// `ReconnectRewind` mutant pair the model checker kills: it lets
     /// the fleet's ack barrier regress.
@@ -696,8 +682,8 @@ impl Coordinator {
     }
 
     /// The resync round of [`reconnect`](Self::reconnect), run on a
-    /// freshly attached fleet: query, rebuild the view, re-dictate the
-    /// barrier, baseline accounting.
+    /// freshly attached fleet: query, re-dictate the barrier, baseline
+    /// accounting.
     fn resync(
         &mut self,
         plan: &DisseminationPlan,
@@ -706,8 +692,8 @@ impl Coordinator {
         self.recorder.record(FlightEventKind::ResyncStart);
         let deadline = Instant::now() + self.config.timeout;
 
-        // 1. Query every RP and rebuild the inbound-link view from the
-        //    replies. The reported revisions are observed, not obeyed.
+        // 1. Query every RP. The reported revisions are observed, not
+        //    obeyed.
         let plan_revision = plan.revision();
         self.next_probe += 1;
         let probe = self.next_probe;
@@ -716,7 +702,7 @@ impl Coordinator {
         }
         for link in &mut self.sites {
             let snapshot = link.wait_for(&mut self.scratch, deadline, "resync reply", |l| {
-                l.resync.as_ref().filter(|r| r.probe >= probe).cloned()
+                l.resync.filter(|r| r.probe >= probe)
             })?;
             // An RP ahead of the reconnect plan means the recovered plan
             // is stale: re-dictating it would regress the fleet's ack
@@ -732,7 +718,6 @@ impl Coordinator {
                     ),
                 });
             }
-            link.inbound = snapshot.inbound.iter().copied().collect();
         }
 
         // 2. Re-dictate the latest revision as a fresh ack barrier. RPs
@@ -797,19 +782,18 @@ impl Coordinator {
         self.poisoned
     }
 
-    /// The coordinator's metrics registry: link open/close latencies,
-    /// Reconfigure→Ack round-trip times, and resync-round durations as
-    /// histograms (`coordinator.link_open_micros`,
-    /// `coordinator.link_close_micros`,
-    /// `coordinator.reconfigure_rtt_micros`,
+    /// The coordinator's metrics registry: Reconfigure→Ack round-trip
+    /// times, which include the links each RP dials for its table, and
+    /// resync-round durations as histograms
+    /// (`coordinator.reconfigure_rtt_micros`,
     /// `coordinator.resync_micros`).
     pub fn telemetry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// The coordinator's flight recorder: recent reconfigures, acks,
-    /// link churn, poisonings, and lost stats reports as structured
-    /// events.
+    /// poisonings, resync rounds and lost stats reports as structured
+    /// events. Link churn is recorded by each RP's own recorder.
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
@@ -883,21 +867,22 @@ impl Coordinator {
     }
 
     /// Applies one [`PlanDelta`] to the running cluster: validates it,
-    /// then converges the fleet onto the successor plan by the same step
-    /// as [`connect`](Self::connect) — exactly the `established`
-    /// connections opened, every touched RP's table dictated, exactly
-    /// the `closed` connections shut. Links that are `retained` —
-    /// including pairs whose stream set changed — are never touched, so
-    /// a socket-free reroute opens and closes nothing.
+    /// then dictates the successor plan to every touched RP through one
+    /// ack barrier, as [`connect`](Self::connect) does. Each touched RP
+    /// follows its new table, so exactly the `established` connections
+    /// open and exactly the `closed` ones shut. Links that are
+    /// `retained` — including pairs whose stream set changed — are never
+    /// touched, so a socket-free reroute opens and closes nothing.
     ///
     /// # Errors
     ///
     /// Returns an error when the delta's revision does not match the
     /// cluster's, the delta does not apply to the current plan, a socket
-    /// operation fails, or an RP does not acknowledge in time. A failure
-    /// *after* validation poisons the coordinator — further `publish`/
-    /// `apply_delta` calls return [`ClusterError::Poisoned`]; shut the
-    /// cluster down.
+    /// operation fails, an RP reports a link it needs as
+    /// [`ClusterError::LinkFailed`], or an RP does not acknowledge in
+    /// time. A failure *after* validation poisons the coordinator —
+    /// further `publish`/`apply_delta` calls return
+    /// [`ClusterError::Poisoned`]; shut the cluster down.
     pub fn apply_delta(&mut self, delta: &PlanDelta) -> Result<ReconfigureReport, ClusterError> {
         if self.poisoned {
             return Err(ClusterError::Poisoned);
@@ -914,7 +899,8 @@ impl Coordinator {
         let touched: Vec<SiteId> = delta.touched_sites().into_iter().collect();
         // Validation passed: any failure beyond this point leaves the
         // fleet partially reconfigured, so it poisons the coordinator.
-        if let Err(e) = self.converge(&next, &touched, &changes) {
+        let deadline = Instant::now() + self.config.timeout;
+        if let Err(e) = self.dictate(&next, &touched, deadline) {
             self.poisoned = true;
             self.recorder.record(FlightEventKind::Poisoned {
                 revision: delta.to_revision(),
@@ -935,52 +921,15 @@ impl Coordinator {
         })
     }
 
-    /// The one convergence step, shared by [`connect`](Self::connect)
-    /// and [`apply_delta`](Self::apply_delta): orders `changes`'
-    /// established links open and waits for each child's `LinkUp`,
-    /// [`dictate`](Self::dictate)s `next` to the `touched` sites, then
-    /// orders the closed links shut and waits for each child's
-    /// `LinkDown`.
-    fn converge(
-        &mut self,
-        next: &DisseminationPlan,
-        touched: &[SiteId],
-        changes: &LinkChanges,
-    ) -> Result<(), ClusterError> {
-        let deadline = Instant::now() + self.config.timeout;
-
-        // 1. Open new links before any table switches, so the first frame
-        //    routed by a new table already has its socket.
-        let opens_sent = Instant::now();
-        for &(parent, child) in &changes.established {
-            let addr = self.sites[child.index()].addr;
-            self.sites[parent.index()].send(&Message::OpenLink { child, addr })?;
-        }
-        for &(parent, child) in &changes.established {
-            self.await_link(parent, child, true, opens_sent, deadline)?;
-        }
-
-        // 2. Swap forwarding tables: once every Ack lands, no RP forwards
-        //    by an old table.
-        self.dictate(next, touched, deadline)?;
-
-        // 3. Shut links whose last stream left, and wait for the receive
-        //    side to report the attributed parent gone.
-        let closes_sent = Instant::now();
-        for &(parent, child) in &changes.closed {
-            self.sites[parent.index()].send(&Message::CloseLink { child })?;
-        }
-        for &(parent, child) in &changes.closed {
-            self.await_link(parent, child, false, closes_sent, deadline)?;
-        }
-        Ok(())
-    }
-
-    /// The one ack barrier: pushes `Reconfigure { revision, site_plan }`
-    /// with `plan`'s table to each of `sites`, then waits until every one
-    /// has acknowledged `plan`'s revision. Used by
-    /// [`converge`](Self::converge) and by
-    /// [`reconnect`](Self::reconnect)'s re-dictation.
+    /// The one ack barrier, and the one convergence step: pushes
+    /// `Reconfigure { revision, site_plan }` with `plan`'s table to each
+    /// of `sites` — behind a `Peers` order naming the address of every
+    /// child the table routes to — then waits until every one has
+    /// acknowledged `plan`'s revision. An RP acknowledges once it runs
+    /// the table and has dialed the links it needs, so a failed dial
+    /// surfaces inside the barrier as [`ClusterError::LinkFailed`]. Used
+    /// by [`connect`](Self::connect), [`apply_delta`](Self::apply_delta)
+    /// and [`reconnect`](Self::reconnect)'s re-dictation.
     fn dictate(
         &mut self,
         plan: &DisseminationPlan,
@@ -994,9 +943,19 @@ impl Coordinator {
         });
         let sent_at = Instant::now();
         for &site in sites {
-            self.sites[site.index()].send(&Message::Reconfigure {
+            let site_plan = plan.site_plan(site);
+            let peers: Vec<(SiteId, SocketAddr)> = site_plan
+                .children()
+                .into_iter()
+                .map(|child| (child, self.sites[child.index()].addr))
+                .collect();
+            let link = &mut self.sites[site.index()];
+            if !peers.is_empty() {
+                link.queue(&Message::Peers { peers });
+            }
+            link.send(&Message::Reconfigure {
                 revision,
-                site_plan: plan.site_plan(site).clone(),
+                site_plan: site_plan.clone(),
             })?;
         }
         for &site in sites {
@@ -1021,7 +980,9 @@ impl Coordinator {
     ///
     /// Harvesting is best-effort — an RP whose control channel already
     /// failed (e.g. after a poisoning reconfiguration) contributes
-    /// nothing to the report instead of failing the shutdown.
+    /// nothing to the report instead of failing the shutdown. An RP that
+    /// has reported a failed link since the last barrier still
+    /// contributes its report.
     pub fn shutdown(mut self) -> ClusterReport {
         let mut report = ClusterReport {
             elapsed: self.started.map(|s| s.elapsed()).unwrap_or_default(),
@@ -1066,46 +1027,6 @@ impl Coordinator {
         report
     }
 
-    /// Waits until `child` has reported the inbound link from `parent`
-    /// up (`up`) or down (`!up`), then records the transition's latency
-    /// since its order was sent and its flight event.
-    fn await_link(
-        &mut self,
-        parent: SiteId,
-        child: SiteId,
-        up: bool,
-        sent_at: Instant,
-        deadline: Instant,
-    ) -> Result<(), ClusterError> {
-        let what = if up {
-            "inbound link attribution"
-        } else {
-            "inbound link closure"
-        };
-        self.sites[child.index()]
-            .wait_for(&mut self.scratch, deadline, what, |link| {
-                (link.inbound.contains(&parent) == up).then_some(())
-            })
-            .map_err(|e| match e {
-                ClusterError::Control { site, detail } => ClusterError::Control {
-                    site,
-                    detail: format!("{detail} (link {parent} -> {child})"),
-                },
-                other => other,
-            })?;
-        let (parent, child) = (parent.index() as u32, child.index() as u32);
-        if up {
-            self.link_open_span.record_duration(sent_at.elapsed());
-            self.recorder
-                .record(FlightEventKind::LinkUp { parent, child });
-        } else {
-            self.link_close_span.record_duration(sent_at.elapsed());
-            self.recorder
-                .record(FlightEventKind::LinkDown { parent, child });
-        }
-        Ok(())
-    }
-
     /// The one stats probe: sends every RP a `StatsRequest` as `kind`
     /// says, and returns a lazy wait over the replies in site order. Each
     /// item is a site's link and the delivered total it reported; the
@@ -1136,8 +1057,8 @@ impl Coordinator {
             .collect();
         let scratch = &mut self.scratch;
         self.sites.iter_mut().zip(sent).map(move |(link, sent)| {
-            let total = sent.and_then(|()| {
-                link.wait_for(scratch, deadline, "stats report", |l| {
+            let total = sent.and_then(|()| loop {
+                let waited = link.wait_for(scratch, deadline, "stats report", |l| {
                     if full {
                         l.stats
                             .as_ref()
@@ -1146,7 +1067,14 @@ impl Coordinator {
                     } else {
                         l.delivered.filter(|d| d.probe >= probe).map(|d| d.total)
                     }
-                })
+                });
+                // The shutdown harvest reads on past a link that failed
+                // since the last barrier: the fleet is going down, and
+                // the report is queued behind the failure.
+                match waited {
+                    Err(ClusterError::LinkFailed { .. }) if full => {}
+                    waited => break waited,
+                }
             });
             (link, total)
         })

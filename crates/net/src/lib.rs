@@ -12,9 +12,11 @@
 //! table, link set, and delivery counters, and is addressed only by
 //! socket — while a [`Coordinator`] holds nothing but control connections
 //! and site addresses. Every coordinator action is a [`wire`] message (table
-//! installs via `Reconfigure`/`Ack`, link lifecycle via
-//! `OpenLink`/`CloseLink` orders confirmed by `LinkUp`/`LinkDown`
-//! notifications, frame injection via one `Publish` per origin RP naming
+//! installs via `Reconfigure`/`Ack`, which are the link orders too: each
+//! RP dials and closes its own data links to follow the table it runs,
+//! at the child addresses a `Peers` order sends with the table, and
+//! reports a child it cannot reach as `LinkFailed`; frame injection via
+//! one `Publish` per origin RP naming
 //! its streams, delivery accounting via `StatsRequest` answered by the
 //! fixed-size `Delivered`
 //! — pushed by the RP once it has delivered the total the request names,

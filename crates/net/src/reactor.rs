@@ -6,12 +6,20 @@
 //! of RPs across many sessions sharing one pool. An RP is purely
 //! reactive: it binds, accepts, and answers. The coordinator's first
 //! connection sends [`Message::Attach`] to mark itself as the control
-//! channel; the node then routes all of its notifications
-//! ([`Message::LinkUp`]/[`Message::LinkDown`]) and replies
-//! ([`Message::Ack`], [`Message::Delivered`], [`Message::StatsReport`],
-//! [`Message::ResyncReply`]) through that channel. Orders arriving on one
-//! connection execute strictly in arrival order — a `Reconfigure` queued
-//! behind an `OpenLink` only runs once the new link is registered, and a
+//! channel; the node then routes all of its replies ([`Message::Ack`],
+//! [`Message::LinkFailed`], [`Message::Delivered`],
+//! [`Message::StatsReport`], [`Message::ResyncReply`]) through that
+//! channel.
+//!
+//! A node opens and closes its own data links from the table it runs. On
+//! every `Reconfigure` it closes each link to a child the table no longer
+//! routes to and dials each routed child it has no link to, at the
+//! address the `Peers` order ahead of the table gave, and it holds the
+//! table's `Ack` until none of those dials is still being set up. A
+//! routed child it cannot reach is reported as `LinkFailed`. Orders
+//! arriving on one connection execute strictly in arrival order — a
+//! `Publish` behind a `Reconfigure` runs once the table's new links are
+//! registered (its frames queue behind each new link's `Hello`), and a
 //! `StatsRequest` behind an unpaced `Publish` only once the batch is
 //! injected — which is what lets the coordinator sequence
 //! reconfigurations and batches without shared memory.
@@ -125,11 +133,15 @@ struct NodeState {
     /// Slab token of the node's listener while it accepts.
     listener_token: Option<usize>,
     table: ForwardingTable,
-    /// Outbound (this RP → child) links by child site, as slab tokens.
+    /// Outbound (this RP → child) links by child site, as slab tokens:
+    /// one per child the table routes to, registered from dial time on.
     outbound: BTreeMap<SiteId, usize>,
-    /// `Hello`-attributed inbound peers (refcounted, so an overlapping
-    /// close/reopen never drops a peer early). Reported by `ResyncReply`.
-    inbound: BTreeMap<SiteId, u32>,
+    /// Child addresses from the last `Peers` order, taken by the next
+    /// `Reconfigure` to dial the children it has no link to.
+    peers: BTreeMap<SiteId, SocketAddr>,
+    /// The revision of the `Ack` held back until no link is still being
+    /// dialed.
+    held_ack: Option<u64>,
     /// Every live connection token belonging to this node.
     conns: BTreeSet<usize>,
     /// The attached control channel: (generation, conn token). A later
@@ -205,7 +217,8 @@ struct Conn {
     wants_write: bool,
     /// False while an outbound dial's handshake is still in flight.
     connected: bool,
-    /// Flush-then-close requested (`CloseLink` / shutdown cascade).
+    /// Flush-then-close requested (a link the table dropped, or the
+    /// shutdown cascade).
     closing: bool,
     /// Queued in the loop's dirty list for the end-of-iteration flush.
     dirty: bool,
@@ -548,7 +561,8 @@ impl LoopState {
                 listener_token: Some(token),
                 table: ForwardingTable::empty(site),
                 outbound: BTreeMap::new(),
-                inbound: BTreeMap::new(),
+                peers: BTreeMap::new(),
+                held_ack: None,
                 conns: BTreeSet::new(),
                 control: None,
                 control_generation: 0,
@@ -775,29 +789,22 @@ impl LoopState {
     }
 
     fn on_writable(&mut self, token: usize) {
-        let failed = {
-            let Some(conn) = self.conn_mut(token) else {
-                return;
-            };
-            if conn.connected {
-                false
-            } else {
-                match conn.stream.take_error() {
-                    Ok(None) => {
-                        conn.connected = true;
-                        false
-                    }
-                    // A failed dial stays silent on this side: the
-                    // coordinator observes it as a missing LinkUp.
-                    _ => true,
-                }
-            }
+        let Some(conn) = self.conn_mut(token) else {
+            return;
         };
-        if failed {
+        if conn.connected {
+            self.flush_conn(token);
+            return;
+        }
+        // A dial's outcome. Closing a failed one reports its child.
+        if !matches!(conn.stream.take_error(), Ok(None)) {
             self.close_conn(token);
             return;
         }
+        conn.connected = true;
+        let node_idx = conn.node;
         self.flush_conn(token);
+        self.release_ack(node_idx);
     }
 
     /// Reads a readable connection through the loop's scratch buffer and
@@ -876,8 +883,7 @@ impl LoopState {
     }
 
     /// The RP's message table: records and forwards frames, cascades
-    /// per-stream `End` markers, executes coordinator orders, and
-    /// reports link attribution changes up the control channel.
+    /// per-stream `End` markers, and executes coordinator orders.
     /// Returns false when the connection was closed by the message.
     fn dispatch(&mut self, token: usize, message: Message) -> bool {
         let Some(node_idx) = self.conn_node(token) else {
@@ -915,7 +921,6 @@ impl LoopState {
             }
             Message::Hello { site } => {
                 if let Some(node) = self.node_mut(node_idx) {
-                    *node.inbound.entry(site).or_insert(0) += 1;
                     node.recorder.record(FlightEventKind::LinkUp {
                         parent: site.index() as u32,
                         child: node.site.index() as u32,
@@ -924,14 +929,22 @@ impl LoopState {
                 if let Some(conn) = self.conn_mut(token) {
                     conn.peer = Some(site);
                 }
-                self.notify(node_idx, &Message::LinkUp { peer: site });
+                true
+            }
+            Message::Peers { peers } => {
+                if let Some(node) = self.node_mut(node_idx) {
+                    node.peers = peers.into_iter().collect();
+                }
                 true
             }
             Message::Reconfigure {
                 revision,
                 site_plan,
             } => {
-                if let Some(node) = self.node_mut(node_idx) {
+                let peers = {
+                    let Some(node) = self.node_mut(node_idx) else {
+                        return false;
+                    };
                     // A replayed order for an older revision must not
                     // roll the table back; it is still acknowledged so a
                     // coordinator retry converges.
@@ -941,10 +954,13 @@ impl LoopState {
                     }
                     node.recorder
                         .record(FlightEventKind::Reconfigure { revision, sites: 1 });
-                }
-                // Epoch boundary: everything sent after this Ack is
-                // routed by the new table.
-                self.notify(node_idx, &Message::Ack { revision });
+                    // Epoch boundary: everything sent after this Ack is
+                    // routed by the new table.
+                    node.held_ack = node.held_ack.max(Some(revision));
+                    std::mem::take(&mut node.peers)
+                };
+                self.follow_table(node_idx, &peers);
+                self.release_ack(node_idx);
                 true
             }
             Message::Attach => {
@@ -968,35 +984,20 @@ impl LoopState {
             }
             Message::ResyncQuery { probe } => {
                 // Describe this RP as it stands *now*: the last-applied
-                // table revision and the attributed inbound peers. The
-                // reply is a snapshot — the coordinator must still close
-                // the round with a re-dictation barrier.
+                // table revision. The reply is a snapshot — the
+                // coordinator must still close the round with a
+                // re-dictation barrier.
                 let reply = {
                     let Some(node) = self.node_ref(node_idx) else {
                         return false;
                     };
-                    let inbound: Vec<SiteId> = node
-                        .inbound
-                        .iter()
-                        .filter(|(_, &count)| count > 0)
-                        .map(|(&site, _)| site)
-                        .collect();
                     node.recorder.record(FlightEventKind::ResyncStart);
                     Message::ResyncReply {
                         probe,
                         revision: node.table.revision,
-                        inbound,
                     }
                 };
                 self.notify(node_idx, &reply);
-                true
-            }
-            Message::OpenLink { child, addr } => {
-                self.open_link(node_idx, child, addr);
-                true
-            }
-            Message::CloseLink { child } => {
-                self.close_link(node_idx, child);
                 true
             }
             Message::Publish {
@@ -1046,8 +1047,7 @@ impl LoopState {
             // RP-bound traffic never includes coordinator-bound
             // replies; drop the link on protocol violations.
             Message::Ack { .. }
-            | Message::LinkUp { .. }
-            | Message::LinkDown { .. }
+            | Message::LinkFailed { .. }
             | Message::Delivered { .. }
             | Message::StatsReport { .. }
             | Message::ResyncReply { .. } => {
@@ -1191,40 +1191,93 @@ impl LoopState {
         }
     }
 
-    /// Executes an `OpenLink` order: dial the child, open with the
-    /// `Hello` preamble, register the outbound link. Failure is silent
-    /// on this side — the coordinator observes it as a missing `LinkUp`.
-    fn open_link(&mut self, node_idx: usize, child: SiteId, addr: SocketAddr) {
-        let site = match self.node_ref(node_idx) {
-            Some(node) => node.site,
-            None => return,
+    /// Brings the node's outbound links in line with the table it runs:
+    /// each link to a child the table no longer routes to is flushed,
+    /// write-shut and dropped, and each routed child without a link is
+    /// dialed at its address in `peers`. A routed child that has no
+    /// address there, or whose dial fails at once, is reported as
+    /// `LinkFailed`. A stopping node opens nothing.
+    fn follow_table(&mut self, node_idx: usize, peers: &BTreeMap<SiteId, SocketAddr>) {
+        let (dropped, missing) = {
+            let Some(node) = self.node_ref(node_idx) else {
+                return;
+            };
+            if node.stopping {
+                return;
+            }
+            let routed = node.table.plan.children();
+            let dropped: Vec<SiteId> = node
+                .outbound
+                .keys()
+                .filter(|child| !routed.contains(child))
+                .copied()
+                .collect();
+            let missing: Vec<SiteId> = routed
+                .into_iter()
+                .filter(|child| !node.outbound.contains_key(child))
+                .collect();
+            (dropped, missing)
         };
-        let Ok(stream) = TcpStream::connect(addr) else {
-            return;
-        };
-        stream.set_nodelay(true).ok();
-        let Some(token) = self.add_conn(stream, node_idx, false, Some(child)) else {
-            return;
-        };
-        self.send(token, &Message::Hello { site });
-        let replaced = self
-            .node_mut(node_idx)
-            .and_then(|n| n.outbound.insert(child, token));
-        if let Some(old) = replaced {
-            if old != token {
-                self.close_conn(old);
+        for child in dropped {
+            let removed = self
+                .node_mut(node_idx)
+                .and_then(|node| node.outbound.remove(&child));
+            if let Some(token) = removed {
+                self.begin_close(token);
+            }
+        }
+        for child in missing {
+            let opened = peers
+                .get(&child)
+                .is_some_and(|&addr| self.open_link(node_idx, child, addr));
+            if !opened {
+                self.notify(node_idx, &Message::LinkFailed { child });
             }
         }
     }
 
-    /// Executes a `CloseLink` order: flush, write-shut and drop the link
-    /// so the child observes EOF (and reports `LinkDown`).
-    fn close_link(&mut self, node_idx: usize, child: SiteId) {
-        let removed = self
+    /// Dials `child` at `addr`, opens the connection with the `Hello`
+    /// preamble and registers it as the link to `child` at once, so
+    /// frames routed there queue behind the preamble while the dial
+    /// completes. Returns false when the dial fails outright.
+    fn open_link(&mut self, node_idx: usize, child: SiteId, addr: SocketAddr) -> bool {
+        let Some(site) = self.node_ref(node_idx).map(|node| node.site) else {
+            return false;
+        };
+        let Ok(stream) = TcpStream::connect(addr) else {
+            return false;
+        };
+        stream.set_nodelay(true).ok();
+        let Some(token) = self.add_conn(stream, node_idx, false, Some(child)) else {
+            return false;
+        };
+        self.send(token, &Message::Hello { site });
+        if let Some(node) = self.node_mut(node_idx) {
+            node.outbound.insert(child, token);
+        }
+        true
+    }
+
+    /// Sends the held `Ack` once none of the node's links is still being
+    /// dialed, so an `Ack` means every link its table needs is connected
+    /// or has been reported as `LinkFailed`.
+    fn release_ack(&mut self, node_idx: usize) {
+        let dialing = self.node_ref(node_idx).is_some_and(|node| {
+            node.outbound.values().any(|&token| {
+                matches!(
+                    self.entries.get(token),
+                    Some(Some(Entry::Conn(conn))) if !conn.connected
+                )
+            })
+        });
+        if dialing {
+            return;
+        }
+        let held = self
             .node_mut(node_idx)
-            .and_then(|n| n.outbound.remove(&child));
-        if let Some(token) = removed {
-            self.begin_close(token);
+            .and_then(|node| node.held_ack.take());
+        if let Some(revision) = held {
+            self.notify(node_idx, &Message::Ack { revision });
         }
     }
 
@@ -1343,9 +1396,10 @@ impl LoopState {
         }
     }
 
-    /// Requests flush-then-close on a connection (`CloseLink`, shutdown
-    /// cascades): pending bytes still go out, then the write half shuts
-    /// so the peer observes EOF, then the connection drops.
+    /// Requests flush-then-close on a connection (a link the table
+    /// dropped, shutdown cascades): pending bytes still go out, then the
+    /// write half shuts so the peer observes EOF, then the connection
+    /// drops.
     fn begin_close(&mut self, token: usize) {
         let ready = {
             let Some(conn) = self.conn_mut(token) else {
@@ -1455,12 +1509,13 @@ impl LoopState {
         }
     }
 
-    /// Tears one connection down: de-attribute the peer (LinkDown
-    /// recorded and notified — how the coordinator observes a `closed`
-    /// pair die), detach the control channel if this was still its
-    /// generation (CoordinatorLost: acks stop flowing into a dead socket
-    /// until a re-`Attach` arrives), then finish the node if it was
-    /// stopping and this was its last connection.
+    /// Tears one connection down: report the child of a link the table
+    /// still routes to as `LinkFailed` (unless the node is stopping),
+    /// record an attributed inbound link's LinkDown, detach the control
+    /// channel if this was still its generation (CoordinatorLost: acks
+    /// stop flowing into a dead socket until a re-`Attach` arrives), then
+    /// finish the node if it was stopping and this was its last
+    /// connection.
     fn close_conn(&mut self, token: usize) {
         let is_conn = matches!(
             self.entries.get(token).and_then(Option::as_ref),
@@ -1479,26 +1534,22 @@ impl LoopState {
         self.pending_free.push(token);
         self.metrics.conns_live.sub(1);
         let node_idx = conn.node;
-        let mut link_down: Option<SiteId> = None;
+        let mut failed: Option<SiteId> = None;
         if let Some(node) = self.node_mut(node_idx) {
             node.conns.remove(&token);
             if let Some(child) = conn.outbound_child {
+                // Still registered: the table routes to `child`, and the
+                // link died under it.
                 if node.outbound.get(&child) == Some(&token) {
                     node.outbound.remove(&child);
+                    failed = (!node.stopping).then_some(child);
                 }
             }
             if let Some(site) = conn.peer {
-                if let Some(count) = node.inbound.get_mut(&site) {
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        node.inbound.remove(&site);
-                    }
-                }
                 node.recorder.record(FlightEventKind::LinkDown {
                     parent: site.index() as u32,
                     child: node.site.index() as u32,
                 });
-                link_down = Some(site);
             }
             if let Some(generation) = conn.attached {
                 if node.control.is_some_and(|(g, _)| g == generation) {
@@ -1507,8 +1558,9 @@ impl LoopState {
                 }
             }
         }
-        if let Some(site) = link_down {
-            self.notify(node_idx, &Message::LinkDown { peer: site });
+        if let Some(child) = failed {
+            self.notify(node_idx, &Message::LinkFailed { child });
+            self.release_ack(node_idx);
         }
         drop(conn);
         self.maybe_finish_node(node_idx);
@@ -1666,7 +1718,8 @@ impl Reactor {
     ///
     /// `advertise` is the multi-host shape: a node binds a wildcard or
     /// private address but must be dialed by the coordinator (and by
-    /// parent RPs executing `OpenLink` orders) at a routable one. An
+    /// parent RPs, at the address the coordinator sends them) at a
+    /// routable one. An
     /// advertised port of 0 is substituted with the port actually bound,
     /// so `0.0.0.0:0` + `advertise 10.0.0.7:0` works without
     /// pre-allocating ports; `None` advertises the bound address.
@@ -1819,6 +1872,16 @@ mod tests {
         conn.write_all(&orders).expect("orders sent");
     }
 
+    /// The `Peers` order naming each `(site, address)` child.
+    fn peers(children: &[(u32, SocketAddr)]) -> Message {
+        Message::Peers {
+            peers: children
+                .iter()
+                .map(|&(site, addr)| (SiteId::new(site), addr))
+                .collect(),
+        }
+    }
+
     /// A revision-1 table making site 0 the origin of `streams`, each
     /// with one child link per `(site, rung)`.
     fn origin_table(streams: &[StreamId], children: &[(u32, u8)]) -> Message {
@@ -1856,22 +1919,20 @@ mod tests {
         let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
         let child_addr = child_listener.local_addr().expect("child addr");
 
-        // One control connection carries, in order: Attach, a table
-        // where the origin's child takes the stream at rung 1, the
-        // OpenLink order, and a single 1024-byte publish. Orders on one
-        // connection execute in arrival order, so the link exists before
-        // the frame.
+        // One control connection carries, in order: Attach, the child's
+        // address, a table where the origin's child takes the stream at
+        // rung 1, and a single 1024-byte publish. Orders on one
+        // connection execute in arrival order, and the node dials the
+        // child as it installs the table, so the link exists before the
+        // frame.
         let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
         control.set_read_timeout(Some(Duration::from_secs(10))).ok();
         send(
             &mut control,
             &[
                 Message::Attach,
+                peers(&[(1, child_addr)]),
                 origin_table(&[stream_id], &[(1, 1)]),
-                Message::OpenLink {
-                    child: SiteId::new(1),
-                    addr: child_addr,
-                },
                 Message::Publish {
                     streams: vec![stream_id],
                     base_seq: 0,
@@ -1930,6 +1991,45 @@ mod tests {
     }
 
     #[test]
+    fn socket_routed_child_without_a_usable_link_is_reported_failed() {
+        let (reactor, node, mut control) = attached_node();
+        let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
+        let stream_id = StreamId::new(SiteId::new(0), 0);
+        let child = SiteId::new(1);
+
+        // A table routing to a child the order gave no address for.
+        send(&mut control, &[origin_table(&[stream_id], &[(1, 0)])]);
+        let replies = [
+            read_next(&mut control, &mut buf, &mut chunk),
+            read_next(&mut control, &mut buf, &mut chunk),
+        ];
+        assert_eq!(
+            replies,
+            [Message::LinkFailed { child }, Message::Ack { revision: 1 }]
+        );
+
+        // Re-sent with the address, the same table dials the child.
+        let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
+        let addr = child_listener.local_addr().expect("child addr");
+        send(
+            &mut control,
+            &[peers(&[(1, addr)]), origin_table(&[stream_id], &[(1, 0)])],
+        );
+        let ack = read_next(&mut control, &mut buf, &mut chunk);
+        assert_eq!(ack, Message::Ack { revision: 1 });
+
+        // The child hangs up under a table that still routes to it.
+        let (child_conn, _) = child_listener.accept().expect("node dials child");
+        drop(child_conn);
+        let failed = read_next(&mut control, &mut buf, &mut chunk);
+        assert_eq!(failed, Message::LinkFailed { child });
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
     fn socket_one_publish_injects_every_listed_stream_before_its_probe_answers() {
         let (reactor, node, mut control) = attached_node();
         let streams = [
@@ -1940,11 +2040,8 @@ mod tests {
         send(
             &mut control,
             &[
+                peers(&[(1, child_listener.local_addr().expect("child addr"))]),
                 origin_table(&streams, &[(1, 0)]),
-                Message::OpenLink {
-                    child: SiteId::new(1),
-                    addr: child_listener.local_addr().expect("child addr"),
-                },
             ],
         );
         let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
@@ -2023,21 +2120,18 @@ mod tests {
         let mut control = std::net::TcpStream::connect(origin.addr()).expect("control connect");
         control.set_read_timeout(timeout).ok();
         // Re-sent after each batch, the table is a fence: its `Ack`
-        // proves the origin's control channel still answers.
+        // proves the origin's control channel still answers, and with
+        // both links up it dials nothing.
         let table = origin_table(&[stream_id], &[(1, 0), (2, 0)]);
         send(
             &mut control,
             &[
                 Message::Attach,
+                peers(&[
+                    (1, stuck_listener.local_addr().expect("stuck addr")),
+                    (2, healthy.addr()),
+                ]),
                 table.clone(),
-                Message::OpenLink {
-                    child: SiteId::new(1),
-                    addr: stuck_listener.local_addr().expect("stuck addr"),
-                },
-                Message::OpenLink {
-                    child: SiteId::new(2),
-                    addr: healthy.addr(),
-                },
             ],
         );
         let (_stuck, _) = stuck_listener
@@ -2327,11 +2421,8 @@ mod tests {
             &mut control,
             &[
                 Message::Attach,
+                peers(&[(1, child_listener.local_addr().expect("child addr"))]),
                 origin_table(&[stream_id], &[(1, 0)]),
-                Message::OpenLink {
-                    child: SiteId::new(1),
-                    addr: child_listener.local_addr().expect("child addr"),
-                },
                 Message::Frame {
                     stream: stream_id,
                     quality: Quality::FULL,

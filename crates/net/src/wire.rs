@@ -15,10 +15,12 @@
 //! Since the process-separable RP redesign, *every* coordinator action is
 //! a message on this protocol — there is no shared-memory side channel:
 //!
-//! * link lifecycle: [`Message::OpenLink`]/[`Message::CloseLink`] orders
-//!   (the RP dials or write-shuts its own sockets) answered by
-//!   [`Message::LinkUp`]/[`Message::LinkDown`] notifications from the
-//!   receiving side;
+//! * table installs: [`Message::Reconfigure`], answered by
+//!   [`Message::Ack`] once the RP runs the table and every data link it
+//!   dialed for it is connected. The RP opens and closes its own links
+//!   from the table it runs: the [`Message::Peers`] order sent with the
+//!   table names every child's listener address, and
+//!   [`Message::LinkFailed`] reports a routed child the RP cannot reach;
 //! * frame injection: one [`Message::Publish`] order per origin RP,
 //!   naming every stream it injects; nothing acknowledges it, because the
 //!   armed [`Message::StatsRequest`] sent behind it reports the batch's
@@ -52,10 +54,8 @@ const TAG_END: u8 = 4;
 const TAG_RECONFIGURE: u8 = 5;
 const TAG_ACK: u8 = 6;
 const TAG_ATTACH: u8 = 7;
-const TAG_OPEN_LINK: u8 = 8;
-const TAG_CLOSE_LINK: u8 = 9;
-const TAG_LINK_UP: u8 = 10;
-const TAG_LINK_DOWN: u8 = 11;
+// Tags 8–11 (the retired link open/close orders and their link up/down
+// notifications) stay unassigned the same way: links follow tables.
 const TAG_PUBLISH: u8 = 12;
 // Tag 13 (the retired per-stream batch acknowledgement) stays unassigned
 // the same way.
@@ -65,6 +65,8 @@ const TAG_SHUTDOWN: u8 = 16;
 const TAG_RESYNC_QUERY: u8 = 17;
 const TAG_RESYNC_REPLY: u8 = 18;
 const TAG_DELIVERED: u8 = 19;
+const TAG_LINK_FAILED: u8 = 20;
+const TAG_PEERS: u8 = 21;
 
 /// Encoded size of a `Frame` up to its payload: length prefix, tag,
 /// stream (origin + local), rung, seq, capture time, payload length.
@@ -124,10 +126,23 @@ pub enum Message {
         /// The finished stream.
         stream: StreamId,
     },
+    /// Coordinator order sent in the same write as, and directly ahead
+    /// of, a [`Reconfigure`](Self::Reconfigure): the listener address of
+    /// every distinct child that `Reconfigure`'s table routes to. The RP
+    /// dials from it the children it has no link to, and forgets it once
+    /// that `Reconfigure` has run, so each order pair is self-contained
+    /// and re-sending it is idempotent.
+    Peers {
+        /// `(child, listener address)` per routed child.
+        peers: Vec<(SiteId, SocketAddr)>,
+    },
     /// Control-plane order from the coordinator: replace the receiving
     /// RP's forwarding table with `site_plan`, which belongs to plan
-    /// revision `revision`. The RP answers with [`Ack`](Self::Ack) once
-    /// the table is swapped, marking its epoch boundary.
+    /// revision `revision`, then bring the RP's data links in line with
+    /// the table it runs: close each link to a child no longer routed,
+    /// dial each routed child that has none (its address comes from the
+    /// [`Peers`](Self::Peers) order ahead). The RP answers with
+    /// [`Ack`](Self::Ack) once none of those dials is still being set up.
     Reconfigure {
         /// The plan revision the new table belongs to.
         revision: u64,
@@ -135,48 +150,26 @@ pub enum Message {
         site_plan: SitePlan,
     },
     /// Epoch-boundary acknowledgement: the sending RP now forwards under
-    /// `revision` and will never again emit a frame routed by an older
-    /// table.
+    /// `revision`, will never again emit a frame routed by an older
+    /// table, and has a connected link to every child that table routes
+    /// to — or has reported [`LinkFailed`](Self::LinkFailed) for it.
     Ack {
         /// The revision the RP switched to.
         revision: u64,
     },
     /// Coordinator preamble: marks this connection as the RP's control
-    /// channel. All RP-originated control traffic ([`LinkUp`](Self::LinkUp),
-    /// [`LinkDown`](Self::LinkDown), [`Ack`](Self::Ack),
-    /// [`Delivered`](Self::Delivered), [`ResyncReply`](Self::ResyncReply),
+    /// channel. All RP-originated control traffic ([`Ack`](Self::Ack),
+    /// [`LinkFailed`](Self::LinkFailed), [`Delivered`](Self::Delivered),
+    /// [`ResyncReply`](Self::ResyncReply),
     /// [`StatsReport`](Self::StatsReport))
     /// is sent on the most recently attached connection.
     Attach,
-    /// Coordinator order: dial `addr`, open with the `Hello` preamble, and
-    /// register the connection as the data link to `child`. The receiving
-    /// RP owns the socket; the coordinator learns the outcome from the
-    /// child's [`LinkUp`](Self::LinkUp).
-    OpenLink {
-        /// The downstream RP to connect to.
+    /// Control notification from an RP: the table it runs routes to
+    /// `child`, and it has no usable link to it — the dial failed, the
+    /// order carried no address for it, or the link closed under it.
+    LinkFailed {
+        /// The routed child the RP cannot reach.
         child: SiteId,
-        /// The child's listener address.
-        addr: SocketAddr,
-    },
-    /// Coordinator order: write-shut and drop the data link to `child`.
-    /// The child observes the disconnect and reports
-    /// [`LinkDown`](Self::LinkDown).
-    CloseLink {
-        /// The downstream RP to disconnect from.
-        child: SiteId,
-    },
-    /// Control notification from an RP: an inbound data connection
-    /// attributed itself (via `Hello`) to `peer`. Replaces the old
-    /// coordinator's shared-memory poll of the RP's inbound set.
-    LinkUp {
-        /// The upstream RP that connected.
-        peer: SiteId,
-    },
-    /// Control notification from an RP: the inbound data connection from
-    /// `peer` disconnected.
-    LinkDown {
-        /// The upstream RP that disconnected.
-        peer: SiteId,
     },
     /// Coordinator order to an origin RP: inject `frames` synthetic frames
     /// of each of `streams` (sequence numbers `base_seq..base_seq +
@@ -248,8 +241,7 @@ pub enum Message {
         probe: u64,
     },
     /// RP response to [`ResyncQuery`](Self::ResyncQuery): the revision
-    /// of the RP's last-applied forwarding table and the upstream peers
-    /// currently attributed to its inbound links. A reply describes the
+    /// of the RP's last-applied forwarding table. A reply describes the
     /// RP only at the moment it was sent — a backlog `Reconfigure` may
     /// land after it — so the coordinator must close the round with a
     /// re-dictation barrier rather than trusting replies outright.
@@ -258,8 +250,6 @@ pub enum Message {
         probe: u64,
         /// Revision of the RP's last-applied forwarding table.
         revision: u64,
-        /// Upstream sites with live inbound data connections.
-        inbound: Vec<SiteId>,
     },
     /// Coordinator order: cascade `End` markers for locally originated
     /// streams, write-shut every outbound link, and exit. The terminal
@@ -282,7 +272,7 @@ pub enum WireError {
     },
     /// The message body was shorter than its fields require.
     Truncated,
-    /// An `OpenLink` carried a byte sequence that does not parse as a
+    /// A `Peers` order carried a byte sequence that does not parse as a
     /// socket address.
     BadAddress,
     /// The length prefix overstated the message: bytes were left in the
@@ -337,6 +327,16 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u8(TAG_END);
             put_stream(dst, *stream);
         }
+        Message::Peers { peers } => {
+            dst.put_u8(TAG_PEERS);
+            dst.put_u32_le(peers.len() as u32);
+            for (child, addr) in peers {
+                let text = addr.to_string();
+                put_site(dst, *child);
+                dst.put_u32_le(text.len() as u32);
+                dst.put_slice(text.as_bytes());
+            }
+        }
         Message::Reconfigure {
             revision,
             site_plan,
@@ -350,24 +350,9 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u64_le(*revision);
         }
         Message::Attach => dst.put_u8(TAG_ATTACH),
-        Message::OpenLink { child, addr } => {
-            let text = addr.to_string();
-            dst.put_u8(TAG_OPEN_LINK);
+        Message::LinkFailed { child } => {
+            dst.put_u8(TAG_LINK_FAILED);
             put_site(dst, *child);
-            dst.put_u32_le(text.len() as u32);
-            dst.put_slice(text.as_bytes());
-        }
-        Message::CloseLink { child } => {
-            dst.put_u8(TAG_CLOSE_LINK);
-            put_site(dst, *child);
-        }
-        Message::LinkUp { peer } => {
-            dst.put_u8(TAG_LINK_UP);
-            put_site(dst, *peer);
-        }
-        Message::LinkDown { peer } => {
-            dst.put_u8(TAG_LINK_DOWN);
-            put_site(dst, *peer);
         }
         Message::Publish {
             streams,
@@ -435,18 +420,10 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u8(TAG_RESYNC_QUERY);
             dst.put_u64_le(*probe);
         }
-        Message::ResyncReply {
-            probe,
-            revision,
-            inbound,
-        } => {
+        Message::ResyncReply { probe, revision } => {
             dst.put_u8(TAG_RESYNC_REPLY);
             dst.put_u64_le(*probe);
             dst.put_u64_le(*revision);
-            dst.put_u32_le(inbound.len() as u32);
-            for peer in inbound {
-                put_site(dst, *peer);
-            }
         }
         Message::Shutdown => dst.put_u8(TAG_SHUTDOWN),
     }
@@ -613,6 +590,14 @@ impl Body {
         let len = self.count(1)?;
         Ok(self.0.split_to(len))
     }
+
+    /// A socket address in its text form, as [`bytes`](Self::bytes).
+    fn addr(&mut self) -> Result<SocketAddr, WireError> {
+        std::str::from_utf8(&self.bytes()?)
+            .ok()
+            .and_then(|text| text.parse().ok())
+            .ok_or(WireError::BadAddress)
+    }
 }
 
 /// Attempts to decode one complete message from the front of `src`.
@@ -662,18 +647,18 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             stream: body.stream()?,
         },
         TAG_ATTACH => Message::Attach,
-        TAG_OPEN_LINK => Message::OpenLink {
-            child: body.site()?,
-            addr: std::str::from_utf8(&body.bytes()?)
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or(WireError::BadAddress)?,
-        },
-        TAG_CLOSE_LINK => Message::CloseLink {
+        TAG_LINK_FAILED => Message::LinkFailed {
             child: body.site()?,
         },
-        TAG_LINK_UP => Message::LinkUp { peer: body.site()? },
-        TAG_LINK_DOWN => Message::LinkDown { peer: body.site()? },
+        TAG_PEERS => {
+            // Each peer is at least its site and its address length.
+            let count = body.count(4 + 4)?;
+            let mut peers = Vec::with_capacity(count);
+            for _ in 0..count {
+                peers.push((body.site()?, body.addr()?));
+            }
+            Message::Peers { peers }
+        }
         TAG_PUBLISH => Message::Publish {
             streams: {
                 let count = body.count(8)?;
@@ -739,20 +724,10 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             }
         }
         TAG_RESYNC_QUERY => Message::ResyncQuery { probe: body.u64()? },
-        TAG_RESYNC_REPLY => {
-            let probe = body.u64()?;
-            let revision = body.u64()?;
-            let count = body.count(4)?;
-            let mut inbound = Vec::with_capacity(count);
-            for _ in 0..count {
-                inbound.push(body.site()?);
-            }
-            Message::ResyncReply {
-                probe,
-                revision,
-                inbound,
-            }
-        }
+        TAG_RESYNC_REPLY => Message::ResyncReply {
+            probe: body.u64()?,
+            revision: body.u64()?,
+        },
         TAG_SHUTDOWN => Message::Shutdown,
         other => return Err(WireError::UnknownTag { tag: other }),
     };
@@ -779,7 +754,7 @@ mod tests {
         assert!(buf.is_empty(), "decoder must consume the full message");
     }
 
-    /// One value of every variant (both `OpenLink` address families),
+    /// One value of every variant (both `Peers` address families),
     /// each paired with its exact encoding. Round-trip tests cannot see a
     /// format change made to the encoder and decoder at once; this can.
     fn golden_messages() -> Vec<(Message, &'static str)> {
@@ -806,6 +781,19 @@ mod tests {
                 "20000000020200000005000000012a000000000000000403020100000000020000003364",
             ),
             (Message::End { stream }, "09000000040200000005000000"),
+            (
+                Message::Peers {
+                    peers: vec![
+                        (SiteId::new(4), "127.0.0.1:9".parse().unwrap()),
+                        (SiteId::new(5), "[::1]:9".parse().unwrap()),
+                    ],
+                },
+                concat!(
+                    "270000001502000000",                     // length, tag, count
+                    "040000000b0000003132372e302e302e313a39", // 4 at 127.0.0.1:9
+                    "05000000070000005b3a3a315d3a39",         // 5 at [::1]:9
+                ),
+            ),
             (
                 Message::Reconfigure {
                     revision: 17,
@@ -845,36 +833,10 @@ mod tests {
             (Message::Ack { revision: 17 }, "09000000061100000000000000"),
             (Message::Attach, "0100000007"),
             (
-                Message::OpenLink {
-                    child: SiteId::new(4),
-                    addr: "127.0.0.1:9".parse().unwrap(),
-                },
-                "1400000008040000000b0000003132372e302e302e313a39",
-            ),
-            (
-                Message::OpenLink {
-                    child: SiteId::new(4),
-                    addr: "[::1]:9".parse().unwrap(),
-                },
-                "100000000804000000070000005b3a3a315d3a39",
-            ),
-            (
-                Message::CloseLink {
+                Message::LinkFailed {
                     child: SiteId::new(4),
                 },
-                "050000000904000000",
-            ),
-            (
-                Message::LinkUp {
-                    peer: SiteId::new(3),
-                },
-                "050000000a03000000",
-            ),
-            (
-                Message::LinkDown {
-                    peer: SiteId::new(3),
-                },
-                "050000000b03000000",
+                "050000001404000000",
             ),
             (
                 Message::Publish {
@@ -938,9 +900,8 @@ mod tests {
                 Message::ResyncReply {
                     probe: 9,
                     revision: 17,
-                    inbound: vec![SiteId::new(0), SiteId::new(3)],
                 },
-                "1d0000001209000000000000001100000000000000020000000000000003000000",
+                "110000001209000000000000001100000000000000",
             ),
             (Message::Shutdown, "0100000010"),
         ]
@@ -1225,9 +1186,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // 3 is the retired `Bye` tag and 13 the retired per-stream batch
-        // acknowledgement: both unassigned for good.
-        for tag in [0, 3, 13, 99] {
+        // 3 is the retired `Bye` tag, 8–11 the retired link open/close
+        // orders and link up/down notifications, and 13 the retired
+        // per-stream batch acknowledgement: all unassigned for good.
+        for tag in [0, 3, 8, 9, 10, 11, 13, 99] {
             let mut buf = BytesMut::new();
             buf.put_u32_le(1);
             buf.put_u8(tag);
@@ -1248,23 +1210,16 @@ mod tests {
     fn control_plane_roundtrips() {
         roundtrip(Message::Attach);
         roundtrip(Message::Shutdown);
-        roundtrip(Message::OpenLink {
-            child: SiteId::new(4),
-            addr: "127.0.0.1:45123".parse().unwrap(),
-        });
-        roundtrip(Message::OpenLink {
-            child: SiteId::new(0),
-            addr: "[::1]:9".parse().unwrap(),
-        });
-        roundtrip(Message::CloseLink {
+        roundtrip(Message::LinkFailed {
             child: SiteId::new(1),
         });
-        roundtrip(Message::LinkUp {
-            peer: SiteId::new(2),
+        roundtrip(Message::Peers {
+            peers: vec![
+                (SiteId::new(4), "127.0.0.1:45123".parse().unwrap()),
+                (SiteId::new(0), "[::1]:9".parse().unwrap()),
+            ],
         });
-        roundtrip(Message::LinkDown {
-            peer: SiteId::new(3),
-        });
+        roundtrip(Message::Peers { peers: Vec::new() });
         roundtrip(Message::Publish {
             streams: vec![StreamId::new(SiteId::new(1), 2)],
             base_seq: 77,
@@ -1293,12 +1248,6 @@ mod tests {
         roundtrip(Message::ResyncReply {
             probe: 7,
             revision: u64::MAX - 1,
-            inbound: vec![SiteId::new(0), SiteId::new(3), SiteId::new(12)],
-        });
-        roundtrip(Message::ResyncReply {
-            probe: 0,
-            revision: 0,
-            inbound: Vec::new(),
         });
         let mut spread = LogHistogram::new();
         for sample in [0u64, 130, 88_123, 88_123, u64::MAX] {
@@ -1334,24 +1283,26 @@ mod tests {
     }
 
     #[test]
-    fn malformed_open_link_address_is_rejected() {
+    fn malformed_peer_address_is_rejected() {
         let text = b"not an address";
         let mut buf = BytesMut::new();
-        buf.put_u32_le((1 + 4 + 4 + text.len()) as u32);
-        buf.put_u8(TAG_OPEN_LINK);
-        buf.put_u32_le(2);
+        buf.put_u32_le((1 + 4 + 4 + 4 + text.len()) as u32);
+        buf.put_u8(TAG_PEERS);
+        buf.put_u32_le(1); // one peer
+        buf.put_u32_le(2); // its site
         buf.put_u32_le(text.len() as u32);
         buf.put_slice(text);
         assert_eq!(decode(&mut buf), Err(WireError::BadAddress));
     }
 
     #[test]
-    fn truncated_open_link_address_is_rejected() {
+    fn truncated_peer_address_is_rejected() {
         let mut buf = BytesMut::new();
         // Claims a 20-byte address but the body carries none.
-        buf.put_u32_le(1 + 4 + 4);
-        buf.put_u8(TAG_OPEN_LINK);
-        buf.put_u32_le(2);
+        buf.put_u32_le(1 + 4 + 4 + 4);
+        buf.put_u8(TAG_PEERS);
+        buf.put_u32_le(1); // one peer
+        buf.put_u32_le(2); // its site
         buf.put_u32_le(20);
         assert_eq!(decode(&mut buf), Err(WireError::Truncated));
     }
@@ -1420,15 +1371,14 @@ mod tests {
     }
 
     #[test]
-    fn truncated_resync_reply_inbound_list_is_rejected() {
+    fn truncated_peer_list_is_rejected() {
         let mut buf = BytesMut::new();
-        // Header claims three inbound peers, body carries one.
-        buf.put_u32_le(1 + 8 + 8 + 4 + 4);
-        buf.put_u8(TAG_RESYNC_REPLY);
-        buf.put_u64_le(9); // probe
-        buf.put_u64_le(4); // revision
+        // Claims three peers; the body has room for one at most.
+        buf.put_u32_le(1 + 4 + 4 + 4);
+        buf.put_u8(TAG_PEERS);
         buf.put_u32_le(3); // three peers claimed
-        buf.put_u32_le(1); // only one present
+        buf.put_u32_le(1); // one site
+        buf.put_u32_le(0); // and an empty address
         assert_eq!(decode(&mut buf), Err(WireError::Truncated));
     }
 

@@ -93,11 +93,16 @@ fn arb_delivery() -> impl Strategy<Value = StreamDelivery> {
         )
 }
 
-/// Uniformly draws one of the 17 protocol messages with arbitrary field
+/// Uniformly draws one of the 15 protocol messages with arbitrary field
 /// values.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
-        (0usize..17, arb_site(), arb_stream(), arb_addr()),
+        (
+            0usize..15,
+            arb_site(),
+            arb_stream(),
+            proptest::collection::vec((arb_site(), arb_addr()), 0..4usize),
+        ),
         (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
         proptest::collection::vec(0u8..255, 0..64usize),
         (
@@ -109,7 +114,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
     )
         .prop_map(
             |(
-                (variant, site, stream, addr),
+                (variant, site, stream, peers),
                 (a, b, c),
                 payload,
                 (site_plan, streams, small, quality),
@@ -130,11 +135,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     },
                     4 => Message::Ack { revision: a },
                     5 => Message::Attach,
-                    6 => Message::OpenLink { child: site, addr },
-                    7 => Message::CloseLink { child: site },
-                    8 => Message::LinkUp { peer: site },
-                    9 => Message::LinkDown { peer: site },
-                    10 => Message::Publish {
+                    6 => Message::Peers { peers },
+                    7 => Message::LinkFailed { child: site },
+                    8 => Message::Publish {
                         // Reuse the drawn site plan's entries as an
                         // arbitrary stream list.
                         streams: site_plan.entries.iter().map(|e| e.stream).collect(),
@@ -143,30 +146,23 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         payload_bytes: small,
                         interval_micros: c,
                     },
-                    11 => Message::StatsRequest {
+                    9 => Message::StatsRequest {
                         probe: a,
                         at_least: b,
                         full: c % 2 == 1,
                     },
-                    12 => Message::StatsReport {
+                    10 => Message::StatsReport {
                         probe: a,
                         total: b,
                         max_latency_micros: c,
                         streams,
                     },
-                    13 => Message::ResyncQuery { probe: a },
-                    14 => Message::ResyncReply {
+                    11 => Message::ResyncQuery { probe: a },
+                    12 => Message::ResyncReply {
                         probe: a,
                         revision: b,
-                        // Reuse the drawn site plan's child links as an
-                        // arbitrary inbound peer set.
-                        inbound: site_plan
-                            .entries
-                            .iter()
-                            .flat_map(|e| e.children.iter().map(|c| c.site))
-                            .collect(),
                     },
-                    15 => Message::Delivered {
+                    13 => Message::Delivered {
                         probe: a,
                         total: b,
                         shed: c,

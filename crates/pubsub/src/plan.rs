@@ -1,7 +1,7 @@
 //! Dissemination plans: the per-RP forwarding state derived from a
 //! constructed overlay forest.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 use teeve_overlay::{Forest, MulticastTree, ProblemInstance};
@@ -83,6 +83,15 @@ impl SitePlan {
             .iter()
             .filter(|e| !e.is_origin())
             .map(|e| e.stream)
+    }
+
+    /// Returns the distinct sites this RP forwards to: the far ends of
+    /// its data links under this plan.
+    pub fn children(&self) -> BTreeSet<SiteId> {
+        self.entries
+            .iter()
+            .flat_map(|e| e.children.iter().map(|c| c.site))
+            .collect()
     }
 
     /// Returns the total number of outgoing stream copies (the RP's actual

@@ -26,14 +26,6 @@ impl SessionSpec {
         }
     }
 
-    /// Overrides the runtime configuration (fallback policy, correlation
-    /// awareness, bandwidth smoothing).
-    #[must_use]
-    pub fn with_config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Returns the session to host.
     pub fn session(&self) -> &Session {
         &self.session

@@ -147,28 +147,6 @@ impl PopularityModel {
         PopularityModel::flat_matched(Self::DEFAULT_ALPHA, Self::DEFAULT_MASS)
     }
 
-    /// Creates an active-uniform model: streams activate with a
-    /// probability matched to `Zipf { alpha, mass }` demand; active
-    /// streams are subscribed with probability `subscribe_probability`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is negative, `mass` is not positive, or
-    /// `subscribe_probability` is outside `(0, 1]`.
-    pub fn active_uniform(alpha: f64, mass: f64, subscribe_probability: f64) -> Self {
-        assert!(alpha >= 0.0, "alpha must be non-negative");
-        assert!(mass > 0.0, "mass must be positive");
-        assert!(
-            subscribe_probability > 0.0 && subscribe_probability <= 1.0,
-            "subscribe_probability must be in (0, 1]"
-        );
-        PopularityModel::ActiveUniform {
-            alpha,
-            mass,
-            subscribe_probability,
-        }
-    }
-
     /// Returns the per-stream subscription probabilities for `m` streams,
     /// sampling any stochastic structure (e.g. which streams are active)
     /// with `rng`. Index 0 is global rank 1. All values are in `[0, 1]`.
