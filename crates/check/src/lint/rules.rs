@@ -24,6 +24,10 @@ pub const RULE_DECODE_BOUNDS: &str = "decode-bounds";
 /// No `std::sync::Mutex`/`RwLock` outside `vendor/`: the workspace
 /// standardizes on `parking_lot` (no lock poisoning to unwrap around).
 pub const RULE_STD_SYNC: &str = "std-sync";
+/// No hand-written `Serialize`/`Deserialize` impl outside `vendor/`:
+/// every first-party type derives them, which is what lets the vendored
+/// serde change how the traits work inside without touching a caller.
+pub const RULE_SERDE_DERIVE_ONLY: &str = "serde-derive-only";
 /// No direct `SystemTime::now` outside the sanctioned clock module
 /// (`teeve_types::clock`); see the roadmap's clock-skew item.
 pub const RULE_CLOCK: &str = "clock";
@@ -40,6 +44,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_WIRE_PARITY,
     RULE_DECODE_BOUNDS,
     RULE_STD_SYNC,
+    RULE_SERDE_DERIVE_ONLY,
     RULE_CLOCK,
     RULE_RELAY_COPY,
     RULE_READ_SCRATCH,
@@ -399,6 +404,37 @@ pub fn std_sync(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
+/// `serde-derive-only`: flags an `impl` line whose trait, the word just
+/// before `for`, is `Serialize` or `Deserialize` (bare, path-qualified or
+/// with generic arguments). Applies to test code too — everything
+/// outside `vendor/`.
+pub fn serde_derive_only(files: &[SourceFile]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for file in files {
+        for (idx, line) in file.clean_lines.iter().enumerate() {
+            if !contains_word(line, "impl") {
+                continue;
+            }
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let hand_impl = words.windows(2).any(|pair| {
+                let name = pair[0].split('<').next().unwrap_or_default();
+                let name = name.rsplit("::").next().unwrap_or_default();
+                pair[1] == "for" && (name == "Serialize" || name == "Deserialize")
+            });
+            if hand_impl {
+                findings.push(Finding::new(
+                    RULE_SERDE_DERIVE_ONLY,
+                    &file.rel,
+                    idx + 1,
+                    "hand-written Serialize/Deserialize impl outside vendor/;                      derive it instead"
+                        .to_owned(),
+                ));
+            }
+        }
+    }
+    findings
+}
+
 /// `clock`: `SystemTime::now` may only appear in the sanctioned clock
 /// module (enforced via the checked-in allowlist, which names that
 /// module — policy lives in data, not in this scanner).
@@ -536,6 +572,7 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     findings.extend(wire_parity(files));
     findings.extend(decode_bounds(files));
     findings.extend(std_sync(files));
+    findings.extend(serde_derive_only(files));
     findings.extend(clock(files));
     findings.extend(relay_copy(files));
     findings.extend(read_scratch(files));
@@ -683,6 +720,32 @@ mod tests {
             fake_file("crates/x/src/c.rs", "use std::sync::{Arc, mpsc};"),
         ];
         assert_eq!(std_sync(&files).len(), 2);
+    }
+
+    #[test]
+    fn serde_derive_only_flags_hand_impls_not_derives_or_bounds() {
+        let files = vec![
+            fake_file("crates/x/src/a.rs", "impl serde::Serialize for Foo {"),
+            fake_file("crates/x/src/b.rs", "impl<'de> Deserialize<'de> for Bar {"),
+            fake_file("crates/x/tests/c.rs", "impl Serialize for Baz {}"),
+            fake_file(
+                "crates/x/src/ok.rs",
+                "#[derive(Serialize, Deserialize)]
+                 fn f<T: Serialize>(x: T) {}
+                 impl<T: Serialize> Display for Wrapper<T> {}
+                 impl SerializeAll for Qux {}",
+            ),
+        ];
+        let findings = serde_derive_only(&files);
+        let paths: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "crates/x/src/a.rs",
+                "crates/x/src/b.rs",
+                "crates/x/tests/c.rs"
+            ]
+        );
     }
 
     #[test]

@@ -405,6 +405,10 @@ struct LoopMetrics {
     threads_per_rp_milli: Gauge,
     wakeup_batch: Histogram,
     dropped_writes: Counter,
+    /// Frames a node's table routed to a child it had no outbound link
+    /// to — the window between a link failing and the coordinator
+    /// reacting to its `LinkFailed`.
+    frames_unrouted: Counter,
     threads: u64,
 }
 
@@ -416,6 +420,7 @@ impl LoopMetrics {
             threads_per_rp_milli: registry.gauge("reactor.threads_per_rp_milli"),
             wakeup_batch: registry.histogram("reactor.wakeup_batch"),
             dropped_writes: registry.counter("reactor.writes.dropped"),
+            frames_unrouted: registry.counter("reactor.frames_unrouted"),
             threads,
         }
     }
@@ -1100,19 +1105,21 @@ impl LoopState {
             effective: tagged.max(planned),
         };
         for child in children {
-            if let Some(&token) = outbound.get(&child.site) {
-                let (header, len) = frame.copy_for(child);
-                queue_write(
-                    entries,
-                    dirty,
-                    &metrics.dropped_writes,
-                    shed,
-                    token,
-                    |out| {
-                        out.push_frame(&header, payload, len);
-                    },
-                );
-            }
+            let Some(&token) = outbound.get(&child.site) else {
+                metrics.frames_unrouted.incr();
+                continue;
+            };
+            let (header, len) = frame.copy_for(child);
+            queue_write(
+                entries,
+                dirty,
+                &metrics.dropped_writes,
+                shed,
+                token,
+                |out| {
+                    out.push_frame(&header, payload, len);
+                },
+            );
         }
         frame.effective
     }
@@ -2007,6 +2014,17 @@ mod tests {
             replies,
             [Message::LinkFailed { child }, Message::Ack { revision: 1 }]
         );
+
+        // Frames the table routes to that child have nowhere to go, and
+        // each one is counted.
+        let unrouted = reactor.telemetry().counter("reactor.frames_unrouted");
+        assert_eq!(unrouted.get(), 0);
+        let mut orders = frames_of(stream_id, 3);
+        orders.push(stats_request(7, 0));
+        send(&mut control, &orders);
+        let delivered = read_next(&mut control, &mut buf, &mut chunk);
+        assert_eq!(report_of(&delivered).0, 7);
+        assert_eq!(unrouted.get(), 3);
 
         // Re-sent with the address, the same table dials the child.
         let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");

@@ -16,9 +16,7 @@
 //! the log serves reads. [`SessionStore::open`] rebuilds the index from
 //! the log and truncates a crash-torn tail — a record either frames and
 //! hashes correctly or everything from it on is discarded, so recovery
-//! is unambiguous. An append is written to the operating system but
-//! never synced to disk, so a returned commit survives a crash of the
-//! process, not a power loss. [`SessionStore::snapshot`] answers "what
+//! is unambiguous. [`SessionStore::snapshot`] answers "what
 //! was this session's state at revision *r*";
 //! [`SessionStore::restore`] hands back a [`RestoredSession`] whose
 //! [`replay`](RestoredSession::replay) rebuilds a live
@@ -26,6 +24,22 @@
 //! persisted event history — epoch reconciliation is deterministic, so
 //! the rebuilt plan is bit-identical to an uninterrupted run's, and the
 //! persisted state of every commit cross-checks the replay as it goes.
+//!
+//! # Durability
+//!
+//! A returned append has reached the operating system, not the disk:
+//! each record is one `write` and nothing calls `sync_data`. A commit
+//! therefore survives a crash of the process but not a power loss or a
+//! kernel crash, and recovery after either still truncates to a clean
+//! record boundary. That is the policy because of what a sync costs
+//! against what a record costs. On a 2-vCPU VM's ext4 disk, a
+//! `sync_data` after each lone record took ≈186 µs, and ≈58 µs per
+//! record when four records shared one write and one sync; the `write`
+//! of a 15 KB record without a sync took ≈8 µs, and encoding it takes
+//! about as long. Group commit — one write (and one sync) for all the
+//! sessions a service pass commits — would buy little while records are
+//! not synced, so it waits for a deployment that needs power-loss
+//! durability.
 //!
 //! # Examples
 //!

@@ -155,26 +155,11 @@ impl SessionStore {
         def: &Session,
         config: RuntimeConfig,
     ) -> Result<(), StoreError> {
-        let record = encode(&LogRecord::Opened {
+        self.record(LogRecord::Opened {
             session,
             def: def.clone(),
             config,
-        })?;
-        let mut inner = self.inner.lock();
-        if inner.sessions.contains_key(&session) {
-            return Err(StoreError::DuplicateSession(session));
-        }
-        append(&mut inner.file, &record)?;
-        inner.sessions.insert(
-            session,
-            History {
-                def: def.clone(),
-                config,
-                commits: Vec::new(),
-                closed: false,
-            },
-        );
-        Ok(())
+        })
     }
 
     /// Appends one epoch commit of `session`.
@@ -190,21 +175,10 @@ impl SessionStore {
         session: SessionId,
         commit: &EpochCommit,
     ) -> Result<(), StoreError> {
-        let record = encode(&LogRecord::Commit {
+        self.record(LogRecord::Commit {
             session,
             commit: commit.clone(),
-        })?;
-        let mut inner = self.inner.lock();
-        match inner.sessions.get(&session) {
-            None => return Err(StoreError::UnknownSession(session)),
-            Some(history) if history.closed => return Err(StoreError::SessionClosed(session)),
-            Some(_) => {}
-        }
-        append(&mut inner.file, &record)?;
-        if let Some(history) = inner.sessions.get_mut(&session) {
-            history.commits.push(commit.clone());
-        }
-        Ok(())
+        })
     }
 
     /// Records the close of `session`; its history stays readable but
@@ -217,17 +191,31 @@ impl SessionStore {
     /// [`StoreError::SessionClosed`] if already closed, or an append
     /// error.
     pub fn record_closed(&self, session: SessionId) -> Result<(), StoreError> {
-        let record = encode(&LogRecord::Closed { session })?;
+        self.record(LogRecord::Closed { session })
+    }
+
+    /// Appends `record` if the index admits it, then folds that same
+    /// record into the index, as recovery does, so it is encoded from
+    /// and moved into the one copy its caller made.
+    fn record(&self, record: LogRecord) -> Result<(), StoreError> {
+        let framed = encode(&record)?;
+        let session = match &record {
+            LogRecord::Opened { session, .. }
+            | LogRecord::Commit { session, .. }
+            | LogRecord::Closed { session } => *session,
+        };
         let mut inner = self.inner.lock();
-        match inner.sessions.get(&session) {
-            None => return Err(StoreError::UnknownSession(session)),
-            Some(history) if history.closed => return Err(StoreError::SessionClosed(session)),
-            Some(_) => {}
+        match (&record, inner.sessions.get(&session)) {
+            (LogRecord::Opened { .. }, Some(_)) => {
+                return Err(StoreError::DuplicateSession(session))
+            }
+            (LogRecord::Opened { .. }, None) => {}
+            (_, None) => return Err(StoreError::UnknownSession(session)),
+            (_, Some(history)) if history.closed => return Err(StoreError::SessionClosed(session)),
+            (_, Some(_)) => {}
         }
-        append(&mut inner.file, &record)?;
-        if let Some(history) = inner.sessions.get_mut(&session) {
-            history.closed = true;
-        }
+        append(&mut inner.file, &framed)?;
+        apply_record(&mut inner.sessions, record);
         Ok(())
     }
 
@@ -348,7 +336,8 @@ fn append(file: &mut File, record: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Folds one recovered record into the index being rebuilt. The log is
+/// Folds one record into the index: each appended record as it is
+/// written, and each recovered one as the index is rebuilt. The log is
 /// written through an API that enforces open-before-commit, so records
 /// violating it cannot occur in a log this store wrote; recovery skips
 /// them rather than guessing.
@@ -486,8 +475,118 @@ impl RestoredSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teeve_geometry::{FieldOfView, Vec3};
     use teeve_runtime::RuntimeEvent;
     use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId};
+
+    /// A log written once by the codec that predates the streaming one,
+    /// and kept as bytes: every later codec must open it and write it
+    /// back identically.
+    const GOLDEN_LOG: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden.log");
+
+    /// The history the golden log holds: one `Opened`, four commits whose
+    /// events cover every `RuntimeEvent` kind (floats such as a unit view
+    /// direction and `1e7 / 3` need shortest round-trip formatting), and
+    /// one `Closed`. Returns the runtime driven through it and the
+    /// records in log order.
+    fn golden_history() -> (SessionId, SessionRuntime, Vec<LogRecord>) {
+        let def = Session::builder(CostMatrix::from_fn(4, |i, j| {
+            CostMs::new(4 + ((i + j) % 3) as u32)
+        }))
+        .cameras_per_site(6)
+        .displays_per_site(2)
+        .symmetric_capacity(Degree::new(12))
+        .build();
+        let config = RuntimeConfig::default();
+        let id = SessionId::new(3);
+        let universe = subscription_universe(&def).expect("universe");
+        let mut runtime = SessionRuntime::new(universe, def.clone(), config)
+            .expect("runtime")
+            .with_scope(id);
+        let display = |site: u32, index: u32| DisplayId::new(SiteId::new(site), index);
+        let epochs = [
+            vec![
+                RuntimeEvent::Viewpoint {
+                    display: display(0, 0),
+                    target: SiteId::new(1),
+                },
+                RuntimeEvent::Viewpoint {
+                    display: display(1, 0),
+                    target: SiteId::new(2),
+                },
+                RuntimeEvent::FovChange {
+                    display: display(2, 1),
+                    fov: FieldOfView::looking_at(Vec3::new(0.3, -0.2, 2.5), Vec3::ZERO, 72.5),
+                },
+            ],
+            vec![
+                RuntimeEvent::BandwidthSample {
+                    site: SiteId::new(0),
+                    bits_per_sec: 1e7 / 3.0,
+                },
+                RuntimeEvent::FovClear {
+                    display: display(1, 0),
+                },
+            ],
+            vec![RuntimeEvent::SiteLeave {
+                site: SiteId::new(3),
+            }],
+            vec![
+                RuntimeEvent::SiteJoin {
+                    site: SiteId::new(3),
+                },
+                RuntimeEvent::Viewpoint {
+                    display: display(3, 0),
+                    target: SiteId::new(0),
+                },
+            ],
+        ];
+        let mut records = vec![LogRecord::Opened {
+            session: id,
+            def,
+            config,
+        }];
+        for events in &epochs {
+            let commit = runtime.apply_epoch(events).commit;
+            records.push(LogRecord::Commit {
+                session: id,
+                commit,
+            });
+        }
+        records.push(LogRecord::Closed { session: id });
+        (id, runtime, records)
+    }
+
+    #[test]
+    fn golden_log_opens_replays_and_reencodes_byte_for_byte() {
+        let (id, runtime, records) = golden_history();
+        let golden = std::fs::read(GOLDEN_LOG).expect("read golden log");
+
+        let mut offset = 0;
+        for record in &records {
+            let (payload, next) = scan_record(&golden, offset).expect("a whole record");
+            let text = std::str::from_utf8(payload).expect("utf-8 payload");
+            let decoded: LogRecord = serde_json::from_str(text).expect("decode");
+            assert_eq!(serde_json::to_string(&decoded).expect("encode"), text);
+            assert_eq!(encode(record).expect("encode"), &golden[offset..next]);
+            offset = next;
+        }
+        assert_eq!(offset, golden.len(), "no record beyond the history");
+
+        // `open` may truncate a torn tail, so it reads a copy.
+        let path =
+            std::env::temp_dir().join(format!("teeve-store-golden-{}.log", std::process::id()));
+        std::fs::write(&path, &golden).expect("copy golden log");
+        let store = SessionStore::open(&path).expect("open");
+        assert_eq!(store.recovered_records(), records.len() as u64);
+        assert_eq!(store.truncated_bytes(), 0);
+        assert!(store.open_sessions().is_empty(), "the session was closed");
+        let restored = store.restore(id).expect("restore");
+        assert_eq!(restored.commits().len(), records.len() - 2);
+        let replayed = restored.replay().expect("replay cross-check");
+        assert_eq!(replayed.plan(), runtime.plan());
+        std::fs::remove_file(&path).ok();
+    }
 
     /// A log framed by an older writer — whose runtime config still
     /// carried `bandwidth_alpha`, `default_score` and
