@@ -24,8 +24,9 @@
 //!   potential deadlock under concurrent callers;
 //! * [`RULE_LOCK_BLOCKING`] — a blocking call (socket read/write/dial,
 //!   `thread::join`, channel `recv`, `sleep`, a readiness `.poll(` wait
-//!   or selector `.register(`/`.reregister(`/`.deregister(` call, …)
-//!   issued while any guard is live;
+//!   or selector `.register(`/`.reregister(`/`.deregister(` call, a
+//!   `DeltaSink`'s `.apply_delta(` dictation, …) issued while any guard
+//!   is live;
 //! * [`RULE_LOCK_DOUBLE`] — re-acquiring a family that already has a
 //!   live guard (`parking_lot` locks are not reentrant).
 //!
@@ -79,6 +80,10 @@ const BLOCKING_TOKENS: &[(&str, &str)] = &[
     (".register(", "poll registration"),
     (".reregister(", "poll registration"),
     (".deregister(", "poll deregistration"),
+    // A `DeltaSink` may dictate the delta over sockets and wait for every
+    // touched RP's ack, so a guard held across it stalls its contenders
+    // for a whole network round trip.
+    (".apply_delta(", "delta dictation"),
 ];
 
 /// How a live guard eventually dies.
@@ -592,6 +597,27 @@ mod tests {
                        std::mem::take(&mut *self.commands.lock());\n    \
                        self.poll.poll(&mut events, timeout);\n}";
         assert!(run_locks_rules(&[fake("crates/x/src/d.rs", drained)]).is_empty());
+    }
+
+    #[test]
+    fn delta_dictation_under_a_slot_guard_is_flagged() {
+        // A bulk drive that hands a session's delta to its sink while
+        // still holding the session's slot lock: every lookup of that
+        // session waits out the dictation's round trip.
+        let held = "fn f(&self) {\n    let mut slot = slot.lock();\n    \
+                    let outcome = slot.runtime.apply_epoch(&epoch);\n    \
+                    sink.apply_delta(&outcome.delta);\n}";
+        let findings = run_locks_rules(&[fake("crates/x/src/a.rs", held)]);
+        assert_eq!(rules_of(&findings), vec![RULE_LOCK_BLOCKING]);
+        assert_eq!(findings[0].line, 4);
+        assert!(findings[0].message.contains("delta dictation"));
+        assert!(findings[0].message.contains("`slot`"));
+
+        // The pipelined drive's shape: the guard is dropped first.
+        let released = "fn f(&self) {\n    let mut slot = slot.lock();\n    \
+                        let outcome = slot.runtime.apply_epoch(&epoch);\n    \
+                        drop(slot);\n    sink.apply_delta(&outcome.delta);\n}";
+        assert!(run_locks_rules(&[fake("crates/x/src/b.rs", released)]).is_empty());
     }
 
     #[test]

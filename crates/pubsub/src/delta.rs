@@ -7,6 +7,7 @@
 //! discrete-event simulator, the live TCP cluster) can repair their
 //! forwarding state in place and keep every unaffected link running.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -174,6 +175,12 @@ impl PlanDelta {
     /// revision + 1 when the caller never stamped `new` (fresh plans all
     /// start at revision 0).
     ///
+    /// Runs in time linear in the two plans' entries: each site's entry
+    /// lists are merge-joined, relying on the
+    /// [`SitePlan`](crate::SitePlan) invariant that entries are sorted by
+    /// stream (every plan derived by [`DisseminationPlan::from_trees`] or
+    /// patched by [`apply`](Self::apply) keeps it).
+    ///
     /// # Panics
     ///
     /// Panics if the plans cover different site counts, or if their
@@ -197,21 +204,34 @@ impl PlanDelta {
         let to_revision = new.revision().max(from_revision + 1);
         let mut changes = Vec::new();
         for (old_sp, new_sp) in old.site_plans().iter().zip(new.site_plans()) {
-            let streams: BTreeSet<StreamId> = old_sp
-                .entries
-                .iter()
-                .chain(&new_sp.entries)
-                .map(|e| e.stream)
-                .collect();
-            for stream in streams {
-                let old_entry = old_sp.entry(stream).cloned();
-                let new_entry = new_sp.entry(stream).cloned();
+            // Both entry lists are sorted by stream: merge-join them, and
+            // clone only the entries that changed.
+            let mut old_entries = old_sp.entries.iter().peekable();
+            let mut new_entries = new_sp.entries.iter().peekable();
+            loop {
+                let order = match (old_entries.peek(), new_entries.peek()) {
+                    (None, None) => break,
+                    (Some(_), None) => Ordering::Less,
+                    (None, Some(_)) => Ordering::Greater,
+                    (Some(o), Some(n)) => o.stream.cmp(&n.stream),
+                };
+                let old_entry = if order.is_le() {
+                    old_entries.next()
+                } else {
+                    None
+                };
+                let new_entry = if order.is_ge() {
+                    new_entries.next()
+                } else {
+                    None
+                };
                 if old_entry != new_entry {
+                    let stream = old_entry.or(new_entry).expect("one side has it").stream;
                     changes.push(EntryChange {
                         site: old_sp.site,
                         stream,
-                        old: old_entry,
-                        new: new_entry,
+                        old: old_entry.cloned(),
+                        new: new_entry.cloned(),
                     });
                 }
             }

@@ -1,7 +1,7 @@
 //! Dissemination plans: the per-RP forwarding state derived from a
 //! constructed overlay forest.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 use teeve_overlay::{Forest, MulticastTree, ProblemInstance};
@@ -166,16 +166,27 @@ impl DisseminationPlan {
     /// [`from_forest`](Self::from_forest) over a borrowed tree slice, for
     /// callers holding live construction state (e.g. the session runtime
     /// deriving a plan every epoch) that should not clone the forest
-    /// first.
+    /// first. Like a forest, the slice holds one tree per stream.
     pub fn from_trees(
         problem: &ProblemInstance,
         trees: &[MulticastTree],
         profile: StreamProfile,
     ) -> Self {
         let n = problem.site_count();
-        let mut per_site: Vec<BTreeMap<StreamId, ForwardingEntry>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
-        for tree in trees {
+        // Trees in stream order, so every site's entries come out sorted
+        // by stream; the problem's groups are already in that order.
+        let mut order: Vec<&MulticastTree> = trees.iter().collect();
+        order.sort_by_key(|tree| tree.stream());
+        let mut per_site: Vec<Vec<ForwardingEntry>> = vec![Vec::new(); n];
+        // One pass over a tree's parent pointers fills every member's
+        // child list, in ascending site order. Every parent is a member,
+        // so each list is moved into its entry below and the buffer is
+        // empty again for the next tree.
+        let mut children: Vec<Vec<ChildLink>> = vec![Vec::new(); n];
+        for tree in order {
+            for (parent, child) in tree.edges() {
+                children[parent.index()].push(ChildLink::full(child));
+            }
             for site in SiteId::all(n) {
                 if !tree.is_member(site) {
                     continue;
@@ -183,11 +194,7 @@ impl DisseminationPlan {
                 let entry = ForwardingEntry {
                     stream: tree.stream(),
                     parent: tree.parent_of(site),
-                    children: tree
-                        .children(site)
-                        .into_iter()
-                        .map(ChildLink::full)
-                        .collect(),
+                    children: std::mem::take(&mut children[site.index()]),
                     quality: Quality::FULL,
                 };
                 // The origin only needs an entry when it actually has
@@ -196,7 +203,7 @@ impl DisseminationPlan {
                 if entry.is_origin() && entry.children.is_empty() {
                     continue;
                 }
-                per_site[site.index()].insert(tree.stream(), entry);
+                per_site[site.index()].push(entry);
             }
         }
         let site_plans = per_site
@@ -204,7 +211,7 @@ impl DisseminationPlan {
             .enumerate()
             .map(|(i, entries)| SitePlan {
                 site: SiteId::new(i as u32),
-                entries: entries.into_values().collect(),
+                entries,
             })
             .collect();
         DisseminationPlan {
@@ -326,12 +333,9 @@ impl DisseminationPlan {
             Err(_) => return false,
         };
         if let Some(parent) = parent {
-            if let Some(up) = self.site_plans[parent.index()]
-                .entries
-                .iter_mut()
-                .find(|e| e.stream == stream)
-            {
-                for child in &mut up.children {
+            let up = &mut self.site_plans[parent.index()].entries;
+            if let Ok(i) = up.binary_search_by_key(&stream, |e| e.stream) {
+                for child in &mut up[i].children {
                     if child.site == site {
                         child.quality = quality;
                     }

@@ -741,13 +741,17 @@ impl SessionRuntime {
         // Stamp the adaptation loop's quality decisions onto the plan:
         // the delta diffed against the previous epoch then carries them
         // to every executor, socket-free when nothing structural moved.
-        for site in SiteId::all(self.session.site_count()) {
-            for stream in plan.deliveries_to(site) {
+        let degraded: Vec<(SiteId, StreamId, Quality)> = plan
+            .site_plans()
+            .iter()
+            .flat_map(|sp| sp.received_streams().map(move |stream| (sp.site, stream)))
+            .filter_map(|(site, stream)| {
                 let quality = self.manager.quality_of(site, stream);
-                if !quality.is_full() {
-                    plan.set_quality(site, stream, quality);
-                }
-            }
+                (!quality.is_full()).then_some((site, stream, quality))
+            })
+            .collect();
+        for (site, stream, quality) in degraded {
+            plan.set_quality(site, stream, quality);
         }
         plan
     }

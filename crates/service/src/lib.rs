@@ -24,12 +24,12 @@
 //!   returns its [`EpochOutcome`](teeve_runtime::EpochOutcome) — the
 //!   session-scoped plan delta, metrics, and durable commit;
 //! * [`MembershipService::drive_all`] advances *every* hosted session one
-//!   epoch, consuming queued events, with worker threads stealing one
-//!   session at a time, and folds the results into a [`ServiceReport`]
+//!   epoch, consuming queued events, one session after another in id
+//!   order, and folds the results into a [`ServiceReport`]
 //!   ([`drive_all_with`](MembershipService::drive_all_with) additionally
 //!   pushes each session's delta into a
 //!   [`DeltaSink`](teeve_pubsub::DeltaSink), typically a `DeltaRouter`
-//!   over per-session executors);
+//!   over per-session executors, as soon as that session is driven);
 //! * [`SessionHandle::close`] (or
 //!   [`MembershipService::close_session`]) removes the session and
 //!   returns its final aggregate report.

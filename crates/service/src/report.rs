@@ -39,8 +39,8 @@ pub struct ServiceReport {
     /// Forwarding entries across all full plans (what delta shipping
     /// avoided re-sending).
     pub plan_entries: usize,
-    /// Sum of every session's reconvergence time. Sessions reconverge in
-    /// parallel, so wall-clock time is lower; this is the total CPU work.
+    /// Sum of every session's reconvergence time: the reconcile work of
+    /// the pass, without the dictation between sessions.
     pub total_reconverge: Duration,
     /// The cross-session reconvergence *distribution* (microseconds):
     /// summed totals hide tenant skew, the p50/p99 spread does not.
@@ -72,27 +72,6 @@ impl ServiceReport {
         self.reconverge
             .record(teeve_telemetry::duration_micros(report.reconverge));
         self.per_session.insert(session, report);
-    }
-
-    /// Merges another report (e.g. one worker thread's share) into this
-    /// one.
-    pub(crate) fn merge(&mut self, other: ServiceReport) {
-        self.sessions += other.sessions;
-        self.events += other.events;
-        self.subscribes += other.subscribes;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.unsubscribes += other.unsubscribes;
-        self.dropped_subscriptions += other.dropped_subscriptions;
-        self.served_full += other.served_full;
-        self.served_degraded += other.served_degraded;
-        self.rebuilds += other.rebuilds;
-        self.delta_entries += other.delta_entries;
-        self.plan_entries += other.plan_entries;
-        self.total_reconverge += other.total_reconverge;
-        self.reconverge.merge(&other.reconverge);
-        self.store_failures += other.store_failures;
-        self.per_session.extend(other.per_session);
     }
 
     /// Mean reconvergence time per driven session, `Duration::ZERO` when
@@ -141,9 +120,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_and_merge_fold_into_totals() {
-        let mut a = ServiceReport::default();
-        a.absorb(
+    fn absorb_folds_into_totals() {
+        let mut r = ServiceReport::default();
+        r.absorb(
             SessionId::new(0),
             EpochReport {
                 events: 3,
@@ -159,8 +138,7 @@ mod tests {
                 ..EpochReport::default()
             },
         );
-        let mut b = ServiceReport::default();
-        b.absorb(
+        r.absorb(
             SessionId::new(1),
             EpochReport {
                 events: 1,
@@ -172,26 +150,25 @@ mod tests {
                 ..EpochReport::default()
             },
         );
-        a.merge(b);
-        assert_eq!(a.sessions, 2);
-        assert_eq!(a.events, 4);
-        assert_eq!(a.subscribes, 10);
-        assert_eq!(a.accepted, 9);
-        assert_eq!(a.rejected, 1);
-        assert_eq!(a.rebuilds, 1);
-        assert_eq!(a.served_full, 2);
-        assert_eq!(a.served_degraded, 1);
-        assert_eq!(a.mean_reconverge(), Duration::from_micros(30));
-        assert_eq!(a.acceptance_ratio(), 0.9);
-        assert_eq!(a.delta_fraction(), 0.25);
-        assert_eq!(a.per_session.len(), 2);
+        assert_eq!(r.sessions, 2);
+        assert_eq!(r.events, 4);
+        assert_eq!(r.subscribes, 10);
+        assert_eq!(r.accepted, 9);
+        assert_eq!(r.rejected, 1);
+        assert_eq!(r.rebuilds, 1);
+        assert_eq!(r.served_full, 2);
+        assert_eq!(r.served_degraded, 1);
+        assert_eq!(r.mean_reconverge(), Duration::from_micros(30));
+        assert_eq!(r.acceptance_ratio(), 0.9);
+        assert_eq!(r.delta_fraction(), 0.25);
+        assert_eq!(r.per_session.len(), 2);
         // Both epochs' reconvergence times landed in the distribution,
         // and its percentiles bracket the observed samples.
-        assert_eq!(a.reconverge.count(), 2);
-        assert_eq!(a.reconverge.min(), 20);
-        assert_eq!(a.reconverge.max(), 40);
-        assert!(a.reconverge_p50() <= a.reconverge_p99());
-        assert!(a.reconverge_p99() >= 40);
+        assert_eq!(r.reconverge.count(), 2);
+        assert_eq!(r.reconverge.min(), 20);
+        assert_eq!(r.reconverge.max(), 40);
+        assert!(r.reconverge_p50() <= r.reconverge_p99());
+        assert!(r.reconverge_p99() >= 40);
     }
 
     #[test]

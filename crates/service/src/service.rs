@@ -1,7 +1,7 @@
 //! The session registry and its lifecycle API.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,7 +28,8 @@ struct Slot {
 struct Inner {
     /// The registry. Read-locked for lookups (cloning out the slot's
     /// `Arc`) and write-locked only for create/close, so every epoch runs
-    /// under its own slot mutex and sessions drive concurrently.
+    /// under its own slot mutex and never holds up a lookup, a create,
+    /// a close, or another session's epoch.
     ///
     /// Lock order: a slot mutex may be taken while holding (or after
     /// re-taking) the `sessions` read lock, never the reverse — no code
@@ -39,7 +40,7 @@ struct Inner {
     sessions: RwLock<BTreeMap<SessionId, Arc<Mutex<Slot>>>>,
     next_id: AtomicU64,
     /// Service-wide metrics: every hosted runtime's epoch phases plus
-    /// the bulk-drive session/fold spans land in this one registry.
+    /// the bulk-drive per-session spans land in this one registry.
     telemetry: MetricsRegistry,
     /// Service-wide flight recorder shared by every hosted runtime.
     recorder: FlightRecorder,
@@ -55,7 +56,7 @@ struct Inner {
 /// workload, this service owns a registry of running
 /// [`SessionRuntime`]s — one membership server each — behind a single
 /// lock. The service is cheaply cloneable (it is an `Arc` handle) and
-/// every method takes `&self`, so it can be shared across worker threads
+/// every method takes `&self`, so it can be shared across threads
 /// freely.
 ///
 /// See the [crate docs](crate) for the lifecycle walkthrough.
@@ -137,9 +138,9 @@ impl MembershipService {
     }
 
     /// The service-wide metrics registry. Every hosted runtime records
-    /// its epoch-phase spans here, and bulk drives add their per-session
-    /// drive and fold spans (`service.drive.*_micros`), so one snapshot
-    /// covers the whole service.
+    /// its epoch-phase spans here, and bulk drives add one
+    /// `service.drive.session_micros` span per driven session, so one
+    /// snapshot covers the whole service.
     pub fn telemetry(&self) -> &MetricsRegistry {
         &self.inner.telemetry
     }
@@ -277,16 +278,14 @@ impl MembershipService {
     /// [`drive_all_with`](Self::drive_all_with) instead, or the
     /// executors' revisions fall behind with no catch-up path.
     ///
-    /// Sessions are handed to parallel worker threads **one at a time**
-    /// from a shared work queue: a worker that drew a cheap session comes
-    /// back for the next one immediately, so one expensive session never
-    /// idles the rest of the pool. Worker count is bounded by the
-    /// machine's parallelism and the session count. An epoch with no
-    /// queued events is still driven — a quiet epoch is a control-plane
-    /// revision, keeping every session's executors in lock-step, exactly
-    /// as [`SessionRuntime::apply_epoch`] does for a single session.
+    /// Sessions are driven one after another on the caller's thread, in
+    /// ascending [`SessionId`] order; each epoch runs under its own slot
+    /// lock only. An epoch with no queued events is still driven — a
+    /// quiet epoch is a control-plane revision, keeping every session's
+    /// executors in lock-step, exactly as [`SessionRuntime::apply_epoch`]
+    /// does for a single session.
     pub fn drive_all(&self) -> ServiceReport {
-        self.drive_all_outcomes().0
+        self.drive_all_with(&mut Discard).0
     }
 
     /// [`drive_all`](Self::drive_all), with every session's emitted
@@ -294,11 +293,15 @@ impl MembershipService {
     /// [`DeltaRouter`](teeve_pubsub::DeltaRouter) holding one executor
     /// per session, which dispatches each delta on its session scope.
     ///
-    /// The parallel reconcile phase runs first; deltas are then applied
-    /// to the sink sequentially in ascending session order (deltas of
-    /// different sessions are independent, so this ordering is only for
-    /// determinism). A rejected delta does **not** stop the others —
-    /// each session's executor fails independently.
+    /// The pass is pipelined per session: a session's epoch is
+    /// reconciled and its commit recorded under its slot lock, and its
+    /// delta goes to the sink as soon as that lock is released, before
+    /// the next session is reconciled. So a session's dictation waits
+    /// for the sessions before it and its own epoch, never for the
+    /// sessions after it. The commit always precedes
+    /// the dictation: a delta an executor holds is already durable. A
+    /// rejected delta does **not** stop the sessions after it — each
+    /// session's executor fails independently.
     ///
     /// Returns the pass's report (the runtimes advanced regardless of
     /// sink outcomes) together with every rejection, `(session, error)`
@@ -309,22 +312,7 @@ impl MembershipService {
         &self,
         sink: &mut S,
     ) -> (ServiceReport, Vec<(SessionId, S::Error)>) {
-        let (report, mut deltas) = self.drive_all_outcomes();
-        deltas.sort_by_key(|(id, _)| *id);
-        let mut rejections = Vec::new();
-        for (id, delta) in &deltas {
-            if let Err(e) = sink.apply_delta(delta) {
-                rejections.push((*id, e));
-            }
-        }
-        (report, rejections)
-    }
-
-    /// The shared bulk-drive core: parallel reconcile over a per-session
-    /// work queue, returning the folded report and every session's
-    /// emitted delta.
-    fn drive_all_outcomes(&self) -> (ServiceReport, Vec<(SessionId, PlanDelta)>) {
-        // Snapshot the registry into a work list. The read lock is held
+        // Snapshot the registry, ascending by id. The read lock is held
         // only for the copy, so creates and closes are never blocked
         // behind overlay repair.
         let work: Vec<(SessionId, Arc<Mutex<Slot>>)> = self
@@ -334,64 +322,15 @@ impl MembershipService {
             .iter()
             .map(|(id, slot)| (*id, Arc::clone(slot)))
             .collect();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(work.len())
-            .max(1);
-        let cursor = AtomicUsize::new(0);
-        if workers == 1 {
-            // Nothing to parallelize: drive inline instead of paying a
-            // spawn/join per pass.
-            return self.steal_sessions(&work, &cursor);
-        }
-        let mut report = ServiceReport::default();
-        let mut deltas = Vec::new();
-        let shares = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| self.steal_sessions(&work, &cursor)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker threads do not panic"))
-                .collect::<Vec<_>>()
-        });
-        let folding = Instant::now();
-        for (share, share_deltas) in shares {
-            report.merge(share);
-            deltas.extend(share_deltas);
-        }
-        self.inner
-            .telemetry
-            .histogram("service.drive.fold_micros")
-            .record_duration(folding.elapsed());
-        (report, deltas)
-    }
-
-    /// One worker's share of a bulk drive: repeatedly claims the next
-    /// undriven session off the shared `work` list (via `cursor`
-    /// fetch-add) until the list is exhausted, and returns the partial
-    /// report and emitted deltas. Stealing is per **session**, so a
-    /// skewed tenant mix — one session with a huge event backlog — costs
-    /// the pass only that session's own reconcile time.
-    fn steal_sessions(
-        &self,
-        work: &[(SessionId, Arc<Mutex<Slot>>)],
-        cursor: &AtomicUsize,
-    ) -> (ServiceReport, Vec<(SessionId, PlanDelta)>) {
-        let mut report = ServiceReport::default();
-        let mut deltas = Vec::new();
         let session_span = self
             .inner
             .telemetry
             .histogram("service.drive.session_micros");
-        loop {
-            let next = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some((id, slot)) = work.get(next) else {
-                break;
-            };
+        let mut report = ServiceReport::default();
+        let mut rejections = Vec::new();
+        for (id, slot) in &work {
             let driving = Instant::now();
-            let mut slot = slot.lock();
+            let mut guard = slot.lock();
             // The snapshot's Arc keeps a slot alive past its removal; a
             // session closed between the snapshot and this lock must not
             // be driven after its final report was read. (Slot guard →
@@ -399,18 +338,23 @@ impl MembershipService {
             if !self.inner.sessions.read().contains_key(id) {
                 continue;
             }
-            let epoch = std::mem::take(&mut slot.pending);
-            let outcome = slot.runtime.apply_epoch(&epoch);
-            // A failed append must not abort the pass over every other
-            // tenant; the report *names* the lost commit.
+            let epoch = std::mem::take(&mut guard.pending);
+            let outcome = guard.runtime.apply_epoch(&epoch);
+            // Committed under the slot lock, so the store sees epochs in
+            // order. A failed append must not abort the pass over every
+            // other tenant; the report *names* the lost commit.
             if self.record_commit(*id, &outcome.commit).is_err() {
                 report.store_failures += 1;
             }
+            // Dictation may block on sockets: never under a slot lock.
+            drop(guard);
             report.absorb(*id, outcome.report);
-            deltas.push((*id, outcome.delta));
             session_span.record_duration(driving.elapsed());
+            if let Err(e) = sink.apply_delta(&outcome.delta) {
+                rejections.push((*id, e));
+            }
         }
-        (report, deltas)
+        (report, rejections)
     }
 
     /// Removes `session` from the registry, returning its aggregate
@@ -508,6 +452,18 @@ fn validate_events(
         }
     }
     Ok(())
+}
+
+/// The sink [`MembershipService::drive_all`] drives into: it drops every
+/// delta.
+struct Discard;
+
+impl DeltaSink for Discard {
+    type Error = std::convert::Infallible;
+
+    fn apply_delta(&mut self, _delta: &PlanDelta) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
 /// A caller's handle on one hosted session.
@@ -714,12 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn skewed_registry_is_stolen_per_session_not_per_shard() {
+    fn skewed_registry_is_driven_inline_once_per_session() {
         // 32 sessions behind the one registry lock, and the work is
         // skewed — one session carries a deep event backlog while most
-        // sit idle. Per-session stealing must (a) bound workers by the
-        // session count, (b) still drive every session exactly one
-        // epoch, and (c) account one drive span per session.
+        // sit idle. The inline pass must (a) drive every session exactly
+        // one epoch and (b) account one drive span per session.
         let service = MembershipService::new();
         let handles: Vec<SessionHandle> = (0..32)
             .map(|_| service.create_session(spec(4)).unwrap())
@@ -745,10 +700,7 @@ mod tests {
             assert_eq!(handle.epoch().unwrap(), 1, "every session advanced once");
             handle.validate().unwrap();
         }
-        // Session-granular accounting: one drive span per tenant. On a
-        // multi-core host the pool genuinely fans out; on one core the
-        // same queue degrades to the inline path — either way the
-        // outcome above is identical.
+        // Session-granular accounting: one drive span per tenant.
         let snapshot = service.telemetry().snapshot();
         assert_eq!(
             snapshot.histograms["service.drive.session_micros"].count(),
@@ -760,6 +712,90 @@ mod tests {
         service.close_session(handles[5].id()).unwrap();
         let second = service.drive_all();
         assert_eq!(second.sessions, 31);
+    }
+
+    /// A sink that checks, at each delta it receives, that the pass is
+    /// pipelined: the delta's session has already advanced (and, on a
+    /// persistent service, committed) while every later session has not
+    /// been touched yet. It rejects one session's delta.
+    struct PipelineProbe {
+        service: MembershipService,
+        ids: Vec<SessionId>,
+        from_epoch: u64,
+        reject: SessionId,
+        seen: Vec<SessionId>,
+    }
+
+    impl DeltaSink for PipelineProbe {
+        type Error = SessionId;
+
+        fn apply_delta(&mut self, delta: &PlanDelta) -> Result<(), SessionId> {
+            let id = delta.scope().expect("service deltas are scoped");
+            let k = self.ids.iter().position(|&s| s == id).expect("hosted");
+            let epoch = |id: SessionId| self.service.handle(id).unwrap().epoch().unwrap();
+            assert_eq!(epoch(id), self.from_epoch + 1, "{id} advanced first");
+            for &later in &self.ids[k + 1..] {
+                assert_eq!(epoch(later), self.from_epoch, "{later} still waits");
+            }
+            if let Some(store) = self.service.store() {
+                let commits = |id| store.commit_count(id).unwrap() as u64;
+                assert_eq!(commits(id), self.from_epoch + 1, "{id} committed first");
+                for &later in &self.ids[k + 1..] {
+                    assert_eq!(commits(later), self.from_epoch, "{later} not yet");
+                }
+            }
+            self.seen.push(id);
+            if id == self.reject {
+                Err(id)
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    fn assert_pass_is_pipelined(service: &MembershipService) {
+        let ids: Vec<SessionId> = (0..5)
+            .map(|_| service.create_session(spec(4)).unwrap().id())
+            .collect();
+        for (pass, from_epoch) in [(0u32, 0u64), (1, 1)] {
+            for (i, &id) in ids.iter().enumerate() {
+                service
+                    .submit_requests(id, [viewpoint(0, 0, 1 + (i as u32 + pass) % 3)])
+                    .unwrap();
+            }
+            let mut probe = PipelineProbe {
+                service: service.clone(),
+                ids: ids.clone(),
+                from_epoch,
+                reject: ids[2],
+                seen: Vec::new(),
+            };
+            let (report, rejections) = service.drive_all_with(&mut probe);
+            assert_eq!(probe.seen, ids, "dictated in ascending id order");
+            assert_eq!(report.sessions, 5);
+            assert_eq!(report.store_failures, 0);
+            // The middle session's rejection stopped none after it.
+            assert_eq!(rejections, vec![(ids[2], ids[2])]);
+            for &id in &ids {
+                assert_eq!(service.handle(id).unwrap().epoch().unwrap(), from_epoch + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn drive_all_with_dictates_each_session_as_soon_as_it_is_driven() {
+        assert_pass_is_pipelined(&MembershipService::new());
+    }
+
+    #[test]
+    fn drive_all_with_commits_each_session_before_dictating_it() {
+        let path =
+            std::env::temp_dir().join(format!("teeve-service-pipeline-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let service = MembershipService::recover(SessionStore::open(&path).unwrap()).unwrap();
+        assert_pass_is_pipelined(&service);
+        drop(service);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

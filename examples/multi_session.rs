@@ -3,9 +3,8 @@
 //! The paper's membership server dictates *one* session. Here a service
 //! hosts a handful of independent sessions at once: each gets its own
 //! scoped runtime in the registry, churn events are queued per session,
-//! and `drive_all` advances every session one epoch, worker threads
-//! stealing one session at a time. Per-session and service-wide reports
-//! come out at the end.
+//! and `drive_all` advances every session one epoch, one session after
+//! another. Per-session and service-wide reports come out at the end.
 //!
 //! Run with: `cargo run --example multi_session`
 
@@ -47,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Eight rounds: queue each session's seeded churn, then advance
-    //    the whole service one epoch in a single parallel pass.
+    //    the whole service one epoch in a single pass.
     println!(
         "\n{:>5} {:>8} {:>7} {:>6} {:>6} {:>7} {:>9} {:>10}",
         "round", "sessions", "events", "joins", "rej", "delta", "plan", "work µs"

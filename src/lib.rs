@@ -24,8 +24,8 @@
 //!   tearing down unaffected links;
 //! * [`service`] — the multi-session membership service: one registry
 //!   of owned session runtimes with a full lifecycle API (create /
-//!   submit / drive / close) and a parallel, per-session work-stealing
-//!   bulk driver;
+//!   submit / drive / close) and a bulk driver that dictates each
+//!   session's delta as soon as that session is driven;
 //! * [`sim`] — discrete-event dissemination simulator: replans and
 //!   faults in one run;
 //! * [`net`] — live TCP rendezvous points as process-separable nodes

@@ -530,3 +530,156 @@ proptest! {
         prop_assert_eq!(forward, fit_qualities(&ladder, Some(budget), &streams));
     }
 }
+
+/// The plan derivation `DisseminationPlan::from_trees` replaced: every
+/// (tree, member) pair, children found by `MulticastTree::children`'s
+/// scan, entries keyed by stream.
+fn reference_site_plans(
+    n: usize,
+    trees: &[teeve::overlay::MulticastTree],
+) -> Vec<teeve::pubsub::SitePlan> {
+    use std::collections::BTreeMap;
+    use teeve::pubsub::{ChildLink, ForwardingEntry, SitePlan};
+    use teeve::types::Quality;
+
+    let mut per_site: Vec<BTreeMap<StreamId, ForwardingEntry>> = vec![BTreeMap::new(); n];
+    for tree in trees {
+        for site in SiteId::all(n) {
+            if !tree.is_member(site) {
+                continue;
+            }
+            let entry = ForwardingEntry {
+                stream: tree.stream(),
+                parent: tree.parent_of(site),
+                children: tree
+                    .children(site)
+                    .into_iter()
+                    .map(ChildLink::full)
+                    .collect(),
+                quality: Quality::FULL,
+            };
+            if entry.is_origin() && entry.children.is_empty() {
+                continue;
+            }
+            per_site[site.index()].insert(tree.stream(), entry);
+        }
+    }
+    per_site
+        .into_iter()
+        .enumerate()
+        .map(|(i, entries)| SitePlan {
+            site: SiteId::new(i as u32),
+            entries: entries.into_values().collect(),
+        })
+        .collect()
+}
+
+/// The diff `PlanDelta::diff` replaced: per site, the union of both
+/// sides' streams in a `BTreeSet`, each entry found by linear search and
+/// cloned.
+fn reference_changes(
+    old: &DisseminationPlan,
+    new: &DisseminationPlan,
+) -> Vec<teeve::pubsub::EntryChange> {
+    use std::collections::BTreeSet;
+    use teeve::pubsub::EntryChange;
+
+    let mut changes = Vec::new();
+    for (old_sp, new_sp) in old.site_plans().iter().zip(new.site_plans()) {
+        let streams: BTreeSet<StreamId> = old_sp
+            .entries
+            .iter()
+            .chain(&new_sp.entries)
+            .map(|e| e.stream)
+            .collect();
+        for stream in streams {
+            let old_entry = old_sp.entry(stream).cloned();
+            let new_entry = new_sp.entry(stream).cloned();
+            if old_entry != new_entry {
+                changes.push(EntryChange {
+                    site: old_sp.site,
+                    stream,
+                    old: old_entry,
+                    new: new_entry,
+                });
+            }
+        }
+    }
+    changes
+}
+
+/// Stamps a quality rung on every `stride`-th received entry of `plan`
+/// (rungs cycle 1..=3), so diffs see quality-only changes too.
+fn stamp_qualities(plan: &mut DisseminationPlan, stride: usize, salt: usize) {
+    use teeve::types::Quality;
+
+    let received: Vec<(SiteId, StreamId)> = plan
+        .site_plans()
+        .iter()
+        .flat_map(|sp| sp.received_streams().map(move |s| (sp.site, s)))
+        .collect();
+    for (i, (site, stream)) in received.into_iter().enumerate() {
+        if (i + salt).is_multiple_of(stride) {
+            plan.set_quality(site, stream, Quality::new(1 + ((i + salt) % 3) as u8));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Under seeded churn, `from_trees` derives exactly the plan the
+    /// per-(tree, site) `children` scan derives, and `PlanDelta::diff`
+    /// between any two revisions (quality stamps included) lists exactly
+    /// the `BTreeSet` diff's changes, in the same site-then-stream order.
+    #[test]
+    fn derive_and_diff_match_their_reference_forms(
+        n in 3usize..8,
+        capacity in 1u32..8,
+        edges in proptest::collection::vec((0u8..8, 0u8..8, 0u8..4), 1..80),
+        ops in proptest::collection::vec((proptest::bool::ANY, 0usize..128), 0..60),
+        split in 0usize..60,
+        strides in (1usize..5, 1usize..5),
+        cost_seed in 0u8..255,
+    ) {
+        use teeve::overlay::OverlayManager;
+
+        let Some(problem) = arbitrary_problem(n, capacity, 30, &edges, cost_seed) else {
+            return Ok(());
+        };
+        let requests: Vec<_> = problem
+            .requests()
+            .map(|r| (r.subscriber, r.stream))
+            .collect();
+        if requests.is_empty() {
+            return Ok(());
+        }
+        let mut manager = OverlayManager::new(problem.clone());
+        let mut plans = Vec::new();
+        let split = split.min(ops.len());
+        for chunk in [&ops[..split], &ops[split..]] {
+            for &(join, pick) in chunk {
+                let (sub, stream) = requests[pick % requests.len()];
+                if join {
+                    let _ = manager.subscribe(sub, stream);
+                } else {
+                    let _ = manager.unsubscribe(sub, stream);
+                }
+            }
+            let trees = manager.state().trees();
+            let plan = DisseminationPlan::from_trees(&problem, trees, StreamProfile::default());
+            prop_assert_eq!(plan.site_plans(), &reference_site_plans(n, trees)[..]);
+            plans.push(plan);
+        }
+        let (mut before, mut after) = (plans[0].clone(), plans[1].clone());
+        let diff_matches = |old: &DisseminationPlan, new: &DisseminationPlan| {
+            PlanDelta::diff(old, new).changes() == reference_changes(old, new).as_slice()
+        };
+        prop_assert!(diff_matches(&before, &after));
+        stamp_qualities(&mut before, strides.0, 0);
+        stamp_qualities(&mut after, strides.1, 1);
+        for (old, new) in [(&before, &after), (&after, &before), (&before, &plans[0])] {
+            prop_assert!(diff_matches(old, new));
+        }
+    }
+}
