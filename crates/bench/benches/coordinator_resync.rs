@@ -1,13 +1,14 @@
 //! Coordinator resync latency versus fleet size: how long does a
 //! restarted membership server take to re-adopt a live RP fleet?
 //!
-//! One reconnect is the full recovery round on real sockets — a fresh
+//! One `connect` to a live fleet is the full recovery round on real
+//! sockets — a fresh
 //! `Attach` per RP, a `ResyncQuery`/`ResyncReply` round reading each
 //! RP's revision, re-dictation of the latest revision as the ack barrier
 //! (which finds every link in place and dials nothing), and the baseline
 //! stats probe — measured against running ring fleets
-//! of 4, 16, and 64 sites. Each iteration reconnects and detaches, so
-//! the same headless fleet is re-adopted over and over.
+//! of 4, 16, and 64 sites. Each iteration connects and detaches, so the
+//! same headless fleet is re-adopted over and over.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -82,8 +83,8 @@ fn bench_coordinator_resync(c: &mut Criterion) {
 
         group.bench_function(BenchmarkId::new("sites", sites), |b| {
             b.iter(|| {
-                Coordinator::reconnect(&plan, &addrs, &config)
-                    .expect("reconnect")
+                Coordinator::connect(&plan, &addrs, &config)
+                    .expect("re-adopt")
                     .detach();
             })
         });
@@ -93,15 +94,15 @@ fn bench_coordinator_resync(c: &mut Criterion) {
         let rounds = 20u32;
         let timer = Instant::now();
         for _ in 0..rounds {
-            Coordinator::reconnect(&plan, &addrs, &config)
-                .expect("reconnect")
+            Coordinator::connect(&plan, &addrs, &config)
+                .expect("re-adopt")
                 .detach();
         }
         let mean_micros = timer.elapsed().as_micros() as f64 / f64::from(rounds);
         println!("resync over {sites} sites: {mean_micros:.0} us/reconnect");
 
         // Re-adopt one last time to shut the fleet down for real.
-        drop(Coordinator::reconnect(&plan, &addrs, &config).expect("final reconnect"));
+        drop(Coordinator::connect(&plan, &addrs, &config).expect("final re-adoption"));
         for node in nodes {
             node.stop();
             node.join();

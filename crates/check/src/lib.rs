@@ -20,8 +20,8 @@
 //! double-acquisitions of one lock family.
 //!
 //! The dictation protocol (revision-tagged `Reconfigure`/`Ack` with an
-//! ack barrier, absorbing poisoning, quality-stamped forwarding tables,
-//! crash/reconnect/resync) is only ever *tested* on clean
+//! ack barrier, a timed-out barrier healed by resync, quality-stamped
+//! forwarding tables, crash/reconnect/resync) is only ever *tested* on clean
 //! interleavings; [`model`] explores it exhaustively at small scope —
 //! every reordering, drop, duplication, and coordinator crash the
 //! bounded network allows — and proves eight invariants on every
@@ -32,7 +32,7 @@
 //! |---|---|
 //! | `revision-monotone`   | an RP's applied revision never decreases |
 //! | `ack-valid`           | no `Ack` for a revision never delivered to that RP |
-//! | `poison-absorbing`    | a poisoned coordinator never dictates again |
+//! | `poison-absorbing`    | no later revision is dictated before a failed barrier's heal completes |
 //! | `quality-monotone`    | effective quality only degrades along forwarding paths |
 //! | `acyclic-forwarding`  | no reachable mixed table forwards in a cycle |
 //! | `resync-continuity`   | RPs keep forwarding their last-applied table through coordinator absence |

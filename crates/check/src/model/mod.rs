@@ -13,14 +13,17 @@
 //! * an RP applies a `Reconfigure` iff its revision is `>=` the table it
 //!   runs ([`swap_table`], the exact rule `dispatch` uses — wholesale
 //!   replace, never merge) and *always* acknowledges, so coordinator
-//!   retries converge;
-//! * an unfinished ack barrier may time out at any moment, **poisoning**
-//!   the coordinator: no further dictation, ever.
+//!   retries converge.
 //!
 //! Scopes with a reconnect budget ([`ModelConfig::with_crash`]) add rung
-//! 1 of the resilience ladder — modeled *before* it is built, so the
-//! reconnect implementation has a verified shape to conform to:
+//! 1 of the resilience ladder — modeled *before* it was built, so the
+//! reconnect and heal implementation has a verified shape to conform to:
 //!
+//! * an unfinished ack barrier may time out at any moment, **poisoning**
+//!   the coordinator until it heals: it drops its connections and runs
+//!   the same resync round a reconnect runs, re-dictating its current
+//!   revision, and dictates no later revision before that barrier
+//!   completes;
 //! * the coordinator may **crash** at any moment, killing its sockets:
 //!   coordinator-inbound messages in flight (`Ack`, `ResyncReply`) are
 //!   lost, RP-inbound messages survive in kernel buffers, and RPs keep
@@ -85,8 +88,8 @@ pub enum Mutation {
     /// RPs acknowledge one revision beyond the one delivered (breaks
     /// `ack-valid`).
     PhantomAck,
-    /// The coordinator's timeout path dictates again instead of staying
-    /// poisoned (breaks `poison-absorbing`).
+    /// The coordinator dictates the next revision before a failed
+    /// barrier's heal completes (breaks `poison-absorbing`).
     DictateAfterPoison,
     /// RPs re-encode frames at their planned rung, discarding the
     /// incoming tag (breaks `quality-monotone`).
@@ -103,9 +106,9 @@ pub enum Mutation {
     /// can invalidate its view after the reply was sent (breaks
     /// `resync-view`).
     ResyncSkip,
-    /// The reconnected coordinator resumes from the *minimum* revision
-    /// its resync replies report, rolling its dictation watermark back
-    /// (breaks `reconnect-regression`).
+    /// The reconnected or healing coordinator resumes from the *minimum*
+    /// revision its resync replies report, rolling its dictation
+    /// watermark back (breaks `reconnect-regression`).
     ReconnectRewind,
 }
 
@@ -158,8 +161,9 @@ pub struct ModelConfig {
     pub duplicates: bool,
     /// Total duplication budget per run (bounds the state space).
     pub max_dups: u8,
-    /// How many times the coordinator may crash and reconnect (0 keeps
-    /// the legacy crash-free machine and its exact state space).
+    /// How many times the coordinator may crash and reconnect, or time
+    /// out a barrier and heal, in all (0 keeps a coordinator that never
+    /// fails: its barriers wait).
     pub reconnects: u8,
     /// Exploration safety valve; hitting it marks the report truncated.
     pub max_states: usize,
@@ -191,7 +195,8 @@ impl ModelConfig {
         self
     }
 
-    /// Enables coordinator crash/reconnect with the given budget.
+    /// Enables coordinator crash/reconnect and barrier timeout/heal with
+    /// the given budget.
     pub fn with_crash(mut self, reconnects: u8) -> ModelConfig {
         self.reconnects = reconnects;
         self
@@ -260,7 +265,8 @@ struct State {
     acked: Vec<bool>,
     /// Coordinator: highest revision dictated so far.
     dictated: u8,
-    /// Coordinator: a failed ack barrier poisoned it.
+    /// Coordinator: a failed ack barrier poisoned it, and the heal's
+    /// barrier has not completed yet.
     poisoned: bool,
     /// Count of dictations issued while poisoned (the `poison-absorbing`
     /// invariant says this stays 0).
@@ -320,6 +326,33 @@ impl State {
 
     fn all_acked(&self) -> bool {
         self.acked.iter().all(|&a| a)
+    }
+
+    /// The coordinator's sockets die: coordinator-inbound messages in
+    /// flight are lost; RP-inbound ones survive in the RPs' kernel
+    /// buffers.
+    fn drop_connections(&mut self) {
+        self.net
+            .retain(|m| matches!(m, Msg::Reconfigure { .. } | Msg::ResyncQuery { .. }));
+    }
+
+    /// Opens a resync round: the coordinator forgets its view and
+    /// queries every RP before it may dictate again.
+    fn open_resync(&mut self, rps: usize) {
+        self.resyncing = true;
+        self.view = vec![None; rps];
+        self.acked = vec![false; rps];
+        for dst in 0..rps {
+            self.net.push(Msg::ResyncQuery { dst: dst as u8 });
+        }
+        self.normalize();
+    }
+
+    /// A heal is complete once its re-dictation barrier is.
+    fn settle(&mut self) {
+        if self.poisoned && !self.resyncing && self.all_acked() {
+            self.poisoned = false;
+        }
     }
 
     fn summary(&self) -> String {
@@ -411,9 +444,10 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
     let mut out = Vec::new();
 
     // Dictate the next revision once the previous barrier completed. The
-    // DictateAfterPoison mutant treats a poisoned (abandoned) barrier as
-    // license to continue — the exact bug poisoning exists to prevent.
-    // A crashed or still-resyncing coordinator may not dictate at all.
+    // DictateAfterPoison mutant treats a poisoned barrier as license to
+    // continue before its heal completes — the exact bug poisoning
+    // exists to prevent. A crashed or still-resyncing coordinator may
+    // not dictate at all.
     let next_rev = s.dictated + 1;
     if next_rev <= cfg.revisions && !s.crashed && !s.resyncing {
         let barrier_open = if mutation == Mutation::DictateAfterPoison {
@@ -463,31 +497,35 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
     }
 
     // An unfinished barrier may time out at any moment (timeouts race
-    // with in-flight messages), poisoning the coordinator. No timeout
-    // runs while the coordinator is down or mid-resync (the reconnect
-    // path resets the barrier itself).
-    if !s.poisoned && s.dictated > 0 && !s.all_acked() && !s.crashed && !s.resyncing {
+    // with in-flight messages; within budget), poisoning the coordinator
+    // until it heals: it drops its connections and opens the resync
+    // round a reconnect opens. No timeout runs while the coordinator is
+    // down or mid-resync (the reconnect path resets the barrier itself).
+    let budget_left = s.reconnects_used < cfg.reconnects;
+    if budget_left && s.dictated > 0 && !s.all_acked() && !s.crashed && !s.resyncing {
         let mut n = s.clone();
         n.poisoned = true;
+        n.reconnects_used += 1;
+        n.drop_connections();
+        n.open_resync(cfg.rps);
         out.push(Succ {
-            action: "Poison (ack barrier timed out)".to_owned(),
+            action: "Poison (ack barrier timed out; heal with resync queries to every RP)"
+                .to_owned(),
             state: n,
             violation: None,
         });
     }
 
     // The coordinator connection may die at any moment (within budget).
-    // Its sockets go with it: coordinator-inbound messages in flight are
-    // lost; RP-inbound messages survive in the RPs' kernel buffers. The
-    // DisconnectWipe mutant also stops the RP data planes — the exact
-    // bug `resync-continuity` exists to catch.
-    if !s.crashed && !s.poisoned && s.reconnects_used < cfg.reconnects {
+    // Its sockets go with it. The DisconnectWipe mutant also stops the
+    // RP data planes — the exact bug `resync-continuity` exists to
+    // catch.
+    if budget_left && !s.crashed {
         let mut n = s.clone();
         n.crashed = true;
         n.resyncing = false;
         n.reconnects_used += 1;
-        n.net
-            .retain(|m| matches!(m, Msg::Reconfigure { .. } | Msg::ResyncQuery { .. }));
+        n.drop_connections();
         if mutation == Mutation::DisconnectWipe {
             n.serving = vec![false; cfg.rps];
         }
@@ -504,13 +542,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
     if s.crashed {
         let mut n = s.clone();
         n.crashed = false;
-        n.resyncing = true;
-        n.view = vec![None; cfg.rps];
-        n.acked = vec![false; cfg.rps];
-        for dst in 0..cfg.rps {
-            n.net.push(Msg::ResyncQuery { dst: dst as u8 });
-        }
-        n.normalize();
+        n.open_resync(cfg.rps);
         out.push(Succ {
             action: "Reconnect (resync queries to every RP)".to_owned(),
             state: n,
@@ -530,6 +562,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
         match mutation {
             Mutation::ResyncSkip => {
                 n.acked = vec![true; cfg.rps];
+                n.settle();
                 out.push(Succ {
                     action: "Resync complete (trust replies, no re-dictation)".to_owned(),
                     state: n,
@@ -642,6 +675,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
                 });
                 if rev == n.dictated {
                     n.acked[r] = true;
+                    n.settle();
                 }
                 // An ack also refreshes the post-resync view: the RP
                 // provably runs (at least) `rev` now.
@@ -724,7 +758,8 @@ fn state_violation(mutation: Mutation, s: &State) -> Option<Violation> {
         return Some(Violation {
             invariant: "poison-absorbing",
             detail: format!(
-                "coordinator dictated {} time(s) after poisoning",
+                "coordinator dictated {} later revision(s) before the failed barrier's \
+                 heal completed",
                 s.post_poison_dictations
             ),
         });
@@ -832,7 +867,8 @@ pub fn explore(cfg: &ModelConfig, mutation: Mutation) -> ModelReport {
 
 /// The bounded scopes the CI gate sweeps with the faithful machine: all
 /// fleet sizes, both revision depths, and every fault combination that
-/// stays tractable at that scope.
+/// stays tractable at that scope. Barriers time out and heal only in the
+/// scopes with a reconnect budget.
 pub fn default_sweep() -> Vec<ModelConfig> {
     vec![
         ModelConfig::new(2, 2),
@@ -849,12 +885,15 @@ pub fn default_sweep() -> Vec<ModelConfig> {
         ModelConfig::new(4, 2),
         ModelConfig::new(4, 2).with_drops(),
         ModelConfig::new(4, 3),
-        // Rung 1 of the resilience ladder: coordinator crash/reconnect.
+        // Rung 1 of the resilience ladder: coordinator crash/reconnect,
+        // and a timed-out barrier's heal.
         ModelConfig::new(2, 2).with_crash(1),
         ModelConfig::new(2, 2).with_crash(1).with_drops(),
         ModelConfig::new(2, 2).with_crash(1).with_duplicates(),
         ModelConfig::new(3, 2).with_crash(1),
+        ModelConfig::new(3, 2).with_crash(1).with_drops(),
         ModelConfig::new(2, 3).with_crash(1),
+        ModelConfig::new(3, 3).with_crash(1),
     ]
 }
 
@@ -866,7 +905,8 @@ pub fn mutation_scope(mutation: Mutation) -> ModelConfig {
         // A stale Reconfigure can only outlive its barrier as a duplicate.
         Mutation::RevisionRollback => ModelConfig::new(2, 2).with_duplicates(),
         Mutation::PhantomAck => ModelConfig::new(2, 2),
-        Mutation::DictateAfterPoison => ModelConfig::new(2, 2),
+        // Needs a budget for the barrier to time out and heal.
+        Mutation::DictateAfterPoison => ModelConfig::new(2, 2).with_crash(1),
         // Needs a chain deep enough for an effective rung above the
         // star's planned leaf rung.
         Mutation::QualityUpgrade => ModelConfig::new(4, 2),
@@ -877,8 +917,8 @@ pub fn mutation_scope(mutation: Mutation) -> ModelConfig {
         // Needs the backlog race: a pre-crash Reconfigure delivered
         // after that RP's resync reply was sent.
         Mutation::ResyncSkip => ModelConfig::new(2, 2).with_crash(1),
-        // Needs one completed barrier before the crash so the replies
-        // can sit below the watermark.
+        // Needs one dictated revision before the crash or the timed-out
+        // barrier, so the replies can sit below the watermark.
         Mutation::ReconnectRewind => ModelConfig::new(2, 2).with_crash(1),
     }
 }
@@ -924,9 +964,11 @@ mod tests {
     #[test]
     fn poisoning_is_reachable_and_absorbing_in_the_healthy_machine() {
         // With drops on, some ack never arrives and poisoning triggers;
-        // the healthy machine must still satisfy poison-absorption.
-        let report = explore(&ModelConfig::new(2, 2).with_drops(), Mutation::None);
-        assert!(report.violation.is_none());
+        // the healthy machine heals, and dictates nothing later first.
+        let cfg = ModelConfig::new(2, 2).with_drops().with_crash(1);
+        let report = explore(&cfg, Mutation::None);
+        assert!(report.violation.is_none(), "{:?}", report.violation);
+        assert!(!report.truncated);
     }
 
     #[test]
@@ -1037,6 +1079,70 @@ mod tests {
         let s = step(&cfg, &s, "Dictate revision 2");
         assert_eq!(s.dictated, 2);
         assert_eq!(s.max_dictated, 2);
+    }
+
+    #[test]
+    fn a_failed_barrier_heals_and_the_protocol_moves_on() {
+        let cfg = ModelConfig::new(2, 2).with_crash(1);
+        let mut s = State::initial(&cfg);
+        for prefix in [
+            "Dictate revision 1",
+            "Deliver Reconfigure(rev 1) to rp0",
+            "Deliver Ack(rev 1) from rp0",
+            "Poison",
+        ] {
+            s = step(&cfg, &s, prefix);
+        }
+        // The heal dropped the coordinator's connections and opened a
+        // resync round; rp1's Reconfigure survives in its buffers.
+        assert!(s.poisoned && s.resyncing);
+        assert_eq!(s.reconnects_used, 1);
+        for prefix in [
+            "Deliver ResyncQuery to rp0",
+            "Deliver ResyncQuery to rp1",
+            "Deliver ResyncReply(rev 1) from rp0",
+            "Deliver ResyncReply(rev 0) from rp1",
+            "Resync complete (re-dictate revision 1",
+            "Deliver Reconfigure(rev 1) to rp0",
+            "Deliver Ack(rev 1) from rp0",
+            "Deliver Reconfigure(rev 1) to rp1",
+        ] {
+            s = step(&cfg, &s, prefix);
+        }
+        // No later revision before the heal's barrier completes…
+        assert!(successors(&cfg, Mutation::None, &s)
+            .iter()
+            .all(|succ| !succ.action.starts_with("Dictate")));
+        s = step(&cfg, &s, "Deliver Ack(rev 1) from rp1");
+        assert!(!s.poisoned, "the heal completed with its barrier");
+        // …and the protocol moves on once it has.
+        let s = step(&cfg, &s, "Dictate revision 2");
+        assert_eq!(s.dictated, 2);
+    }
+
+    #[test]
+    fn a_heal_rewound_to_the_old_revision_is_a_regression() {
+        let cfg = ModelConfig::new(2, 2).with_crash(1);
+        let mut s = State::initial(&cfg);
+        for prefix in [
+            "Dictate revision 1",
+            "Poison",
+            "Deliver ResyncQuery to rp0",
+            "Deliver ResyncQuery to rp1",
+            "Deliver ResyncReply(rev 0) from rp0",
+            "Deliver ResyncReply(rev 0) from rp1",
+        ] {
+            s = step(&cfg, &s, prefix);
+        }
+        let rewound = successors(&cfg, Mutation::ReconnectRewind, &s)
+            .into_iter()
+            .find(|succ| {
+                succ.action
+                    .starts_with("Resync complete (rewind to revision 0")
+            })
+            .expect("the rewinding heal");
+        let violation = state_violation(Mutation::ReconnectRewind, &rewound.state);
+        assert_eq!(violation.map(|v| v.invariant), Some("reconnect-regression"));
     }
 
     #[test]

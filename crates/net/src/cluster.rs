@@ -31,9 +31,10 @@ use crate::reactor::{Reactor, RpNodeHandle};
 ///    RP processes (the multi-process smoke test holds it to that,
 ///    bit-for-bit on delivery accounting).
 ///
-/// A failed reconfiguration poisons the underlying coordinator: further
-/// `publish`/`apply_delta` calls return [`ClusterError::Poisoned`]
-/// instead of operating on an unknown plan state; shut the cluster down.
+/// A failed reconfiguration or batch heals in place: the next
+/// `publish`/`apply_delta` first converges the whole fleet onto the
+/// target plan again, as [`Coordinator::connect`] does, and fails with
+/// that step's error, naming the RP, if it cannot.
 pub struct LiveCluster {
     // Field order is drop order: dropping the coordinator first orders
     // every RP down over the wire, then the fleet stops its nodes
@@ -136,12 +137,12 @@ impl LiveCluster {
         &self.coordinator
     }
 
-    /// Returns the plan the cluster currently executes.
+    /// Returns the target plan; see [`Coordinator::plan`].
     pub fn plan(&self) -> &DisseminationPlan {
         self.coordinator().plan()
     }
 
-    /// Returns the plan revision the cluster currently runs.
+    /// Returns the target plan's revision.
     pub fn revision(&self) -> u64 {
         self.coordinator().revision()
     }
@@ -156,12 +157,6 @@ impl LiveCluster {
     /// so far.
     pub fn connections_closed(&self) -> u64 {
         self.coordinator().connections_closed()
-    }
-
-    /// Returns true when a failed reconfiguration has poisoned the
-    /// cluster; see [`ClusterError::Poisoned`].
-    pub fn is_poisoned(&self) -> bool {
-        self.coordinator().is_poisoned()
     }
 
     /// The coordinator's metrics registry (Reconfigure→Ack round-trip
@@ -194,8 +189,8 @@ impl LiveCluster {
     /// # Errors
     ///
     /// Returns [`ClusterError::Shed`] or [`ClusterError::Timeout`] if the
-    /// batch does not fully deliver within `config.timeout`, or
-    /// [`ClusterError::Poisoned`] after a failed reconfiguration.
+    /// batch does not fully deliver within `config.timeout`, or the
+    /// error of the heal that follows a failed call.
     pub fn publish(&mut self, frames: u64) -> Result<(), ClusterError> {
         self.coordinator.publish(frames)
     }
@@ -206,9 +201,9 @@ impl LiveCluster {
     /// # Errors
     ///
     /// Returns an error when the delta's revision does not match the
-    /// cluster's, the delta does not apply to the current plan, a socket
-    /// operation fails, or an RP does not acknowledge in time. A failure
-    /// after validation poisons the cluster.
+    /// target's, the delta does not apply to the target plan, a socket
+    /// operation fails, or an RP does not acknowledge in time. The next
+    /// call heals a failure after validation.
     pub fn apply_delta(&mut self, delta: &PlanDelta) -> Result<ReconfigureReport, ClusterError> {
         self.coordinator.apply_delta(delta)
     }
@@ -742,10 +737,10 @@ mod tests {
         let expected = [("Ack", 3), ("Hello", 1), ("Peers", 1), ("Reconfigure", 3)];
         assert_eq!(taps.take(), tally(&expected), "one delta's traffic");
 
-        // A successor re-dictates the same tables: every RP already
-        // follows its table, so no data path sees a Hello.
+        // A successor connects and re-dictates the same tables: every RP
+        // already follows its table, so no data path sees a Hello.
         coordinator.detach();
-        let mut coordinator = Coordinator::reconnect(&plan_b, &addrs, &config).expect("reconnect");
+        let mut coordinator = Coordinator::connect(&plan_b, &addrs, &config).expect("re-adopt");
         let expected = [
             ("Ack", 3),
             ("Attach", 3),
@@ -756,7 +751,7 @@ mod tests {
             ("ResyncReply", 3),
             ("StatsRequest", 3),
         ];
-        assert_eq!(taps.take(), tally(&expected), "one reconnect's traffic");
+        assert_eq!(taps.take(), tally(&expected), "one re-adoption's traffic");
 
         // Nor does one later: the batch's traffic is the batch's own.
         coordinator.publish(2).expect("the moved stream delivers");
@@ -906,16 +901,10 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addrs = vec![listener.local_addr().expect("addr"); 2];
-        let config = quick_config();
-        for result in [
-            Coordinator::connect(&plan, &addrs, &config),
-            Coordinator::reconnect(&plan, &addrs, &config),
-        ] {
-            assert!(matches!(
-                result,
-                Err(ClusterError::FleetSize { sites: 3, addrs: 2 })
-            ));
-        }
+        assert!(matches!(
+            Coordinator::connect(&plan, &addrs, &quick_config()),
+            Err(ClusterError::FleetSize { sites: 3, addrs: 2 })
+        ));
         let accepted = listener.accept().map_err(|e| e.kind());
         assert!(
             matches!(accepted, Err(std::io::ErrorKind::WouldBlock)),
@@ -940,21 +929,44 @@ mod tests {
                 delta: 7
             }
         ));
-        // A rejected-by-validation delta does NOT poison: the fleet was
-        // never touched, so its state is still known.
-        assert!(!cluster.is_poisoned());
+        // A delta rejected by validation leaves the target where it was.
+        assert_eq!(cluster.revision(), 0);
         let report = cluster.shutdown();
         assert_eq!(report.connections_opened, 0);
         assert_eq!(report.connections_closed, 0);
     }
 
     #[test]
-    fn socket_failed_reconfigure_poisons_the_coordinator() {
+    fn socket_connect_to_a_closed_port_names_that_site() {
+        let plan = relay_plan();
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let mut addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
+        let closed = TcpListener::bind("127.0.0.1:0").expect("bind");
+        addrs[1] = closed.local_addr().expect("addr");
+        drop(closed);
+        match Coordinator::connect(&plan, &addrs, &quick_config()) {
+            Err(ClusterError::Control { site: s, .. }) => assert_eq!(s, site(1)),
+            Err(e) => panic!("expected a control error naming site 1, got {e}"),
+            Ok(_) => panic!("connect to a closed port must fail"),
+        }
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_failed_reconfigure_heals_once_the_rp_restarts() {
         // A 3-site universe where site 2 can join stream 0.0 later.
         let (problem, mut manager) = hop_plans();
         let plan_a = plan_at(&problem, &manager, 0);
 
-        // Hand-rolled fleet, so one RP can be killed on its own.
+        // Hand-rolled fleet, so one RP can be stopped and restarted on
+        // its own.
         let reactor = Reactor::new(1).expect("reactor starts");
         let mut nodes: Vec<RpNodeHandle> = SiteId::all(3)
             .map(|s| reactor.bind_node(s).expect("bind"))
@@ -967,63 +979,66 @@ mod tests {
         let mut coordinator = Coordinator::connect(&plan_a, &addrs, &config).expect("connect");
         coordinator.publish(2).expect("healthy batch");
 
-        // Kill site 2's RP out from under the coordinator, then try a
-        // delta that needs it (site 2 subscribes, so a link must open to
-        // the dead RP).
+        // Stop site 2's RP, then apply a delta that needs it: site 2
+        // subscribes, so a link must open to the stopped RP. Its parent
+        // is waited on first (it is site 0 or 1).
         let victim = nodes.remove(2);
         victim.stop();
         victim.join();
         manager.subscribe(site(2), stream(0, 0)).unwrap();
         let plan_b = plan_at(&problem, &manager, 1);
-        let delta = PlanDelta::diff(&plan_a, &plan_b);
         let (parent, _, _) = plan_b
             .edges()
             .find(|&(_, child, _)| child == site(2))
             .expect("site 2 takes the stream");
-
-        // The parent's dial of the dead RP fails, and the parent is
-        // waited on first (it is site 0 or 1).
-        let err = coordinator.apply_delta(&delta).unwrap_err();
+        let err = coordinator
+            .apply_delta(&PlanDelta::diff(&plan_a, &plan_b))
+            .unwrap_err();
         assert!(
             matches!(err, ClusterError::LinkFailed { parent: p, child } if p == parent && child == site(2)),
-            "dead RP must surface as its parent's failed link, got {err}"
+            "the stopped RP must surface as its parent's failed link, got {err}"
         );
-        assert!(coordinator.is_poisoned());
 
-        // Poisoned: every further operation is refused explicitly
-        // instead of running on an unknown plan state.
-        assert!(matches!(
-            coordinator.publish(1),
-            Err(ClusterError::Poisoned)
-        ));
-        assert!(matches!(
-            coordinator.apply_delta(&delta),
-            Err(ClusterError::Poisoned)
-        ));
-
-        // The poisoning left a postmortem trail: a non-empty flight dump
-        // naming the failed revision.
-        let dump = coordinator.flight_json().expect("flight dump serializes");
-        assert!(!coordinator.flight_recorder().is_empty());
-        assert!(dump.contains("Poisoned"), "dump must name the poisoning");
+        // The target moved to revision 1 all the same, so the next delta
+        // applies from it. Its heal cannot reach site 2 and names it.
+        manager.unsubscribe(site(1), stream(0, 0)).unwrap();
+        let plan_c = plan_at(&problem, &manager, 2);
+        let err = coordinator
+            .apply_delta(&PlanDelta::diff(&plan_b, &plan_c))
+            .unwrap_err();
         assert!(
-            dump.contains("\"revision\":1"),
-            "dump must name the failed revision: {dump}"
+            matches!(err, ClusterError::Control { site: s, .. } if s == site(2)),
+            "the heal must name the stopped RP, got {err}"
         );
+        assert_eq!(coordinator.revision(), 2);
 
-        // Shutdown still harvests the surviving RPs' accounting — and
-        // *names* the dead RP's missing report instead of dropping it
-        // silently.
+        // Site 2 comes back at its old address. The next batch heals the
+        // fleet onto revision 2 first, then delivers exactly what that
+        // plan owes on top of the first batch.
+        nodes.push(
+            reactor
+                .bind_node_at(site(2), addrs[2], None)
+                .expect("rebind site 2"),
+        );
+        coordinator.publish(2).expect("the healed fleet delivers");
         let report = coordinator.shutdown();
-        assert_eq!(report.delivered[&(site(1), stream(0, 0))], 2);
-        assert!(
-            report.missing_reports >= 1,
-            "the dead RP's lost stats must be counted"
-        );
+        assert_eq!(report.missing_reports, 0);
+        assert_eq!(report.final_revision, 2);
+        let mut expected: BTreeMap<(SiteId, StreamId), u64> = BTreeMap::new();
+        for (_, child, s) in plan_a.edges().chain(plan_c.edges()) {
+            *expected.entry((child, s)).or_default() += 2;
+        }
+        let delivered: BTreeMap<_, _> = report
+            .delivered
+            .into_iter()
+            .filter(|&(_, frames)| frames > 0)
+            .collect();
+        assert_eq!(delivered, expected);
         for node in nodes {
             node.stop();
             node.join();
         }
+        reactor.shutdown();
     }
 
     #[test]
@@ -1066,7 +1081,6 @@ mod tests {
             waited < Duration::from_secs(1),
             "the failure must surface inside the barrier, not at its timeout: {waited:?}"
         );
-        assert!(coordinator.is_poisoned());
 
         drop(coordinator);
         for node in nodes {
@@ -1116,7 +1130,6 @@ mod tests {
             }
             other => panic!("expected a delivery timeout, got {other:?}"),
         }
-        assert!(!coordinator.is_poisoned(), "a slow batch poisons nothing");
 
         let report = coordinator.shutdown();
         assert_eq!(report.delivered[&(relay, stream(0, 0))], 3);
@@ -1210,7 +1223,9 @@ mod tests {
             }
             other => panic!("expected a typed shed, got {other:?}"),
         }
-        assert!(!cluster.is_poisoned(), "a shed batch poisons nothing");
+        // The shed frames are not owed: the next batch heals the
+        // accounting first, then delivers.
+        cluster.publish(1).expect("the batch after a shed delivers");
         drop(cluster);
         reactor.shutdown();
     }

@@ -22,17 +22,22 @@
 //! per-stream `StatsReport` at shutdown). An origin's probe travels
 //! behind its `Publish`, so nothing else confirms the batch.
 //!
-//! The coordinator survives losing its control connections:
-//! [`Coordinator::detach`] abandons a fleet *without* shutting it down
-//! (the RPs keep forwarding by their last-dictated tables), and
-//! [`Coordinator::reconnect`] re-adopts it — fresh `Attach`es, a
-//! `ResyncQuery`/`ResyncReply` round that reads each RP's revision, then
-//! the same ack barrier re-dictating the latest revision (which reopens
-//! any link that died and touches no live one). The shape is pinned by
-//! the model checker's crash scopes (`teeve-check model --resync`, see
-//! `crates/check`): resync replies are observed but never choose the
-//! dictation target — trusting them is exactly the
-//! `ResyncSkip`/`ReconnectRewind` mutant pair the checker kills.
+//! Every way onto a plan is one convergence step, `converge`: a fresh
+//! `Attach` to every RP (the latest attach wins on the RP side), a
+//! `ResyncQuery`/`ResyncReply` round that reads each RP's revision, the
+//! same ack barrier dictating the target plan to every site (which
+//! reopens any link that died and touches no live one), and a stats
+//! probe that baselines delivery accounting. [`Coordinator::connect`]
+//! runs it on a bare fleet or on a live one whose coordinator
+//! [`detach`](Coordinator::detach)ed or died, and the coordinator runs
+//! it again at the start of the next [`publish`](Coordinator::publish)
+//! or [`apply_delta`](Coordinator::apply_delta) after any failure: a
+//! failed barrier or batch heals in place. The target only moves
+//! forward. The shape is pinned by the model checker's crash and heal
+//! scopes (`teeve-check model --resync`, see `crates/check`): resync
+//! replies are observed but never choose the dictation target — trusting
+//! them is exactly the `ResyncSkip`/`ReconnectRewind` mutant pair the
+//! checker kills.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -201,10 +206,10 @@ pub enum ClusterError {
     },
     /// A plan delta did not apply to the cluster's current plan.
     Delta(DeltaError),
-    /// A delta was produced against a different revision than the cluster
-    /// is running.
+    /// A delta was produced against a different revision than the
+    /// coordinator's target plan.
     StaleRevision {
-        /// The revision the cluster is at.
+        /// The target plan's revision.
         cluster: u64,
         /// The revision the delta applies from.
         delta: u64,
@@ -217,7 +222,8 @@ pub enum ClusterError {
         /// The unreachable child.
         child: SiteId,
     },
-    /// The control channel to one RP failed during reconfiguration.
+    /// The control channel to one RP failed: it could not be opened, or
+    /// it broke or refused an order.
     Control {
         /// The RP whose control channel failed.
         site: SiteId,
@@ -232,10 +238,6 @@ pub enum ClusterError {
         /// Addresses supplied.
         addrs: usize,
     },
-    /// A previous reconfiguration failed partway, leaving the fleet's
-    /// plan state unknown; the cluster refuses further work. Shut it down
-    /// (delivery accounting is still harvested best-effort).
-    Poisoned,
 }
 
 impl std::fmt::Display for ClusterError {
@@ -264,10 +266,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::FleetSize { sites, addrs } => write!(
                 f,
                 "plan covers {sites} sites but {addrs} RP addresses were supplied"
-            ),
-            ClusterError::Poisoned => write!(
-                f,
-                "cluster poisoned by a failed reconfiguration; shut it down"
             ),
         }
     }
@@ -325,7 +323,6 @@ struct ResyncSnapshot {
 /// the cluster process-separable.
 struct SiteLink {
     site: SiteId,
-    addr: SocketAddr,
     conn: TcpStream,
     buf: BytesMut,
     /// The highest revision the RP has acknowledged. Revisions on one
@@ -347,19 +344,22 @@ struct SiteLink {
 impl SiteLink {
     /// Opens a control connection to one RP and attaches as its
     /// coordinator (an `Attach` atomically replaces any prior control
-    /// channel on the RP side).
+    /// channel on the RP side). A refused connection is a
+    /// [`ClusterError::Control`] naming the site.
     fn attach(
         site: SiteId,
         addr: SocketAddr,
         config: &ClusterConfig,
     ) -> Result<SiteLink, ClusterError> {
-        let conn = TcpStream::connect(addr)?;
+        let conn = TcpStream::connect(addr).map_err(|e| ClusterError::Control {
+            site,
+            detail: format!("connect to {addr} failed: {e}"),
+        })?;
         conn.set_nodelay(true).ok();
         conn.set_read_timeout(Some(config.timeout)).ok();
         conn.set_write_timeout(Some(config.timeout)).ok();
         let mut link = SiteLink {
             site,
-            addr,
             conn,
             buf: BytesMut::with_capacity(4 * 1024),
             acked: None,
@@ -516,9 +516,10 @@ impl SiteLink {
 /// Lifecycle — the live analogue of the paper's membership-server
 /// dictation, entirely wire-level:
 ///
-/// 1. [`connect`](Self::connect) attaches one control connection per RP
-///    address and dictates every site's forwarding table of the initial
-///    plan through one ack barrier; each RP dials its plan links itself;
+/// 1. [`connect`](Self::connect) converges a fleet onto its plan:
+///    it attaches one control connection per RP address, reads every
+///    RP's revision, and dictates every site's forwarding table through
+///    one ack barrier; each RP dials its plan links itself;
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
 ///    origin RP (one `Publish` each) and, in the same pass, probes every
 ///    RP armed at the delivered total it owes, then blocks until each has
@@ -535,14 +536,21 @@ impl SiteLink {
 ///    `StatsReport` (per-stream counters and latency histograms), folds
 ///    them into the [`ClusterReport`], and orders the fleet down.
 ///
-/// A reconfiguration that fails after validation **poisons** the
-/// coordinator: the fleet's plan state is unknown, so further
-/// [`publish`](Self::publish)/[`apply_delta`](Self::apply_delta) calls
-/// return [`ClusterError::Poisoned`] until the cluster is shut down.
-///
+/// A barrier or a batch that fails leaves the fleet's state unknown, so
+/// the coordinator marks itself unconverged: the next
+/// [`publish`](Self::publish) or [`apply_delta`](Self::apply_delta)
+/// first converges the whole fleet onto the target plan again, as
+/// [`connect`](Self::connect) does, and returns that step's error if it
+/// fails too. The target is the latest validated plan; it only moves
+/// forward.
 pub struct Coordinator {
     config: ClusterConfig,
+    /// The target plan: the latest one validated, whether or not every
+    /// RP has acknowledged it yet.
     plan: DisseminationPlan,
+    /// One RP address per site, in site order: what each convergence
+    /// attaches to and each `Peers` order names.
+    addrs: Vec<SocketAddr>,
     sites: Vec<SiteLink>,
     /// The one buffer every control-channel read lands in: allocated once
     /// per coordinator, never per wait.
@@ -555,46 +563,53 @@ pub struct Coordinator {
     owed: Vec<u64>,
     connections_opened: u64,
     connections_closed: u64,
-    poisoned: bool,
+    /// A step failed since the last convergence: the fleet may not run
+    /// the target plan, and `owed` may not be what it delivers.
+    unconverged: bool,
     done: bool,
     registry: MetricsRegistry,
     recorder: FlightRecorder,
     /// Reconfigure-sent → `Ack` round-trip time, one sample per site.
     reconfigure_rtt: Histogram,
-    /// Full resync-round duration of [`reconnect`](Self::reconnect):
-    /// first attach → barrier re-dictated and accounting baselined.
+    /// Full duration of each convergence: first attach → barrier
+    /// dictated and accounting baselined.
     resync_span: Histogram,
 }
 
 impl Coordinator {
-    /// Connects to an already-listening RP fleet (one address per site of
-    /// `plan`, in site order) and dictates `plan` to every site through
-    /// one ack barrier: each RP installs its table and dials its plan
-    /// links.
+    /// Converges the RP fleet at `addrs` (one address per site of
+    /// `plan`, in site order) onto `plan`, whether the fleet is bare or
+    /// still runs an earlier plan under a coordinator that
+    /// [`detach`](Self::detach)ed or died. It attaches a fresh control
+    /// connection per RP (atomically replacing any prior one on the RP
+    /// side), runs a `ResyncQuery` round that reads every RP's revision,
+    /// dictates `plan` to every RP through one ack barrier, and
+    /// baselines delivery accounting. Each RP installs its table and
+    /// dials the plan links it has no link to; RPs already following
+    /// `plan` open and close nothing.
+    ///
+    /// A live fleet must be handed the plan its lost coordinator last
+    /// dictated, revision included (a restarted membership service
+    /// recovers it from its session store). Resync replies are observed
+    /// only — they never choose what to dictate. Resuming from a reply's
+    /// revision instead is the `ResyncSkip`/`ReconnectRewind` mutant
+    /// pair the model checker kills: it lets the fleet's ack barrier
+    /// regress. Frames the fleet delivered before the barrier are
+    /// baselined away, so later [`publish`](Self::publish) calls block on
+    /// exactly the deliveries they order.
     ///
     /// # Errors
     ///
     /// Returns an error if the address count mismatches the plan, a
-    /// control connection cannot be established, an RP reports a plan
-    /// link as [`ClusterError::LinkFailed`], or a table install is not
-    /// acknowledged within `config.timeout`.
+    /// control connection cannot be established (a
+    /// [`ClusterError::Control`] naming the site), an RP reports a
+    /// revision *ahead* of `plan` (the plan is stale), an RP reports a
+    /// plan link as [`ClusterError::LinkFailed`], or an RP does not
+    /// answer the query, the barrier or the baseline probe within
+    /// `config.timeout`. A failed connect detaches rather than tearing
+    /// down, so it leaves the fleet running as it found it and the
+    /// caller can retry, with a fresher plan if the RPs are ahead.
     pub fn connect(
-        plan: &DisseminationPlan,
-        addrs: &[SocketAddr],
-        config: &ClusterConfig,
-    ) -> Result<Coordinator, ClusterError> {
-        let mut coordinator = Coordinator::attach_fleet(plan, addrs, config)?;
-        let every_site: Vec<SiteId> = SiteId::all(plan.site_count()).collect();
-        let deadline = Instant::now() + config.timeout;
-        coordinator.dictate(plan, &every_site, deadline)?;
-        Ok(coordinator)
-    }
-
-    /// Opens and attaches one control connection per RP address and
-    /// wraps them in a coordinator with fresh state: the connection
-    /// phase shared by [`connect`](Self::connect) (against a bare
-    /// fleet) and [`reconnect`](Self::reconnect) (against a live one).
-    fn attach_fleet(
         plan: &DisseminationPlan,
         addrs: &[SocketAddr],
         config: &ClusterConfig,
@@ -605,15 +620,12 @@ impl Coordinator {
                 addrs: addrs.len(),
             });
         }
-        let mut sites = Vec::with_capacity(addrs.len());
-        for (i, &addr) in addrs.iter().enumerate() {
-            sites.push(SiteLink::attach(SiteId::new(i as u32), addr, config)?);
-        }
         let registry = MetricsRegistry::new();
-        Ok(Coordinator {
+        let mut coordinator = Coordinator {
             config: config.clone(),
             plan: plan.clone(),
-            sites,
+            addrs: addrs.to_vec(),
+            sites: Vec::with_capacity(addrs.len()),
             scratch: vec![0; READ_CHUNK],
             started: None,
             next_seq: 0,
@@ -621,80 +633,46 @@ impl Coordinator {
             owed: vec![0; addrs.len()],
             connections_opened: 0,
             connections_closed: 0,
-            poisoned: false,
+            unconverged: true,
             done: false,
             reconfigure_rtt: registry.histogram("coordinator.reconfigure_rtt_micros"),
             resync_span: registry.histogram("coordinator.resync_micros"),
             registry,
             recorder: FlightRecorder::new(),
-        })
-    }
-
-    /// Re-adopts an already-running RP fleet whose previous coordinator
-    /// died or [`detach`](Self::detach)ed: attaches a fresh control
-    /// connection per RP (atomically replacing any dead one on the RP
-    /// side), runs a `ResyncQuery` round that reads every RP's revision,
-    /// then re-dictates `plan`'s revision to every RP through the same
-    /// ack barrier as every reconfiguration. RPs already following
-    /// `plan` open and close no link; one whose link died redials it.
-    ///
-    /// `plan` must be the plan the lost coordinator last fully
-    /// dictated, revision included (a restarted membership service
-    /// recovers it from its session store). Resync replies are observed
-    /// only — they never choose what to dictate. Resuming
-    /// from a reply's revision instead is the `ResyncSkip`/
-    /// `ReconnectRewind` mutant pair the model checker kills: it lets
-    /// the fleet's ack barrier regress.
-    ///
-    /// Delivery accounting restarts at the barrier: frames the fleet
-    /// delivered before and during the coordinator gap are baselined
-    /// away, so post-reconnect [`publish`](Self::publish) calls block
-    /// on exactly the deliveries they order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the address count mismatches the plan, a
-    /// control connection cannot be established, an RP reports a
-    /// revision *ahead* of `plan` (the recovered plan is stale), or an
-    /// RP does not answer the resync query, the barrier re-dictation,
-    /// or the baseline stats probe within `config.timeout`. A failed
-    /// reconnect leaves the fleet running exactly as found — it
-    /// detaches rather than tearing down — so the caller can retry
-    /// with a fresher plan.
-    pub fn reconnect(
-        plan: &DisseminationPlan,
-        addrs: &[SocketAddr],
-        config: &ClusterConfig,
-    ) -> Result<Coordinator, ClusterError> {
-        let resync_started = Instant::now();
-        let mut coordinator = Coordinator::attach_fleet(plan, addrs, config)?;
-        match coordinator.resync(plan, resync_started) {
+        };
+        match coordinator.converge() {
             Ok(()) => Ok(coordinator),
             Err(e) => {
-                // A refused or failed resync must leave the fleet exactly
-                // as found: detach (drop the control connections) instead
-                // of letting `Drop`'s teardown cascade shut it down. The
-                // caller can retry with a fresher plan.
+                // Detach: the fleet stays as it was found.
                 coordinator.done = true;
                 Err(e)
             }
         }
     }
 
-    /// The resync round of [`reconnect`](Self::reconnect), run on a
-    /// freshly attached fleet: query, re-dictate the barrier, baseline
-    /// accounting.
-    fn resync(
-        &mut self,
-        plan: &DisseminationPlan,
-        resync_started: Instant,
-    ) -> Result<(), ClusterError> {
+    /// The one convergence step, run by [`connect`](Self::connect) and
+    /// by the heal that opens the next [`publish`](Self::publish) or
+    /// [`apply_delta`](Self::apply_delta) after a failure: attach afresh,
+    /// query, dictate the target to every site, baseline accounting.
+    fn converge(&mut self) -> Result<(), ClusterError> {
+        let started = Instant::now();
         self.recorder.record(FlightEventKind::ResyncStart);
-        let deadline = Instant::now() + self.config.timeout;
+        let deadline = started + self.config.timeout;
 
-        // 1. Query every RP. The reported revisions are observed, not
+        // 1. A fresh control connection to every RP. Dropping an old one
+        //    discards its stale buffered replies, and the RP disarms the
+        //    probe it had armed.
+        for (index, &addr) in self.addrs.iter().enumerate() {
+            let link = SiteLink::attach(SiteId::new(index as u32), addr, &self.config)?;
+            match self.sites.get_mut(index) {
+                Some(old) => *old = link,
+                None => self.sites.push(link),
+            }
+        }
+
+        // 2. Query every RP. The reported revisions are observed, not
         //    obeyed.
-        let plan_revision = plan.revision();
+        let revision = self.plan.revision();
         self.next_probe += 1;
         let probe = self.next_probe;
         for link in &mut self.sites {
@@ -704,62 +682,61 @@ impl Coordinator {
             let snapshot = link.wait_for(&mut self.scratch, deadline, "resync reply", |l| {
                 l.resync.filter(|r| r.probe >= probe)
             })?;
-            // An RP ahead of the reconnect plan means the recovered plan
-            // is stale: re-dictating it would regress the fleet's ack
-            // barrier (the model's reconnect-regression violation), so
-            // refuse instead.
-            if snapshot.revision > plan_revision {
+            // An RP ahead of the target means the plan is stale:
+            // dictating it would regress the fleet's ack barrier (the
+            // model's reconnect-regression violation), so refuse instead.
+            if snapshot.revision > revision {
                 return Err(ClusterError::Control {
                     site: link.site,
                     detail: format!(
-                        "RP serves revision {} ahead of the reconnect plan's \
-                         {plan_revision}; the recovered plan is stale",
+                        "RP serves revision {} ahead of the target plan's {revision}; \
+                         the plan is stale",
                         snapshot.revision,
                     ),
                 });
             }
         }
 
-        // 2. Re-dictate the latest revision as a fresh ack barrier. RPs
+        // 3. Dictate the target to every site as one ack barrier. RPs
         //    already running it re-apply idempotently (tables swap on
-        //    `revision >= current`); any that missed the final
-        //    pre-crash Reconfigure catch up here.
-        let every_site: Vec<SiteId> = SiteId::all(plan.site_count()).collect();
-        self.dictate(plan, &every_site, deadline)?;
+        //    `revision >= current`); any that missed an order catch up.
+        let every_site: Vec<SiteId> = SiteId::all(self.plan.site_count()).collect();
+        self.dictate(&every_site, deadline)?;
 
-        // 3. Baseline delivery accounting at the barrier: whatever the
-        //    fleet delivered while unsupervised is not this
-        //    coordinator's to await.
+        // 4. Baseline delivery accounting at the barrier: whatever the
+        //    fleet delivered before it is not this coordinator's to await.
         self.owed = self
             .probe_stats(Probe::Now, deadline)
             .map(|(_, total)| total)
             .collect::<Result<_, _>>()?;
 
-        self.resync_span.record_duration(resync_started.elapsed());
+        self.resync_span.record_duration(started.elapsed());
         self.recorder.record(FlightEventKind::ResyncComplete {
             sites: every_site.len() as u64,
-            revision: plan_revision,
+            revision,
         });
+        self.unconverged = false;
         Ok(())
     }
 
     /// Drops the control connections **without** shutting the fleet
     /// down: every RP keeps forwarding by its last-dictated table,
-    /// ready for a successor coordinator to
-    /// [`reconnect`](Self::reconnect). The deliberate counterpart of
-    /// the [`Drop`] cascade — use it to hand a live fleet over, or to
-    /// stand in for coordinator death in tests.
+    /// ready for a successor coordinator to [`connect`](Self::connect).
+    /// The deliberate counterpart of the [`Drop`] cascade — use it to
+    /// hand a live fleet over, or to stand in for coordinator death in
+    /// tests.
     pub fn detach(mut self) {
         self.recorder.record(FlightEventKind::CoordinatorLost);
         self.done = true;
     }
 
-    /// Returns the plan the cluster currently executes.
+    /// Returns the target plan: the latest one validated. The fleet runs
+    /// it once the call that set it, or a later one, has succeeded.
     pub fn plan(&self) -> &DisseminationPlan {
         &self.plan
     }
 
-    /// Returns the plan revision the cluster currently runs.
+    /// Returns the target plan's revision.
     pub fn revision(&self) -> u64 {
         self.plan.revision()
     }
@@ -776,12 +753,6 @@ impl Coordinator {
         self.connections_closed
     }
 
-    /// Returns true when a failed reconfiguration has left the fleet in
-    /// an unknown plan state; see [`ClusterError::Poisoned`].
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     /// The coordinator's metrics registry: Reconfigure→Ack round-trip
     /// times, which include the links each RP dials for its table, and
     /// resync-round durations as histograms
@@ -792,14 +763,14 @@ impl Coordinator {
     }
 
     /// The coordinator's flight recorder: recent reconfigures, acks,
-    /// poisonings, resync rounds and lost stats reports as structured
+    /// failed reconfigurations, convergences and lost stats reports as structured
     /// events. Link churn is recorded by each RP's own recorder.
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
 
     /// The flight recorder's retained events as JSON — the postmortem
-    /// dump taken when a run poisons.
+    /// dump taken when a reconfiguration fails.
     ///
     /// # Errors
     ///
@@ -819,15 +790,18 @@ impl Coordinator {
     /// binding, connection establishment) is excluded from `elapsed` by
     /// construction.
     ///
+    /// After a failed call the coordinator first converges the fleet onto
+    /// the target plan, as [`connect`](Self::connect) does.
+    ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::Poisoned`] after a failed reconfiguration.
+    /// Returns the convergence's error if the fleet cannot be converged.
     /// A batch that does not fully deliver within `config.timeout` is a
     /// [`ClusterError::Shed`] when an RP reports writes shed at its
     /// write-queue cap, and a [`ClusterError::Timeout`] otherwise.
     pub fn publish(&mut self, frames: u64) -> Result<(), ClusterError> {
-        if self.poisoned {
-            return Err(ClusterError::Poisoned);
+        if self.unconverged {
+            self.converge()?;
         }
         if self.started.is_none() {
             self.started = Some(Instant::now());
@@ -863,30 +837,30 @@ impl Coordinator {
             }
         }
         self.next_seq += frames;
-        self.await_deliveries()
+        let delivered = self.await_deliveries();
+        self.unconverged = delivered.is_err();
+        delivered
     }
 
-    /// Applies one [`PlanDelta`] to the running cluster: validates it,
-    /// then dictates the successor plan to every touched RP through one
-    /// ack barrier, as [`connect`](Self::connect) does. Each touched RP
-    /// follows its new table, so exactly the `established` connections
-    /// open and exactly the `closed` ones shut. Links that are
-    /// `retained` — including pairs whose stream set changed — are never
-    /// touched, so a socket-free reroute opens and closes nothing.
+    /// Applies one [`PlanDelta`] to the running cluster: validates it
+    /// against the target plan, makes the successor plan the target, then
+    /// dictates it to every touched RP through one ack barrier. Each
+    /// touched RP follows its new table, so exactly the `established`
+    /// connections open and exactly the `closed` ones shut. Links that
+    /// are `retained` — including pairs whose stream set changed — are
+    /// never touched, so a socket-free reroute opens and closes nothing.
+    /// After a failed call the coordinator instead converges the whole
+    /// fleet onto the new target, as [`connect`](Self::connect) does.
     ///
     /// # Errors
     ///
     /// Returns an error when the delta's revision does not match the
-    /// cluster's, the delta does not apply to the current plan, a socket
+    /// target's, the delta does not apply to the target plan, a socket
     /// operation fails, an RP reports a link it needs as
     /// [`ClusterError::LinkFailed`], or an RP does not acknowledge in
-    /// time. A failure *after* validation poisons the coordinator —
-    /// further `publish`/`apply_delta` calls return
-    /// [`ClusterError::Poisoned`]; shut the cluster down.
+    /// time. The target moves even when the dictation fails, so the next
+    /// delta applies from it; the next call heals the fleet onto it.
     pub fn apply_delta(&mut self, delta: &PlanDelta) -> Result<ReconfigureReport, ClusterError> {
-        if self.poisoned {
-            return Err(ClusterError::Poisoned);
-        }
         if delta.from_revision() != self.plan.revision() {
             return Err(ClusterError::StaleRevision {
                 cluster: self.plan.revision(),
@@ -896,12 +870,22 @@ impl Coordinator {
         let mut next = self.plan.clone();
         delta.apply(&mut next)?;
         let changes = link_changes_between(&self.plan, &next);
-        let touched: Vec<SiteId> = delta.touched_sites().into_iter().collect();
-        // Validation passed: any failure beyond this point leaves the
-        // fleet partially reconfigured, so it poisons the coordinator.
-        let deadline = Instant::now() + self.config.timeout;
-        if let Err(e) = self.dictate(&next, &touched, deadline) {
-            self.poisoned = true;
+        let mut touched: Vec<SiteId> = delta.touched_sites().into_iter().collect();
+        // Validation passed: the target moves forward before any RP is
+        // told, so a delta that arrives while a heal keeps failing is
+        // never lost.
+        self.plan = next;
+        let dictated = if self.unconverged {
+            touched = SiteId::all(self.plan.site_count()).collect();
+            self.converge()
+        } else {
+            let deadline = Instant::now() + self.config.timeout;
+            self.dictate(&touched, deadline)
+        };
+        if let Err(e) = dictated {
+            // Part of the fleet may run the new revision: the next call
+            // heals it forward.
+            self.unconverged = true;
             self.recorder.record(FlightEventKind::Poisoned {
                 revision: delta.to_revision(),
                 detail: e.to_string(),
@@ -910,7 +894,6 @@ impl Coordinator {
         }
         self.connections_opened += changes.established.len() as u64;
         self.connections_closed += changes.closed.len() as u64;
-        self.plan = next;
         Ok(ReconfigureReport {
             revision: delta.to_revision(),
             quality_changes: delta.quality_changes().len(),
@@ -921,33 +904,27 @@ impl Coordinator {
         })
     }
 
-    /// The one ack barrier, and the one convergence step: pushes
-    /// `Reconfigure { revision, site_plan }` with `plan`'s table to each
-    /// of `sites` — behind a `Peers` order naming the address of every
-    /// child the table routes to — then waits until every one has
-    /// acknowledged `plan`'s revision. An RP acknowledges once it runs
-    /// the table and has dialed the links it needs, so a failed dial
-    /// surfaces inside the barrier as [`ClusterError::LinkFailed`]. Used
-    /// by [`connect`](Self::connect), [`apply_delta`](Self::apply_delta)
-    /// and [`reconnect`](Self::reconnect)'s re-dictation.
-    fn dictate(
-        &mut self,
-        plan: &DisseminationPlan,
-        sites: &[SiteId],
-        deadline: Instant,
-    ) -> Result<(), ClusterError> {
-        let revision = plan.revision();
+    /// The one ack barrier: pushes `Reconfigure { revision, site_plan }`
+    /// with the target plan's table to each of `sites` — behind a `Peers`
+    /// order naming the address of every child the table routes to —
+    /// then waits until every one has acknowledged the target revision.
+    /// An RP acknowledges once it runs the table and has dialed the links
+    /// it needs, so a failed dial surfaces inside the barrier as
+    /// [`ClusterError::LinkFailed`]. Used by `converge` and
+    /// [`apply_delta`](Self::apply_delta).
+    fn dictate(&mut self, sites: &[SiteId], deadline: Instant) -> Result<(), ClusterError> {
+        let revision = self.plan.revision();
         self.recorder.record(FlightEventKind::Reconfigure {
             revision,
             sites: sites.len() as u64,
         });
         let sent_at = Instant::now();
         for &site in sites {
-            let site_plan = plan.site_plan(site);
+            let site_plan = self.plan.site_plan(site);
             let peers: Vec<(SiteId, SocketAddr)> = site_plan
                 .children()
                 .into_iter()
-                .map(|child| (child, self.sites[child.index()].addr))
+                .map(|child| (child, self.addrs[child.index()]))
                 .collect();
             let link = &mut self.sites[site.index()];
             if !peers.is_empty() {
@@ -979,7 +956,7 @@ impl Coordinator {
     /// every RP to exit.
     ///
     /// Harvesting is best-effort — an RP whose control channel already
-    /// failed (e.g. after a poisoning reconfiguration) contributes
+    /// failed (e.g. after a failed reconfiguration) contributes
     /// nothing to the report instead of failing the shutdown. An RP that
     /// has reported a failed link since the last barrier still
     /// contributes its report.
@@ -999,7 +976,7 @@ impl Coordinator {
         for (site, snapshot) in harvest {
             // A dead RP's accounting is *named* as missing, never
             // silently dropped: the report stays auditable after a
-            // poisoning run.
+            // failed run.
             let Some(snapshot) = snapshot else {
                 report.missing_reports += 1;
                 self.recorder.record(FlightEventKind::StatsLost {

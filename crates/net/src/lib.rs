@@ -35,6 +35,13 @@
 //! one-shot run is `launch` → `publish` → `shutdown`, which reports
 //! per-site delivery counts and latencies.
 //!
+//! There is one way onto a plan. [`Coordinator::connect`] attaches to
+//! every RP, reads each one's revision and dictates the plan to all of
+//! them, whether the fleet is bare or was left running by a coordinator
+//! that died; a `publish` or `apply_delta` that follows a failed barrier
+//! or batch runs the same step first, so the fleet heals forward onto the
+//! latest validated plan instead of refusing further work.
+//!
 //! # Hosting: the reactor
 //!
 //! There is one RP implementation, and a [`Reactor`] hosts it: a fixed

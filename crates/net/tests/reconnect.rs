@@ -7,9 +7,9 @@
 //! 2. every RP notices (`CoordinatorLost`) and keeps forwarding by its
 //!    last-dictated table: frames hand-published during the gap deliver
 //!    across the whole dissemination subtree;
-//! 3. a reconnect with a *stale* plan is refused — re-dictating it would
+//! 3. a `connect` with a *stale* plan is refused — re-dictating it would
 //!    rewind the fleet's ack barrier — and leaves the fleet untouched;
-//! 4. a reconnect with the latest recovered plan resyncs: its first
+//! 4. a `connect` with the latest recovered plan resyncs: its first
 //!    dictation is the re-dictation of the latest revision, no RP's
 //!    table revision ever regresses, and no data socket is touched;
 //! 5. post-resync publishes account exactly — the gap deliveries were
@@ -211,22 +211,34 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
         );
     }
 
-    // A reconnect with a stale plan (the pre-pressure revision) is
+    // A connect with a stale plan (the pre-pressure revision) is
     // refused: re-dictating it would rewind the barrier of the RPs that
     // already acked the pressure delta. The refusal detaches — the fleet
-    // must survive it.
-    match Coordinator::reconnect(&base, &addrs, &config) {
-        Ok(_) => panic!("a stale reconnect plan must be refused"),
+    // must survive it. Its query still reaches every RP.
+    let resync_starts = |node: &RpNodeHandle| {
+        node.flight_recorder()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, FlightEventKind::ResyncStart))
+            .count()
+    };
+    let queried: Vec<usize> = nodes.iter().map(resync_starts).collect();
+    match Coordinator::connect(&base, &addrs, &config) {
+        Ok(_) => panic!("a stale plan must be refused"),
         Err(err) => assert!(
             matches!(err, ClusterError::Control { .. }),
             "refusal names the ahead RP: {err:?}"
         ),
     }
+    for (node, &before) in nodes.iter().zip(&queried) {
+        wait_until("the refused query lands", || {
+            resync_starts(node) == before + 1
+        });
+    }
 
-    // Reconnect with the latest dictated plan: resync rebuilds the view,
+    // Connect with the latest dictated plan: resync rebuilds the view,
     // re-dictates `revision` as the barrier, touches no data socket.
-    let mut reconnected =
-        Coordinator::reconnect(runtime.plan(), &addrs, &config).expect("reconnect");
+    let mut reconnected = Coordinator::connect(runtime.plan(), &addrs, &config).expect("re-adopt");
     assert_eq!(reconnected.revision(), revision);
     assert_eq!(reconnected.connections_opened(), 0, "resync opens nothing");
     assert_eq!(reconnected.connections_closed(), 0, "resync closes nothing");
@@ -265,15 +277,18 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     let telemetry = reconnected.telemetry().snapshot();
     assert_eq!(telemetry.histograms["coordinator.resync_micros"].count(), 1);
 
-    // RP side: every node served the resync query, and its sequence of
-    // applied table revisions never regressed — the re-dictation lands
+    // RP side: every node served this connect's resync query — one more
+    // than the initial connect and the refused one — and its sequence of
+    // applied table revisions never regressed: the re-dictation lands
     // each node at the latest revision (nodes the quality delta never
     // touched catch up from the install revision here).
-    for node in &nodes {
-        assert!(recorded(node, |k| matches!(
-            k,
-            FlightEventKind::ResyncStart
-        )));
+    for (node, &before) in nodes.iter().zip(&queried) {
+        assert_eq!(
+            resync_starts(node),
+            before + 2,
+            "{} was queried",
+            node.site()
+        );
         let revisions: Vec<u64> = node
             .flight_recorder()
             .events()

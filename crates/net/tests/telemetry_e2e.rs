@@ -7,8 +7,8 @@
 //!    the recorded reconvergence times;
 //! 2. delivery latency percentiles are read from the merged wire-carried
 //!    histograms, and they agree with the scalar counters;
-//! 3. a poisoned fleet dumps a non-empty flight-recorder JSON naming the
-//!    failed reconfigure;
+//! 3. a failed reconfiguration leaves a non-empty flight-recorder JSON
+//!    naming the failed revision;
 //! 4. a reactor-hosted fleet reports its hosting economics — live
 //!    connection and registered-RP gauges, threads-per-RP amortization,
 //!    wakeup batch sizes — and its lifecycle flight events.
@@ -203,7 +203,7 @@ fn socket_reactor_telemetry_reports_hosting_economics() {
 #[test]
 fn socket_poisoned_fleet_dumps_a_flight_recording_naming_the_reconfigure() {
     // Site 2's RP dies before a delta that must open a link to it; the
-    // poisoned coordinator's flight dump is the postmortem.
+    // coordinator's flight dump is the postmortem of the failed revision.
     let costs = CostMatrix::from_fn(3, |_, _| CostMs::new(4));
     let problem = ProblemInstance::builder(costs, CostMs::new(50))
         .symmetric_capacities(Degree::new(6))
@@ -254,13 +254,12 @@ fn socket_poisoned_fleet_dumps_a_flight_recording_naming_the_reconfigure() {
     let delta = PlanDelta::diff(&plan_a, &plan_b);
 
     coordinator.apply_delta(&delta).unwrap_err();
-    assert!(coordinator.is_poisoned());
 
     // (c) The dump is non-empty JSON naming the failed reconfigure.
     let dump = coordinator.flight_json().expect("dump serializes");
     assert!(
         dump.contains("Poisoned"),
-        "dump names the poisoning: {dump}"
+        "dump names the failed reconfiguration: {dump}"
     );
     assert!(
         dump.contains("\"revision\":1"),

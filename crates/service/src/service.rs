@@ -306,8 +306,11 @@ impl MembershipService {
     /// Returns the pass's report (the runtimes advanced regardless of
     /// sink outcomes) together with every rejection, `(session, error)`
     /// per delta the sink refused; an empty rejection list means every
-    /// executor is in lock-step. A rejected session's executor has
-    /// missed a revision and needs resynchronization.
+    /// executor is in lock-step. A rejected session's executor heals on
+    /// its next delta: a `teeve-net` `Coordinator` keeps the
+    /// refused revision as its target, so the session's next delta still
+    /// applies, and it converges its whole fleet onto the new target
+    /// first.
     pub fn drive_all_with<S: DeltaSink>(
         &self,
         sink: &mut S,

@@ -2,7 +2,7 @@
 //! service restarted from its [`SessionStore`] re-adopts every open
 //! session with plans **bit-identical** to an uninterrupted run, and a
 //! live TCP fleet abandoned by the crash is re-adopted via
-//! [`Coordinator::reconnect`] with the recovered plan.
+//! [`Coordinator::connect`] with the recovered plan.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,7 +141,7 @@ fn recovered_service_matches_an_uninterrupted_control() {
 /// The full crash story end to end: a persistent service drives a live
 /// TCP fleet, the service process "dies" (coordinator detached, service
 /// dropped), and a service recovered from the store re-adopts the still
-/// running fleet via [`Coordinator::reconnect`] with its recovered plan.
+/// running fleet via [`Coordinator::connect`] with its recovered plan.
 #[test]
 fn socket_recovered_service_readopts_a_live_fleet() {
     const SITES: usize = 4;
@@ -199,8 +199,7 @@ fn socket_recovered_service_readopts_a_live_fleet() {
 
     // …and re-adopts the live fleet with it: resync, publish, exact
     // final accounting with no RP lost across the gap.
-    let mut reconnected =
-        Coordinator::reconnect(&recovered_plan, &addrs, &config).expect("reconnect");
+    let mut reconnected = Coordinator::connect(&recovered_plan, &addrs, &config).expect("re-adopt");
     assert_eq!(reconnected.revision(), recovered_plan.revision());
     reconnected.publish(2).expect("post-recovery batch");
     let report = reconnected.shutdown();

@@ -15,9 +15,9 @@
 //!   shared [`Histogram`]s, snapshotted as a serializable
 //!   [`TelemetrySnapshot`].
 //! * [`FlightRecorder`] — a bounded ring buffer of recent structured
-//!   [`FlightEvent`]s (reconfigures, acks, link changes, poisonings,
-//!   rebuild-gate trips), dumped as JSON for postmortems on poisoned
-//!   fleets.
+//!   [`FlightEvent`]s (reconfigures, acks, link changes, failed
+//!   reconfigurations, rebuild-gate trips), dumped as JSON for
+//!   postmortems on fleets whose reconfiguration failed.
 //!
 //! The crate sits near the bottom of the workspace: besides the vendored
 //! `serde`/`serde_json`/`parking_lot` shims it depends only on

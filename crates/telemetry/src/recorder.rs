@@ -1,5 +1,5 @@
 //! The flight recorder: a bounded ring buffer of recent structured
-//! events, for postmortems on poisoned fleets.
+//! events, for postmortems on fleets whose reconfiguration failed.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,8 +44,9 @@ pub enum FlightEventKind {
         /// The receiving (child) side of the link.
         child: u32,
     },
-    /// A reconfigure failed after validation and poisoned the control
-    /// plane.
+    /// A reconfigure failed after validation: the coordinator keeps its
+    /// revision as the target and heals the fleet onto it on the next
+    /// call.
     Poisoned {
         /// The revision whose installation failed.
         revision: u64,
