@@ -2,12 +2,11 @@
 //! restarted membership server take to re-adopt a live RP fleet?
 //!
 //! One `connect` to a live fleet is the full recovery round on real
-//! sockets — a fresh
-//! `Attach` per RP, a `ResyncQuery`/`ResyncReply` round reading each
-//! RP's revision, re-dictation of the latest revision as the ack barrier
-//! (which finds every link in place and dials nothing), and the baseline
-//! stats probe — measured against running ring fleets
-//! of 4, 16, and 64 sites. Each iteration connects and detaches, so the
+//! sockets — attach, barrier re-dictation: a fresh `Attach` per RP,
+//! answered with the RP's revision and delivered total, then
+//! re-dictation of the latest revision as the ack barrier (which finds
+//! every link in place and dials nothing) — measured against running
+//! ring fleets of 4, 16, and 64 sites. Each iteration connects and detaches, so the
 //! same headless fleet is re-adopted over and over.
 
 use std::net::SocketAddr;

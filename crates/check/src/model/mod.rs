@@ -25,11 +25,12 @@
 //!   revision, and dictates no later revision before that barrier
 //!   completes;
 //! * the coordinator may **crash** at any moment, killing its sockets:
-//!   coordinator-inbound messages in flight (`Ack`, `ResyncReply`) are
+//!   coordinator-inbound messages in flight (`Ack`, `Attached`) are
 //!   lost, RP-inbound messages survive in kernel buffers, and RPs keep
 //!   forwarding on their last-applied table;
-//! * on **reconnect** the coordinator knows nothing: it queries every RP
-//!   (`ResyncQuery`/`ResyncReply`) to rebuild its view of the fleet;
+//! * on **reconnect** the coordinator knows nothing: it attaches to every
+//!   RP afresh, and each answers its `Attach` with `Attached`, naming its
+//!   revision, to rebuild the coordinator's view of the fleet;
 //! * once every RP has replied, the coordinator **re-dictates its
 //!   current revision as a fresh ack barrier** rather than trusting the
 //!   replies — a backlog `Reconfigure` delivered after a reply was sent
@@ -101,13 +102,13 @@ pub enum Mutation {
     /// instead of serving their last-applied table through the outage
     /// (breaks `resync-continuity`).
     DisconnectWipe,
-    /// The reconnected coordinator trusts its resync replies outright —
+    /// The reconnected coordinator trusts its attach replies outright —
     /// no re-dictation barrier — so an in-flight pre-crash `Reconfigure`
     /// can invalidate its view after the reply was sent (breaks
     /// `resync-view`).
     ResyncSkip,
     /// The reconnected or healing coordinator resumes from the *minimum*
-    /// revision its resync replies report, rolling its dictation
+    /// revision its attach replies report, rolling its dictation
     /// watermark back (breaks `reconnect-regression`).
     ReconnectRewind,
 }
@@ -234,10 +235,11 @@ enum Msg {
     Reconfigure { dst: u8, rev: u8 },
     /// RP -> coordinator: `src` runs (at least) `rev`.
     Ack { src: u8, rev: u8 },
-    /// Reconnected coordinator -> RP: report your applied revision.
-    ResyncQuery { dst: u8 },
+    /// Reconnected coordinator -> RP: this is your control channel now;
+    /// report your applied revision.
+    Attach { dst: u8 },
     /// RP -> coordinator: `src` currently runs `rev`.
-    ResyncReply { src: u8, rev: u8 },
+    Attached { src: u8, rev: u8 },
 }
 
 impl fmt::Display for Msg {
@@ -245,8 +247,8 @@ impl fmt::Display for Msg {
         match self {
             Msg::Reconfigure { dst, rev } => write!(f, "Reconfigure(rev {rev}) to rp{dst}"),
             Msg::Ack { src, rev } => write!(f, "Ack(rev {rev}) from rp{src}"),
-            Msg::ResyncQuery { dst } => write!(f, "ResyncQuery to rp{dst}"),
-            Msg::ResyncReply { src, rev } => write!(f, "ResyncReply(rev {rev}) from rp{src}"),
+            Msg::Attach { dst } => write!(f, "Attach to rp{dst}"),
+            Msg::Attached { src, rev } => write!(f, "Attached(rev {rev}) from rp{src}"),
         }
     }
 }
@@ -275,7 +277,7 @@ struct State {
     dups_used: u8,
     /// Coordinator connection is down (its sockets are dead).
     crashed: bool,
-    /// The reconnected coordinator is still collecting resync replies.
+    /// The reconnected coordinator is still collecting attach replies.
     resyncing: bool,
     /// Coordinator's post-resync view of each RP's revision (`None`
     /// until that RP's reply arrives; updated by later acks).
@@ -333,17 +335,17 @@ impl State {
     /// buffers.
     fn drop_connections(&mut self) {
         self.net
-            .retain(|m| matches!(m, Msg::Reconfigure { .. } | Msg::ResyncQuery { .. }));
+            .retain(|m| matches!(m, Msg::Reconfigure { .. } | Msg::Attach { .. }));
     }
 
     /// Opens a resync round: the coordinator forgets its view and
-    /// queries every RP before it may dictate again.
+    /// attaches to every RP before it may dictate again.
     fn open_resync(&mut self, rps: usize) {
         self.resyncing = true;
         self.view = vec![None; rps];
         self.acked = vec![false; rps];
         for dst in 0..rps {
-            self.net.push(Msg::ResyncQuery { dst: dst as u8 });
+            self.net.push(Msg::Attach { dst: dst as u8 });
         }
         self.normalize();
     }
@@ -509,8 +511,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
         n.drop_connections();
         n.open_resync(cfg.rps);
         out.push(Succ {
-            action: "Poison (ack barrier timed out; heal with resync queries to every RP)"
-                .to_owned(),
+            action: "Poison (ack barrier timed out; heal with an attach to every RP)".to_owned(),
             state: n,
             violation: None,
         });
@@ -537,14 +538,14 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
     }
 
     // Reconnect: the coordinator remembers its dictation watermark but
-    // knows nothing about the fleet — it opens a resync round, querying
-    // every RP before it may dictate again.
+    // knows nothing about the fleet — it opens a resync round, attaching
+    // to every RP before it may dictate again.
     if s.crashed {
         let mut n = s.clone();
         n.crashed = false;
         n.open_resync(cfg.rps);
         out.push(Succ {
-            action: "Reconnect (resync queries to every RP)".to_owned(),
+            action: "Reconnect (an attach to every RP)".to_owned(),
             state: n,
             violation: None,
         });
@@ -688,7 +689,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
                     violation,
                 });
             }
-            Msg::ResyncQuery { dst } => {
+            Msg::Attach { dst } => {
                 let d = dst as usize;
                 let mut n = s.clone();
                 n.remove(msg);
@@ -696,7 +697,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
                 // coordinator crashed again meanwhile, the reply has
                 // nowhere to go.
                 if !s.crashed {
-                    n.net.push(Msg::ResyncReply {
+                    n.net.push(Msg::Attached {
                         src: dst,
                         rev: s.rp_rev[d],
                     });
@@ -708,7 +709,7 @@ fn successors(cfg: &ModelConfig, mutation: Mutation, s: &State) -> Vec<Succ> {
                     violation: None,
                 });
             }
-            Msg::ResyncReply { src, rev } => {
+            Msg::Attached { src, rev } => {
                 let r = src as usize;
                 let mut n = s.clone();
                 n.remove(msg);
@@ -915,7 +916,7 @@ pub fn mutation_scope(mutation: Mutation) -> ModelConfig {
         // Caught at the crash transition itself.
         Mutation::DisconnectWipe => ModelConfig::new(2, 2).with_crash(1),
         // Needs the backlog race: a pre-crash Reconfigure delivered
-        // after that RP's resync reply was sent.
+        // after that RP's attach reply was sent.
         Mutation::ResyncSkip => ModelConfig::new(2, 2).with_crash(1),
         // Needs one dictated revision before the crash or the timed-out
         // barrier, so the replies can sit below the watermark.
@@ -1055,10 +1056,10 @@ mod tests {
         assert!(s.resyncing);
         assert_eq!(s.view, vec![None, None]);
         for prefix in [
-            "Deliver ResyncQuery to rp0",
-            "Deliver ResyncQuery to rp1",
-            "Deliver ResyncReply(rev 1) from rp0",
-            "Deliver ResyncReply(rev 1) from rp1",
+            "Deliver Attach to rp0",
+            "Deliver Attach to rp1",
+            "Deliver Attached(rev 1) from rp0",
+            "Deliver Attached(rev 1) from rp1",
         ] {
             s = step(&cfg, &s, prefix);
         }
@@ -1098,10 +1099,10 @@ mod tests {
         assert!(s.poisoned && s.resyncing);
         assert_eq!(s.reconnects_used, 1);
         for prefix in [
-            "Deliver ResyncQuery to rp0",
-            "Deliver ResyncQuery to rp1",
-            "Deliver ResyncReply(rev 1) from rp0",
-            "Deliver ResyncReply(rev 0) from rp1",
+            "Deliver Attach to rp0",
+            "Deliver Attach to rp1",
+            "Deliver Attached(rev 1) from rp0",
+            "Deliver Attached(rev 0) from rp1",
             "Resync complete (re-dictate revision 1",
             "Deliver Reconfigure(rev 1) to rp0",
             "Deliver Ack(rev 1) from rp0",
@@ -1127,10 +1128,10 @@ mod tests {
         for prefix in [
             "Dictate revision 1",
             "Poison",
-            "Deliver ResyncQuery to rp0",
-            "Deliver ResyncQuery to rp1",
-            "Deliver ResyncReply(rev 0) from rp0",
-            "Deliver ResyncReply(rev 0) from rp1",
+            "Deliver Attach to rp0",
+            "Deliver Attach to rp1",
+            "Deliver Attached(rev 0) from rp0",
+            "Deliver Attached(rev 0) from rp1",
         ] {
             s = step(&cfg, &s, prefix);
         }

@@ -253,7 +253,7 @@ mod tests {
     use teeve_overlay::{
         ConstructionAlgorithm, NodeCapacity, OverlayManager, ProblemInstance, RandomJoin,
     };
-    use teeve_pubsub::StreamProfile;
+    use teeve_pubsub::{link_changes_between, StreamProfile};
     use teeve_telemetry::FlightEventKind;
     use teeve_types::{CostMatrix, CostMs, Degree, StreamId};
 
@@ -741,15 +741,14 @@ mod tests {
         // already follows its table, so no data path sees a Hello.
         coordinator.detach();
         let mut coordinator = Coordinator::connect(&plan_b, &addrs, &config).expect("re-adopt");
+        // Each RP answers its attach with its revision and delivered
+        // total, then takes the one barrier: no query, no stats probe.
         let expected = [
             ("Ack", 3),
             ("Attach", 3),
-            ("Delivered", 3),
+            ("Attached", 3),
             ("Peers", 1),
             ("Reconfigure", 3),
-            ("ResyncQuery", 3),
-            ("ResyncReply", 3),
-            ("StatsRequest", 3),
         ];
         assert_eq!(taps.take(), tally(&expected), "one re-adoption's traffic");
 
@@ -1024,6 +1023,14 @@ mod tests {
         let report = coordinator.shutdown();
         assert_eq!(report.missing_reports, 0);
         assert_eq!(report.final_revision, 2);
+        // The heal's links count from revision 0, the last plan every RP
+        // acknowledged, to revision 2: the link to site 2 opened and the
+        // link to site 1 closed.
+        let healed = link_changes_between(&plan_a, &plan_c);
+        assert_eq!(healed.established, [(site(0), site(2))]);
+        assert_eq!(healed.closed, [(site(0), site(1))]);
+        assert_eq!(report.connections_opened, 1);
+        assert_eq!(report.connections_closed, 1);
         let mut expected: BTreeMap<(SiteId, StreamId), u64> = BTreeMap::new();
         for (_, child, s) in plan_a.edges().chain(plan_c.edges()) {
             *expected.entry((child, s)).or_default() += 2;
@@ -1227,6 +1234,49 @@ mod tests {
         // accounting first, then delivers.
         cluster.publish(1).expect("the batch after a shed delivers");
         drop(cluster);
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_timeout_after_a_healed_shed_is_a_timeout() {
+        // The overcap batch of `socket_overcap_unpaced_batch_is_a_typed_shed`,
+        // with site 2 behind a tap so its data link can be stalled later.
+        let plan = wide_relay_plan(8);
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let taps = Arc::new(Taps::default());
+        let mut addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
+        addrs[2] = tap(addrs[2], &taps);
+        let config = ClusterConfig {
+            payload_bytes: 256,
+            timeout: Duration::from_secs(2),
+            ..quick_config()
+        };
+        let mut coordinator = Coordinator::connect(&plan, &addrs, &config).expect("connect");
+        match coordinator.publish(8192) {
+            Err(ClusterError::Shed { site: shed_at, .. }) => assert_eq!(shed_at, site(0)),
+            other => panic!("expected a typed shed, got {other:?}"),
+        }
+        coordinator.publish(1).expect("the heal delivers");
+
+        // The heal's attach zeroed every RP's shed count, so a stalled
+        // batch that sheds nothing is a plain timeout, not that old shed.
+        taps.stall.store(true, Ordering::Relaxed);
+        match coordinator.publish(1) {
+            Err(ClusterError::Timeout {
+                delivered,
+                expected,
+            }) => assert!(delivered < expected, "{delivered}/{expected}"),
+            other => panic!("expected a delivery timeout, got {other:?}"),
+        }
+        drop(coordinator);
+        taps.close(&[addrs[2]]);
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
         reactor.shutdown();
     }
 

@@ -23,18 +23,18 @@
 //! behind its `Publish`, so nothing else confirms the batch.
 //!
 //! Every way onto a plan is one convergence step, `converge`: a fresh
-//! `Attach` to every RP (the latest attach wins on the RP side), a
-//! `ResyncQuery`/`ResyncReply` round that reads each RP's revision, the
-//! same ack barrier dictating the target plan to every site (which
-//! reopens any link that died and touches no live one), and a stats
-//! probe that baselines delivery accounting. [`Coordinator::connect`]
+//! `Attach` to every RP (the latest attach wins on the RP side), which
+//! each RP answers with `Attached`, naming its revision and the
+//! delivered total that baselines delivery accounting, then the same ack
+//! barrier dictating the target plan to every site (which reopens any
+//! link that died and touches no live one). [`Coordinator::connect`]
 //! runs it on a bare fleet or on a live one whose coordinator
 //! [`detach`](Coordinator::detach)ed or died, and the coordinator runs
 //! it again at the start of the next [`publish`](Coordinator::publish)
 //! or [`apply_delta`](Coordinator::apply_delta) after any failure: a
 //! failed barrier or batch heals in place. The target only moves
 //! forward. The shape is pinned by the model checker's crash and heal
-//! scopes (`teeve-check model --resync`, see `crates/check`): resync
+//! scopes (`teeve-check model --resync`, see `crates/check`): attach
 //! replies are observed but never choose the dictation target — trusting
 //! them is exactly the `ResyncSkip`/`ReconnectRewind` mutant pair the
 //! checker kills.
@@ -45,7 +45,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, PlanDelta};
+use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, LinkChanges, PlanDelta};
 use teeve_telemetry::{FlightEventKind, FlightRecorder, Histogram, LogHistogram, MetricsRegistry};
 use teeve_types::{SiteId, StreamId};
 
@@ -310,13 +310,6 @@ struct StatsSnapshot {
     streams: Vec<StreamDelivery>,
 }
 
-/// The latest [`Message::ResyncReply`] harvested from one RP.
-#[derive(Debug, Clone, Copy)]
-struct ResyncSnapshot {
-    probe: u64,
-    revision: u64,
-}
-
 /// The coordinator's entire knowledge of one RP: its address, the control
 /// connection, and state reconstructed from its replies. There is
 /// deliberately no `Arc` into RP memory here — this struct is what makes
@@ -337,8 +330,9 @@ struct SiteLink {
     /// The freshest full stats report, tagged with its probe token: only
     /// `shutdown`'s harvest asks for one.
     stats: Option<StatsSnapshot>,
-    /// The freshest resync reply, tagged with its probe token.
-    resync: Option<ResyncSnapshot>,
+    /// The RP's [`Message::Attached`] reply: its revision and delivered
+    /// total when this connection attached.
+    attached: Option<(u64, u64)>,
 }
 
 impl SiteLink {
@@ -366,7 +360,7 @@ impl SiteLink {
             out: BytesMut::new(),
             delivered: None,
             stats: None,
-            resync: None,
+            attached: None,
         };
         link.send(&Message::Attach)?;
         Ok(link)
@@ -400,8 +394,8 @@ impl SiteLink {
                     streams,
                 });
             }
-            Message::ResyncReply { probe, revision } => {
-                self.resync = Some(ResyncSnapshot { probe, revision });
+            Message::Attached { revision, total } => {
+                self.attached = Some((revision, total));
             }
             other => {
                 return Err(ClusterError::Control {
@@ -518,8 +512,9 @@ impl SiteLink {
 ///
 /// 1. [`connect`](Self::connect) converges a fleet onto its plan:
 ///    it attaches one control connection per RP address, reads every
-///    RP's revision, and dictates every site's forwarding table through
-///    one ack barrier; each RP dials its plan links itself;
+///    RP's revision and delivered total from its attach reply, and
+///    dictates every site's forwarding table through one ack barrier;
+///    each RP dials its plan links itself;
 /// 2. [`publish`](Self::publish) orders a batch of frames out of every
 ///    origin RP (one `Publish` each) and, in the same pass, probes every
 ///    RP armed at the delivered total it owes, then blocks until each has
@@ -558,21 +553,24 @@ pub struct Coordinator {
     started: Option<Instant>,
     next_seq: u64,
     next_probe: u64,
-    /// Per site, the delivered-frame total its RP owes: the baseline
-    /// plus `frames × in_degree` of every batch published since.
+    /// Per site, the delivered-frame total its RP owes: the total it
+    /// reported when it attached plus `frames × in_degree` of every
+    /// batch published since.
     owed: Vec<u64>,
     connections_opened: u64,
     connections_closed: u64,
-    /// A step failed since the last convergence: the fleet may not run
-    /// the target plan, and `owed` may not be what it delivers.
-    unconverged: bool,
+    /// `Some` while a step has failed since the last convergence — the
+    /// fleet may not run the target plan, and `owed` may not be what it
+    /// delivers — holding the last plan every RP acknowledged, which the
+    /// healing convergence counts its opened and closed links from.
+    unconverged: Option<DisseminationPlan>,
     done: bool,
     registry: MetricsRegistry,
     recorder: FlightRecorder,
     /// Reconfigure-sent → `Ack` round-trip time, one sample per site.
     reconfigure_rtt: Histogram,
     /// Full duration of each convergence: first attach → barrier
-    /// dictated and accounting baselined.
+    /// dictated.
     resync_span: Histogram,
 }
 
@@ -582,21 +580,28 @@ impl Coordinator {
     /// still runs an earlier plan under a coordinator that
     /// [`detach`](Self::detach)ed or died. It attaches a fresh control
     /// connection per RP (atomically replacing any prior one on the RP
-    /// side), runs a `ResyncQuery` round that reads every RP's revision,
-    /// dictates `plan` to every RP through one ack barrier, and
-    /// baselines delivery accounting. Each RP installs its table and
-    /// dials the plan links it has no link to; RPs already following
-    /// `plan` open and close nothing.
+    /// side), which each RP answers with its revision and delivered
+    /// total, then dictates `plan` to every RP through one ack barrier.
+    /// Each RP installs its table and dials the plan links it has no
+    /// link to; RPs already following `plan` open and close nothing.
     ///
     /// A live fleet must be handed the plan its lost coordinator last
     /// dictated, revision included (a restarted membership service
-    /// recovers it from its session store). Resync replies are observed
+    /// recovers it from its session store). Attach replies are observed
     /// only — they never choose what to dictate. Resuming from a reply's
     /// revision instead is the `ResyncSkip`/`ReconnectRewind` mutant
     /// pair the model checker kills: it lets the fleet's ack barrier
-    /// regress. Frames the fleet delivered before the barrier are
-    /// baselined away, so later [`publish`](Self::publish) calls block on
-    /// exactly the deliveries they order.
+    /// regress. The refusal of an RP ahead of `plan` is why the attach
+    /// is a round of its own: it must come before anything is dictated.
+    ///
+    /// Delivery accounting is baselined at each RP's attach: frames it
+    /// delivered before then are not this coordinator's to await, so
+    /// later [`publish`](Self::publish) calls block on exactly the
+    /// deliveries they order. A frame still in flight from the old
+    /// coordinator's traffic that lands after the attach — during the
+    /// barrier, or later — counts as a delivery of the next batch; the
+    /// barrier does not drain the data plane, so no baseline point
+    /// closes that window.
     ///
     /// # Errors
     ///
@@ -605,10 +610,10 @@ impl Coordinator {
     /// [`ClusterError::Control`] naming the site), an RP reports a
     /// revision *ahead* of `plan` (the plan is stale), an RP reports a
     /// plan link as [`ClusterError::LinkFailed`], or an RP does not
-    /// answer the query, the barrier or the baseline probe within
-    /// `config.timeout`. A failed connect detaches rather than tearing
-    /// down, so it leaves the fleet running as it found it and the
-    /// caller can retry, with a fresher plan if the RPs are ahead.
+    /// answer the attach or the barrier within `config.timeout`. A
+    /// failed connect detaches rather than tearing down, so it leaves
+    /// the fleet running as it found it and the caller can retry, with a
+    /// fresher plan if the RPs are ahead.
     pub fn connect(
         plan: &DisseminationPlan,
         addrs: &[SocketAddr],
@@ -633,7 +638,7 @@ impl Coordinator {
             owed: vec![0; addrs.len()],
             connections_opened: 0,
             connections_closed: 0,
-            unconverged: true,
+            unconverged: None,
             done: false,
             reconfigure_rtt: registry.histogram("coordinator.reconfigure_rtt_micros"),
             resync_span: registry.histogram("coordinator.resync_micros"),
@@ -641,7 +646,7 @@ impl Coordinator {
             recorder: FlightRecorder::new(),
         };
         match coordinator.converge() {
-            Ok(()) => Ok(coordinator),
+            Ok(_) => Ok(coordinator),
             Err(e) => {
                 // Detach: the fleet stays as it was found.
                 coordinator.done = true;
@@ -653,8 +658,10 @@ impl Coordinator {
     /// The one convergence step, run by [`connect`](Self::connect) and
     /// by the heal that opens the next [`publish`](Self::publish) or
     /// [`apply_delta`](Self::apply_delta) after a failure: attach afresh,
-    /// query, dictate the target to every site, baseline accounting.
-    fn converge(&mut self) -> Result<(), ClusterError> {
+    /// read every reply, dictate the target to every site. Returns the
+    /// links a heal opened and closed, counted from the last plan every
+    /// RP acknowledged (none for `connect`'s first convergence).
+    fn converge(&mut self) -> Result<LinkChanges, ClusterError> {
         let started = Instant::now();
         self.recorder.record(FlightEventKind::ResyncStart);
         let deadline = started + self.config.timeout;
@@ -670,31 +677,26 @@ impl Coordinator {
             }
         }
 
-        // 2. Query every RP. The reported revisions are observed, not
-        //    obeyed.
+        // 2. Every RP answers its attach with its revision, observed and
+        //    not obeyed, and its delivered total, which baselines
+        //    delivery accounting.
         let revision = self.plan.revision();
-        self.next_probe += 1;
-        let probe = self.next_probe;
-        for link in &mut self.sites {
-            link.send(&Message::ResyncQuery { probe })?;
-        }
-        for link in &mut self.sites {
-            let snapshot = link.wait_for(&mut self.scratch, deadline, "resync reply", |l| {
-                l.resync.filter(|r| r.probe >= probe)
-            })?;
+        for (link, owed) in self.sites.iter_mut().zip(&mut self.owed) {
+            let (serves, total) =
+                link.wait_for(&mut self.scratch, deadline, "attach reply", |l| l.attached)?;
             // An RP ahead of the target means the plan is stale:
             // dictating it would regress the fleet's ack barrier (the
             // model's reconnect-regression violation), so refuse instead.
-            if snapshot.revision > revision {
+            if serves > revision {
                 return Err(ClusterError::Control {
                     site: link.site,
                     detail: format!(
-                        "RP serves revision {} ahead of the target plan's {revision}; \
-                         the plan is stale",
-                        snapshot.revision,
+                        "RP serves revision {serves} ahead of the target plan's {revision}; \
+                         the plan is stale"
                     ),
                 });
             }
+            *owed = total;
         }
 
         // 3. Dictate the target to every site as one ack barrier. RPs
@@ -703,20 +705,25 @@ impl Coordinator {
         let every_site: Vec<SiteId> = SiteId::all(self.plan.site_count()).collect();
         self.dictate(&every_site, deadline)?;
 
-        // 4. Baseline delivery accounting at the barrier: whatever the
-        //    fleet delivered before it is not this coordinator's to await.
-        self.owed = self
-            .probe_stats(Probe::Now, deadline)
-            .map(|(_, total)| total)
-            .collect::<Result<_, _>>()?;
-
         self.resync_span.record_duration(started.elapsed());
         self.recorder.record(FlightEventKind::ResyncComplete {
             sites: every_site.len() as u64,
             revision,
         });
-        self.unconverged = false;
-        Ok(())
+        Ok(self
+            .unconverged
+            .take()
+            .map(|acked| self.count_links(&acked))
+            .unwrap_or_default())
+    }
+
+    /// Counts the links that moving from `acked`, a plan every RP ran,
+    /// onto the target opened and closed, and returns them.
+    fn count_links(&mut self, acked: &DisseminationPlan) -> LinkChanges {
+        let changes = link_changes_between(acked, &self.plan);
+        self.connections_opened += changes.established.len() as u64;
+        self.connections_closed += changes.closed.len() as u64;
+        changes
     }
 
     /// Drops the control connections **without** shutting the fleet
@@ -800,7 +807,7 @@ impl Coordinator {
     /// [`ClusterError::Shed`] when an RP reports writes shed at its
     /// write-queue cap, and a [`ClusterError::Timeout`] otherwise.
     pub fn publish(&mut self, frames: u64) -> Result<(), ClusterError> {
-        if self.unconverged {
+        if self.unconverged.is_some() {
             self.converge()?;
         }
         if self.started.is_none() {
@@ -838,7 +845,10 @@ impl Coordinator {
         }
         self.next_seq += frames;
         let delivered = self.await_deliveries();
-        self.unconverged = delivered.is_err();
+        if delivered.is_err() {
+            // Every RP acknowledged the target before the batch.
+            self.unconverged = Some(self.plan.clone());
+        }
         delivered
     }
 
@@ -869,31 +879,32 @@ impl Coordinator {
         }
         let mut next = self.plan.clone();
         delta.apply(&mut next)?;
-        let changes = link_changes_between(&self.plan, &next);
         let mut touched: Vec<SiteId> = delta.touched_sites().into_iter().collect();
         // Validation passed: the target moves forward before any RP is
         // told, so a delta that arrives while a heal keeps failing is
         // never lost.
-        self.plan = next;
-        let dictated = if self.unconverged {
+        let previous = std::mem::replace(&mut self.plan, next);
+        let dictated = if self.unconverged.is_some() {
             touched = SiteId::all(self.plan.site_count()).collect();
             self.converge()
         } else {
             let deadline = Instant::now() + self.config.timeout;
-            self.dictate(&touched, deadline)
+            match self.dictate(&touched, deadline) {
+                Ok(()) => Ok(self.count_links(&previous)),
+                Err(e) => {
+                    // Part of the fleet may run the new revision: the next
+                    // call heals it forward from the plan all of it ran.
+                    self.unconverged = Some(previous);
+                    Err(e)
+                }
+            }
         };
-        if let Err(e) = dictated {
-            // Part of the fleet may run the new revision: the next call
-            // heals it forward.
-            self.unconverged = true;
+        let changes = dictated.inspect_err(|e| {
             self.recorder.record(FlightEventKind::Poisoned {
                 revision: delta.to_revision(),
                 detail: e.to_string(),
             });
-            return Err(e);
-        }
-        self.connections_opened += changes.established.len() as u64;
-        self.connections_closed += changes.closed.len() as u64;
+        })?;
         Ok(ReconfigureReport {
             revision: delta.to_revision(),
             quality_changes: delta.quality_changes().len(),
@@ -1102,8 +1113,6 @@ impl Coordinator {
 enum Probe {
     /// A compact reply once the RP has delivered what it owes.
     Armed,
-    /// A compact reply at once.
-    Now,
     /// The full per-stream report at once.
     Full,
 }

@@ -6,9 +6,10 @@
 //! of RPs across many sessions sharing one pool. An RP is purely
 //! reactive: it binds, accepts, and answers. The coordinator's first
 //! connection sends [`Message::Attach`] to mark itself as the control
-//! channel; the node then routes all of its replies ([`Message::Ack`],
-//! [`Message::LinkFailed`], [`Message::Delivered`],
-//! [`Message::StatsReport`], [`Message::ResyncReply`]) through that
+//! channel, and the node answers it with [`Message::Attached`] (its
+//! revision and delivered total); the node then routes all of its
+//! replies ([`Message::Ack`], [`Message::LinkFailed`],
+//! [`Message::Delivered`], [`Message::StatsReport`]) through that
 //! channel.
 //!
 //! A node opens and closes its own data links from the table it runs. On
@@ -150,8 +151,9 @@ struct NodeState {
     control: Option<(u64, usize)>,
     control_generation: u64,
     stats: NodeStats,
-    /// Writes this node's connections shed at the backlog cap, counted by
-    /// [`queue_write`] and reported in every [`Message::Delivered`].
+    /// Writes this node's connections shed at the backlog cap since its
+    /// coordinator attached, counted by [`queue_write`] and reported in
+    /// every [`Message::Delivered`]. An `Attach` zeroes it.
     shed: u64,
     /// The armed `StatsRequest`: answered from the `Frame` arm by the
     /// delivery that brings `stats` up to its `at_least`, with a
@@ -971,38 +973,31 @@ impl LoopState {
             Message::Attach => {
                 // Latest attach wins: a reconnected coordinator's fresh
                 // channel atomically replaces a dead one.
-                let generation = {
+                let (generation, reply) = {
                     let Some(node) = self.node_mut(node_idx) else {
                         return false;
                     };
                     node.control_generation += 1;
                     node.control = Some((node.control_generation, token));
                     // A watermark armed by the replaced coordinator must
-                    // not answer this one: its probe numbering restarts.
+                    // not answer this one: its probe numbering restarts,
+                    // and so does the shed count its replies carry.
                     node.armed = None;
-                    node.control_generation
+                    node.shed = 0;
+                    node.recorder.record(FlightEventKind::ResyncStart);
+                    // Describe this RP as it stands *now*. The reply is a
+                    // snapshot: the coordinator still closes its
+                    // convergence with a dictation barrier.
+                    let reply = Message::Attached {
+                        revision: node.table.revision,
+                        total: node.stats.total(),
+                    };
+                    (node.control_generation, reply)
                 };
                 if let Some(conn) = self.conn_mut(token) {
                     conn.attached = Some(generation);
                 }
-                true
-            }
-            Message::ResyncQuery { probe } => {
-                // Describe this RP as it stands *now*: the last-applied
-                // table revision. The reply is a snapshot — the
-                // coordinator must still close the round with a
-                // re-dictation barrier.
-                let reply = {
-                    let Some(node) = self.node_ref(node_idx) else {
-                        return false;
-                    };
-                    node.recorder.record(FlightEventKind::ResyncStart);
-                    Message::ResyncReply {
-                        probe,
-                        revision: node.table.revision,
-                    }
-                };
-                self.notify(node_idx, &reply);
+                self.send(token, &reply);
                 true
             }
             Message::Publish {
@@ -1055,7 +1050,7 @@ impl LoopState {
             | Message::LinkFailed { .. }
             | Message::Delivered { .. }
             | Message::StatsReport { .. }
-            | Message::ResyncReply { .. } => {
+            | Message::Attached { .. } => {
                 self.close_conn(token);
                 false
             }
@@ -1950,9 +1945,12 @@ mod tests {
             ],
         );
 
-        // The control channel answers with the Ack for revision 1.
+        // The control channel answers the attach with the bare node's
+        // revision and delivered total, then the table with its Ack.
         let mut control_buf = BytesMut::new();
         let mut chunk = [0u8; 4096];
+        let attached = read_next(&mut control, &mut control_buf, &mut chunk);
+        assert_eq!(attached, BARE);
         let ack = read_next(&mut control, &mut control_buf, &mut chunk);
         assert_eq!(ack, Message::Ack { revision: 1 });
 
@@ -2159,15 +2157,18 @@ mod tests {
             std::net::TcpStream::connect(healthy.addr()).expect("child control connect");
         child_control.set_read_timeout(timeout).ok();
         send(&mut child_control, &[Message::Attach]);
+        let (mut buf, mut child_buf) = (BytesMut::new(), BytesMut::new());
+        let mut chunk = [0u8; 4096];
+        let attached = read_next(&mut child_control, &mut child_buf, &mut chunk);
+        assert_eq!(attached, BARE);
 
         // Unpaced 2 MiB batches, each fully drained by the healthy child
         // before the next, so only the stuck link ever backs up: first
         // the kernel's socket buffers fill, then the pending buffer up to
         // its cap, then frames shed.
         let dropped = reactor.telemetry().counter("reactor.writes.dropped");
-        let (mut buf, mut child_buf) = (BytesMut::new(), BytesMut::new());
-        let mut chunk = [0u8; 4096];
         let fenced = Message::Ack { revision: 1 };
+        assert_eq!(read_next(&mut control, &mut buf, &mut chunk), BARE);
         assert_eq!(read_next(&mut control, &mut buf, &mut chunk), fenced);
         let mut sent = 0u64;
         while dropped.get() == 0 {
@@ -2274,13 +2275,23 @@ mod tests {
         }
     }
 
-    /// A node (site 0) with one attached control connection.
+    /// What a node that has run no table and delivered nothing answers
+    /// an `Attach` with.
+    const BARE: Message = Message::Attached {
+        revision: 0,
+        total: 0,
+    };
+
+    /// A node (site 0) with one attached control connection, its attach
+    /// answered.
     fn attached_node() -> (Reactor, RpNodeHandle, std::net::TcpStream) {
         let reactor = Reactor::new(1).expect("reactor starts");
         let node = reactor.bind_node(SiteId::new(0)).expect("bind");
         let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
         control.set_read_timeout(Some(Duration::from_secs(10))).ok();
         send(&mut control, &[Message::Attach]);
+        let attached = read_next(&mut control, &mut BytesMut::new(), &mut [0u8; 64]);
+        assert_eq!(attached, BARE);
         (reactor, node, control)
     }
 
@@ -2347,20 +2358,28 @@ mod tests {
     fn socket_attach_disarms_the_armed_stats_request() {
         let (reactor, node, mut first) = attached_node();
         let mut first_buf = BytesMut::new();
-        let replies = replies_before_fence(&mut first, &mut first_buf, &[stats_request(9, 2)]);
+        let mut orders = vec![stats_request(9, 4)];
+        orders.extend(frames(2));
+        let replies = replies_before_fence(&mut first, &mut first_buf, &orders);
         assert!(replies.is_empty());
 
-        // A successor attaches — its probe numbering restarts — and
-        // frames cross the old watermark: nobody hears the stale probe.
+        // A successor attaches — its probe numbering restarts — and is
+        // answered with the revision the fence installed and the two
+        // frames delivered so far. Frames then cross the old watermark:
+        // nobody hears the stale probe.
         let mut second = std::net::TcpStream::connect(node.addr()).expect("control connect");
         second.set_read_timeout(Some(Duration::from_secs(10))).ok();
         let mut second_buf = BytesMut::new();
         let mut orders = vec![Message::Attach];
         orders.extend(frames(3));
         let replies = replies_before_fence(&mut second, &mut second_buf, &orders);
-        assert!(replies.is_empty(), "stale watermark answered: {replies:?}");
+        let attached = Message::Attached {
+            revision: 1,
+            total: 2,
+        };
+        assert_eq!(replies, [attached], "stale watermark answered");
         let replies = replies_before_fence(&mut second, &mut second_buf, &[stats_request(0, 0)]);
-        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(0, 3)]);
+        assert_eq!(replies.iter().map(report_of).collect::<Vec<_>>(), [(0, 5)]);
 
         node.stop();
         node.join();
@@ -2453,6 +2472,8 @@ mod tests {
         let (mut child, _) = child_listener.accept().expect("node dials child");
         child.set_read_timeout(Some(Duration::from_secs(10))).ok();
         let (mut child_buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
+        let attached = read_next(&mut control, &mut BytesMut::new(), &mut chunk);
+        assert_eq!(attached, BARE);
         let hello = read_next(&mut child, &mut child_buf, &mut chunk);
         assert_eq!(
             hello,

@@ -30,8 +30,9 @@
 //!   request's watermark — by the fixed-size [`Message::Delivered`]
 //!   (`{probe, total, shed}`), or by the full per-stream
 //!   [`Message::StatsReport`] when the request sets `full`;
-//! * coordinator recovery: [`Message::ResyncQuery`] answered by
-//!   [`Message::ResyncReply`] on a freshly re-attached control channel;
+//! * convergence: [`Message::Attach`] makes a fresh connection the RP's
+//!   control channel and is answered by [`Message::Attached`], naming
+//!   the RP's revision and delivered total;
 //! * teardown: [`Message::Shutdown`].
 
 use std::net::SocketAddr;
@@ -62,11 +63,12 @@ const TAG_PUBLISH: u8 = 12;
 const TAG_STATS_REQUEST: u8 = 14;
 const TAG_STATS_REPORT: u8 = 15;
 const TAG_SHUTDOWN: u8 = 16;
-const TAG_RESYNC_QUERY: u8 = 17;
-const TAG_RESYNC_REPLY: u8 = 18;
+// Tags 17–18 (the retired resync query and its reply) stay unassigned
+// the same way: an `Attach` is answered with `Attached`.
 const TAG_DELIVERED: u8 = 19;
 const TAG_LINK_FAILED: u8 = 20;
 const TAG_PEERS: u8 = 21;
+const TAG_ATTACHED: u8 = 22;
 
 /// Encoded size of a `Frame` up to its payload: length prefix, tag,
 /// stream (origin + local), rung, seq, capture time, payload length.
@@ -158,12 +160,23 @@ pub enum Message {
         revision: u64,
     },
     /// Coordinator preamble: marks this connection as the RP's control
-    /// channel. All RP-originated control traffic ([`Ack`](Self::Ack),
+    /// channel, and is answered on it by [`Attached`](Self::Attached).
+    /// All RP-originated control traffic ([`Ack`](Self::Ack),
     /// [`LinkFailed`](Self::LinkFailed), [`Delivered`](Self::Delivered),
-    /// [`ResyncReply`](Self::ResyncReply),
-    /// [`StatsReport`](Self::StatsReport))
-    /// is sent on the most recently attached connection.
+    /// [`StatsReport`](Self::StatsReport)) is sent on the most recently
+    /// attached connection.
     Attach,
+    /// RP response to [`Attach`](Self::Attach): where the RP stands at
+    /// the moment it switched control. A reply describes the RP only at
+    /// that moment — a backlog `Reconfigure` on an older connection may
+    /// land after it — so the coordinator closes its convergence with a
+    /// dictation barrier rather than trusting replies outright.
+    Attached {
+        /// Revision of the RP's last-applied forwarding table.
+        revision: u64,
+        /// Total frames delivered at this RP.
+        total: u64,
+    },
     /// Control notification from an RP: the table it runs routes to
     /// `child`, and it has no usable link to it — the dial failed, the
     /// order carried no address for it, or the link closed under it.
@@ -213,9 +226,12 @@ pub enum Message {
         probe: u64,
         /// Total frames delivered at this RP.
         total: u64,
-        /// Writes this RP has shed at a full write queue. A frame shed on
-        /// a data link never reaches the child's subtree, so a delivery
-        /// total that counts on it can never be reached.
+        /// Writes this RP has shed at a full write queue since its
+        /// coordinator's [`Attach`](Message::Attach), which zeroes the
+        /// count (the RP's event loop keeps the lifetime figure as
+        /// `reactor.writes.dropped`). A frame shed on a data link never
+        /// reaches the child's subtree, so a delivery total that counts on
+        /// it can never be reached.
         shed: u64,
     },
     /// RP response to a `full` [`StatsRequest`](Self::StatsRequest): the
@@ -231,25 +247,6 @@ pub enum Message {
         max_latency_micros: u64,
         /// Per-stream delivery counters.
         streams: Vec<StreamDelivery>,
-    },
-    /// Reconnected-coordinator probe: describe your current forwarding
-    /// state. Sent on a freshly re-attached control channel after a
-    /// coordinator restart; `probe` correlates request and reply so a
-    /// straggler from an aborted resync round is discarded.
-    ResyncQuery {
-        /// Caller-chosen correlation token, echoed by the reply.
-        probe: u64,
-    },
-    /// RP response to [`ResyncQuery`](Self::ResyncQuery): the revision
-    /// of the RP's last-applied forwarding table. A reply describes the
-    /// RP only at the moment it was sent — a backlog `Reconfigure` may
-    /// land after it — so the coordinator must close the round with a
-    /// re-dictation barrier rather than trusting replies outright.
-    ResyncReply {
-        /// The echoed correlation token.
-        probe: u64,
-        /// Revision of the RP's last-applied forwarding table.
-        revision: u64,
     },
     /// Coordinator order: cascade `End` markers for locally originated
     /// streams, write-shut every outbound link, and exit. The terminal
@@ -350,6 +347,11 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u64_le(*revision);
         }
         Message::Attach => dst.put_u8(TAG_ATTACH),
+        Message::Attached { revision, total } => {
+            dst.put_u8(TAG_ATTACHED);
+            dst.put_u64_le(*revision);
+            dst.put_u64_le(*total);
+        }
         Message::LinkFailed { child } => {
             dst.put_u8(TAG_LINK_FAILED);
             put_site(dst, *child);
@@ -415,15 +417,6 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
                     dst.put_u64_le(count);
                 }
             }
-        }
-        Message::ResyncQuery { probe } => {
-            dst.put_u8(TAG_RESYNC_QUERY);
-            dst.put_u64_le(*probe);
-        }
-        Message::ResyncReply { probe, revision } => {
-            dst.put_u8(TAG_RESYNC_REPLY);
-            dst.put_u64_le(*probe);
-            dst.put_u64_le(*revision);
         }
         Message::Shutdown => dst.put_u8(TAG_SHUTDOWN),
     }
@@ -647,6 +640,10 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
             stream: body.stream()?,
         },
         TAG_ATTACH => Message::Attach,
+        TAG_ATTACHED => Message::Attached {
+            revision: body.u64()?,
+            total: body.u64()?,
+        },
         TAG_LINK_FAILED => Message::LinkFailed {
             child: body.site()?,
         },
@@ -723,11 +720,6 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
                 streams,
             }
         }
-        TAG_RESYNC_QUERY => Message::ResyncQuery { probe: body.u64()? },
-        TAG_RESYNC_REPLY => Message::ResyncReply {
-            probe: body.u64()?,
-            revision: body.u64()?,
-        },
         TAG_SHUTDOWN => Message::Shutdown,
         other => return Err(WireError::UnknownTag { tag: other }),
     };
@@ -833,6 +825,13 @@ mod tests {
             (Message::Ack { revision: 17 }, "09000000061100000000000000"),
             (Message::Attach, "0100000007"),
             (
+                Message::Attached {
+                    revision: 17,
+                    total: 100,
+                },
+                "110000001611000000000000006400000000000000", // length, tag, revision, total
+            ),
+            (
                 Message::LinkFailed {
                     child: SiteId::new(4),
                 },
@@ -891,17 +890,6 @@ mod tests {
                     "03010100000000000000", // three non-empty buckets: 1 ×1,
                     "0202000000000000000a0100000000000000", // 2 ×2 and 10 ×1
                 ),
-            ),
-            (
-                Message::ResyncQuery { probe: 9 },
-                "09000000110900000000000000",
-            ),
-            (
-                Message::ResyncReply {
-                    probe: 9,
-                    revision: 17,
-                },
-                "110000001209000000000000001100000000000000",
             ),
             (Message::Shutdown, "0100000010"),
         ]
@@ -1187,9 +1175,10 @@ mod tests {
     #[test]
     fn unknown_tag_is_rejected() {
         // 3 is the retired `Bye` tag, 8–11 the retired link open/close
-        // orders and link up/down notifications, and 13 the retired
-        // per-stream batch acknowledgement: all unassigned for good.
-        for tag in [0, 3, 8, 9, 10, 11, 13, 99] {
+        // orders and link up/down notifications, 13 the retired
+        // per-stream batch acknowledgement, and 17–18 the retired resync
+        // query and reply: all unassigned for good.
+        for tag in [0, 3, 8, 9, 10, 11, 13, 17, 18, 99] {
             let mut buf = BytesMut::new();
             buf.put_u32_le(1);
             buf.put_u8(tag);
@@ -1244,10 +1233,9 @@ mod tests {
             at_least: u64::MAX - 3,
             full: false,
         });
-        roundtrip(Message::ResyncQuery { probe: 7 });
-        roundtrip(Message::ResyncReply {
-            probe: 7,
+        roundtrip(Message::Attached {
             revision: u64::MAX - 1,
+            total: 7,
         });
         let mut spread = LogHistogram::new();
         for sample in [0u64, 130, 88_123, 88_123, u64::MAX] {

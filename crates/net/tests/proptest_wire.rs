@@ -93,12 +93,12 @@ fn arb_delivery() -> impl Strategy<Value = StreamDelivery> {
         )
 }
 
-/// Uniformly draws one of the 15 protocol messages with arbitrary field
+/// Uniformly draws one of the 14 protocol messages with arbitrary field
 /// values.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
         (
-            0usize..15,
+            0usize..14,
             arb_site(),
             arb_stream(),
             proptest::collection::vec((arb_site(), arb_addr()), 0..4usize),
@@ -157,12 +157,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         max_latency_micros: c,
                         streams,
                     },
-                    11 => Message::ResyncQuery { probe: a },
-                    12 => Message::ResyncReply {
-                        probe: a,
-                        revision: b,
+                    11 => Message::Attached {
+                        revision: a,
+                        total: b,
                     },
-                    13 => Message::Delivered {
+                    12 => Message::Delivered {
                         probe: a,
                         total: b,
                         shed: c,

@@ -13,7 +13,7 @@
 //!    dictation is the re-dictation of the latest revision, no RP's
 //!    table revision ever regresses, and no data socket is touched;
 //! 5. post-resync publishes account exactly — the gap deliveries were
-//!    baselined at the barrier — and the final cumulative per-(site,
+//!    baselined at each RP's attach — and the final cumulative per-(site,
 //!    stream) counts are exact across the coordinator kill.
 
 use std::io::{self, Read, Write};
@@ -39,7 +39,9 @@ struct RawControl {
 }
 
 impl RawControl {
-    fn attach(addr: SocketAddr) -> RawControl {
+    /// Attaches to the RP at `addr`. Its first reply must answer the
+    /// attach, naming one of the `dictated` revisions.
+    fn attach(addr: SocketAddr, dictated: &[u64]) -> RawControl {
         let conn = TcpStream::connect(addr).expect("raw control connect");
         conn.set_nodelay(true).ok();
         conn.set_read_timeout(Some(Duration::from_millis(50))).ok();
@@ -48,6 +50,11 @@ impl RawControl {
             buf: BytesMut::new(),
         };
         raw.send(&Message::Attach);
+        let reply = raw.wait("attach reply", |m| Some(m.clone()));
+        assert!(
+            matches!(reply, Message::Attached { revision, .. } if dictated.contains(&revision)),
+            "unexpected attach reply {reply:?}"
+        );
         raw
     }
 
@@ -168,7 +175,8 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     let stream = runtime.plan().deliveries_to(receiver)[0];
     let origin = stream.origin();
     let gap_frames = 4u64;
-    let mut origin_ctl = RawControl::attach(addrs[origin.index()]);
+    let dictated = [base.revision(), revision];
+    let mut origin_ctl = RawControl::attach(addrs[origin.index()], &dictated);
     origin_ctl.send(&Message::Publish {
         streams: vec![stream],
         base_seq: 1_000,
@@ -187,7 +195,7 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
         // `stream` took the gap batch. The report is armed to arrive
         // once the site's total says the gap batch has landed, in full:
         // only the full report carries per-stream counts.
-        let mut ctl = RawControl::attach(addrs[site.index()]);
+        let mut ctl = RawControl::attach(addrs[site.index()], &dictated);
         let probe = 10_000 + site.index() as u64;
         ctl.send(&Message::StatsRequest {
             probe,
@@ -214,7 +222,7 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     // A connect with a stale plan (the pre-pressure revision) is
     // refused: re-dictating it would rewind the barrier of the RPs that
     // already acked the pressure delta. The refusal detaches — the fleet
-    // must survive it. Its query still reaches every RP.
+    // must survive it. Its attach still reaches every RP.
     let resync_starts = |node: &RpNodeHandle| {
         node.flight_recorder()
             .events()
@@ -222,7 +230,7 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
             .filter(|e| matches!(e.kind, FlightEventKind::ResyncStart))
             .count()
     };
-    let queried: Vec<usize> = nodes.iter().map(resync_starts).collect();
+    let attaches: Vec<usize> = nodes.iter().map(resync_starts).collect();
     match Coordinator::connect(&base, &addrs, &config) {
         Ok(_) => panic!("a stale plan must be refused"),
         Err(err) => assert!(
@@ -230,8 +238,8 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
             "refusal names the ahead RP: {err:?}"
         ),
     }
-    for (node, &before) in nodes.iter().zip(&queried) {
-        wait_until("the refused query lands", || {
+    for (node, &before) in nodes.iter().zip(&attaches) {
+        wait_until("the refused attach lands", || {
             resync_starts(node) == before + 1
         });
     }
@@ -277,16 +285,16 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     let telemetry = reconnected.telemetry().snapshot();
     assert_eq!(telemetry.histograms["coordinator.resync_micros"].count(), 1);
 
-    // RP side: every node served this connect's resync query — one more
-    // than the initial connect and the refused one — and its sequence of
+    // RP side: every node answered the refused connect's attach and
+    // this one's — two more than before the refusal — and its sequence of
     // applied table revisions never regressed: the re-dictation lands
     // each node at the latest revision (nodes the quality delta never
     // touched catch up from the install revision here).
-    for (node, &before) in nodes.iter().zip(&queried) {
+    for (node, &before) in nodes.iter().zip(&attaches) {
         assert_eq!(
             resync_starts(node),
             before + 2,
-            "{} was queried",
+            "{} was attached",
             node.site()
         );
         let revisions: Vec<u64> = node
@@ -307,7 +315,7 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     }
 
     // Post-resync delivery accounting is exact: the gap deliveries were
-    // baselined at the barrier, so this publish blocks on exactly its
+    // baselined at each RP's attach, so this publish blocks on exactly its
     // own frames — and the final cumulative per-(site, stream) counts
     // add up across the coordinator kill.
     reconnected.publish(2).expect("post-resync batch");

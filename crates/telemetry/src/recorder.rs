@@ -67,8 +67,9 @@ pub enum FlightEventKind {
     /// its control reader dies, and by a coordinator detaching without
     /// shutting the fleet down.
     CoordinatorLost,
-    /// A resync round opened: the coordinator queried the fleet, or an
-    /// RP answered a `ResyncQuery` while serving its last-applied table.
+    /// A resync round opened: the coordinator began attaching to the
+    /// fleet, or an RP answered an `Attach` while serving its
+    /// last-applied table.
     ResyncStart,
     /// A resync round closed: every RP replied and the coordinator
     /// re-dictated `revision` as a fresh ack barrier.
