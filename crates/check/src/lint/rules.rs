@@ -321,7 +321,8 @@ pub fn wire_parity(files: &[SourceFile]) -> Vec<Finding> {
 }
 
 /// Tokens that read a length-prefixed count off the wire: raw buffer
-/// reads, and the wire decoder's checked body-reader reads.
+/// reads, the wire decoder's checked body-reader reads, and its
+/// fixed-offset frame-header reads.
 const COUNT_SOURCES: &[&str] = &[
     "get_u32_le()",
     "get_u16_le()",
@@ -329,6 +330,7 @@ const COUNT_SOURCES: &[&str] = &[
     "from_le_bytes",
     ".u8()?",
     ".u32()?",
+    "header_u32(",
 ];
 /// Tokens that count as a bounds guard for such a count.
 const GUARDS: &[&str] = &["checked_mul", ".min(", "len() <", "len() >=", "> BUCKETS"];
@@ -474,6 +476,7 @@ const RELAY_PATH: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/net/src/node.rs", &["copy_for"]),
+    ("crates/net/src/wire.rs", &["decode"]),
 ];
 
 /// Tokens that copy bytes or re-home a `Vec<u8>` as `Bytes`.
@@ -713,6 +716,20 @@ mod tests {
     }
 
     #[test]
+    fn decode_bounds_sees_counts_read_from_the_frame_header() {
+        let bad = "fn d(src: &mut BytesMut) {\n    \
+                   let payload_len = header_u32(header, AT) as usize;\n    \
+                   let payload = src.split_to(payload_len);\n}";
+        let good = "fn d(src: &mut BytesMut) {\n    \
+                    let payload_len = header_u32(header, AT) as usize;\n    \
+                    if tail.len() < payload_len { return Err(WireError::Truncated); }\n}";
+        let findings = decode_bounds(&[fake_file("crates/net/src/bad.rs", bad)]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`payload_len`"));
+        assert!(decode_bounds(&[fake_file("crates/net/src/good.rs", good)]).is_empty());
+    }
+
+    #[test]
     fn std_sync_flags_imports_and_paths() {
         let files = vec![
             fake_file("crates/x/src/a.rs", "use std::sync::Mutex;"),
@@ -757,38 +774,46 @@ mod tests {
         assert_eq!(clock(&files).len(), 1);
     }
 
-    /// A reactor/node pair holding every relay-path function, with a
-    /// copy-free body each.
-    fn relay_fixture() -> (String, String) {
+    /// A reactor/node/wire triple holding every relay-path function,
+    /// with a copy-free body each.
+    fn relay_fixture() -> (String, String, String) {
         let reactor = "fn forward_frame(p: &Bytes) {\n    queue(p.slice(..n));\n}\n\
                        fn queue_write() {}\nfn flush_conn() {}\n\
                        fn push_frame() {}\nfn write_to() {}\n\
                        fn notify() {\n    let v = b.to_vec();\n}\n";
         let node = "fn copy_for() -> [u8; 34] {\n    header\n}\n";
-        (reactor.to_owned(), node.to_owned())
+        let wire = "fn decode_site_plan() {\n    let v = b.to_vec();\n}\n\
+                    fn decode(src: &mut BytesMut) {\n    src.split_to(n).freeze();\n}\n";
+        (reactor.to_owned(), node.to_owned(), wire.to_owned())
     }
 
-    fn relay_files(reactor: &str, node: &str) -> Vec<SourceFile> {
+    fn relay_files(reactor: &str, node: &str, wire: &str) -> Vec<SourceFile> {
         vec![
             fake_file("crates/net/src/reactor.rs", reactor),
             fake_file("crates/net/src/node.rs", node),
+            fake_file("crates/net/src/wire.rs", wire),
         ]
     }
 
     #[test]
     fn relay_copy_passes_the_copy_free_fixture() {
-        // The `to_vec` in `notify` is off the relay path.
-        let (reactor, node) = relay_fixture();
-        assert_eq!(relay_copy(&relay_files(&reactor, &node)), vec![]);
+        // The `to_vec`s in `notify` and `decode_site_plan` are off the
+        // relay path.
+        let (reactor, node, wire) = relay_fixture();
+        assert_eq!(relay_copy(&relay_files(&reactor, &node, &wire)), vec![]);
     }
 
     #[test]
     fn relay_copy_flags_copies_inside_the_relay_path() {
-        let (reactor, node) = relay_fixture();
+        let (reactor, node, wire) = relay_fixture();
         let reactor = reactor.replace("queue(p.slice(..n));", "queue(Bytes::from(p.to_vec()));");
         let node = node.replace("header\n", "h.copy_from_slice(&b);\n");
-        let findings = relay_copy(&relay_files(&reactor, &node));
-        assert_eq!(findings.len(), 2, "{findings:?}");
+        let wire = wire.replace(
+            "src.split_to(n).freeze();",
+            "Bytes::from(src[..n].to_vec());",
+        );
+        let findings = relay_copy(&relay_files(&reactor, &node, &wire));
+        assert_eq!(findings.len(), 3, "{findings:?}");
         assert_eq!(
             (findings[0].path.as_str(), findings[0].line),
             ("crates/net/src/reactor.rs", 2)
@@ -798,13 +823,18 @@ mod tests {
             (findings[1].path.as_str(), findings[1].line),
             ("crates/net/src/node.rs", 2)
         );
+        assert_eq!(
+            (findings[2].path.as_str(), findings[2].line),
+            ("crates/net/src/wire.rs", 5)
+        );
+        assert!(findings[2].message.contains("fn decode`"));
     }
 
     #[test]
     fn relay_copy_reports_a_vanished_relay_function() {
-        let (reactor, node) = relay_fixture();
+        let (reactor, node, wire) = relay_fixture();
         let reactor = reactor.replace("fn write_to() {}", "fn write_all() {}");
-        let findings = relay_copy(&relay_files(&reactor, &node));
+        let findings = relay_copy(&relay_files(&reactor, &node, &wire));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("`fn write_to` not found"));
     }

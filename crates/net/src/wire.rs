@@ -10,7 +10,9 @@
 //! them after a placeholder length and patches the length from the bytes
 //! they wrote, and [`decode`] reads them back through a body reader whose
 //! every read is bounds-checked, failing with [`WireError::Truncated`] at
-//! the end of the body.
+//! the end of the body. A `Frame`, the one message every relay hop
+//! decodes, is the exception: its fixed header is written and read at one
+//! set of field offsets, and read under one bounds check.
 //!
 //! Since the process-separable RP redesign, *every* coordinator action is
 //! a message on this protocol — there is no shared-memory side channel:
@@ -70,9 +72,20 @@ const TAG_LINK_FAILED: u8 = 20;
 const TAG_PEERS: u8 = 21;
 const TAG_ATTACHED: u8 = 22;
 
+// A `Frame`'s fixed header, by the offset of each field in its encoding
+// (after the `u32` length prefix at 0): [`frame_header`] writes the
+// fields there and [`decode`] reads them from there.
+const FRAME_TAG_AT: usize = 4;
+const FRAME_ORIGIN_AT: usize = FRAME_TAG_AT + 1;
+const FRAME_LOCAL_AT: usize = FRAME_ORIGIN_AT + 4;
+const FRAME_RUNG_AT: usize = FRAME_LOCAL_AT + 4;
+const FRAME_SEQ_AT: usize = FRAME_RUNG_AT + 1;
+const FRAME_CAPTURED_AT: usize = FRAME_SEQ_AT + 8;
+const FRAME_PAYLOAD_LEN_AT: usize = FRAME_CAPTURED_AT + 8;
+
 /// Encoded size of a `Frame` up to its payload: length prefix, tag,
 /// stream (origin + local), rung, seq, capture time, payload length.
-pub(crate) const FRAME_HEADER_LEN: usize = 4 + 1 + 4 + 4 + 1 + 8 + 8 + 4;
+pub(crate) const FRAME_HEADER_LEN: usize = FRAME_PAYLOAD_LEN_AT + 4;
 
 /// One stream's delivery counters at one RP, as carried by
 /// [`Message::StatsReport`]. The reporting RP is identified by the control
@@ -434,24 +447,35 @@ pub(crate) fn frame_header(
     captured_micros: u64,
     payload_len: usize,
 ) -> [u8; FRAME_HEADER_LEN] {
-    let mut header = [0u8; FRAME_HEADER_LEN];
     let body = (FRAME_HEADER_LEN - 4 + payload_len) as u32;
-    let fields: [&[u8]; 8] = [
-        &body.to_le_bytes(),
-        &[TAG_FRAME],
-        &(stream.origin().index() as u32).to_le_bytes(),
-        &stream.local_index().to_le_bytes(),
-        &[quality.rung() as u8],
-        &seq.to_le_bytes(),
-        &captured_micros.to_le_bytes(),
-        &(payload_len as u32).to_le_bytes(),
+    let origin = stream.origin().index() as u32;
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[FRAME_TAG_AT] = TAG_FRAME;
+    header[FRAME_RUNG_AT] = quality.rung() as u8;
+    let fields: [(usize, &[u8]); 6] = [
+        (0, &body.to_le_bytes()),
+        (FRAME_ORIGIN_AT, &origin.to_le_bytes()),
+        (FRAME_LOCAL_AT, &stream.local_index().to_le_bytes()),
+        (FRAME_SEQ_AT, &seq.to_le_bytes()),
+        (FRAME_CAPTURED_AT, &captured_micros.to_le_bytes()),
+        (FRAME_PAYLOAD_LEN_AT, &(payload_len as u32).to_le_bytes()),
     ];
-    let mut at = 0;
-    for field in fields {
+    for (at, field) in fields {
         header[at..at + field.len()].copy_from_slice(field);
-        at += field.len();
     }
     header
+}
+
+/// The little-endian `u32` field at offset `at` of a frame header.
+#[inline]
+fn header_u32(header: &[u8; FRAME_HEADER_LEN], at: usize) -> u32 {
+    u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+}
+
+/// The little-endian `u64` field at offset `at` of a frame header.
+#[inline]
+fn header_u64(header: &[u8; FRAME_HEADER_LEN], at: usize) -> u64 {
+    u64::from(header_u32(header, at)) | u64::from(header_u32(header, at + 4)) << 32
 }
 
 /// Writes a site as its `u32` index.
@@ -518,8 +542,9 @@ fn decode_site_plan(body: &mut Body) -> Result<SitePlan, WireError> {
 
 /// A message body being decoded, read field by field from the front.
 /// Every read checks what is left and fails with
-/// [`WireError::Truncated`] past the end. The methods are `#[inline]`:
-/// the `Frame` relay path decodes through them once per hop.
+/// [`WireError::Truncated`] past the end. Every message but `Frame` is
+/// read through it; a `Frame`, decoded once per relay hop, is read at
+/// its fixed header offsets instead.
 struct Body(BytesMut);
 
 impl Body {
@@ -596,9 +621,11 @@ impl Body {
 /// Attempts to decode one complete message from the front of `src`.
 ///
 /// Returns `Ok(None)` when more bytes are needed; consumed bytes are
-/// removed from `src` only when a full message was decoded. A decoded
-/// `Frame`'s payload is a view of `src`'s allocation, not a copy, so a
-/// frame of any size decodes in time proportional to its header.
+/// removed from `src` only when a full message was decoded. A `Frame` is
+/// read the way `frame_header` writes it: every header field at its
+/// fixed offset, under one bounds check on the whole header, then its
+/// payload as one view of `src`'s allocation, not a copy. So a frame of
+/// any size decodes in time proportional to its header.
 ///
 /// # Errors
 ///
@@ -616,19 +643,45 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
     if src.len() < 4 + length {
         return Ok(None);
     }
+    // A `Frame` never reaches the body reader below: its header is read
+    // at fixed offsets under one bounds check. (A tag past a zero-length
+    // body is the next message's, and fails that check as `Truncated`.)
+    if src.get(FRAME_TAG_AT) == Some(&TAG_FRAME) {
+        let (header, tail) = src
+            .get(..4 + length)
+            .and_then(<[u8]>::split_first_chunk::<FRAME_HEADER_LEN>)
+            .ok_or(WireError::Truncated)?;
+        // The payload is exactly the message's tail: whatever follows it
+        // is padding the length prefix claimed.
+        let payload_len = header_u32(header, FRAME_PAYLOAD_LEN_AT) as usize;
+        if tail.len() < payload_len {
+            return Err(WireError::Truncated);
+        }
+        if tail.len() > payload_len {
+            return Err(WireError::TrailingBytes {
+                extra: tail.len() - payload_len,
+            });
+        }
+        let origin = SiteId::new(header_u32(header, FRAME_ORIGIN_AT));
+        let local = header_u32(header, FRAME_LOCAL_AT);
+        let quality = Quality::new(header[FRAME_RUNG_AT]);
+        let seq = header_u64(header, FRAME_SEQ_AT);
+        let captured_micros = header_u64(header, FRAME_CAPTURED_AT);
+        src.advance(FRAME_HEADER_LEN);
+        return Ok(Some(Message::Frame {
+            stream: StreamId::new(origin, local),
+            quality,
+            seq,
+            captured_micros,
+            payload: src.split_to(payload_len).freeze(),
+        }));
+    }
     src.advance(4);
     let mut body = Body(src.split_to(length));
     // Struct fields are evaluated in the order written, which is the
     // order they travel in.
     let message = match body.u8()? {
         TAG_HELLO => Message::Hello { site: body.site()? },
-        TAG_FRAME => Message::Frame {
-            stream: body.stream()?,
-            quality: body.quality()?,
-            seq: body.u64()?,
-            captured_micros: body.u64()?,
-            payload: body.bytes()?.freeze(),
-        },
         TAG_RECONFIGURE => Message::Reconfigure {
             revision: body.u64()?,
             site_plan: decode_site_plan(&mut body)?,
@@ -724,8 +777,7 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
         other => return Err(WireError::UnknownTag { tag: other }),
     };
     // Every field is read: whatever remains was padding the length
-    // prefix claimed. (A `Frame`'s payload is therefore exactly the
-    // body's tail.)
+    // prefix claimed.
     if !body.0.is_empty() {
         return Err(WireError::TrailingBytes {
             extra: body.0.len(),
@@ -1061,22 +1113,89 @@ mod tests {
 
     #[test]
     fn frame_header_is_the_encoding_up_to_the_payload() {
-        let payload = Bytes::from_static(b"synthetic 3d points");
-        let (stream, quality) = (StreamId::new(SiteId::new(2), 5), Quality::new(1));
-        let mut buf = BytesMut::new();
-        encode(
-            &Message::Frame {
+        let points = Bytes::from_static(b"synthetic 3d points");
+        let max = StreamId::new(SiteId::new(u32::MAX), u32::MAX);
+        let mut frames = vec![
+            (StreamId::new(SiteId::new(2), 5), 1, 42, 7, points.clone()),
+            (max, 0, u64::MAX, u64::MAX, Bytes::new()),
+            (max, u8::MAX, u64::MAX, 0, points),
+        ];
+        for rung in 0..=u8::MAX {
+            frames.push((max, rung, u64::MAX, u64::MAX, Bytes::new()));
+        }
+        for (stream, rung, seq, captured_micros, payload) in frames {
+            let quality = Quality::new(rung);
+            let frame = Message::Frame {
                 stream,
                 quality,
-                seq: 42,
-                captured_micros: 7,
+                seq,
+                captured_micros,
                 payload: payload.clone(),
-            },
-            &mut buf,
+            };
+            let mut buf = BytesMut::new();
+            encode(&frame, &mut buf);
+            let header = frame_header(stream, quality, seq, captured_micros, payload.len());
+            assert_eq!(&buf[..FRAME_HEADER_LEN], &header[..]);
+            assert_eq!(&buf[FRAME_HEADER_LEN..], &payload[..]);
+            assert_eq!(decode(&mut buf), Ok(Some(frame)));
+            assert!(buf.is_empty(), "decoder must consume the full frame");
+        }
+    }
+
+    /// A `Frame` whose length prefix claims `body` bytes and whose header
+    /// claims a `payload_len`-byte payload, followed by `rest`.
+    fn raw_frame(body: u32, payload_len: u32, rest: &[u8]) -> BytesMut {
+        let stream = StreamId::new(SiteId::new(3), 1);
+        let mut header = frame_header(stream, Quality::new(2), 9, 11, payload_len as usize);
+        header[..4].copy_from_slice(&body.to_le_bytes());
+        let mut buf = BytesMut::from(&header[..]);
+        buf.put_slice(rest);
+        buf
+    }
+
+    #[test]
+    fn frame_decode_golden_cases() {
+        // The cases are followed by the first bytes of a next message,
+        // which no frame may read.
+        let next = [0xEE; 40];
+        let header_body = (FRAME_HEADER_LEN - 4) as u32;
+
+        // A zero-length body, alone and followed by a next message that
+        // starts with a frame tag.
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(0);
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(0);
+        buf.put_u8(TAG_FRAME);
+        buf.put_slice(&next);
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+
+        // A body one byte shorter than the frame header.
+        let mut buf = raw_frame(header_body - 1, 0, &next);
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+
+        // A payload-length field one byte over the body, and one under.
+        let payload = [7u8; 4];
+        let rest = [&payload[..], &next].concat();
+        let mut buf = raw_frame(header_body + 4, 5, &rest);
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
+        let mut buf = raw_frame(header_body + 4, 3, &rest);
+        assert_eq!(decode(&mut buf), Err(WireError::TrailingBytes { extra: 1 }));
+
+        // Exactly the body: the frame, and not one byte of the next message.
+        let mut buf = raw_frame(header_body + 4, 4, &rest);
+        assert_eq!(
+            decode(&mut buf),
+            Ok(Some(Message::Frame {
+                stream: StreamId::new(SiteId::new(3), 1),
+                quality: Quality::new(2),
+                seq: 9,
+                captured_micros: 11,
+                payload: Bytes::from(payload.to_vec()),
+            }))
         );
-        let header = frame_header(stream, quality, 42, 7, payload.len());
-        assert_eq!(&buf[..FRAME_HEADER_LEN], &header[..]);
-        assert_eq!(&buf[FRAME_HEADER_LEN..], &payload[..]);
+        assert_eq!(&buf[..], &next[..]);
     }
 
     #[test]

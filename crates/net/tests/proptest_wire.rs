@@ -3,7 +3,7 @@
 //! process-separable RP redesign), incremental-decode behavior on
 //! arbitrary prefixes, and truncation/oversize fuzzing.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use proptest::prelude::*;
 use teeve_net::wire::{decode, encode, Message, StreamDelivery, WireError, MAX_MESSAGE_BYTES};
 use teeve_pubsub::{ChildLink, ForwardingEntry, SitePlan};
@@ -170,6 +170,140 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 }
             },
         )
+}
+
+/// The `Frame` tag on the wire.
+const TAG_FRAME: u8 = 2;
+
+/// A test-only copy of the field-by-field `Frame` read `decode` used
+/// before it read the header at fixed offsets: the whole message split
+/// off first, then every field read through a bounds check of its own.
+fn field_by_field_frame(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
+    fn need(body: &BytesMut, bytes: usize) -> Result<(), WireError> {
+        if body.len() < bytes {
+            return Err(WireError::Truncated);
+        }
+        Ok(())
+    }
+    if src.len() < 4 {
+        return Ok(None);
+    }
+    let length = u32::from_le_bytes([src[0], src[1], src[2], src[3]]) as usize;
+    if length > MAX_MESSAGE_BYTES {
+        return Err(WireError::Oversized { claimed: length });
+    }
+    if src.len() < 4 + length {
+        return Ok(None);
+    }
+    src.advance(4);
+    let mut body = src.split_to(length);
+    need(&body, 1)?;
+    assert_eq!(body.get_u8(), TAG_FRAME, "only frames are drawn");
+    need(&body, 4)?;
+    let origin = SiteId::new(body.get_u32_le());
+    need(&body, 4)?;
+    let stream = StreamId::new(origin, body.get_u32_le());
+    need(&body, 1)?;
+    let quality = Quality::new(body.get_u8());
+    need(&body, 8)?;
+    let seq = body.get_u64_le();
+    need(&body, 8)?;
+    let captured_micros = body.get_u64_le();
+    need(&body, 4)?;
+    let payload_len = body.get_u32_le() as usize;
+    need(&body, payload_len)?;
+    let payload = body.split_to(payload_len).freeze();
+    if !body.is_empty() {
+        return Err(WireError::TrailingBytes { extra: body.len() });
+    }
+    Ok(Some(Message::Frame {
+        stream,
+        quality,
+        seq,
+        captured_micros,
+        payload,
+    }))
+}
+
+/// A field drawn as `any` `u32` one time in four, as its true value one
+/// time in four, and otherwise `delta` from it.
+fn near(actual: usize, (pick, delta, any): (u8, i64, u32)) -> u32 {
+    match pick {
+        0 => any,
+        1 => actual as u32,
+        _ => (actual as i64 + delta).clamp(0, i64::from(u32::MAX)) as u32,
+    }
+}
+
+/// Bytes that start with a `Frame` tag but may lie about everything: a
+/// length prefix near the true body length or anywhere up to past the
+/// protocol maximum, a payload-length field near the payload length or
+/// anywhere, then the next message's first bytes, half the time cut
+/// short by up to 64 bytes.
+fn arb_frame_tagged_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u8>(),
+            (any::<u64>(), any::<u64>()),
+        ),
+        proptest::collection::vec(any::<u8>(), 0..48usize),
+        (
+            (0u8..4, -40i64..8, any::<u32>()),
+            (0u8..4, -4i64..4, any::<u32>()),
+        ),
+        (
+            proptest::collection::vec(any::<u8>(), 0..40usize),
+            (any::<bool>(), 0usize..64),
+        ),
+    )
+        .prop_map(
+            |(
+                (origin, local, rung, (seq, captured)),
+                payload,
+                (length, payload_len),
+                (next, (cut, by)),
+            )| {
+                let body = 1 + 4 + 4 + 1 + 8 + 8 + 4 + payload.len();
+                let mut bytes = near(body, length).to_le_bytes().to_vec();
+                bytes.push(TAG_FRAME);
+                bytes.extend_from_slice(&origin.to_le_bytes());
+                bytes.extend_from_slice(&local.to_le_bytes());
+                bytes.push(rung);
+                bytes.extend_from_slice(&seq.to_le_bytes());
+                bytes.extend_from_slice(&captured.to_le_bytes());
+                bytes.extend_from_slice(&near(payload.len(), payload_len).to_le_bytes());
+                bytes.extend_from_slice(&payload);
+                bytes.extend_from_slice(&next);
+                if cut {
+                    bytes.truncate(bytes.len().saturating_sub(by));
+                }
+                bytes
+            },
+        )
+}
+
+proptest! {
+    // Each case is a few microseconds, and one in about twenty is a whole
+    // frame; the rest spread over `Ok(None)` and every error.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Same bytes in, same result out: on any `Frame`-tagged bytes the
+    /// fixed-offset header read returns what the field-by-field read
+    /// returns (the same `Ok(None)`, the same error, the same frame), and
+    /// a decoded frame consumes the same bytes.
+    #[test]
+    fn frame_decode_matches_the_field_by_field_read(bytes in arb_frame_tagged_bytes()) {
+        let (mut fixed, mut fields) = (BytesMut::from(&bytes[..]), BytesMut::from(&bytes[..]));
+        let expected = field_by_field_frame(&mut fields);
+        let decoded = decode(&mut fixed);
+        let decoded_a_frame = matches!(decoded, Ok(Some(_)));
+        prop_assert_eq!(decoded, expected);
+        if decoded_a_frame {
+            prop_assert_eq!(&fixed[..], &fields[..]);
+        }
+    }
 }
 
 proptest! {
