@@ -505,10 +505,7 @@ pub fn relay_copy(files: &[SourceFile]) -> Vec<Finding> {
 /// The read path, by file: the functions that read a socket.
 const READ_PATH: &[(&str, &[&str])] = &[
     ("crates/net/src/reactor.rs", &["on_readable"]),
-    (
-        "crates/net/src/coordinator.rs",
-        &["wait_for", "read_arrived"],
-    ),
+    ("crates/net/src/coordinator.rs", &["wait"]),
 ];
 
 /// Tokens that build a zeroed buffer.
@@ -844,8 +841,7 @@ mod tests {
     fn read_fixture() -> Vec<SourceFile> {
         let reactor = "fn new() -> LoopState {\n    let s = vec![0; 64];\n}\n\
                        fn on_readable(&mut self) {\n    self.s.read(&mut self.scratch);\n}\n";
-        let coordinator = "fn wait_for(&mut self, scratch: &mut [u8]) {\n    c.read(scratch);\n}\n\
-                           fn read_arrived(&mut self, scratch: &mut [u8]) {}\n\
+        let coordinator = "fn wait(&mut self) {\n    c.read(&mut self.scratch);\n}\n\
                            fn probe() {\n    let b = [0u8; 8];\n}\n";
         vec![
             fake_file("crates/net/src/reactor.rs", reactor),
@@ -868,8 +864,7 @@ mod tests {
         );
         files[1] = fake_file(
             "crates/net/src/coordinator.rs",
-            "fn wait_for(&mut self) {\n    let mut chunk = vec![0; 65536];\n}\n\
-             fn read_arrived(&mut self) {}\n",
+            "fn wait(&mut self) {\n    let mut chunk = vec![0; 65536];\n}\n",
         );
         let findings = read_scratch(&files);
         assert_eq!(findings.len(), 2, "{findings:?}");
@@ -890,12 +885,13 @@ mod tests {
     #[test]
     fn read_scratch_reports_a_vanished_read_function() {
         let mut files = read_fixture();
-        files[1] = fake_file("crates/net/src/coordinator.rs", "fn read_arrived() {}\n");
+        // A longer name that starts with the function's does not count.
+        files[1] = fake_file("crates/net/src/coordinator.rs", "fn wait_for() {}\n");
         let findings = read_scratch(&files);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0]
             .message
-            .contains("`fn wait_for` not found; update READ_PATH"));
+            .contains("`fn wait` not found; update READ_PATH"));
     }
 
     #[test]

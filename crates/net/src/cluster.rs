@@ -511,6 +511,10 @@ mod tests {
         /// While set, data links (connections that open with `Hello`)
         /// pass nothing on: the link stays up and carries nothing.
         stall: AtomicBool,
+        /// The coordinator's end of every control channel (connections
+        /// that carry `Attach`) that crossed a tap, for
+        /// [`cut_controls`](Taps::cut_controls).
+        controls: Mutex<Vec<TcpStream>>,
     }
 
     impl Taps {
@@ -527,6 +531,14 @@ mod tests {
             while self.tally.lock().get(kind).copied().unwrap_or(0) < n {
                 assert!(Instant::now() < deadline, "{n} × {kind} never crossed");
                 std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        /// Closes every control channel that crossed a tap so far, as if
+        /// its RP's end had died: the coordinator reads end of stream.
+        fn cut_controls(&self) {
+            for control in self.controls.lock().drain(..) {
+                let _ = control.shutdown(Shutdown::Both);
             }
         }
 
@@ -611,6 +623,9 @@ mod tests {
             buf.extend_from_slice(&chunk[..read]);
             while let Ok(Some(message)) = decode(&mut buf) {
                 data_link |= matches!(message, Message::Hello { .. });
+                if matches!(message, Message::Attach) {
+                    taps.controls.lock().extend(from.try_clone());
+                }
                 let name = format!("{message:?}");
                 let kind = name.split(|c: char| !c.is_alphanumeric()).next();
                 *taps
@@ -979,23 +994,21 @@ mod tests {
         coordinator.publish(2).expect("healthy batch");
 
         // Stop site 2's RP, then apply a delta that needs it: site 2
-        // subscribes, so a link must open to the stopped RP. Its parent
-        // is waited on first (it is site 0 or 1).
+        // subscribes, so a link must open to the stopped RP. The barrier
+        // awaits site 2 too, and its closed control channel is the first
+        // failure it reads: the end of stream is there before the parent
+        // has even been told to dial.
         let victim = nodes.remove(2);
         victim.stop();
         victim.join();
         manager.subscribe(site(2), stream(0, 0)).unwrap();
         let plan_b = plan_at(&problem, &manager, 1);
-        let (parent, _, _) = plan_b
-            .edges()
-            .find(|&(_, child, _)| child == site(2))
-            .expect("site 2 takes the stream");
         let err = coordinator
             .apply_delta(&PlanDelta::diff(&plan_a, &plan_b))
             .unwrap_err();
         assert!(
-            matches!(err, ClusterError::LinkFailed { parent: p, child } if p == parent && child == site(2)),
-            "the stopped RP must surface as its parent's failed link, got {err}"
+            matches!(err, ClusterError::Control { site: s, .. } if s == site(2)),
+            "the stopped RP must surface as its own closed channel, got {err}"
         );
 
         // The target moved to revision 1 all the same, so the next delta
@@ -1124,8 +1137,8 @@ mod tests {
         // The relay gets its frame, the leaf never does: the wait runs
         // out as a typed timeout, not as a control error or a failed
         // link. `delivered` sums the freshest totals the coordinator
-        // holds — the relay's new one only if its report was read
-        // before the leaf's wait.
+        // holds: the relay's new 3, read as it arrived, and the leaf's 2
+        // from the healthy batch.
         taps.stall.store(true, Ordering::Relaxed);
         match coordinator.publish(1) {
             Err(ClusterError::Timeout {
@@ -1133,7 +1146,7 @@ mod tests {
                 expected,
             }) => {
                 assert_eq!(expected, 3 + 3);
-                assert!((2 + 2..expected).contains(&delivered), "{delivered}");
+                assert_eq!(delivered, 3 + 2);
             }
             other => panic!("expected a delivery timeout, got {other:?}"),
         }
@@ -1147,6 +1160,58 @@ mod tests {
             node.join();
         }
         reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_a_dead_untouched_channel_fails_only_the_next_step_that_awaits_it() {
+        // Site 2 subscribes: the delta touches site 2 and its parent, and
+        // leaves the third site alone.
+        let (problem, mut manager) = hop_plans();
+        let plan_a = plan_at(&problem, &manager, 0);
+        manager.subscribe(site(2), stream(0, 0)).unwrap();
+        let plan_b = plan_at(&problem, &manager, 1);
+        let delta = PlanDelta::diff(&plan_a, &plan_b);
+        let touched = delta.touched_sites();
+        let untouched = SiteId::all(3)
+            .find(|s| !touched.contains(s))
+            .expect("one site is untouched");
+
+        // Only the untouched site sits behind a tap.
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let nodes: Vec<RpNodeHandle> = SiteId::all(3)
+            .map(|s| reactor.bind_node(s).expect("bind"))
+            .collect();
+        let taps = Arc::new(Taps::default());
+        let mut addrs: Vec<SocketAddr> = nodes.iter().map(RpNodeHandle::addr).collect();
+        addrs[untouched.index()] = tap(addrs[untouched.index()], &taps);
+        let mut coordinator =
+            Coordinator::connect(&plan_a, &addrs, &quick_config()).expect("connect");
+
+        // Its control channel dies. The barrier awaits only the touched
+        // sites, so the end of stream it reads is buffered, not judged.
+        taps.cut_controls();
+        let report = coordinator
+            .apply_delta(&delta)
+            .expect("a delta that touches only live channels applies");
+        assert_eq!(report.reconfigured_sites, touched.len());
+
+        // The next batch awaits every site, and names the dead channel.
+        match coordinator.publish(1) {
+            Err(ClusterError::Control { site: s, .. }) => assert_eq!(s, untouched),
+            other => panic!("expected a control error naming {untouched}, got {other:?}"),
+        }
+        // The call after that heals, attaching afresh through the tap.
+        coordinator.publish(1).expect("the healed fleet delivers");
+        let report = coordinator.shutdown();
+        assert_eq!(report.missing_reports, 0);
+        assert_eq!(report.final_revision, 1);
+        assert!(report.delivered[&(site(2), stream(0, 0))] >= 1);
+        for node in nodes {
+            node.stop();
+            node.join();
+        }
+        reactor.shutdown();
+        taps.close(&[addrs[untouched.index()]]);
     }
 
     #[test]

@@ -22,6 +22,20 @@
 //! per-stream `StatsReport` at shutdown). An origin's probe travels
 //! behind its `Publish`, so nothing else confirms the batch.
 //!
+//! Every reply is read through one wait. Each control connection is
+//! registered with the coordinator's one readiness poll when it attaches,
+//! and a step — the attach round, an ack barrier, a batch's probe, the
+//! shutdown harvest — reads whichever connections are readable until
+//! every site it awaits has answered, one of them has failed, or its
+//! deadline passes. Replies are folded as they arrive, so the first
+//! failure ends the step at once: a `LinkFailed`, a closed channel or
+//! undecodable bytes. A timeout is classified from every reply already
+//! read, and a delivery reply that reports shed writes turns a batch's
+//! timeout into a typed shed: it does not end the wait, so the frames
+//! queued ahead of the shed ones land before the next heal baselines the
+//! accounting. Bytes from a site the step does not await are buffered
+//! unjudged, for the next step that awaits it.
+//!
 //! Every way onto a plan is one convergence step, `converge`: a fresh
 //! `Attach` to every RP (the latest attach wins on the RP side), which
 //! each RP answers with `Attached`, naming its revision and the
@@ -42,9 +56,13 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
+use mio::event::Events;
+use mio::unix::SourceFd;
+use mio::{Interest, Poll, Token};
 use teeve_pubsub::{link_changes_between, DeltaError, DisseminationPlan, LinkChanges, PlanDelta};
 use teeve_telemetry::{FlightEventKind, FlightRecorder, Histogram, LogHistogram, MetricsRegistry};
 use teeve_types::{SiteId, StreamId};
@@ -68,8 +86,9 @@ pub struct ClusterConfig {
     /// Optional pacing between frames at the origin (`None` = publish as
     /// fast as the sockets accept, for fast tests).
     pub frame_interval: Option<Duration>,
-    /// Deadline for every blocking step: publish-batch completion, socket
-    /// reads, and reconfiguration acknowledgements.
+    /// Deadline of each wait on the RPs: an attach round, an ack barrier,
+    /// a batch's delivery probe and the shutdown harvest each get this
+    /// long. A control-channel write blocks at most this long too.
     pub timeout: Duration,
 }
 
@@ -195,9 +214,10 @@ pub enum ClusterError {
         /// Frames expected in total.
         expected: u64,
     },
-    /// Deliveries did not complete before the configured timeout, and an
-    /// RP reported writes shed at a full write queue: the frames it shed
-    /// never reach their subtree, so the batch can never complete.
+    /// An RP's reply to a batch's delivery probe reported writes shed at
+    /// a full write queue: the frames it shed never reach their subtree,
+    /// so the batch could not complete. Reported at the timeout, once the
+    /// frames queued ahead of the shed ones have had that long to land.
     Shed {
         /// The RP that shed writes.
         site: SiteId,
@@ -301,15 +321,6 @@ struct DeliveredSnapshot {
     shed: u64,
 }
 
-/// The latest [`Message::StatsReport`] harvested from one RP.
-#[derive(Debug, Clone, Default)]
-struct StatsSnapshot {
-    probe: u64,
-    total: u64,
-    max_latency_micros: u64,
-    streams: Vec<StreamDelivery>,
-}
-
 /// The coordinator's entire knowledge of one RP: its address, the control
 /// connection, and state reconstructed from its replies. There is
 /// deliberately no `Arc` into RP memory here — this struct is what makes
@@ -327,44 +338,19 @@ struct SiteLink {
     /// The freshest compact delivery reply, tagged with its probe token:
     /// what every `publish` waits on.
     delivered: Option<DeliveredSnapshot>,
-    /// The freshest full stats report, tagged with its probe token: only
-    /// `shutdown`'s harvest asks for one.
-    stats: Option<StatsSnapshot>,
+    /// The worst latency and per-stream deliveries of the full
+    /// [`Message::StatsReport`]: only `shutdown`'s harvest asks for one.
+    stats: Option<(u64, Vec<StreamDelivery>)>,
     /// The RP's [`Message::Attached`] reply: its revision and delivered
     /// total when this connection attached.
     attached: Option<(u64, u64)>,
+    /// Why the channel failed (end of stream, a failed read or write),
+    /// once it has: the next wait that awaits this site reports it, after
+    /// the replies read before it.
+    closed: Option<String>,
 }
 
 impl SiteLink {
-    /// Opens a control connection to one RP and attaches as its
-    /// coordinator (an `Attach` atomically replaces any prior control
-    /// channel on the RP side). A refused connection is a
-    /// [`ClusterError::Control`] naming the site.
-    fn attach(
-        site: SiteId,
-        addr: SocketAddr,
-        config: &ClusterConfig,
-    ) -> Result<SiteLink, ClusterError> {
-        let conn = TcpStream::connect(addr).map_err(|e| ClusterError::Control {
-            site,
-            detail: format!("connect to {addr} failed: {e}"),
-        })?;
-        conn.set_nodelay(true).ok();
-        conn.set_read_timeout(Some(config.timeout)).ok();
-        conn.set_write_timeout(Some(config.timeout)).ok();
-        let mut link = SiteLink {
-            site,
-            conn,
-            buf: BytesMut::with_capacity(4 * 1024),
-            acked: None,
-            out: BytesMut::new(),
-            delivered: None,
-            stats: None,
-            attached: None,
-        };
-        link.send(&Message::Attach)?;
-        Ok(link)
-    }
     /// Folds one decoded control message into the reconstructed state. A
     /// `LinkFailed` report is a [`ClusterError::LinkFailed`].
     fn dispatch(&mut self, message: Message) -> Result<(), ClusterError> {
@@ -382,18 +368,10 @@ impl SiteLink {
                 self.delivered = Some(DeliveredSnapshot { probe, total, shed });
             }
             Message::StatsReport {
-                probe,
-                total,
                 max_latency_micros,
                 streams,
-            } => {
-                self.stats = Some(StatsSnapshot {
-                    probe,
-                    total,
-                    max_latency_micros,
-                    streams,
-                });
-            }
+                ..
+            } => self.stats = Some((max_latency_micros, streams)),
             Message::Attached { revision, total } => {
                 self.attached = Some((revision, total));
             }
@@ -423,85 +401,180 @@ impl SiteLink {
         }
     }
 
+    /// Folds every buffered reply, then tells whether `met` holds. A
+    /// `LinkFailed` report is an error unless `best_effort` reads on past
+    /// it; a closed channel that has not met `met` is an error.
+    fn judge(
+        &mut self,
+        best_effort: bool,
+        met: &mut impl FnMut(&SiteLink) -> Result<bool, ClusterError>,
+    ) -> Result<bool, ClusterError> {
+        while let Err(e) = self.drain() {
+            if !(best_effort && matches!(e, ClusterError::LinkFailed { .. })) {
+                return Err(e);
+            }
+        }
+        if met(self)? {
+            return Ok(true);
+        }
+        let Some(detail) = self.closed.clone() else {
+            return Ok(false);
+        };
+        Err(ClusterError::Control {
+            site: self.site,
+            detail,
+        })
+    }
+
+    /// Marks the channel closed and takes it off `poll`, which would
+    /// otherwise report its end of stream as readable forever.
+    fn close(&mut self, poll: &Poll, detail: String) {
+        let _ = poll
+            .registry()
+            .deregister(&mut SourceFd(&self.conn.as_raw_fd()));
+        self.closed = Some(detail);
+    }
+
     /// Encodes an order to go out with the next [`send`](Self::send).
     fn queue(&mut self, message: &Message) {
         encode(message, &mut self.out);
     }
 
     /// Encodes one order and sends it down the control channel, in one
-    /// write behind every order queued ahead of it.
+    /// write behind every order queued ahead of it. A failed write closes
+    /// the channel for the waits too.
     fn send(&mut self, message: &Message) -> Result<(), ClusterError> {
         let mut orders = std::mem::take(&mut self.out);
         encode(message, &mut orders);
-        self.conn
-            .write_all(&orders)
-            .map_err(|e| ClusterError::Control {
+        self.conn.write_all(&orders).map_err(|e| {
+            let detail = format!("order write failed: {e}");
+            self.closed = Some(detail.clone());
+            ClusterError::Control {
                 site: self.site,
-                detail: format!("order write failed: {e}"),
-            })
+                detail,
+            }
+        })
     }
+}
 
-    /// Reads and dispatches control traffic until `pred` yields, or the
-    /// deadline passes. Reads land in `scratch`, the coordinator's one
-    /// read buffer.
-    fn wait_for<T>(
+/// Every control connection, and the one readiness poll the coordinator
+/// reads them all through.
+struct Channels {
+    /// One link per site, in site order; a link's poll token is its site
+    /// index.
+    links: Vec<SiteLink>,
+    poll: Poll,
+    events: Events,
+    /// The one buffer every control-channel read lands in: allocated once
+    /// per coordinator, never per wait.
+    scratch: Vec<u8>,
+}
+
+impl Channels {
+    /// Opens a control connection to the RP of `site` at `addr`, attaches
+    /// as its coordinator (an `Attach` atomically replaces any prior
+    /// control channel on the RP side) and registers it with the poll. It
+    /// replaces the site's old connection, which leaves the poll, and its
+    /// stale buffered replies go with it. A refused connection is a
+    /// [`ClusterError::Control`] naming the site.
+    fn attach(
         &mut self,
-        scratch: &mut [u8],
-        deadline: Instant,
-        what: &str,
-        mut pred: impl FnMut(&SiteLink) -> Option<T>,
-    ) -> Result<T, ClusterError> {
-        loop {
-            self.drain()?;
-            if let Some(found) = pred(self) {
-                return Ok(found);
+        site: SiteId,
+        addr: SocketAddr,
+        config: &ClusterConfig,
+    ) -> Result<(), ClusterError> {
+        let conn = TcpStream::connect(addr).map_err(|e| ClusterError::Control {
+            site,
+            detail: format!("connect to {addr} failed: {e}"),
+        })?;
+        conn.set_nodelay(true).ok();
+        conn.set_write_timeout(Some(config.timeout)).ok();
+        let mut link = SiteLink {
+            site,
+            conn,
+            buf: BytesMut::with_capacity(4 * 1024),
+            acked: None,
+            out: BytesMut::new(),
+            delivered: None,
+            stats: None,
+            attached: None,
+            closed: None,
+        };
+        link.send(&Message::Attach)?;
+        let registry = self.poll.registry();
+        let fd = link.conn.as_raw_fd();
+        registry.register(&mut SourceFd(&fd), Token(site.index()), Interest::READABLE)?;
+        match self.links.get_mut(site.index()) {
+            Some(old) => {
+                let _ = registry.deregister(&mut SourceFd(&old.conn.as_raw_fd()));
+                *old = link;
             }
-            if Instant::now() > deadline {
-                return Err(ClusterError::Control {
-                    site: self.site,
-                    detail: format!("timed out waiting for {what}"),
-                });
-            }
-            // The read timeout set at connect bounds this; a silent RP
-            // surfaces as a control error rather than a wedged cluster.
-            match self.conn.read(scratch) {
-                Ok(0) => {
-                    return Err(ClusterError::Control {
-                        site: self.site,
-                        detail: "control channel closed".into(),
-                    })
-                }
-                Ok(read) => self.buf.extend_from_slice(&scratch[..read]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => {
-                    return Err(ClusterError::Control {
-                        site: self.site,
-                        detail: format!("control read failed: {e}"),
-                    })
-                }
-            }
+            None => self.links.push(link),
         }
+        Ok(())
     }
 
-    /// Reads and dispatches whatever control traffic has already arrived,
-    /// without blocking. Best-effort: a failed channel reads nothing.
-    fn read_arrived(&mut self, scratch: &mut [u8]) {
-        if self.conn.set_nonblocking(true).is_err() {
-            return;
-        }
-        while let Ok(read @ 1..) = self.conn.read(scratch) {
-            self.buf.extend_from_slice(&scratch[..read]);
-            if read < scratch.len() {
-                break;
+    /// The one read of every control connection: waits until each site
+    /// of `awaited` meets `met`. It reads whichever connections the poll
+    /// reports readable, once each per readiness record, so a blocking
+    /// socket never blocks, and judges an awaited site's replies as they
+    /// arrive. Returns the first site of `awaited` still short of `met`
+    /// when the deadline passed, or `None` once every one has met it.
+    ///
+    /// The first failure of an awaited site ends the wait: a `LinkFailed`
+    /// report, undecodable bytes, an error from `met`, or a closed
+    /// channel that has not met it. A `best_effort` wait instead drops a
+    /// failed site and reads on past `LinkFailed`. Bytes from a site that
+    /// is not awaited are buffered, not judged: its replies and its
+    /// failure wait for the next step that awaits it.
+    fn wait(
+        &mut self,
+        awaited: impl IntoIterator<Item = SiteId>,
+        deadline: Instant,
+        best_effort: bool,
+        mut met: impl FnMut(&SiteLink) -> Result<bool, ClusterError>,
+    ) -> Result<Option<SiteId>, ClusterError> {
+        let mut done = |link: &mut SiteLink| match link.judge(best_effort, &mut met) {
+            Err(_) if best_effort => Ok(true),
+            judged => judged,
+        };
+        let mut pending = Vec::new();
+        for site in awaited {
+            if !done(&mut self.links[site.index()])? {
+                pending.push(site);
             }
         }
-        let _ = self.conn.set_nonblocking(false);
-        let _ = self.drain();
+        while let Some(&first) = pending.first() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(Some(first));
+            }
+            self.poll.poll(&mut self.events, Some(left))?;
+            for event in self.events.iter() {
+                let link = &mut self.links[event.token().0];
+                match link.conn.read(&mut self.scratch) {
+                    Ok(0) => link.close(&self.poll, "control channel closed".into()),
+                    Ok(read) => link.buf.extend_from_slice(&self.scratch[..read]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => link.close(&self.poll, format!("control read failed: {e}")),
+                }
+                if let Some(at) = pending.iter().position(|&site| site == link.site) {
+                    if done(link)? {
+                        pending.remove(at);
+                    }
+                }
+            }
+        }
+        Ok(None)
     }
+}
+
+/// A strict wait's timeout: a [`ClusterError::Control`] naming `late`,
+/// the first awaited site that did not answer with `what`.
+fn timed_out(late: Option<SiteId>, what: &str) -> Result<(), ClusterError> {
+    let Some(site) = late else { return Ok(()) };
+    let detail = format!("timed out waiting for {what}");
+    Err(ClusterError::Control { site, detail })
 }
 
 /// A cluster coordinator holding only control connections and site
@@ -546,10 +619,7 @@ pub struct Coordinator {
     /// One RP address per site, in site order: what each convergence
     /// attaches to and each `Peers` order names.
     addrs: Vec<SocketAddr>,
-    sites: Vec<SiteLink>,
-    /// The one buffer every control-channel read lands in: allocated once
-    /// per coordinator, never per wait.
-    scratch: Vec<u8>,
+    channels: Channels,
     started: Option<Instant>,
     next_seq: u64,
     next_probe: u64,
@@ -630,8 +700,12 @@ impl Coordinator {
             config: config.clone(),
             plan: plan.clone(),
             addrs: addrs.to_vec(),
-            sites: Vec::with_capacity(addrs.len()),
-            scratch: vec![0; READ_CHUNK],
+            channels: Channels {
+                links: Vec::with_capacity(addrs.len()),
+                poll: Poll::new()?,
+                events: Events::with_capacity(addrs.len()),
+                scratch: vec![0; READ_CHUNK],
+            },
             started: None,
             next_seq: 0,
             next_probe: 0,
@@ -670,39 +744,41 @@ impl Coordinator {
         //    discards its stale buffered replies, and the RP disarms the
         //    probe it had armed.
         for (index, &addr) in self.addrs.iter().enumerate() {
-            let link = SiteLink::attach(SiteId::new(index as u32), addr, &self.config)?;
-            match self.sites.get_mut(index) {
-                Some(old) => *old = link,
-                None => self.sites.push(link),
-            }
+            self.channels
+                .attach(SiteId::new(index as u32), addr, &self.config)?;
         }
 
         // 2. Every RP answers its attach with its revision, observed and
         //    not obeyed, and its delivered total, which baselines
         //    delivery accounting.
         let revision = self.plan.revision();
-        for (link, owed) in self.sites.iter_mut().zip(&mut self.owed) {
-            let (serves, total) =
-                link.wait_for(&mut self.scratch, deadline, "attach reply", |l| l.attached)?;
-            // An RP ahead of the target means the plan is stale:
-            // dictating it would regress the fleet's ack barrier (the
-            // model's reconnect-regression violation), so refuse instead.
-            if serves > revision {
-                return Err(ClusterError::Control {
-                    site: link.site,
-                    detail: format!(
-                        "RP serves revision {serves} ahead of the target plan's {revision}; \
+        let every_site: Vec<SiteId> = SiteId::all(self.plan.site_count()).collect();
+        let late = self
+            .channels
+            .wait(every_site.iter().copied(), deadline, false, |link| {
+                let Some((serves, total)) = link.attached else {
+                    return Ok(false);
+                };
+                // An RP ahead of the target means the plan is stale:
+                // dictating it would regress the fleet's ack barrier (the
+                // model's reconnect-regression violation), so refuse instead.
+                if serves > revision {
+                    return Err(ClusterError::Control {
+                        site: link.site,
+                        detail: format!(
+                            "RP serves revision {serves} ahead of the target plan's {revision}; \
                          the plan is stale"
-                    ),
-                });
-            }
-            *owed = total;
-        }
+                        ),
+                    });
+                }
+                self.owed[link.site.index()] = total;
+                Ok(true)
+            })?;
+        timed_out(late, "attach reply")?;
 
         // 3. Dictate the target to every site as one ack barrier. RPs
         //    already running it re-apply idempotently (tables swap on
         //    `revision >= current`); any that missed an order catch up.
-        let every_site: Vec<SiteId> = SiteId::all(self.plan.site_count()).collect();
         self.dictate(&every_site, deadline)?;
 
         self.resync_span.record_duration(started.elapsed());
@@ -804,8 +880,12 @@ impl Coordinator {
     ///
     /// Returns the convergence's error if the fleet cannot be converged.
     /// A batch that does not fully deliver within `config.timeout` is a
-    /// [`ClusterError::Shed`] when an RP reports writes shed at its
-    /// write-queue cap, and a [`ClusterError::Timeout`] otherwise.
+    /// [`ClusterError::Shed`] if a reply read by then reports writes shed
+    /// at an RP's write-queue cap, and otherwise a
+    /// [`ClusterError::Timeout`] counting every reply read by then.
+    /// A control channel that failed since it was last awaited, even
+    /// under a delta that did not touch its RP, fails the batch as a
+    /// [`ClusterError::Control`] naming that RP.
     pub fn publish(&mut self, frames: u64) -> Result<(), ClusterError> {
         if self.unconverged.is_some() {
             self.converge()?;
@@ -819,7 +899,8 @@ impl Coordinator {
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
         for ((link, owed), sp) in self
-            .sites
+            .channels
+            .links
             .iter_mut()
             .zip(&mut self.owed)
             .zip(self.plan.site_plans())
@@ -937,7 +1018,7 @@ impl Coordinator {
                 .into_iter()
                 .map(|child| (child, self.addrs[child.index()]))
                 .collect();
-            let link = &mut self.sites[site.index()];
+            let link = &mut self.channels.links[site.index()];
             if !peers.is_empty() {
                 link.queue(&Message::Peers { peers });
             }
@@ -946,20 +1027,21 @@ impl Coordinator {
                 site_plan: site_plan.clone(),
             })?;
         }
-        for &site in sites {
-            self.sites[site.index()].wait_for(
-                &mut self.scratch,
-                deadline,
-                "reconfiguration ack",
-                |link| (link.acked >= Some(revision)).then_some(()),
-            )?;
-            self.reconfigure_rtt.record_duration(sent_at.elapsed());
-            self.recorder.record(FlightEventKind::Ack {
-                site: site.index() as u32,
-                revision,
-            });
-        }
-        Ok(())
+        let late = self
+            .channels
+            .wait(sites.iter().copied(), deadline, false, |link| {
+                let acked = link.acked >= Some(revision);
+                if acked {
+                    // Sampled as this site's `Ack` is read.
+                    self.reconfigure_rtt.record_duration(sent_at.elapsed());
+                    self.recorder.record(FlightEventKind::Ack {
+                        site: link.site.index() as u32,
+                        revision,
+                    });
+                }
+                Ok(acked)
+            })?;
+        timed_out(late, "reconfiguration ack")
     }
 
     /// Shuts the fleet down and reports: harvests every RP's final full
@@ -980,23 +1062,29 @@ impl Coordinator {
             ..ClusterReport::default()
         };
         let deadline = Instant::now() + self.config.timeout;
-        let harvest: Vec<(SiteId, Option<StatsSnapshot>)> = self
-            .probe_stats(Probe::Full, deadline)
-            .map(|(link, total)| (link.site, total.ok().and(link.stats.take())))
-            .collect();
-        for (site, snapshot) in harvest {
+        // The full per-stream report, from every RP at once.
+        self.probe(true);
+        // Best-effort: a site whose channel fails drops out of the wait,
+        // and the wait reads on past a link that failed since the last
+        // barrier — the fleet is going down, and the report is queued
+        // behind the failure. A failed poll leaves what was read.
+        let every_site = SiteId::all(self.plan.site_count());
+        let _ = self
+            .channels
+            .wait(every_site, deadline, true, |link| Ok(link.stats.is_some()));
+        for link in &mut self.channels.links {
             // A dead RP's accounting is *named* as missing, never
             // silently dropped: the report stays auditable after a
             // failed run.
-            let Some(snapshot) = snapshot else {
+            let Some((max_latency_micros, streams)) = link.stats.take() else {
                 report.missing_reports += 1;
                 self.recorder.record(FlightEventKind::StatsLost {
-                    site: site.index() as u32,
+                    site: link.site.index() as u32,
                 });
                 continue;
             };
-            for entry in snapshot.streams {
-                let key = (site, entry.stream);
+            for entry in streams {
+                let key = (link.site, entry.stream);
                 report.delivered.insert(key, entry.delivered);
                 report
                     .delivered_degraded
@@ -1006,115 +1094,69 @@ impl Coordinator {
                     .insert(key, entry.latency_sum_micros);
                 report.latency.insert(key, entry.latency);
             }
-            report.max_latency_micros = report.max_latency_micros.max(snapshot.max_latency_micros);
+            report.max_latency_micros = report.max_latency_micros.max(max_latency_micros);
         }
-        for link in &mut self.sites {
+        for link in &mut self.channels.links {
             let _ = link.send(&Message::Shutdown);
         }
         self.done = true;
         report
     }
 
-    /// The one stats probe: sends every RP a `StatsRequest` as `kind`
-    /// says, and returns a lazy wait over the replies in site order. Each
-    /// item is a site's link and the delivered total it reported; the
-    /// reply itself stays in the link's `delivered` (compact) or `stats`
-    /// (full). The RPs answer concurrently, so the wait costs the slowest
-    /// site, not the sum of the sites. Strict callers stop at the first
-    /// `Err`; best-effort ones read on.
-    fn probe_stats(
-        &mut self,
-        kind: Probe,
-        deadline: Instant,
-    ) -> impl Iterator<Item = (&mut SiteLink, Result<u64, ClusterError>)> + '_ {
+    /// The one stats probe: sends every RP a `StatsRequest` and returns
+    /// the probe's token. It asks for the `full` per-stream report at
+    /// once, landing in each link's `stats`, or else for the compact
+    /// `delivered` reply once the RP has delivered what it owes. A failed
+    /// send closes its channel, which the wait reports.
+    fn probe(&mut self, full: bool) -> u64 {
         self.next_probe += 1;
         let probe = self.next_probe;
-        let full = kind == Probe::Full;
-        let sent: Vec<Result<(), ClusterError>> = self
-            .sites
-            .iter_mut()
-            .zip(&self.owed)
-            .map(|(link, &owed)| {
-                let at_least = if kind == Probe::Armed { owed } else { 0 };
-                link.send(&Message::StatsRequest {
-                    probe,
-                    at_least,
-                    full,
-                })
-            })
-            .collect();
-        let scratch = &mut self.scratch;
-        self.sites.iter_mut().zip(sent).map(move |(link, sent)| {
-            let total = sent.and_then(|()| loop {
-                let waited = link.wait_for(scratch, deadline, "stats report", |l| {
-                    if full {
-                        l.stats
-                            .as_ref()
-                            .filter(|s| s.probe >= probe)
-                            .map(|s| s.total)
-                    } else {
-                        l.delivered.filter(|d| d.probe >= probe).map(|d| d.total)
-                    }
-                });
-                // The shutdown harvest reads on past a link that failed
-                // since the last barrier: the fleet is going down, and
-                // the report is queued behind the failure.
-                match waited {
-                    Err(ClusterError::LinkFailed { .. }) if full => {}
-                    waited => break waited,
-                }
+        for (link, &owed) in self.channels.links.iter_mut().zip(&self.owed) {
+            let _ = link.send(&Message::StatsRequest {
+                probe,
+                at_least: if full { 0 } else { owed },
+                full,
             });
-            (link, total)
-        })
+        }
+        probe
     }
 
     /// Probes every RP armed at the total it owes and waits for every
-    /// reply, stopping at the first failure. A wait that overruns the
-    /// deadline first reads every reply that has already arrived: one
-    /// that reports shed writes makes it a [`ClusterError::Shed`] naming
-    /// that RP, and otherwise it is a [`ClusterError::Timeout`] naming
-    /// what was delivered.
+    /// reply. A wait that overruns the deadline is classified from every
+    /// reply read by then: a [`ClusterError::Shed`] naming the first RP
+    /// whose reply reports shed writes, or else a
+    /// [`ClusterError::Timeout`] naming what the replies delivered.
+    ///
+    /// A shed reply does not end the wait: the frames queued ahead of the
+    /// shed ones are still draining, and the next call's heal baselines
+    /// each RP's delivered total at its attach. Ending early would credit
+    /// that backlog to the batches after the heal.
     fn await_deliveries(&mut self) -> Result<(), ClusterError> {
         let deadline = Instant::now() + self.config.timeout;
-        let waited = self
-            .probe_stats(Probe::Armed, deadline)
-            .try_for_each(|(_, total)| total.map(drop));
-        match waited {
-            Err(ClusterError::Control { .. }) if Instant::now() > deadline => {
-                for link in &mut self.sites {
-                    link.read_arrived(&mut self.scratch);
-                }
-                let replies = self
-                    .sites
-                    .iter()
-                    .filter_map(|l| Some((l.site, l.delivered?)));
-                let mut delivered = 0;
-                for (site, reply) in replies {
-                    if reply.shed > 0 {
-                        return Err(ClusterError::Shed {
-                            site,
-                            dropped: reply.shed,
-                        });
-                    }
-                    delivered += reply.total;
-                }
-                Err(ClusterError::Timeout {
-                    delivered,
-                    expected: self.owed.iter().sum(),
-                })
-            }
-            other => other,
+        // Armed: each RP replies once it has delivered what it owes.
+        let probe = self.probe(false);
+        let every_site = SiteId::all(self.plan.site_count());
+        let late = self.channels.wait(every_site, deadline, false, |link| {
+            Ok(link.delivered.is_some_and(|reply| reply.probe >= probe))
+        })?;
+        if late.is_none() {
+            return Ok(());
         }
+        let mut delivered = 0;
+        let replies = self.channels.links.iter();
+        for (site, reply) in replies.filter_map(|link| Some((link.site, link.delivered?))) {
+            if reply.shed > 0 {
+                let dropped = reply.shed;
+                return Err(ClusterError::Shed { site, dropped });
+            }
+            delivered += reply.total;
+        }
+        let expected = self.owed.iter().sum();
+        Err(ClusterError::Timeout {
+            delivered,
+            expected,
+        })
     }
-}
-
-/// What a [`Coordinator::probe_stats`] round asks every RP for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    /// A compact reply once the RP has delivered what it owes.
-    Armed,
-    /// The full per-stream report at once.
-    Full,
 }
 
 impl Drop for Coordinator {
@@ -1125,7 +1167,7 @@ impl Drop for Coordinator {
         if self.done {
             return;
         }
-        for link in &mut self.sites {
+        for link in &mut self.channels.links {
             let _ = link.send(&Message::Shutdown);
         }
     }
