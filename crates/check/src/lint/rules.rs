@@ -502,18 +502,30 @@ pub fn relay_copy(files: &[SourceFile]) -> Vec<Finding> {
     )
 }
 
-/// The read path, by file: the functions that read a socket.
+/// The read path, by file: the functions that read a socket, or decide
+/// where its bytes land.
 const READ_PATH: &[(&str, &[&str])] = &[
-    ("crates/net/src/reactor.rs", &["on_readable"]),
+    (
+        "crates/net/src/reactor.rs",
+        &[
+            "on_readable",
+            "read_from",
+            "in_place_len",
+            "make_room",
+            "next_message",
+        ],
+    ),
     ("crates/net/src/coordinator.rs", &["wait"]),
 ];
 
-/// Tokens that build a zeroed buffer.
-const ZEROED_TOKENS: &[&str] = &["[0u8;", "vec![0"];
+/// Tokens that build or extend a zeroed buffer.
+const ZEROED_TOKENS: &[&str] = &["[0u8;", "vec![0", "resize("];
 
-/// `read-scratch`: no zeroed buffer built inside the read path's
+/// `read-scratch`: no zeroed buffer built or grown inside the read path's
 /// functions, so a 64 KiB array cannot come back to be zeroed on every
-/// read. A function of the path that is no longer found is a finding too.
+/// read. The one zero fill a message read in place needs carries an
+/// in-line allow. A function of the path that is no longer found is a
+/// finding too.
 pub fn read_scratch(files: &[SourceFile]) -> Vec<Finding> {
     path_tokens(
         files,
@@ -840,7 +852,10 @@ mod tests {
     /// reading into a buffer it was handed.
     fn read_fixture() -> Vec<SourceFile> {
         let reactor = "fn new() -> LoopState {\n    let s = vec![0; 64];\n}\n\
-                       fn on_readable(&mut self) {\n    self.s.read(&mut self.scratch);\n}\n";
+                       fn on_readable(&mut self) {\n    self.s.read(&mut self.scratch);\n}\n\
+                       fn read_from(&mut self) {\n    src.read(&mut self.whole);\n}\n\
+                       fn in_place_len() {}\nfn make_room() {}\nfn next_message() {}\n\
+                       fn queue_write() {\n    out.resize(n, 0);\n}\n";
         let coordinator = "fn wait(&mut self) {\n    c.read(&mut self.scratch);\n}\n\
                            fn probe() {\n    let b = [0u8; 8];\n}\n";
         vec![
@@ -860,7 +875,8 @@ mod tests {
         let mut files = read_fixture();
         files[0] = fake_file(
             "crates/net/src/reactor.rs",
-            "fn on_readable(&mut self) {\n    let mut chunk = [0u8; 65536];\n}\n",
+            "fn on_readable(&mut self) {\n    let mut chunk = [0u8; 65536];\n}\n\
+             fn read_from() {}\nfn in_place_len() {}\nfn make_room() {}\nfn next_message() {}\n",
         );
         files[1] = fake_file(
             "crates/net/src/coordinator.rs",
@@ -880,6 +896,24 @@ mod tests {
             ("crates/net/src/coordinator.rs", 2)
         );
         assert_eq!(findings[1].rule, RULE_READ_SCRATCH);
+    }
+
+    #[test]
+    fn read_scratch_flags_a_zero_fill_by_resize_on_the_read_path() {
+        let mut files = read_fixture();
+        // The fixture's `resize` in `queue_write` is off the read path;
+        // one in `make_room` is a finding, as in `read_from`.
+        let reactor = files[0].raw_lines.join("\n").replace(
+            "fn make_room() {}",
+            "fn make_room() {\n    room.resize(len, 0);\n}",
+        );
+        files[0] = fake_file("crates/net/src/reactor.rs", &reactor);
+        let findings = read_scratch(&files);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 12);
+        assert!(findings[0]
+            .message
+            .contains("`resize(` on the read path (`fn make_room`)"));
     }
 
     #[test]

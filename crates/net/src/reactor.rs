@@ -30,11 +30,17 @@
 //! 1. **Poll** — block in `epoll_wait` until a socket is ready, a paced
 //!    publish timer is due, or another thread wakes the loop to deliver
 //!    a command (register a node, stop one, quit).
-//! 2. **Read** — drain every readable connection through the loop's one
-//!    read scratch until a read comes back short, decoding frames and
-//!    orders incrementally out of a per-connection read buffer and
+//! 2. **Read** — drain every readable connection until a read comes
+//!    back short, decoding frames and orders incrementally and
 //!    dispatching them (`LoopState::dispatch` is the RP's whole message
-//!    table).
+//!    table). Reads land in the loop's one read scratch and are copied
+//!    into a per-connection read buffer, except a large message's: once
+//!    a length prefix announces a message of 32 KiB or more that has not
+//!    fully arrived, the rest of it is read in place into an allocation
+//!    of its own size, by one `readv` that also takes up to one frame
+//!    header of the next message. So a relayed 64 KiB frame's payload is
+//!    not copied in user space once its header is read, and the views
+//!    queued on its children pin only its own bytes.
 //! 3. **Write** — outgoing messages accumulate in a per-connection
 //!    write queue: small ones are copied into one coalescing buffer,
 //!    large payloads are queued as views of the allocation they arrived
@@ -58,7 +64,8 @@
 //! applies it between iterations.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
+use std::mem;
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -76,7 +83,9 @@ use teeve_telemetry::{
 use teeve_types::{Quality, SiteId, StreamId};
 
 use crate::node::{plan_entry, unix_micros, ForwardingTable, NodeStats, Relayed};
-use crate::wire::{decode, encode, Message};
+use crate::wire::{
+    decode, encode, wire_len, Message, WireError, FRAME_HEADER_LEN, MAX_MESSAGE_BYTES,
+};
 
 /// The waker's token — far outside any slab index.
 const WAKE: Token = Token(usize::MAX);
@@ -100,6 +109,19 @@ const MAX_IOV: usize = 64;
 
 /// Read-syscall chunk size: the length of each loop's one read scratch.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Messages at least this long (tag and body) that have not fully
+/// arrived are read in place, into an allocation of their own: below
+/// it, copying messages out of the read scratch, many per read, costs
+/// less than giving each a read and a zeroed allocation of its own.
+const IN_PLACE_FROM: usize = 32 * 1024;
+
+/// How much of the next message the read that completes an in-place
+/// message takes along, into the start of the read scratch, and all a
+/// read takes after it until the next length prefix is known: one frame
+/// header, so a following frame's header lands there and its payload
+/// never does.
+const SPILL: usize = FRAME_HEADER_LEN;
 
 /// How many readiness records one poll can return.
 const EVENTS_PER_POLL: usize = 1024;
@@ -208,10 +230,12 @@ struct Conn {
     stream: TcpStream,
     /// Owning node's slab index.
     node: usize,
-    /// Incremental decode buffer for inbound bytes. Decoded payloads are
-    /// views of it, so it copies its undecoded tail to a fresh
-    /// allocation when it grows while they are still queued elsewhere.
-    read_buf: BytesMut,
+    /// Inbound bytes, decoded incrementally. Decoded payloads are views
+    /// of the allocation they were read into: a large message's own, or
+    /// a buffer of small messages that copies its undecoded tail to a
+    /// fresh allocation when it grows while they are still queued
+    /// elsewhere.
+    read_buf: ReadBuf,
     /// Pending outgoing messages; its length, shared payloads counted in
     /// full, is what [`MAX_PENDING_WRITE`] caps.
     out: WriteQueue,
@@ -350,6 +374,124 @@ impl WriteQueue {
     }
 }
 
+/// A connection's inbound bytes, read and decoded incrementally.
+///
+/// Bytes are read through the loop's scratch and appended to `buf`,
+/// which small messages decode out of. Once a length prefix announces a
+/// message of at least [`IN_PLACE_FROM`] bytes that has not fully
+/// arrived, the rest of it is read in place into `whole`, an allocation
+/// of its own, and it decodes out of that: its payload is a view of
+/// exactly its own message's bytes, and no byte that arrives after its
+/// prefix is copied. The read that completes it takes at most
+/// [`SPILL`] bytes of what follows, which go to `buf`, and until the
+/// next length prefix has arrived later reads take no more either: a
+/// large message that follows one after a pause is read in place too.
+struct ReadBuf {
+    /// Undecoded bytes; empty while a message is read in place.
+    buf: BytesMut,
+    /// The message being read in place, if any: the `filled` bytes read
+    /// so far, then zeroed room for the next read.
+    whole: BytesMut,
+    filled: usize,
+    /// Whether the last message decoded was read in place.
+    after_large: bool,
+}
+
+impl ReadBuf {
+    fn new() -> ReadBuf {
+        ReadBuf {
+            buf: BytesMut::with_capacity(READ_CHUNK),
+            whole: BytesMut::new(),
+            filled: 0,
+            after_large: false,
+        }
+    }
+
+    /// One read from `src`: into the room of the message being read in
+    /// place and then the spill at the start of `scratch`, or else into
+    /// `scratch` (only its spill while a large message's successor has
+    /// not shown its length). Returns how many bytes it read (0 at end of
+    /// stream) and whether that was fewer than it asked for.
+    fn read_from(&mut self, src: &mut impl Read, scratch: &mut [u8]) -> io::Result<(usize, bool)> {
+        let Some(total) = self.in_place_len() else {
+            let ahead = if self.after_large && self.buf.len() < 4 {
+                SPILL - self.buf.len()
+            } else {
+                scratch.len()
+            };
+            let n = src.read(&mut scratch[..ahead])?;
+            self.buf.extend_from_slice(&scratch[..n]);
+            return Ok((n, n < ahead));
+        };
+        if self.filled == self.whole.len() {
+            self.make_room(total);
+        }
+        // A spill only follows room that runs to the message's end.
+        let spill = if self.whole.len() == total { SPILL } else { 0 };
+        let room = &mut self.whole[self.filled..];
+        let (room_len, asked) = (room.len(), room.len() + spill);
+        let n = src.read_vectored(&mut [
+            IoSliceMut::new(room),
+            IoSliceMut::new(&mut scratch[..spill]),
+        ])?;
+        let in_place = n.min(room_len);
+        self.filled += in_place;
+        self.buf.extend_from_slice(&scratch[..n - in_place]);
+        Ok((n, n < asked))
+    }
+
+    /// The wire length of the message being read in place. Moves the
+    /// start of a large message out of `buf` first when that is all `buf`
+    /// holds; an oversized length prefix is left to `decode` to refuse,
+    /// before anything is allocated for it.
+    fn in_place_len(&mut self) -> Option<usize> {
+        if !self.whole.is_empty() {
+            return wire_len(&self.whole);
+        }
+        let total = wire_len(&self.buf)?;
+        if !(4 + IN_PLACE_FROM..=4 + MAX_MESSAGE_BYTES).contains(&total) || total <= self.buf.len()
+        {
+            return None;
+        }
+        self.filled = self.buf.len();
+        self.whole = mem::take(&mut self.buf);
+        Some(total)
+    }
+
+    /// Moves the message being read in place into an allocation with
+    /// room for its next bytes: its whole length, or what has arrived
+    /// plus one read chunk if that is less, so a length prefix alone buys
+    /// no more memory than a read chunk. Past two chunks the room grows
+    /// by half what has arrived, so a long message moves O(1) times per
+    /// byte.
+    fn make_room(&mut self, total: usize) {
+        let len = total.min(self.filled + READ_CHUNK.max(self.filled / 2));
+        let mut room = BytesMut::with_capacity(len);
+        room.extend_from_slice(&self.whole[..self.filled]);
+        // Safe code reads only into initialised bytes: each byte of the
+        // message is zeroed once, here, before the read that lands in it.
+        // teeve-check: allow(read-scratch)
+        room.resize(len, 0);
+        self.whole = room;
+    }
+
+    /// Decodes the next complete message: the one read in place once all
+    /// of it has arrived, else the next in `buf`.
+    fn next_message(&mut self) -> Result<Option<Message>, WireError> {
+        if self.whole.is_empty() {
+            let next = decode(&mut self.buf);
+            self.after_large &= !matches!(next, Ok(Some(_)));
+            return next;
+        }
+        if wire_len(&self.whole) != Some(self.filled) {
+            return Ok(None);
+        }
+        self.filled = 0;
+        self.after_large = true;
+        decode(&mut mem::take(&mut self.whole))
+    }
+}
+
 /// Queues one message on connection `token` — `write` puts it on the
 /// connection's queue — and marks the connection for the end-of-iteration
 /// flush. A connection at its backlog cap sheds the message (see
@@ -385,7 +527,7 @@ fn queue_write(
 /// A slab slot: a node's listener or one of its connections.
 enum Entry {
     Listener { listener: TcpListener, node: usize },
-    Conn(Conn),
+    Conn(Box<Conn>),
 }
 
 /// A paced `Publish` batch parked in the timer map: its next firing
@@ -457,8 +599,10 @@ struct LoopState {
     /// its end.
     dirty: Vec<usize>,
     /// The one buffer every socket read on this loop lands in, before
-    /// its bytes move to the connection's `read_buf`: allocated and
-    /// zeroed once per loop, never per read.
+    /// its bytes move to the connection's `read_buf`, except the bytes
+    /// of a large message read in place; its first [`SPILL`] bytes are
+    /// that read's spill. Allocated and zeroed once per loop, never per
+    /// read.
     read_scratch: Box<[u8]>,
     metrics: LoopMetrics,
 }
@@ -774,10 +918,10 @@ impl LoopState {
         }
         self.set_entry(
             token,
-            Entry::Conn(Conn {
+            Entry::Conn(Box::new(Conn {
                 stream,
                 node: node_idx,
-                read_buf: BytesMut::with_capacity(READ_CHUNK),
+                read_buf: ReadBuf::new(),
                 out: WriteQueue::default(),
                 wants_write: !connected,
                 connected,
@@ -786,7 +930,7 @@ impl LoopState {
                 peer: None,
                 attached: None,
                 outbound_child,
-            }),
+            })),
         );
         if let Some(node) = self.node_mut(node_idx) {
             node.conns.insert(token);
@@ -814,10 +958,10 @@ impl LoopState {
         self.release_ack(node_idx);
     }
 
-    /// Reads a readable connection through the loop's scratch buffer and
+    /// Reads a readable connection (see [`ReadBuf::read_from`]) and
     /// dispatches what decodes, until a read comes back short.
     ///
-    /// A read that fills less than the scratch buffer has emptied the
+    /// A read that fills less than it asked for has emptied the
     /// socket, so the extra read that would only return `WouldBlock` is
     /// skipped. That is safe under the vendored shim's level-triggered
     /// epoll (bytes still unread re-report the socket on the next poll)
@@ -834,19 +978,22 @@ impl LoopState {
             let Some(Some(Entry::Conn(conn))) = entries.get_mut(token) else {
                 return;
             };
-            match conn.stream.read(read_scratch) {
-                Ok(0) => {
+            // Nothing legitimate ever flows back on an outbound data
+            // link; discard so only EOF/errors matter.
+            let outbound = conn.outbound_child.is_some();
+            let read = if outbound {
+                conn.stream
+                    .read(read_scratch)
+                    .map(|n| (n, n < read_scratch.len()))
+            } else {
+                conn.read_buf.read_from(&mut conn.stream, read_scratch)
+            };
+            match read {
+                Ok((0, _)) => {
                     self.close_conn(token);
                     return;
                 }
-                Ok(n) => {
-                    // Nothing legitimate ever flows back on an outbound
-                    // data link; discard so only EOF/errors matter.
-                    let outbound = conn.outbound_child.is_some();
-                    if !outbound {
-                        conn.read_buf.extend_from_slice(&read_scratch[..n]);
-                    }
-                    let drained = n < read_scratch.len();
+                Ok((_, drained)) => {
                     if !outbound && !self.drain_messages(token) {
                         return;
                     }
@@ -872,7 +1019,7 @@ impl LoopState {
                 let Some(conn) = self.conn_mut(token) else {
                     return false;
                 };
-                decode(&mut conn.read_buf)
+                conn.read_buf.next_message()
             };
             match decoded {
                 Ok(Some(message)) => {
@@ -1851,7 +1998,7 @@ mod tests {
 
     use teeve_pubsub::{ChildLink, ForwardingEntry, SitePlan};
 
-    use crate::wire::{frame_header, FRAME_HEADER_LEN};
+    use crate::wire::frame_header;
 
     fn read_next(conn: &mut std::net::TcpStream, buf: &mut BytesMut, chunk: &mut [u8]) -> Message {
         loop {
@@ -2780,6 +2927,327 @@ mod tests {
             );
             proptest::prop_assert_eq!(drained(&mut queue), expected.to_vec());
         }
+    }
+
+    /// A socket's inbound bytes, scripted: each read returns at most the
+    /// next scripted count of bytes, across however many buffers it is
+    /// handed (as `readv` does), or `WouldBlock` for a count of 0. Past
+    /// the script a read returns all it asks for, and end of stream once
+    /// the bytes run out.
+    struct Arrivals {
+        bytes: Vec<u8>,
+        at: usize,
+        script: VecDeque<usize>,
+    }
+
+    impl Arrivals {
+        fn new(bytes: &[u8], script: impl IntoIterator<Item = usize>) -> Arrivals {
+            Arrivals {
+                bytes: bytes.to_vec(),
+                at: 0,
+                script: script.into_iter().collect(),
+            }
+        }
+    }
+
+    impl Read for Arrivals {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.read_vectored(&mut [IoSliceMut::new(buf)])
+        }
+
+        fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+            let mut budget = match self.script.pop_front() {
+                Some(0) => return Err(io::ErrorKind::WouldBlock.into()),
+                Some(budget) => budget,
+                None => usize::MAX,
+            };
+            let mut read = 0;
+            for buf in bufs {
+                let take = budget.min(buf.len()).min(self.bytes.len() - self.at);
+                buf[..take].copy_from_slice(&self.bytes[self.at..self.at + take]);
+                self.at += take;
+                budget -= take;
+                read += take;
+            }
+            Ok(read)
+        }
+    }
+
+    /// What `on_readable` dispatches from `src` until its end: every
+    /// message that decodes, then the error that closed the connection,
+    /// if one did.
+    fn dispatched(read_buf: &mut ReadBuf, src: &mut Arrivals) -> (Vec<Message>, Option<WireError>) {
+        let mut scratch = vec![0u8; READ_CHUNK];
+        let mut messages = Vec::new();
+        loop {
+            match read_buf.read_from(src, &mut scratch) {
+                Ok((0, _)) => return (messages, None),
+                Ok(_) => loop {
+                    match read_buf.next_message() {
+                        Ok(Some(message)) => messages.push(message),
+                        Ok(None) => break,
+                        Err(error) => return (messages, Some(error)),
+                    }
+                },
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+    }
+
+    /// `decode` of a whole stream at once.
+    fn decoded_whole(bytes: &[u8]) -> (Vec<Message>, Option<WireError>) {
+        let mut buf = BytesMut::from(bytes);
+        let mut messages = Vec::new();
+        loop {
+            match decode(&mut buf) {
+                Ok(Some(message)) => messages.push(message),
+                Ok(None) => return (messages, None),
+                Err(error) => return (messages, Some(error)),
+            }
+        }
+    }
+
+    /// A frame of `payload_len` bytes whose contents depend on `seq`.
+    fn patterned_frame(payload_len: usize, seq: u64) -> Message {
+        Message::Frame {
+            stream: StreamId::new(SiteId::new(3), 1),
+            quality: Quality::new((seq % 4) as u8),
+            seq,
+            captured_micros: seq * 7,
+            payload: Bytes::from(
+                (0..payload_len)
+                    .map(|i| (i as u64 + seq) as u8)
+                    .collect::<Vec<u8>>(),
+            ),
+        }
+    }
+
+    /// A message of a drawn kind: 64 KiB frames, a 200 KiB frame, frames
+    /// one byte under and exactly at the in-place threshold, small frames
+    /// and `End`.
+    fn drawn_message(kind: u8, seq: u64) -> Message {
+        let at_threshold = IN_PLACE_FROM - (FRAME_HEADER_LEN - 4);
+        match kind {
+            0 | 1 => patterned_frame(64 * 1024, seq),
+            2 => patterned_frame(200 * 1024, seq),
+            3 => patterned_frame(at_threshold - 1, seq),
+            4 => patterned_frame(at_threshold, seq),
+            5 => patterned_frame((seq as usize * 37) % 300, seq),
+            _ => Message::End {
+                stream: StreamId::new(SiteId::new(3), 1),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// However a stream's arrival is cut into reads, the read step
+        /// dispatches exactly what `decode` makes of the whole stream:
+        /// with end of stream mid-message, nothing of the cut message;
+        /// with an oversized length prefix, the error, and no allocation
+        /// for it.
+        #[test]
+        fn the_read_step_yields_the_whole_stream_decode_for_any_cut(
+            kinds in proptest::collection::vec(0u8..7, 1..7),
+            ending in (0u8..3, 0usize..1_000_000),
+            cuts in proptest::collection::vec(
+                proptest::Strategy::prop_map(
+                    (0u8..3, 0usize..48, 1usize..90_000),
+                    |(pick, small, big)| if pick == 0 { small } else { big },
+                ),
+                0..40,
+            ),
+        ) {
+            let mut stream = BytesMut::new();
+            for (seq, &kind) in kinds.iter().enumerate() {
+                encode(&drawn_message(kind, seq as u64), &mut stream);
+            }
+            let mut stream = stream.to_vec();
+            match ending {
+                (1, at) => stream.truncate(at % stream.len()),
+                (2, _) => stream.extend_from_slice(&((MAX_MESSAGE_BYTES + 1) as u32).to_le_bytes()),
+                _ => {}
+            }
+            let mut read_buf = ReadBuf::new();
+            let got = dispatched(&mut read_buf, &mut Arrivals::new(&stream, cuts));
+            proptest::prop_assert_eq!(&got, &decoded_whole(&stream));
+            if got.1.is_some() {
+                proptest::prop_assert_eq!(read_buf.whole.capacity(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_64_kib_frame_is_read_into_an_allocation_of_its_own_length() {
+        let (first, second) = (patterned_frame(64 * 1024, 1), patterned_frame(64 * 1024, 2));
+        let mut stream = BytesMut::new();
+        for message in [&first, &second] {
+            encode(message, &mut stream);
+        }
+        let end = Message::End {
+            stream: StreamId::new(SiteId::new(3), 1),
+        };
+        encode(&end, &mut stream);
+        let total = FRAME_HEADER_LEN + 64 * 1024;
+        let mut src = Arrivals::new(&stream, [100, total - 100 + SPILL, total]);
+        let (mut read_buf, mut scratch) = (ReadBuf::new(), vec![0u8; READ_CHUNK]);
+        let in_place = |read_buf: &mut ReadBuf| {
+            assert_eq!(read_buf.whole.capacity(), total, "exactly the message");
+            let read_into = read_buf.whole.as_ptr();
+            let message = read_buf.next_message().expect("decodes").expect("whole");
+            let Message::Frame { payload, .. } = &message else {
+                panic!("expected a frame");
+            };
+            let payload_at = read_into.wrapping_add(FRAME_HEADER_LEN);
+            assert_eq!(payload.as_ptr(), payload_at, "a view of what was read");
+            message
+        };
+        // The first frame's header and a little more, through the scratch.
+        read_buf.read_from(&mut src, &mut scratch).expect("read");
+        assert_eq!(read_buf.next_message(), Ok(None));
+        // The rest of it in place, and the next frame's header as spill.
+        read_buf.read_from(&mut src, &mut scratch).expect("read");
+        assert_eq!(in_place(&mut read_buf), first);
+        assert_eq!(read_buf.buf.len(), SPILL);
+        // The second frame in place, and `End` as spill.
+        read_buf.read_from(&mut src, &mut scratch).expect("read");
+        assert_eq!(in_place(&mut read_buf), second);
+        assert_eq!(read_buf.next_message(), Ok(Some(end)));
+    }
+
+    #[test]
+    fn a_stalled_maximal_length_prefix_buys_one_read_chunk_of_room() {
+        let header = frame_header(
+            StreamId::new(SiteId::new(3), 1),
+            Quality::FULL,
+            0,
+            0,
+            MAX_MESSAGE_BYTES - (FRAME_HEADER_LEN - 4),
+        );
+        assert_eq!(wire_len(&header), Some(4 + MAX_MESSAGE_BYTES));
+        let mut src = Arrivals::new(&header, [FRAME_HEADER_LEN, 0]);
+        let (mut read_buf, mut scratch) = (ReadBuf::new(), vec![0u8; READ_CHUNK]);
+        read_buf.read_from(&mut src, &mut scratch).expect("header");
+        assert_eq!(read_buf.next_message(), Ok(None));
+        // The peer stalls: the next read finds nothing, and the room made
+        // for it is what has arrived plus one read chunk.
+        let stalled = read_buf.read_from(&mut src, &mut scratch);
+        assert_eq!(
+            stalled.map_err(|e| e.kind()),
+            Err(io::ErrorKind::WouldBlock)
+        );
+        assert_eq!(read_buf.whole.capacity(), FRAME_HEADER_LEN + READ_CHUNK);
+        assert_eq!(read_buf.whole.len(), FRAME_HEADER_LEN + READ_CHUNK);
+
+        // As bytes arrive the room grows with them, never ahead of them
+        // by more than a read chunk or half what has arrived.
+        let payload: Vec<u8> = (0..MAX_MESSAGE_BYTES - (FRAME_HEADER_LEN - 4))
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut src = Arrivals::new(&payload, [100_000; 100]);
+        loop {
+            let arrived = read_buf.filled;
+            let (n, _) = read_buf.read_from(&mut src, &mut scratch).expect("payload");
+            assert!(n > 0, "the stream ended before the frame decoded");
+            assert!(read_buf.whole.capacity() <= arrived + READ_CHUNK.max(arrived / 2));
+            if let Some(message) = read_buf.next_message().expect("decodes") {
+                let Message::Frame { payload: got, .. } = message else {
+                    panic!("expected the frame");
+                };
+                assert_eq!(&got[..], &payload[..]);
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn socket_stalled_maximal_frame_leaves_the_other_links_relaying() {
+        let reactor = Reactor::new(1).expect("reactor starts");
+        let node = reactor.bind_node(SiteId::new(0)).expect("bind");
+        let big = StreamId::new(SiteId::new(0), 0);
+        let small = StreamId::new(SiteId::new(0), 1);
+        let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
+        let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
+        control.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        send(
+            &mut control,
+            &[
+                Message::Attach,
+                peers(&[(1, child_listener.local_addr().expect("child addr"))]),
+                origin_table(&[big, small], &[(1, 0)]),
+            ],
+        );
+        let (mut child, _) = child_listener.accept().expect("node dials child");
+        child.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let (mut child_buf, mut chunk) = (BytesMut::new(), vec![0u8; READ_CHUNK]);
+        assert_eq!(
+            read_next(&mut control, &mut BytesMut::new(), &mut chunk),
+            BARE
+        );
+        let hello = read_next(&mut child, &mut child_buf, &mut chunk);
+        assert_eq!(
+            hello,
+            Message::Hello {
+                site: SiteId::new(0)
+            }
+        );
+
+        // A peer sends a small frame, then a frame as long as the wire
+        // allows, cut off a little way into its payload, and stalls. The
+        // small frame's relay shows the node has read up to the cut.
+        let payload: Vec<u8> = (0..MAX_MESSAGE_BYTES - (FRAME_HEADER_LEN - 4))
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut sent = BytesMut::new();
+        encode(&frames_of(small, 1)[0], &mut sent);
+        let lead = sent.len();
+        encode(
+            &Message::Frame {
+                stream: big,
+                quality: Quality::FULL,
+                seq: 0,
+                captured_micros: unix_micros(),
+                payload: Bytes::from(payload.clone()),
+            },
+            &mut sent,
+        );
+        let cut = lead + FRAME_HEADER_LEN + 1000;
+        let mut peer = std::net::TcpStream::connect(node.addr()).expect("peer connect");
+        peer.write_all(&sent[..cut]).expect("head sent");
+        let relayed_seq = |message: Message| match message {
+            Message::Frame { stream, seq, .. } if stream == small => seq,
+            other => panic!("expected a small frame, got {other:?}"),
+        };
+        assert_eq!(
+            relayed_seq(read_next(&mut child, &mut child_buf, &mut chunk)),
+            0
+        );
+
+        // The node keeps relaying what its other links bring.
+        let later: Vec<Message> = frames_of(small, 4).into_iter().skip(1).collect();
+        send(&mut control, &later);
+        for seq in 1..4 {
+            assert_eq!(
+                relayed_seq(read_next(&mut child, &mut child_buf, &mut chunk)),
+                seq
+            );
+        }
+
+        // The rest arrives, and the frame relays intact.
+        peer.write_all(&sent[cut..]).expect("rest sent");
+        let Message::Frame {
+            stream,
+            payload: relayed,
+            ..
+        } = read_next(&mut child, &mut child_buf, &mut chunk)
+        else {
+            panic!("expected the relayed frame");
+        };
+        assert_eq!(stream, big);
+        assert!(relayed[..] == payload[..], "relayed frame differs");
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
     }
 
     #[test]

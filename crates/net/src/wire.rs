@@ -618,6 +618,14 @@ impl Body {
     }
 }
 
+/// The length on the wire, prefix included, of the message at the front
+/// of `bytes`, once its length prefix has arrived: the framing `decode`
+/// reads (unchecked against [`MAX_MESSAGE_BYTES`]).
+pub(crate) fn wire_len(bytes: &[u8]) -> Option<usize> {
+    let prefix = bytes.first_chunk::<4>()?;
+    Some(4 + u32::from_le_bytes(*prefix) as usize)
+}
+
 /// Attempts to decode one complete message from the front of `src`.
 ///
 /// Returns `Ok(None)` when more bytes are needed; consumed bytes are
