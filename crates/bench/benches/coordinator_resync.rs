@@ -2,8 +2,9 @@
 //! restarted membership server take to re-adopt a live RP fleet?
 //!
 //! One `connect` to a live fleet is the full recovery round on real
-//! sockets — attach, barrier re-dictation: a fresh `Attach` per RP,
-//! answered with the RP's revision and delivered total, then
+//! sockets — attach, barrier re-dictation: a fresh `Attach` per RP
+//! carrying the address book (every site's listener address, encoded
+//! once), answered with the RP's revision and delivered total, then
 //! re-dictation of the latest revision as the ack barrier (which finds
 //! every link in place and dials nothing) — measured against running
 //! ring fleets of 4, 16, and 64 sites. Each iteration connects and detaches, so the

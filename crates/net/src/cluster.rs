@@ -623,7 +623,7 @@ mod tests {
             buf.extend_from_slice(&chunk[..read]);
             while let Ok(Some(message)) = decode(&mut buf) {
                 data_link |= matches!(message, Message::Hello { .. });
-                if matches!(message, Message::Attach) {
+                if matches!(message, Message::Attach { .. }) {
                     taps.controls.lock().extend(from.try_clone());
                 }
                 let name = format!("{message:?}");
@@ -741,15 +741,16 @@ mod tests {
         let mut coordinator = Coordinator::connect(&plan_a, &addrs, &config).expect("connect");
         taps.await_count("Hello", 1);
 
-        // One Reconfigure and one Ack per touched site, and the one
-        // Peers order of the one site that routes to a child. The new
-        // link's Hello is the only data traffic; no other order goes.
+        // One Reconfigure and one Ack per touched site: the site that
+        // dials its new child takes the address from the book its attach
+        // carried. The new link's Hello is the only data traffic; no
+        // other order goes.
         taps.take();
         let report = coordinator.apply_delta(&delta).expect("delta applies");
         assert_eq!(report.established, [(site(0), site(2))]);
         assert_eq!(report.closed, [(site(0), site(1))]);
         taps.await_count("Hello", 1);
-        let expected = [("Ack", 3), ("Hello", 1), ("Peers", 1), ("Reconfigure", 3)];
+        let expected = [("Ack", 3), ("Hello", 1), ("Reconfigure", 3)];
         assert_eq!(taps.take(), tally(&expected), "one delta's traffic");
 
         // A successor connects and re-dictates the same tables: every RP
@@ -762,7 +763,6 @@ mod tests {
             ("Ack", 3),
             ("Attach", 3),
             ("Attached", 3),
-            ("Peers", 1),
             ("Reconfigure", 3),
         ];
         assert_eq!(taps.take(), tally(&expected), "one re-adoption's traffic");
@@ -790,8 +790,8 @@ mod tests {
     fn socket_advertised_address_is_what_the_coordinator_dials() {
         // The relay node (site 1) binds a wildcard address but advertises
         // loopback: the coordinator's control connection AND site 0's
-        // dial of its data link (at the address the coordinator's `Peers`
-        // order names) both use the advertised address
+        // dial of its data link (at its entry in the address book the
+        // coordinator's `Attach` carries) both use the advertised address
         // — exact delivery proves both paths reached it.
         let plan = relay_plan();
         let reactor = Reactor::new(1).expect("reactor starts");

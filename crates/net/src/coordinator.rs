@@ -9,17 +9,16 @@
 //!
 //! Every overlay change — the initial plan at [`Coordinator::connect`]
 //! and each [`PlanDelta`] at [`Coordinator::apply_delta`] — is one ack
-//! barrier: each touched RP is sent its forwarding table
-//! (`Reconfigure`, with the `Peers` order naming its children's
-//! addresses), and answers `Ack` once it runs the table. The table is
-//! the link order too: an RP closes its links to the children its table
-//! dropped and dials the ones it added before it acknowledges, and
-//! reports a child it cannot reach as `LinkFailed`. A batch
-//! of frames is one `Publish` per origin RP, naming every stream it
-//! injects, and delivery accounting comes from one stats probe
-//! (`StatsRequest`, answered by the fixed-size `Delivered` the moment an
-//! RP has delivered what the coordinator is owed, or by the full
-//! per-stream `StatsReport` at shutdown). An origin's probe travels
+//! barrier: each touched RP is sent its forwarding table (`Reconfigure`),
+//! and answers `Ack` once it runs the table. The table is the link order
+//! too: an RP closes its links to the children its table dropped and
+//! dials the ones it added before it acknowledges, at the addresses of
+//! the book its `Attach` carried, and reports a child it cannot reach as
+//! `LinkFailed`. A batch of frames is one `Publish` per origin RP, naming
+//! every stream it injects, and delivery accounting comes from one stats
+//! probe (`StatsRequest`, answered by the fixed-size `Delivered` the
+//! moment an RP has delivered what the coordinator is owed, or by the
+//! full per-stream `StatsReport` at shutdown). An origin's probe travels
 //! behind its `Publish`, so nothing else confirms the batch.
 //!
 //! Every reply is read through one wait. Each control connection is
@@ -37,21 +36,23 @@
 //! unjudged, for the next step that awaits it.
 //!
 //! Every way onto a plan is one convergence step, `converge`: a fresh
-//! `Attach` to every RP (the latest attach wins on the RP side), which
-//! each RP answers with `Attached`, naming its revision and the
-//! delivered total that baselines delivery accounting, then the same ack
-//! barrier dictating the target plan to every site (which reopens any
-//! link that died and touches no live one). [`Coordinator::connect`]
-//! runs it on a bare fleet or on a live one whose coordinator
-//! [`detach`](Coordinator::detach)ed or died, and the coordinator runs
-//! it again at the start of the next [`publish`](Coordinator::publish)
-//! or [`apply_delta`](Coordinator::apply_delta) after any failure: a
-//! failed barrier or batch heals in place. The target only moves
-//! forward. The shape is pinned by the model checker's crash and heal
-//! scopes (`teeve-check model --resync`, see `crates/check`): attach
-//! replies are observed but never choose the dictation target — trusting
-//! them is exactly the `ResyncSkip`/`ReconnectRewind` mutant pair the
-//! checker kills.
+//! `Attach` to every RP, carrying the address book of every site's
+//! listener (the latest attach wins on the RP side, and the RP obeys
+//! orders from it alone), which each RP answers with `Attached`, naming
+//! its revision and the delivered total that baselines delivery
+//! accounting, then the same ack barrier dictating the target plan to
+//! every site (which reopens any link that died and touches no live one).
+//! [`Coordinator::connect`] runs it on a bare fleet or on a live one
+//! whose coordinator [`detach`](Coordinator::detach)ed or died, and the
+//! coordinator runs it again at the start of the next
+//! [`publish`](Coordinator::publish) or
+//! [`apply_delta`](Coordinator::apply_delta) after any failure: a failed
+//! barrier or batch heals in place. The target only moves forward. The
+//! shape is pinned by the model checker's crash and heal scopes
+//! (`teeve-check model --resync`, see `crates/check`): attach replies are
+//! observed but never choose the dictation target — trusting them is
+//! exactly the `ResyncSkip`/`ReconnectRewind` mutant pair the checker
+//! kills.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -441,11 +442,16 @@ impl SiteLink {
     }
 
     /// Encodes one order and sends it down the control channel, in one
-    /// write behind every order queued ahead of it. A failed write closes
-    /// the channel for the waits too.
+    /// write behind every order queued ahead of it.
     fn send(&mut self, message: &Message) -> Result<(), ClusterError> {
-        let mut orders = std::mem::take(&mut self.out);
-        encode(message, &mut orders);
+        self.queue(message);
+        self.flush()
+    }
+
+    /// Writes every queued order in one write. A failed write closes the
+    /// channel for the waits too.
+    fn flush(&mut self) -> Result<(), ClusterError> {
+        let orders = std::mem::take(&mut self.out);
         self.conn.write_all(&orders).map_err(|e| {
             let detail = format!("order write failed: {e}");
             self.closed = Some(detail.clone());
@@ -472,15 +478,17 @@ struct Channels {
 
 impl Channels {
     /// Opens a control connection to the RP of `site` at `addr`, attaches
-    /// as its coordinator (an `Attach` atomically replaces any prior
-    /// control channel on the RP side) and registers it with the poll. It
-    /// replaces the site's old connection, which leaves the poll, and its
-    /// stale buffered replies go with it. A refused connection is a
-    /// [`ClusterError::Control`] naming the site.
+    /// as its coordinator by writing `attach`, an encoded `Attach` (which
+    /// atomically replaces any prior control channel on the RP side), and
+    /// registers it with the poll. It replaces the site's old connection,
+    /// which leaves the poll, and its stale buffered replies go with it.
+    /// A refused connection is a [`ClusterError::Control`] naming the
+    /// site.
     fn attach(
         &mut self,
         site: SiteId,
         addr: SocketAddr,
+        attach: &[u8],
         config: &ClusterConfig,
     ) -> Result<(), ClusterError> {
         let conn = TcpStream::connect(addr).map_err(|e| ClusterError::Control {
@@ -494,13 +502,13 @@ impl Channels {
             conn,
             buf: BytesMut::with_capacity(4 * 1024),
             acked: None,
-            out: BytesMut::new(),
+            out: BytesMut::from(attach),
             delivered: None,
             stats: None,
             attached: None,
             closed: None,
         };
-        link.send(&Message::Attach)?;
+        link.flush()?;
         let registry = self.poll.registry();
         let fd = link.conn.as_raw_fd();
         registry.register(&mut SourceFd(&fd), Token(site.index()), Interest::READABLE)?;
@@ -617,7 +625,7 @@ pub struct Coordinator {
     /// RP has acknowledged it yet.
     plan: DisseminationPlan,
     /// One RP address per site, in site order: what each convergence
-    /// attaches to and each `Peers` order names.
+    /// attaches to, and the address book its `Attach` carries.
     addrs: Vec<SocketAddr>,
     channels: Channels,
     started: Option<Instant>,
@@ -740,12 +748,20 @@ impl Coordinator {
         self.recorder.record(FlightEventKind::ResyncStart);
         let deadline = started + self.config.timeout;
 
-        // 1. A fresh control connection to every RP. Dropping an old one
-        //    discards its stale buffered replies, and the RP disarms the
-        //    probe it had armed.
+        // 1. A fresh control connection to every RP, each sent the same
+        //    `Attach`, encoded once. Dropping an old one discards its
+        //    stale buffered replies, and the RP disarms the probe it had
+        //    armed.
+        let mut attach = BytesMut::new();
+        encode(
+            &Message::Attach {
+                addrs: self.addrs.clone(),
+            },
+            &mut attach,
+        );
         for (index, &addr) in self.addrs.iter().enumerate() {
             self.channels
-                .attach(SiteId::new(index as u32), addr, &self.config)?;
+                .attach(SiteId::new(index as u32), addr, &attach, &self.config)?;
         }
 
         // 2. Every RP answers its attach with its revision, observed and
@@ -997,11 +1013,11 @@ impl Coordinator {
     }
 
     /// The one ack barrier: pushes `Reconfigure { revision, site_plan }`
-    /// with the target plan's table to each of `sites` — behind a `Peers`
-    /// order naming the address of every child the table routes to —
-    /// then waits until every one has acknowledged the target revision.
-    /// An RP acknowledges once it runs the table and has dialed the links
-    /// it needs, so a failed dial surfaces inside the barrier as
+    /// with the target plan's table to each of `sites`, then waits until
+    /// every one has acknowledged the target revision. An RP
+    /// acknowledges once it runs the table and has dialed the links it
+    /// needs, at the addresses of the book its `Attach` carried, so a
+    /// failed dial surfaces inside the barrier as
     /// [`ClusterError::LinkFailed`]. Used by `converge` and
     /// [`apply_delta`](Self::apply_delta).
     fn dictate(&mut self, sites: &[SiteId], deadline: Instant) -> Result<(), ClusterError> {
@@ -1012,19 +1028,9 @@ impl Coordinator {
         });
         let sent_at = Instant::now();
         for &site in sites {
-            let site_plan = self.plan.site_plan(site);
-            let peers: Vec<(SiteId, SocketAddr)> = site_plan
-                .children()
-                .into_iter()
-                .map(|child| (child, self.addrs[child.index()]))
-                .collect();
-            let link = &mut self.channels.links[site.index()];
-            if !peers.is_empty() {
-                link.queue(&Message::Peers { peers });
-            }
-            link.send(&Message::Reconfigure {
+            self.channels.links[site.index()].send(&Message::Reconfigure {
                 revision,
-                site_plan: site_plan.clone(),
+                site_plan: self.plan.site_plan(site).clone(),
             })?;
         }
         let late = self

@@ -14,7 +14,7 @@
 //! and site addresses. Every coordinator action is a [`wire`] message (table
 //! installs via `Reconfigure`/`Ack`, which are the link orders too: each
 //! RP dials and closes its own data links to follow the table it runs,
-//! at the child addresses a `Peers` order sends with the table, and
+//! at the child addresses of the book the coordinator's `Attach` sends, and
 //! reports a child it cannot reach as `LinkFailed`; frame injection via
 //! one `Publish` per origin RP naming
 //! its streams, delivery accounting via `StatsRequest` answered by the

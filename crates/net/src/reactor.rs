@@ -6,24 +6,25 @@
 //! of RPs across many sessions sharing one pool. An RP is purely
 //! reactive: it binds, accepts, and answers. The coordinator's first
 //! connection sends [`Message::Attach`] to mark itself as the control
-//! channel, and the node answers it with [`Message::Attached`] (its
-//! revision and delivered total); the node then routes all of its
-//! replies ([`Message::Ack`], [`Message::LinkFailed`],
-//! [`Message::Delivered`], [`Message::StatsReport`]) through that
-//! channel.
+//! channel, carrying the address book (every site's listener address),
+//! and the node answers it with [`Message::Attached`] (its revision and
+//! delivered total). The node then obeys orders from that connection
+//! only — an order arriving on any other closes it — and routes all of
+//! its replies ([`Message::Ack`], [`Message::LinkFailed`],
+//! [`Message::Delivered`], [`Message::StatsReport`]) through it.
 //!
 //! A node opens and closes its own data links from the table it runs. On
 //! every `Reconfigure` it closes each link to a child the table no longer
 //! routes to and dials each routed child it has no link to, at the
-//! address the `Peers` order ahead of the table gave, and it holds the
-//! table's `Ack` until none of those dials is still being set up. A
-//! routed child it cannot reach is reported as `LinkFailed`. Orders
-//! arriving on one connection execute strictly in arrival order — a
-//! `Publish` behind a `Reconfigure` runs once the table's new links are
-//! registered (its frames queue behind each new link's `Hello`), and a
-//! `StatsRequest` behind an unpaced `Publish` only once the batch is
-//! injected — which is what lets the coordinator sequence
-//! reconfigurations and batches without shared memory.
+//! child's entry in the address book, and it holds the table's `Ack`
+//! until none of those dials is still being set up. A routed child it
+//! cannot reach, or one missing from the book, is reported as
+//! `LinkFailed`. Orders arriving on one connection execute strictly in
+//! arrival order — a `Publish` behind a `Reconfigure` runs once the
+//! table's new links are registered (its frames queue behind each new
+//! link's `Hello`), and a `StatsRequest` behind an unpaced `Publish` only
+//! once the batch is injected — which is what lets the coordinator
+//! sequence reconfigurations and batches without shared memory.
 //!
 //! Per event-loop iteration:
 //!
@@ -159,19 +160,20 @@ struct NodeState {
     /// Outbound (this RP → child) links by child site, as slab tokens:
     /// one per child the table routes to, registered from dial time on.
     outbound: BTreeMap<SiteId, usize>,
-    /// Child addresses from the last `Peers` order, taken by the next
-    /// `Reconfigure` to dial the children it has no link to.
-    peers: BTreeMap<SiteId, SocketAddr>,
+    /// The address book of the last `Attach`: every site's listener
+    /// address, in site order, from which each `Reconfigure` dials the
+    /// children it has no link to.
+    book: Vec<SocketAddr>,
     /// The revision of the `Ack` held back until no link is still being
     /// dialed.
     held_ack: Option<u64>,
     /// Every live connection token belonging to this node.
     conns: BTreeSet<usize>,
-    /// The attached control channel: (generation, conn token). A later
-    /// `Attach` replaces it (latest wins); the generation lets a
-    /// *replaced* channel die late without detaching its successor.
-    control: Option<(u64, usize)>,
-    control_generation: u64,
+    /// Slab token of the attached control channel, the one connection
+    /// whose orders the node obeys. A later `Attach` replaces it (latest
+    /// wins). A replaced channel's token stays taken while it is open, so
+    /// it can never name the successor.
+    control: Option<usize>,
     stats: NodeStats,
     /// Writes this node's connections shed at the backlog cap since its
     /// coordinator attached, counted by [`queue_write`] and reported in
@@ -250,8 +252,6 @@ struct Conn {
     dirty: bool,
     /// `Hello`-attributed upstream peer (inbound data connections).
     peer: Option<SiteId>,
-    /// Control generation this connection attached as, if it ever did.
-    attached: Option<u64>,
     /// The child site this connection was dialed for (outbound links).
     outbound_child: Option<SiteId>,
 }
@@ -712,11 +712,10 @@ impl LoopState {
                 listener_token: Some(token),
                 table: ForwardingTable::empty(site),
                 outbound: BTreeMap::new(),
-                peers: BTreeMap::new(),
+                book: Vec::new(),
                 held_ack: None,
                 conns: BTreeSet::new(),
                 control: None,
-                control_generation: 0,
                 stats: NodeStats::default(),
                 shed: 0,
                 armed: None,
@@ -928,7 +927,6 @@ impl LoopState {
                 closing: false,
                 dirty: false,
                 peer: None,
-                attached: None,
                 outbound_child,
             })),
         );
@@ -1037,12 +1035,26 @@ impl LoopState {
     }
 
     /// The RP's message table: records and forwards frames, cascades
-    /// per-stream `End` markers, and executes coordinator orders.
-    /// Returns false when the connection was closed by the message.
+    /// per-stream `End` markers, and executes coordinator orders that
+    /// arrive on the attached control channel. Returns false when the
+    /// connection was closed by the message.
     fn dispatch(&mut self, token: usize, message: Message) -> bool {
         let Some(node_idx) = self.conn_node(token) else {
             return false;
         };
+        // Only the attached coordinator gives orders: one arriving on any
+        // other connection is a protocol violation.
+        let order = matches!(
+            message,
+            Message::Reconfigure { .. }
+                | Message::Publish { .. }
+                | Message::StatsRequest { .. }
+                | Message::Shutdown
+        );
+        if order && self.node_ref(node_idx).and_then(|node| node.control) != Some(token) {
+            self.close_conn(token);
+            return false;
+        }
         match message {
             Message::Frame {
                 stream,
@@ -1085,47 +1097,38 @@ impl LoopState {
                 }
                 true
             }
-            Message::Peers { peers } => {
-                if let Some(node) = self.node_mut(node_idx) {
-                    node.peers = peers.into_iter().collect();
-                }
-                true
-            }
             Message::Reconfigure {
                 revision,
                 site_plan,
             } => {
-                let peers = {
-                    let Some(node) = self.node_mut(node_idx) else {
-                        return false;
-                    };
-                    // A replayed order for an older revision must not
-                    // roll the table back; it is still acknowledged so a
-                    // coordinator retry converges.
-                    if revision >= node.table.revision {
-                        node.table.revision = revision;
-                        node.table.plan = site_plan;
-                    }
-                    node.recorder
-                        .record(FlightEventKind::Reconfigure { revision, sites: 1 });
-                    // Epoch boundary: everything sent after this Ack is
-                    // routed by the new table.
-                    node.held_ack = node.held_ack.max(Some(revision));
-                    std::mem::take(&mut node.peers)
+                let Some(node) = self.node_mut(node_idx) else {
+                    return false;
                 };
-                self.follow_table(node_idx, &peers);
+                // A replayed order for an older revision must not roll
+                // the table back; it is still acknowledged so a
+                // coordinator retry converges.
+                if revision >= node.table.revision {
+                    node.table.revision = revision;
+                    node.table.plan = site_plan;
+                }
+                node.recorder
+                    .record(FlightEventKind::Reconfigure { revision, sites: 1 });
+                // Epoch boundary: everything sent after this Ack is
+                // routed by the new table.
+                node.held_ack = node.held_ack.max(Some(revision));
+                self.follow_table(node_idx);
                 self.release_ack(node_idx);
                 true
             }
-            Message::Attach => {
+            Message::Attach { addrs } => {
                 // Latest attach wins: a reconnected coordinator's fresh
                 // channel atomically replaces a dead one.
-                let (generation, reply) = {
+                let reply = {
                     let Some(node) = self.node_mut(node_idx) else {
                         return false;
                     };
-                    node.control_generation += 1;
-                    node.control = Some((node.control_generation, token));
+                    node.control = Some(token);
+                    node.book = addrs;
                     // A watermark armed by the replaced coordinator must
                     // not answer this one: its probe numbering restarts,
                     // and so does the shed count its replies carry.
@@ -1135,15 +1138,11 @@ impl LoopState {
                     // Describe this RP as it stands *now*. The reply is a
                     // snapshot: the coordinator still closes its
                     // convergence with a dictation barrier.
-                    let reply = Message::Attached {
+                    Message::Attached {
                         revision: node.table.revision,
                         total: node.stats.total(),
-                    };
-                    (node.control_generation, reply)
+                    }
                 };
-                if let Some(conn) = self.conn_mut(token) {
-                    conn.attached = Some(generation);
-                }
                 self.send(token, &reply);
                 true
             }
@@ -1332,10 +1331,7 @@ impl LoopState {
     /// Best-effort control-channel send (a detached coordinator drops
     /// the notification — the ack-suppression resync relies on).
     fn notify(&mut self, node_idx: usize, message: &Message) {
-        let target = self
-            .node_ref(node_idx)
-            .and_then(|n| n.control.map(|(_, conn_token)| conn_token));
-        if let Some(conn_token) = target {
+        if let Some(conn_token) = self.node_ref(node_idx).and_then(|n| n.control) {
             self.send(conn_token, message);
         }
     }
@@ -1343,10 +1339,10 @@ impl LoopState {
     /// Brings the node's outbound links in line with the table it runs:
     /// each link to a child the table no longer routes to is flushed,
     /// write-shut and dropped, and each routed child without a link is
-    /// dialed at its address in `peers`. A routed child that has no
-    /// address there, or whose dial fails at once, is reported as
+    /// dialed at its entry in the address book. A routed child that has
+    /// no entry there, or whose dial fails at once, is reported as
     /// `LinkFailed`. A stopping node opens nothing.
-    fn follow_table(&mut self, node_idx: usize, peers: &BTreeMap<SiteId, SocketAddr>) {
+    fn follow_table(&mut self, node_idx: usize) {
         let (dropped, missing) = {
             let Some(node) = self.node_ref(node_idx) else {
                 return;
@@ -1376,9 +1372,10 @@ impl LoopState {
             }
         }
         for child in missing {
-            let opened = peers
-                .get(&child)
-                .is_some_and(|&addr| self.open_link(node_idx, child, addr));
+            let addr = self
+                .node_ref(node_idx)
+                .and_then(|node| node.book.get(child.index()).copied());
+            let opened = addr.is_some_and(|addr| self.open_link(node_idx, child, addr));
             if !opened {
                 self.notify(node_idx, &Message::LinkFailed { child });
             }
@@ -1661,8 +1658,8 @@ impl LoopState {
     /// Tears one connection down: report the child of a link the table
     /// still routes to as `LinkFailed` (unless the node is stopping),
     /// record an attributed inbound link's LinkDown, detach the control
-    /// channel if this was still its generation (CoordinatorLost: acks
-    /// stop flowing into a dead socket until a re-`Attach` arrives), then
+    /// channel if this was still it (CoordinatorLost: acks stop flowing
+    /// into a dead socket until a re-`Attach` arrives), then
     /// finish the node if it was stopping and this was its last
     /// connection.
     fn close_conn(&mut self, token: usize) {
@@ -1700,11 +1697,9 @@ impl LoopState {
                     child: node.site.index() as u32,
                 });
             }
-            if let Some(generation) = conn.attached {
-                if node.control.is_some_and(|(g, _)| g == generation) {
-                    node.control = None;
-                    node.recorder.record(FlightEventKind::CoordinatorLost);
-                }
+            if node.control == Some(token) {
+                node.control = None;
+                node.recorder.record(FlightEventKind::CoordinatorLost);
             }
         }
         if let Some(child) = failed {
@@ -2021,16 +2016,6 @@ mod tests {
         conn.write_all(&orders).expect("orders sent");
     }
 
-    /// The `Peers` order naming each `(site, address)` child.
-    fn peers(children: &[(u32, SocketAddr)]) -> Message {
-        Message::Peers {
-            peers: children
-                .iter()
-                .map(|&(site, addr)| (SiteId::new(site), addr))
-                .collect(),
-        }
-    }
-
     /// A revision-1 table making site 0 the origin of `streams`, each
     /// with one child link per `(site, rung)`.
     fn origin_table(streams: &[StreamId], children: &[(u32, u8)]) -> Message {
@@ -2068,19 +2053,20 @@ mod tests {
         let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
         let child_addr = child_listener.local_addr().expect("child addr");
 
-        // One control connection carries, in order: Attach, the child's
-        // address, a table where the origin's child takes the stream at
-        // rung 1, and a single 1024-byte publish. Orders on one
-        // connection execute in arrival order, and the node dials the
-        // child as it installs the table, so the link exists before the
-        // frame.
+        // One control connection carries, in order: Attach with the
+        // child's address in its book, a table where the origin's child
+        // takes the stream at rung 1, and a single 1024-byte publish.
+        // Orders on one connection execute in arrival order, and the node
+        // dials the child as it installs the table, so the link exists
+        // before the frame.
         let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
         control.set_read_timeout(Some(Duration::from_secs(10))).ok();
         send(
             &mut control,
             &[
-                Message::Attach,
-                peers(&[(1, child_addr)]),
+                Message::Attach {
+                    addrs: vec![node.addr(), child_addr],
+                },
                 origin_table(&[stream_id], &[(1, 1)]),
                 Message::Publish {
                     streams: vec![stream_id],
@@ -2144,12 +2130,12 @@ mod tests {
 
     #[test]
     fn socket_routed_child_without_a_usable_link_is_reported_failed() {
-        let (reactor, node, mut control) = attached_node();
+        let (reactor, node, mut control) = attached_node(&[]);
         let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
         let stream_id = StreamId::new(SiteId::new(0), 0);
         let child = SiteId::new(1);
 
-        // A table routing to a child the order gave no address for.
+        // A table routing to a child outside the attach's book.
         send(&mut control, &[origin_table(&[stream_id], &[(1, 0)])]);
         let replies = [
             read_next(&mut control, &mut buf, &mut chunk),
@@ -2171,15 +2157,26 @@ mod tests {
         assert_eq!(report_of(&delivered).0, 7);
         assert_eq!(unrouted.get(), 3);
 
-        // Re-sent with the address, the same table dials the child.
+        // Re-sent after a re-attach whose book holds the child, the same
+        // table dials it.
         let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
         let addr = child_listener.local_addr().expect("child addr");
+        let attach = Message::Attach {
+            addrs: vec![node.addr(), addr],
+        };
         send(
             &mut control,
-            &[peers(&[(1, addr)]), origin_table(&[stream_id], &[(1, 0)])],
+            &[attach, origin_table(&[stream_id], &[(1, 0)])],
         );
-        let ack = read_next(&mut control, &mut buf, &mut chunk);
-        assert_eq!(ack, Message::Ack { revision: 1 });
+        let replies = [
+            read_next(&mut control, &mut buf, &mut chunk),
+            read_next(&mut control, &mut buf, &mut chunk),
+        ];
+        let attached = Message::Attached {
+            revision: 1,
+            total: 3,
+        };
+        assert_eq!(replies, [attached, Message::Ack { revision: 1 }]);
 
         // The child hangs up under a table that still routes to it.
         let (child_conn, _) = child_listener.accept().expect("node dials child");
@@ -2193,20 +2190,135 @@ mod tests {
     }
 
     #[test]
+    fn socket_one_attach_serves_every_later_table() {
+        let children: Vec<std::net::TcpListener> = (0..2)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("child bind"))
+            .collect();
+        let addrs: Vec<SocketAddr> = children
+            .iter()
+            .map(|child| child.local_addr().expect("child addr"))
+            .collect();
+        let (reactor, node, mut control) = attached_node(&addrs);
+        let stream_id = StreamId::new(SiteId::new(0), 0);
+
+        // Two tables in a row, each routing to a child the last one did
+        // not: each dials its child from the one book.
+        let Message::Reconfigure { site_plan, .. } = origin_table(&[stream_id], &[(2, 0)]) else {
+            unreachable!("origin_table builds a Reconfigure");
+        };
+        let tables = [
+            origin_table(&[stream_id], &[(1, 0)]),
+            Message::Reconfigure {
+                revision: 2,
+                site_plan,
+            },
+        ];
+        let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
+        // Held open: a link that dies under its table is a `LinkFailed`.
+        let mut links = Vec::new();
+        for ((table, child), revision) in tables.into_iter().zip(&children).zip(1..) {
+            send(&mut control, &[table]);
+            let ack = read_next(&mut control, &mut buf, &mut chunk);
+            assert_eq!(ack, Message::Ack { revision });
+            let (mut link, _) = child.accept().expect("node dials the child");
+            link.set_read_timeout(Some(Duration::from_secs(10))).ok();
+            let hello = read_next(&mut link, &mut BytesMut::new(), &mut chunk);
+            assert_eq!(
+                hello,
+                Message::Hello {
+                    site: SiteId::new(0)
+                }
+            );
+            links.push(link);
+        }
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    /// Reads `conn` until the node closes it; fails if it stays open.
+    fn assert_closed(conn: &mut std::net::TcpStream) {
+        conn.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let mut scratch = [0u8; 64];
+        loop {
+            match conn.read(&mut scratch) {
+                Ok(0) => return,
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return,
+                Ok(_) => {}
+                Err(e) => panic!("connection left open: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn socket_a_connection_that_never_attached_gives_no_orders() {
+        let (reactor, node, mut control) = attached_node(&[]);
+
+        // A stranger orders a table and a shutdown: it is hung up on at
+        // the first order, and nothing is installed.
+        let mut stranger = std::net::TcpStream::connect(node.addr()).expect("stranger connect");
+        let table = Message::Reconfigure {
+            revision: 5,
+            site_plan: SitePlan {
+                site: SiteId::new(0),
+                entries: Vec::new(),
+            },
+        };
+        send(&mut stranger, &[table, Message::Shutdown]);
+        assert_closed(&mut stranger);
+
+        // The coordinator hears no `Ack` for the stranger's table ahead
+        // of its own probe's reply.
+        let mut buf = BytesMut::new();
+        send(&mut control, &[stats_request(1, 0)]);
+        let reply = read_next(&mut control, &mut buf, &mut [0u8; 4096]);
+        assert_eq!(report_of(&reply), (1, 0), "phantom reply {reply:?}");
+
+        // The listener still accepts, and the node still runs no table.
+        let mut fresh = std::net::TcpStream::connect(node.addr()).expect("fresh connect");
+        fresh.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        send(&mut fresh, &[Message::Attach { addrs: Vec::new() }]);
+        let attached = read_next(&mut fresh, &mut BytesMut::new(), &mut [0u8; 64]);
+        assert_eq!(attached, BARE);
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn socket_a_replaced_control_connection_gives_no_orders() {
+        let (reactor, node, mut first) = attached_node(&[]);
+        let mut second = std::net::TcpStream::connect(node.addr()).expect("control connect");
+        second.set_read_timeout(Some(Duration::from_secs(10))).ok();
+        let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 64]);
+        send(&mut second, &[Message::Attach { addrs: Vec::new() }]);
+        assert_eq!(read_next(&mut second, &mut buf, &mut chunk), BARE);
+
+        // The replaced coordinator's table closes its connection; the
+        // successor hears no `Ack`, and its next attach finds the node
+        // still at revision 0.
+        send(&mut first, &[fence()]);
+        assert_closed(&mut first);
+        send(&mut second, &[Message::Attach { addrs: Vec::new() }]);
+        assert_eq!(read_next(&mut second, &mut buf, &mut chunk), BARE);
+
+        node.stop();
+        node.join();
+        reactor.shutdown();
+    }
+
+    #[test]
     fn socket_one_publish_injects_every_listed_stream_before_its_probe_answers() {
-        let (reactor, node, mut control) = attached_node();
         let streams = [
             StreamId::new(SiteId::new(0), 0),
             StreamId::new(SiteId::new(0), 1),
         ];
         let child_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("child bind");
-        send(
-            &mut control,
-            &[
-                peers(&[(1, child_listener.local_addr().expect("child addr"))]),
-                origin_table(&streams, &[(1, 0)]),
-            ],
-        );
+        let (reactor, node, mut control) =
+            attached_node(&[child_listener.local_addr().expect("child addr")]);
+        send(&mut control, &[origin_table(&streams, &[(1, 0)])]);
         let (mut buf, mut chunk) = (BytesMut::new(), [0u8; 4096]);
         let ack = read_next(&mut control, &mut buf, &mut chunk);
         assert_eq!(ack, Message::Ack { revision: 1 });
@@ -2286,24 +2398,21 @@ mod tests {
         // proves the origin's control channel still answers, and with
         // both links up it dials nothing.
         let table = origin_table(&[stream_id], &[(1, 0), (2, 0)]);
-        send(
-            &mut control,
-            &[
-                Message::Attach,
-                peers(&[
-                    (1, stuck_listener.local_addr().expect("stuck addr")),
-                    (2, healthy.addr()),
-                ]),
-                table.clone(),
+        let attach = Message::Attach {
+            addrs: vec![
+                origin.addr(),
+                stuck_listener.local_addr().expect("stuck addr"),
+                healthy.addr(),
             ],
-        );
+        };
+        send(&mut control, &[attach.clone(), table.clone()]);
         let (_stuck, _) = stuck_listener
             .accept()
             .expect("origin dials the stuck child");
         let mut child_control =
             std::net::TcpStream::connect(healthy.addr()).expect("child control connect");
         child_control.set_read_timeout(timeout).ok();
-        send(&mut child_control, &[Message::Attach]);
+        send(&mut child_control, &[attach]);
         let (mut buf, mut child_buf) = (BytesMut::new(), BytesMut::new());
         let mut chunk = [0u8; 4096];
         let attached = read_next(&mut child_control, &mut child_buf, &mut chunk);
@@ -2430,13 +2539,16 @@ mod tests {
     };
 
     /// A node (site 0) with one attached control connection, its attach
-    /// answered.
-    fn attached_node() -> (Reactor, RpNodeHandle, std::net::TcpStream) {
+    /// answered. The attach's book holds the node and then `children`,
+    /// as sites 1, 2 and so on.
+    fn attached_node(children: &[SocketAddr]) -> (Reactor, RpNodeHandle, std::net::TcpStream) {
         let reactor = Reactor::new(1).expect("reactor starts");
         let node = reactor.bind_node(SiteId::new(0)).expect("bind");
         let mut control = std::net::TcpStream::connect(node.addr()).expect("control connect");
         control.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        send(&mut control, &[Message::Attach]);
+        let mut addrs = vec![node.addr()];
+        addrs.extend_from_slice(children);
+        send(&mut control, &[Message::Attach { addrs }]);
         let attached = read_next(&mut control, &mut BytesMut::new(), &mut [0u8; 64]);
         assert_eq!(attached, BARE);
         (reactor, node, control)
@@ -2455,7 +2567,7 @@ mod tests {
 
     #[test]
     fn socket_armed_stats_request_answers_once_at_its_watermark() {
-        let (reactor, node, mut control) = attached_node();
+        let (reactor, node, mut control) = attached_node(&[]);
         let mut buf = BytesMut::new();
 
         // Armed above the total: two frames are not enough.
@@ -2490,7 +2602,7 @@ mod tests {
 
     #[test]
     fn socket_newer_stats_request_replaces_the_armed_one() {
-        let (reactor, node, mut control) = attached_node();
+        let (reactor, node, mut control) = attached_node(&[]);
         let mut buf = BytesMut::new();
         let mut orders = vec![stats_request(1, 2), stats_request(2, 4)];
         orders.extend(frames(4));
@@ -2503,7 +2615,7 @@ mod tests {
 
     #[test]
     fn socket_attach_disarms_the_armed_stats_request() {
-        let (reactor, node, mut first) = attached_node();
+        let (reactor, node, mut first) = attached_node(&[]);
         let mut first_buf = BytesMut::new();
         let mut orders = vec![stats_request(9, 4)];
         orders.extend(frames(2));
@@ -2517,7 +2629,7 @@ mod tests {
         let mut second = std::net::TcpStream::connect(node.addr()).expect("control connect");
         second.set_read_timeout(Some(Duration::from_secs(10))).ok();
         let mut second_buf = BytesMut::new();
-        let mut orders = vec![Message::Attach];
+        let mut orders = vec![Message::Attach { addrs: Vec::new() }];
         orders.extend(frames(3));
         let replies = replies_before_fence(&mut second, &mut second_buf, &orders);
         let attached = Message::Attached {
@@ -2535,7 +2647,7 @@ mod tests {
 
     #[test]
     fn socket_full_report_after_compact_probes_sums_to_the_totals() {
-        let (reactor, node, mut control) = attached_node();
+        let (reactor, node, mut control) = attached_node(&[]);
         let mut buf = BytesMut::new();
         let (a, b) = (
             StreamId::new(SiteId::new(3), 0),
@@ -2604,8 +2716,12 @@ mod tests {
         send(
             &mut control,
             &[
-                Message::Attach,
-                peers(&[(1, child_listener.local_addr().expect("child addr"))]),
+                Message::Attach {
+                    addrs: vec![
+                        node.addr(),
+                        child_listener.local_addr().expect("child addr"),
+                    ],
+                },
                 origin_table(&[stream_id], &[(1, 0)]),
                 Message::Frame {
                     stream: stream_id,
@@ -2643,7 +2759,7 @@ mod tests {
 
     #[test]
     fn socket_short_read_then_later_segment_still_delivers() {
-        let (reactor, node, mut control) = attached_node();
+        let (reactor, node, mut control) = attached_node(&[]);
         control.set_nodelay(true).ok();
         let mut encoded = BytesMut::new();
         encode(&stats_request(4, 2), &mut encoded);
@@ -3171,8 +3287,12 @@ mod tests {
         send(
             &mut control,
             &[
-                Message::Attach,
-                peers(&[(1, child_listener.local_addr().expect("child addr"))]),
+                Message::Attach {
+                    addrs: vec![
+                        node.addr(),
+                        child_listener.local_addr().expect("child addr"),
+                    ],
+                },
                 origin_table(&[big, small], &[(1, 0)]),
             ],
         );

@@ -20,8 +20,8 @@
 //! * table installs: [`Message::Reconfigure`], answered by
 //!   [`Message::Ack`] once the RP runs the table and every data link it
 //!   dialed for it is connected. The RP opens and closes its own links
-//!   from the table it runs: the [`Message::Peers`] order sent with the
-//!   table names every child's listener address, and
+//!   from the table it runs, dialing each child at its entry in the
+//!   address book its coordinator's `Attach` carried, and
 //!   [`Message::LinkFailed`] reports a routed child the RP cannot reach;
 //! * frame injection: one [`Message::Publish`] order per origin RP,
 //!   naming every stream it injects; nothing acknowledges it, because the
@@ -33,8 +33,10 @@
 //!   (`{probe, total, shed}`), or by the full per-stream
 //!   [`Message::StatsReport`] when the request sets `full`;
 //! * convergence: [`Message::Attach`] makes a fresh connection the RP's
-//!   control channel and is answered by [`Message::Attached`], naming
-//!   the RP's revision and delivered total;
+//!   control channel, the only one whose orders it obeys, and hands it
+//!   the address book: every site's listener address, in site order. It
+//!   is answered by [`Message::Attached`], naming the RP's revision and
+//!   delivered total;
 //! * teardown: [`Message::Shutdown`].
 
 use std::net::SocketAddr;
@@ -69,7 +71,8 @@ const TAG_SHUTDOWN: u8 = 16;
 // the same way: an `Attach` is answered with `Attached`.
 const TAG_DELIVERED: u8 = 19;
 const TAG_LINK_FAILED: u8 = 20;
-const TAG_PEERS: u8 = 21;
+// Tag 21 (the retired per-table address order) stays unassigned the
+// same way: the address book rides `Attach`.
 const TAG_ATTACHED: u8 = 22;
 
 // A `Frame`'s fixed header, by the offset of each field in its encoding
@@ -141,22 +144,12 @@ pub enum Message {
         /// The finished stream.
         stream: StreamId,
     },
-    /// Coordinator order sent in the same write as, and directly ahead
-    /// of, a [`Reconfigure`](Self::Reconfigure): the listener address of
-    /// every distinct child that `Reconfigure`'s table routes to. The RP
-    /// dials from it the children it has no link to, and forgets it once
-    /// that `Reconfigure` has run, so each order pair is self-contained
-    /// and re-sending it is idempotent.
-    Peers {
-        /// `(child, listener address)` per routed child.
-        peers: Vec<(SiteId, SocketAddr)>,
-    },
     /// Control-plane order from the coordinator: replace the receiving
     /// RP's forwarding table with `site_plan`, which belongs to plan
     /// revision `revision`, then bring the RP's data links in line with
     /// the table it runs: close each link to a child no longer routed,
-    /// dial each routed child that has none (its address comes from the
-    /// [`Peers`](Self::Peers) order ahead). The RP answers with
+    /// dial each routed child that has none, at its entry in the address
+    /// book of the last [`Attach`](Self::Attach). The RP answers with
     /// [`Ack`](Self::Ack) once none of those dials is still being set up.
     Reconfigure {
         /// The plan revision the new table belongs to.
@@ -174,11 +167,19 @@ pub enum Message {
     },
     /// Coordinator preamble: marks this connection as the RP's control
     /// channel, and is answered on it by [`Attached`](Self::Attached).
-    /// All RP-originated control traffic ([`Ack`](Self::Ack),
+    /// The RP obeys orders ([`Reconfigure`](Self::Reconfigure),
+    /// [`Publish`](Self::Publish), [`StatsRequest`](Self::StatsRequest),
+    /// [`Shutdown`](Self::Shutdown)) only on the most recently attached
+    /// connection, closes any other connection that sends one, and sends
+    /// all its control traffic ([`Ack`](Self::Ack),
     /// [`LinkFailed`](Self::LinkFailed), [`Delivered`](Self::Delivered),
-    /// [`StatsReport`](Self::StatsReport)) is sent on the most recently
-    /// attached connection.
-    Attach,
+    /// [`StatsReport`](Self::StatsReport)) on it.
+    Attach {
+        /// The address book: every site's listener address, in site
+        /// order. The RP keeps it until the next `Attach` and dials each
+        /// child its tables route to at the child's entry.
+        addrs: Vec<SocketAddr>,
+    },
     /// RP response to [`Attach`](Self::Attach): where the RP stands at
     /// the moment it switched control. A reply describes the RP only at
     /// that moment — a backlog `Reconfigure` on an older connection may
@@ -282,7 +283,7 @@ pub enum WireError {
     },
     /// The message body was shorter than its fields require.
     Truncated,
-    /// A `Peers` order carried a byte sequence that does not parse as a
+    /// An `Attach` carried a byte sequence that does not parse as a
     /// socket address.
     BadAddress,
     /// The length prefix overstated the message: bytes were left in the
@@ -337,16 +338,6 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u8(TAG_END);
             put_stream(dst, *stream);
         }
-        Message::Peers { peers } => {
-            dst.put_u8(TAG_PEERS);
-            dst.put_u32_le(peers.len() as u32);
-            for (child, addr) in peers {
-                let text = addr.to_string();
-                put_site(dst, *child);
-                dst.put_u32_le(text.len() as u32);
-                dst.put_slice(text.as_bytes());
-            }
-        }
         Message::Reconfigure {
             revision,
             site_plan,
@@ -359,7 +350,15 @@ pub fn encode(message: &Message, dst: &mut BytesMut) {
             dst.put_u8(TAG_ACK);
             dst.put_u64_le(*revision);
         }
-        Message::Attach => dst.put_u8(TAG_ATTACH),
+        Message::Attach { addrs } => {
+            dst.put_u8(TAG_ATTACH);
+            dst.put_u32_le(addrs.len() as u32);
+            for addr in addrs {
+                let text = addr.to_string();
+                dst.put_u32_le(text.len() as u32);
+                dst.put_slice(text.as_bytes());
+            }
+        }
         Message::Attached { revision, total } => {
             dst.put_u8(TAG_ATTACHED);
             dst.put_u64_le(*revision);
@@ -700,7 +699,13 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
         TAG_END => Message::End {
             stream: body.stream()?,
         },
-        TAG_ATTACH => Message::Attach,
+        TAG_ATTACH => {
+            // Each address is at least its text length.
+            let count = body.count(4)?;
+            Message::Attach {
+                addrs: (0..count).map(|_| body.addr()).collect::<Result<_, _>>()?,
+            }
+        }
         TAG_ATTACHED => Message::Attached {
             revision: body.u64()?,
             total: body.u64()?,
@@ -708,15 +713,6 @@ pub fn decode(src: &mut BytesMut) -> Result<Option<Message>, WireError> {
         TAG_LINK_FAILED => Message::LinkFailed {
             child: body.site()?,
         },
-        TAG_PEERS => {
-            // Each peer is at least its site and its address length.
-            let count = body.count(4 + 4)?;
-            let mut peers = Vec::with_capacity(count);
-            for _ in 0..count {
-                peers.push((body.site()?, body.addr()?));
-            }
-            Message::Peers { peers }
-        }
         TAG_PUBLISH => Message::Publish {
             streams: {
                 let count = body.count(8)?;
@@ -806,7 +802,8 @@ mod tests {
         assert!(buf.is_empty(), "decoder must consume the full message");
     }
 
-    /// One value of every variant (both `Peers` address families),
+    /// One value of every variant (`Attach` with an empty book and with
+    /// both address families),
     /// each paired with its exact encoding. Round-trip tests cannot see a
     /// format change made to the encoder and decoder at once; this can.
     fn golden_messages() -> Vec<(Message, &'static str)> {
@@ -833,19 +830,6 @@ mod tests {
                 "20000000020200000005000000012a000000000000000403020100000000020000003364",
             ),
             (Message::End { stream }, "09000000040200000005000000"),
-            (
-                Message::Peers {
-                    peers: vec![
-                        (SiteId::new(4), "127.0.0.1:9".parse().unwrap()),
-                        (SiteId::new(5), "[::1]:9".parse().unwrap()),
-                    ],
-                },
-                concat!(
-                    "270000001502000000",                     // length, tag, count
-                    "040000000b0000003132372e302e302e313a39", // 4 at 127.0.0.1:9
-                    "05000000070000005b3a3a315d3a39",         // 5 at [::1]:9
-                ),
-            ),
             (
                 Message::Reconfigure {
                     revision: 17,
@@ -883,7 +867,17 @@ mod tests {
                 ),
             ),
             (Message::Ack { revision: 17 }, "09000000061100000000000000"),
-            (Message::Attach, "0100000007"),
+            (Message::Attach { addrs: Vec::new() }, "050000000700000000"),
+            (
+                Message::Attach {
+                    addrs: vec!["127.0.0.1:9".parse().unwrap(), "[::1]:9".parse().unwrap()],
+                },
+                concat!(
+                    "1f0000000702000000",             // length, tag, count
+                    "0b0000003132372e302e302e313a39", // site 0 at 127.0.0.1:9
+                    "070000005b3a3a315d3a39",         // site 1 at [::1]:9
+                ),
+            ),
             (
                 Message::Attached {
                     revision: 17,
@@ -1229,10 +1223,18 @@ mod tests {
     #[test]
     fn padded_attach_is_rejected() {
         let mut buf = BytesMut::new();
-        buf.put_u32_le(3);
+        buf.put_u32_le(1 + 4 + 2);
         buf.put_u8(TAG_ATTACH);
+        buf.put_u32_le(0); // an empty book
         buf.put_slice(&[0, 0]);
         assert_eq!(decode(&mut buf), Err(WireError::TrailingBytes { extra: 2 }));
+    }
+
+    #[test]
+    fn an_attach_without_a_book_is_truncated_not_an_empty_book() {
+        // The bare 5-byte `Attach` that preceded the address book.
+        let mut buf = BytesMut::from(&[0x01, 0x00, 0x00, 0x00, 0x07][..]);
+        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
     }
 
     #[test]
@@ -1280,14 +1282,17 @@ mod tests {
             },
             &mut buf,
         );
-        encode(&Message::Attach, &mut buf);
+        let attach = Message::Attach {
+            addrs: vec!["127.0.0.1:9".parse().unwrap()],
+        };
+        encode(&attach, &mut buf);
         assert_eq!(
             decode(&mut buf).unwrap(),
             Some(Message::Hello {
                 site: SiteId::new(1)
             })
         );
-        assert_eq!(decode(&mut buf).unwrap(), Some(Message::Attach));
+        assert_eq!(decode(&mut buf).unwrap(), Some(attach));
         assert_eq!(decode(&mut buf).unwrap(), None);
     }
 
@@ -1303,9 +1308,10 @@ mod tests {
     fn unknown_tag_is_rejected() {
         // 3 is the retired `Bye` tag, 8–11 the retired link open/close
         // orders and link up/down notifications, 13 the retired
-        // per-stream batch acknowledgement, and 17–18 the retired resync
-        // query and reply: all unassigned for good.
-        for tag in [0, 3, 8, 9, 10, 11, 13, 17, 18, 99] {
+        // per-stream batch acknowledgement, 17–18 the retired resync
+        // query and reply, and 21 the retired per-table address order:
+        // all unassigned for good.
+        for tag in [0, 3, 8, 9, 10, 11, 13, 17, 18, 21, 99] {
             let mut buf = BytesMut::new();
             buf.put_u32_le(1);
             buf.put_u8(tag);
@@ -1324,18 +1330,17 @@ mod tests {
 
     #[test]
     fn control_plane_roundtrips() {
-        roundtrip(Message::Attach);
+        roundtrip(Message::Attach { addrs: Vec::new() });
+        roundtrip(Message::Attach {
+            addrs: vec![
+                "127.0.0.1:45123".parse().unwrap(),
+                "[::1]:9".parse().unwrap(),
+            ],
+        });
         roundtrip(Message::Shutdown);
         roundtrip(Message::LinkFailed {
             child: SiteId::new(1),
         });
-        roundtrip(Message::Peers {
-            peers: vec![
-                (SiteId::new(4), "127.0.0.1:45123".parse().unwrap()),
-                (SiteId::new(0), "[::1]:9".parse().unwrap()),
-            ],
-        });
-        roundtrip(Message::Peers { peers: Vec::new() });
         roundtrip(Message::Publish {
             streams: vec![StreamId::new(SiteId::new(1), 2)],
             base_seq: 77,
@@ -1401,10 +1406,9 @@ mod tests {
     fn malformed_peer_address_is_rejected() {
         let text = b"not an address";
         let mut buf = BytesMut::new();
-        buf.put_u32_le((1 + 4 + 4 + 4 + text.len()) as u32);
-        buf.put_u8(TAG_PEERS);
-        buf.put_u32_le(1); // one peer
-        buf.put_u32_le(2); // its site
+        buf.put_u32_le((1 + 4 + 4 + text.len()) as u32);
+        buf.put_u8(TAG_ATTACH);
+        buf.put_u32_le(1); // a one-site book
         buf.put_u32_le(text.len() as u32);
         buf.put_slice(text);
         assert_eq!(decode(&mut buf), Err(WireError::BadAddress));
@@ -1414,10 +1418,9 @@ mod tests {
     fn truncated_peer_address_is_rejected() {
         let mut buf = BytesMut::new();
         // Claims a 20-byte address but the body carries none.
-        buf.put_u32_le(1 + 4 + 4 + 4);
-        buf.put_u8(TAG_PEERS);
-        buf.put_u32_le(1); // one peer
-        buf.put_u32_le(2); // its site
+        buf.put_u32_le(1 + 4 + 4);
+        buf.put_u8(TAG_ATTACH);
+        buf.put_u32_le(1); // a one-site book
         buf.put_u32_le(20);
         assert_eq!(decode(&mut buf), Err(WireError::Truncated));
     }
@@ -1488,12 +1491,11 @@ mod tests {
     #[test]
     fn truncated_peer_list_is_rejected() {
         let mut buf = BytesMut::new();
-        // Claims three peers; the body has room for one at most.
-        buf.put_u32_le(1 + 4 + 4 + 4);
-        buf.put_u8(TAG_PEERS);
-        buf.put_u32_le(3); // three peers claimed
-        buf.put_u32_le(1); // one site
-        buf.put_u32_le(0); // and an empty address
+        // Claims three addresses; the body has room for one at most.
+        buf.put_u32_le(1 + 4 + 4);
+        buf.put_u8(TAG_ATTACH);
+        buf.put_u32_le(3); // three addresses claimed
+        buf.put_u32_le(0); // and one empty one
         assert_eq!(decode(&mut buf), Err(WireError::Truncated));
     }
 

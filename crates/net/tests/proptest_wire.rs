@@ -93,15 +93,15 @@ fn arb_delivery() -> impl Strategy<Value = StreamDelivery> {
         )
 }
 
-/// Uniformly draws one of the 14 protocol messages with arbitrary field
+/// Uniformly draws one of the 13 protocol messages with arbitrary field
 /// values.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
         (
-            0usize..14,
+            0usize..13,
             arb_site(),
             arb_stream(),
-            proptest::collection::vec((arb_site(), arb_addr()), 0..4usize),
+            proptest::collection::vec(arb_addr(), 0..4usize),
         ),
         (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
         proptest::collection::vec(0u8..255, 0..64usize),
@@ -114,7 +114,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
     )
         .prop_map(
             |(
-                (variant, site, stream, peers),
+                (variant, site, stream, addrs),
                 (a, b, c),
                 payload,
                 (site_plan, streams, small, quality),
@@ -134,10 +134,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         site_plan,
                     },
                     4 => Message::Ack { revision: a },
-                    5 => Message::Attach,
-                    6 => Message::Peers { peers },
-                    7 => Message::LinkFailed { child: site },
-                    8 => Message::Publish {
+                    5 => Message::Attach { addrs },
+                    6 => Message::LinkFailed { child: site },
+                    7 => Message::Publish {
                         // Reuse the drawn site plan's entries as an
                         // arbitrary stream list.
                         streams: site_plan.entries.iter().map(|e| e.stream).collect(),
@@ -146,22 +145,22 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         payload_bytes: small,
                         interval_micros: c,
                     },
-                    9 => Message::StatsRequest {
+                    8 => Message::StatsRequest {
                         probe: a,
                         at_least: b,
                         full: c % 2 == 1,
                     },
-                    10 => Message::StatsReport {
+                    9 => Message::StatsReport {
                         probe: a,
                         total: b,
                         max_latency_micros: c,
                         streams,
                     },
-                    11 => Message::Attached {
+                    10 => Message::Attached {
                         revision: a,
                         total: b,
                     },
-                    12 => Message::Delivered {
+                    11 => Message::Delivered {
                         probe: a,
                         total: b,
                         shed: c,

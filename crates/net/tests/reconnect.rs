@@ -39,17 +39,20 @@ struct RawControl {
 }
 
 impl RawControl {
-    /// Attaches to the RP at `addr`. Its first reply must answer the
+    /// Attaches to the RP of `site`, handing it the fleet's address book
+    /// `addrs` as a coordinator does. Its first reply must answer the
     /// attach, naming one of the `dictated` revisions.
-    fn attach(addr: SocketAddr, dictated: &[u64]) -> RawControl {
-        let conn = TcpStream::connect(addr).expect("raw control connect");
+    fn attach(addrs: &[SocketAddr], site: SiteId, dictated: &[u64]) -> RawControl {
+        let conn = TcpStream::connect(addrs[site.index()]).expect("raw control connect");
         conn.set_nodelay(true).ok();
         conn.set_read_timeout(Some(Duration::from_millis(50))).ok();
         let mut raw = RawControl {
             conn,
             buf: BytesMut::new(),
         };
-        raw.send(&Message::Attach);
+        raw.send(&Message::Attach {
+            addrs: addrs.to_vec(),
+        });
         let reply = raw.wait("attach reply", |m| Some(m.clone()));
         assert!(
             matches!(reply, Message::Attached { revision, .. } if dictated.contains(&revision)),
@@ -176,7 +179,7 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
     let origin = stream.origin();
     let gap_frames = 4u64;
     let dictated = [base.revision(), revision];
-    let mut origin_ctl = RawControl::attach(addrs[origin.index()], &dictated);
+    let mut origin_ctl = RawControl::attach(&addrs, origin, &dictated);
     origin_ctl.send(&Message::Publish {
         streams: vec![stream],
         base_seq: 1_000,
@@ -195,7 +198,7 @@ fn socket_fleet_survives_coordinator_kill_and_resyncs_exactly() {
         // `stream` took the gap batch. The report is armed to arrive
         // once the site's total says the gap batch has landed, in full:
         // only the full report carries per-stream counts.
-        let mut ctl = RawControl::attach(addrs[site.index()], &dictated);
+        let mut ctl = RawControl::attach(&addrs, site, &dictated);
         let probe = 10_000 + site.index() as u64;
         ctl.send(&Message::StatsRequest {
             probe,
